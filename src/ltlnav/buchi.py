@@ -14,6 +14,7 @@ transition guards are Boolean formulas over the alphabet.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -90,20 +91,22 @@ def _simplify(f: Formula) -> Formula:
     return f
 
 
+def _letters(names: Sequence[str], alphabet: Alphabet) -> Iterator[int]:
+    """Every letter that sets only propositions among `names`, counting in
+    binary with names[0] as the lowest bit."""
+    bits = [alphabet.index(n) for n in names]
+    for combo in range(1 << len(bits)):
+        letter = 0
+        for i, b in enumerate(bits):
+            if combo >> i & 1:
+                letter |= 1 << b
+        yield letter
+
+
 def _sat_disjoint(guard: Formula, alphabet: Alphabet) -> bool:
     """Satisfiability by enumerating the guard's own atoms only."""
-    names = sorted(atoms(guard))
-    if not names:
-        return eval_bool(guard, 0, alphabet)
-    mask_bits = [alphabet.index(n) for n in names]
-    for combo in range(1 << len(names)):
-        letter = 0
-        for i, bit in enumerate(mask_bits):
-            if combo >> i & 1:
-                letter |= 1 << bit
-        if eval_bool(guard, letter, alphabet):
-            return True
-    return False
+    return any(eval_bool(guard, letter, alphabet)
+               for letter in _letters(sorted(atoms(guard)), alphabet))
 
 
 class BuchiAutomaton:
@@ -130,7 +133,7 @@ class BuchiAutomaton:
         for t in self.transitions:
             self._out[t.src].append((t.guard, t.dst))
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._letters_cache: dict[tuple[int, tuple[int, ...]], frozenset[int]] = {}
+        self._edges: tuple[tuple[int, ...], ...] | None = None
         self._classes: StateClasses | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -154,29 +157,20 @@ class BuchiAutomaton:
             out |= self.succ(q, letter)
         return frozenset(out)
 
-    def transition_letters(self, t_index: int,
-                           achievable: tuple[int, ...]) -> frozenset[int]:
-        """Assignments among `achievable` satisfying one transition's guard."""
-        key = (t_index, achievable)
-        hit = self._letters_cache.get(key)
-        if hit is None:
-            guard = self.transitions[t_index].guard
-            hit = frozenset(a for a in achievable
-                            if eval_bool(guard, a, self.alphabet))
-            self._letters_cache[key] = hit
-        return hit
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the sorted distinct successors over satisfiable guards."""
+        if self._edges is None:
+            succ: list[set[int]] = [set() for _ in range(self.n_states)]
+            for t in self.transitions:
+                if t.dst not in succ[t.src] and _sat_disjoint(t.guard, self.alphabet):
+                    succ[t.src].add(t.dst)
+            self._edges = tuple(tuple(sorted(s)) for s in succ)
+        return self._edges
 
     # -- state classification --------------------------------------------
 
-    def _graph_edges(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_states)]
-        for t in self.transitions:
-            if _sat_disjoint(t.guard, self.alphabet):
-                adj[t.src].append(t.dst)
-        return adj
-
     def live_states(self) -> frozenset[int]:
-        adj = self._graph_edges()
+        adj = self.edges()
         comp = _tarjan_scc(self.n_states, adj)
         has_internal_edge = [False] * (max(comp) + 1 if comp else 0)
         for src, dsts in enumerate(adj):
@@ -413,15 +407,8 @@ def _tautology(guard: Formula, support: tuple[str, ...], alphabet: Alphabet) -> 
     names = sorted(set(support) | atoms(guard))
     if len(names) > 14:
         return False  # give up; treated as non-tautology, which is safe
-    bits = [alphabet.index(nm) for nm in names]
-    for combo in range(1 << len(names)):
-        letter = 0
-        for i, b in enumerate(bits):
-            if combo >> i & 1:
-                letter |= 1 << b
-        if not eval_bool(guard, letter, alphabet):
-            return False
-    return True
+    return all(eval_bool(guard, letter, alphabet)
+               for letter in _letters(names, alphabet))
 
 
 # -- tableau construction ---------------------------------------------------
@@ -623,7 +610,7 @@ def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     state) and anything unreachable from the initial state."""
     live = aut.live_states()
     keep = set(live) | {aut.initial}
-    adj = aut._graph_edges()
+    adj = aut.edges()
     reachable = {aut.initial}
     stack = [aut.initial]
     while stack:
@@ -643,18 +630,6 @@ def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
                           accepting, transitions)
 
 
-def _letters_of_support(support: tuple[str, ...], alphabet: Alphabet) -> list[int]:
-    bits = [alphabet.index(nm) for nm in support]
-    letters = []
-    for combo in range(1 << len(support)):
-        letter = 0
-        for i, b in enumerate(bits):
-            if combo >> i & 1:
-                letter |= 1 << b
-        letters.append(letter)
-    return letters
-
-
 def _trim_transient_accepting(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Unmark accepting states that no run can visit infinitely often.
 
@@ -664,7 +639,7 @@ def _trim_transient_accepting(aut: BuchiAutomaton) -> BuchiAutomaton:
     as accepting; dropping those marks keeps the language and lets the
     bisimulation quotient fold the copies away.
     """
-    adj = aut._graph_edges()
+    adj = aut.edges()
     comp = _tarjan_scc(aut.n_states, adj)
     size: dict[int, int] = {}
     for q in range(aut.n_states):
@@ -688,7 +663,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     back restores an explicit accepting sink without changing the language.
     """
     support = aut._support()
-    comp = _tarjan_scc(aut.n_states, aut._graph_edges())
+    comp = _tarjan_scc(aut.n_states, aut.edges())
     groups: dict[int, list[int]] = {}
     for q in range(aut.n_states):
         groups.setdefault(comp[q], []).append(q)
@@ -735,7 +710,7 @@ def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
     support = aut._support()
     if len(support) > 10:
         return aut
-    letters = _letters_of_support(support, aut.alphabet)
+    letters = list(_letters(support, aut.alphabet))
     succ = [[frozenset(aut.succ(q, letter)) for letter in letters]
             for q in range(aut.n_states)]
     cls = [1 if q in aut.accepting else 0 for q in range(aut.n_states)]

@@ -30,12 +30,6 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 
-def _write(path: str, text: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    atomic_write_text(path, text)
-
-
 def _load_specs(value: str) -> list:
     """Formulas from an inline string, or one per line of a file."""
     if os.path.exists(value):
@@ -95,9 +89,9 @@ def cmd_compile(args) -> int:
                              for q, s in subs],
     }
     if args.dot:
-        _write(args.dot, aut.to_dot())
+        atomic_write_text(args.dot, aut.to_dot())
     if args.json:
-        _write(args.json, json.dumps(aut.to_json(), indent=2) + "\n")
+        atomic_write_text(args.json, json.dumps(aut.to_json(), indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -119,7 +113,7 @@ def cmd_inspect_subgoals(args) -> int:
                "props": list(alphabet.names),
                "subgoals": per_state}
     if args.out:
-        _write(args.out, json.dumps(summary, indent=2) + "\n")
+        atomic_write_text(args.out, json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -177,7 +171,7 @@ def cmd_eval(args) -> int:
                for (text, _), rep in zip(specs, reports)]
     out = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _write(args.out, out)
+        atomic_write_text(args.out, out)
     print(out, end="")
     return EXIT_OK
 
@@ -307,11 +301,11 @@ def cmd_trace(args) -> int:
             svg_text = _render_svg(env, trace["positions"])
     text_out = "\n".join(lines) + "\n"
     if args.out:
-        _write(args.out, text_out)
+        atomic_write_text(args.out, text_out)
     else:
         print(text_out, end="")
     if args.svg and svg_text is not None:
-        _write(args.svg, svg_text)
+        atomic_write_text(args.svg, svg_text)
     return EXIT_OK
 
 

@@ -105,16 +105,13 @@ def reduce(obs: Observation, sub: Subgoal, mode: FusionMode | None = None,
 
 def reduced_dim(config: EnvConfig, mode: FusionMode | None = None) -> int:
     """Input width of the policy for a given environment and fusion mode."""
-    n = len(config.letters)
-    if config.env == "letterworld":
-        raw = config.grid_size * config.grid_size
-    else:
-        raw = 3 + n * config.lidar_beams
+    grid = config.grid_size * config.grid_size
     if mode is None:
-        mode = FusionMode.GridValues if config.env == "letterworld" \
-            else FusionMode.LidarMin
+        mode = default_mode("grid" if config.env == "letterworld" else "lidar")
     if mode is FusionMode.GridValues:
-        return config.grid_size * config.grid_size
+        return grid
     if mode is FusionMode.LidarMin:
         return 3 + 2 * config.lidar_beams
+    n = len(config.letters)
+    raw = grid if config.env == "letterworld" else 3 + n * config.lidar_beams
     return raw + n + (1 << n)

@@ -9,18 +9,17 @@ so one policy conditioned on an encoded subgoal covers every formula.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .buchi import BuchiAutomaton, _sat_disjoint
+from .buchi import BuchiAutomaton
 from .ltl import Alphabet
 
 __all__ = [
     "Subgoal", "LassoPath", "UniverseTooLarge", "NoValidSubgoal",
     "find_lassos", "extract_subgoals", "build_universe",
-    "encode_subgoal", "decode_subgoal", "sample_subgoal",
+    "encode_subgoal", "sample_subgoal",
 ]
 
 
@@ -59,37 +58,13 @@ class NoValidSubgoal(ValueError):
     """No subgoal satisfies the resampling constraint."""
 
 
-_lasso_caches: "weakref.WeakKeyDictionary[BuchiAutomaton, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _satisfiable_edges(aut: BuchiAutomaton) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(aut.n_states)]
-    seen: list[set[int]] = [set() for _ in range(aut.n_states)]
-    for t in aut.transitions:
-        if t.dst not in seen[t.src] and _sat_disjoint(t.guard, aut.alphabet):
-            seen[t.src].add(t.dst)
-            adj[t.src].append(t.dst)
-    for row in adj:
-        row.sort()
-    return adj
-
-
 def find_lassos(aut: BuchiAutomaton, q: int, limit: int = 100_000) -> list[LassoPath]:
     """All simple lasso paths from q whose cycle contains an accepting state.
 
     Depth-first search with an on-path visited set: prefixes and cycles are
-    simple, a node repeats only as the cycle closure. Results are cached per
-    automaton since enumeration can be expensive.
+    simple, a node repeats only as the cycle closure.
     """
-    cache = _lasso_caches.setdefault(aut, {})
-    hit = cache.get(q)
-    if hit is not None:
-        return hit
-    adj = cache.get("_adj")
-    if adj is None:
-        adj = _satisfiable_edges(aut)
-        cache["_adj"] = adj
+    adj = aut.edges()
     accepting = aut.accepting
     results: list[LassoPath] = []
     path = [q]
@@ -113,25 +88,7 @@ def find_lassos(aut: BuchiAutomaton, q: int, limit: int = 100_000) -> list[Lasso
                 del on_path[w]
 
     dfs()
-    cache[q] = results
     return results
-
-
-def _second_nodes(aut: BuchiAutomaton, q: int) -> frozenset[int]:
-    """Successor states that start some accepting lasso from q."""
-    cache = _lasso_caches.setdefault(aut, {})
-    key = ("second", q)
-    hit = cache.get(key)
-    if hit is None:
-        second = set()
-        for lp in find_lassos(aut, q):
-            if len(lp.path) > 1:
-                second.add(lp.path[1])
-            else:
-                second.add(lp.path[lp.cycle_start])
-        hit = frozenset(second)
-        cache[key] = hit
-    return hit
 
 
 def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
@@ -154,7 +111,9 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
             raise ValueError(f"state {q} out of range")
         avoid = frozenset(
             a for a in achievable if not (aut.step(frozenset({q}), a) & live))
-        second = _second_nodes(aut, q)
+        # successor states that start some accepting lasso from q
+        second = {lp.path[1] if len(lp.path) > 1 else lp.path[lp.cycle_start]
+                  for lp in find_lassos(aut, q)}
         if not second:
             continue
         for a in achievable:
@@ -166,12 +125,11 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
     return out
 
 
-def build_universe(achievable, conflict=None, cap: int = 1_000_000) -> list[Subgoal]:
+def build_universe(achievable, cap: int = 1_000_000) -> list[Subgoal]:
     """Every (reach, avoid-set) combination over the achievable assignments.
 
-    `conflict(a, b)` marks assignments that may never appear in the same
-    subgoal's avoid set as reach target a; the default is plain equality,
-    which is always excluded. Raises UniverseTooLarge beyond `cap` entries.
+    A reach target never appears in its own avoid set. Raises
+    UniverseTooLarge beyond `cap` entries.
     """
     targets = sorted(set(achievable))
     if any(a <= 0 for a in targets):
@@ -179,8 +137,7 @@ def build_universe(achievable, conflict=None, cap: int = 1_000_000) -> list[Subg
     total = 0
     pools: list[tuple[int, list[int]]] = []
     for a in targets:
-        pool = [b for b in targets
-                if b != a and not (conflict is not None and conflict(a, b))]
+        pool = [b for b in targets if b != a]
         total += 1 << len(pool)
         if total > cap:
             raise UniverseTooLarge(
@@ -208,18 +165,6 @@ def encode_subgoal(sub: Subgoal, alphabet: Alphabet) -> np.ndarray:
             raise ValueError("avoid assignment outside the alphabet")
         vec[n + a] = 1.0
     return vec
-
-
-def decode_subgoal(vec: np.ndarray, alphabet: Alphabet) -> Subgoal:
-    n = alphabet.n
-    if vec.shape != (n + (1 << n),):
-        raise ValueError(f"expected vector of length {n + (1 << n)}, got {vec.shape}")
-    reach = 0
-    for i in range(n):
-        if vec[i] != 0.0:
-            reach |= 1 << i
-    avoid = frozenset(a for a in range(1 << n) if vec[n + a] != 0.0)
-    return Subgoal(reach, avoid)
 
 
 def sample_subgoal(universe: list[Subgoal], rng: np.random.Generator,

@@ -175,11 +175,6 @@ class SubgoalStepStats:
     def maximum(self):
         return max(self.values) if self.valid else None
 
-    def percentile(self, q: float = 95.0):
-        if not self.valid:
-            return None
-        return float(np.percentile(list(self.values), q))
-
 
 def signals(label: int, sub: Subgoal) -> tuple[int, int]:
     """(reward, safety): r = 1 iff the label equals the reach assignment;

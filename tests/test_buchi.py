@@ -197,13 +197,3 @@ class TestSerialization:
         j2 = compile_formula(f, ab).to_json()
         assert j1 == j2
 
-
-def test_transition_letters_cache():
-    aut = compile_str("!a U b", alphabet=small_alphabet(3))
-    achievable = (1, 2, 4)  # singletons a, b, c
-    for i, t in enumerate(aut.transitions):
-        letters = aut.transition_letters(i, achievable)
-        expected = frozenset(x for x in achievable
-                             if eval_bool(t.guard, x, aut.alphabet))
-        assert letters == expected
-        assert aut.transition_letters(i, achievable) is letters  # cached

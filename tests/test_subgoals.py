@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from gen import small_alphabet
+from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
 from ltlnav.ltl import TRUE, Alphabet, Atom, Not, And, eval_bool, parse
 from ltlnav.subgoals import (
     LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, build_universe,
-    decode_subgoal, encode_subgoal, extract_subgoals, find_lassos,
-    sample_subgoal,
+    encode_subgoal, extract_subgoals, find_lassos, sample_subgoal,
 )
 
 
@@ -32,6 +32,10 @@ def brute_edges(aut):
     return edges
 
 
+def edge_list(aut):
+    return [(src, dst) for src, dsts in enumerate(aut.edges()) for dst in dsts]
+
+
 def brute_lassos(aut, q):
     """Enumerate accepting simple lassos from q by filtering permutations."""
     edges = brute_edges(aut)
@@ -47,6 +51,16 @@ def brute_lassos(aut, q):
                         any(s in aut.accepting for s in path[j:]):
                     found.add((path, j))
     return found
+
+
+def decode_subgoal(vec, alphabet):
+    """Inverse of encode_subgoal: reach bits, then one avoid indicator per
+    assignment."""
+    n = alphabet.n
+    assert vec.shape == (n + (1 << n),)
+    reach = sum(1 << i for i in range(n) if vec[i] != 0.0)
+    avoid = frozenset(a for a in range(1 << n) if vec[n + a] != 0.0)
+    return Subgoal(reach, avoid)
 
 
 def brute_successors(aut, q, letter):
@@ -84,6 +98,7 @@ class TestFindLassos:
         rng = np.random.default_rng(20)
         for _ in range(200):
             aut = random_automaton(rng, n_states=int(rng.integers(2, 6)))
+            assert edge_list(aut) == sorted(brute_edges(aut))
             for q in range(aut.n_states):
                 got = {(lp.path, lp.cycle_start) for lp in find_lassos(aut, q)}
                 assert got == brute_lassos(aut, q)
@@ -98,9 +113,45 @@ class TestFindLassos:
         assert lp.prefix == (0,)
         assert lp.cycle == (1, 2)
 
-    def test_cached_per_automaton(self):
-        aut = compile_str("F a")
-        assert find_lassos(aut, 0) is find_lassos(aut, 0)
+    def test_too_many_lassos(self):
+        ab = small_alphabet(3)
+        aut = compile_str("G (a -> F b) & G (b -> F c)", ab)
+        assert len(find_lassos(aut, 0)) > 10
+        with pytest.raises(UniverseTooLarge):
+            find_lassos(aut, 0, limit=10)
+
+
+# -- the satisfiable-edge graph ----------------------------------------------
+
+
+class TestEdges:
+    @pytest.mark.parametrize("text", [
+        "F a", "!a U b", "G F a & G F b", "G (a -> X F b)", "F G a",
+        "(!c U (a & F b)) & G !d",
+    ])
+    def test_matches_brute_force_on_compiled_specs(self, text):
+        aut = compile_str(text, small_alphabet(4))
+        assert edge_list(aut) == sorted(brute_edges(aut))
+
+    def test_built_once_per_automaton(self, monkeypatch):
+        aut = compile_str("G (a -> F b)", small_alphabet(2))
+        calls = []
+        real = buchi._sat_disjoint
+
+        def counted(guard, alphabet):
+            calls.append(guard)
+            return real(guard, alphabet)
+
+        monkeypatch.setattr(buchi, "_sat_disjoint", counted)
+        first = aut.edges()
+        built = len(calls)
+        assert built > 0
+        assert aut.edges() is first
+        aut.classify()
+        for q in range(aut.n_states):
+            find_lassos(aut, q)
+        extract_subgoals(aut, frozenset({0}), frozenset(), (1, 2, 3))
+        assert len(calls) == built
 
 
 # -- extraction ---------------------------------------------------------------
@@ -220,16 +271,6 @@ class TestUniverse:
         with pytest.raises(UniverseTooLarge):
             build_universe((1, 2, 4), cap=10)
 
-    def test_conflict_hook(self):
-        conflict = lambda a, b: (a | b) == 3  # a and b mutually exclusive
-        universe = build_universe((1, 2, 4), conflict=conflict)
-        for s in universe:
-            if s.reach == 1:
-                assert 2 not in s.avoid
-            if s.reach == 2:
-                assert 1 not in s.avoid
-        assert len(universe) == 2 * 2 + 4
-
     def test_rejects_empty_assignment(self):
         with pytest.raises(ValueError):
             build_universe((0, 1))
@@ -260,7 +301,7 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_subgoal(Subgoal(4, frozenset()), ab)
         with pytest.raises(ValueError):
-            decode_subgoal(np.zeros(5), ab)
+            encode_subgoal(Subgoal(1, frozenset({4})), ab)
 
 
 # -- sampling -----------------------------------------------------------------

@@ -443,10 +443,3 @@ class TestSubgoalStepStats:
         for _ in range(100):
             stats.add(7)
         assert stats.maximum == 7
-
-    def test_percentile(self):
-        stats = SubgoalStepStats(window=200, min_count=10)
-        for v in range(1, 101):
-            stats.add(v)
-        assert stats.percentile(95) == pytest.approx(
-            np.percentile(range(1, 101), 95))
