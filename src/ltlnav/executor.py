@@ -22,7 +22,7 @@ from .ltl import (
     Always, And, Atom, Bool, Eventually, Formula, Not, Or, eval_bool, parse,
 )
 from .nets import forward, head_from_json, mean_action
-from .reduction import FusionMode, reduce
+from .reduction import FusionMode, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
 from .trainer import STREAM_EVAL, stream_rng
 
@@ -115,9 +115,20 @@ class PolicyAgent:
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "PolicyAgent":
+        if ckpt.get("version") != 1:
+            raise ValueError(f"unsupported checkpoint version "
+                             f"{ckpt.get('version')!r}, expected 1")
         heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()}
-        return cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"],
-                   ckpt.get("mu_subgoal"))
+        agent = cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"],
+                    ckpt.get("mu_subgoal"))
+        dim = reduced_dim(agent.env_config, agent.mode)
+        for name, (spec, _) in heads.items():
+            if spec.in_dim != dim:
+                raise ValueError(
+                    f"checkpoint head {name!r} takes {spec.in_dim} inputs, "
+                    f"but its env config and {ckpt['fusion']!r} fusion give "
+                    f"{dim}")
+        return agent
 
     def _vec(self, obs, sub: Subgoal) -> np.ndarray:
         return reduce(obs, sub, self.mode, self.alphabet)

@@ -4,8 +4,8 @@ Parameters live in one flat float64 vector per network so optimizer state
 and checkpoints stay trivial.  Hidden layers use tanh; four output heads
 cover the policy (categorical or diagonal gaussian), the two value
 functions (scalar), and the nonnegative multiplier (softplus scalar).
-Backward passes are hand-rolled reverse mode, checked against finite
-differences in the tests.
+Backward passes are hand-rolled reverse mode over the activations the
+forward pass recorded, checked against finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MlpSpec", "AdamState", "n_params", "init_params", "forward", "backward",
-    "adam_init", "adam_step",
+    "MlpSpec", "AdamState", "n_params", "init_params", "forward",
+    "forward_tape", "backward", "adam_init", "adam_step",
     "sample_categorical", "categorical_logp", "categorical_logp_grad",
     "sample_gaussian", "gaussian_logp", "gaussian_logp_grad",
     "mean_action", "softmax",
@@ -104,16 +104,10 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _run(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
-    ws, bs, log_std = _unpack(spec, params)
-    hs = [x]
-    for w, b in zip(ws[:-1], bs[:-1]):
-        hs.append(np.tanh(hs[-1] @ w.T + b))
-    z = hs[-1] @ ws[-1].T + bs[-1]
-    return ws, hs, z, log_std
-
-
-def _as_batch(spec: MlpSpec, x) -> tuple[np.ndarray, bool]:
+def forward_tape(spec: MlpSpec, params: np.ndarray, x):
+    """(head output, tape).  The output is forward's; the tape holds the
+    per-layer weight views, the hidden activations hs and the pre-head
+    values z, which backward consumes instead of recomputing them."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -121,49 +115,48 @@ def _as_batch(spec: MlpSpec, x) -> tuple[np.ndarray, bool]:
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim "
                          f"{spec.in_dim}")
-    return x, single
+    ws, bs, log_std = _unpack(spec, params)
+    hs = [x]
+    for w, b in zip(ws[:-1], bs[:-1]):
+        hs.append(np.tanh(hs[-1] @ w.T + b))
+    z = hs[-1] @ ws[-1].T + bs[-1]
+    if spec.head == "categorical":
+        out = z[0] if single else z
+    elif spec.head == "gaussian":
+        out = (z[0] if single else z), log_std.copy()
+    else:
+        v = _softplus(z[:, 0]) if spec.head == "nonneg" else z[:, 0]
+        out = float(v[0]) if single else v
+    return out, (ws, hs, z)
 
 
 def forward(spec: MlpSpec, params: np.ndarray, x):
     """Head output: categorical -> logits (B, n); gaussian -> (mean (B, n),
     log_std (n,)); scalar -> (B,); nonneg -> softplus values (B,).  A 1-D
     input drops the batch axis in the result."""
-    x, single = _as_batch(spec, x)
-    _, _, z, log_std = _run(spec, params, x)
-    if spec.head == "categorical":
-        return z[0] if single else z
-    if spec.head == "gaussian":
-        return (z[0] if single else z), log_std.copy()
-    out = _softplus(z[:, 0]) if spec.head == "nonneg" else z[:, 0]
-    return float(out[0]) if single else out
+    return forward_tape(spec, params, x)[0]
 
 
-def backward(spec: MlpSpec, params: np.ndarray, x, d_out) -> np.ndarray:
-    """Gradient of sum(d_out * output) with respect to the flat params.
+def backward(spec: MlpSpec, tape, d_out) -> np.ndarray:
+    """Gradient of sum(d_out * output) with respect to the flat params,
+    from the tape of a batched forward_tape call.
 
     d_out mirrors the head output: categorical -> (B, n) on logits;
     gaussian -> (d_mean (B, n), d_log_std (n,) or (B, n)); scalar/nonneg ->
     (B,) on the (post-softplus) value.
     """
-    x, single = _as_batch(spec, x)
-    ws, hs, z, _ = _run(spec, params, x)
-    b = x.shape[0]
+    ws, hs, z = tape
     if spec.head == "categorical":
         dz = np.asarray(d_out, dtype=np.float64)
-        dz = dz[None, :] if single and dz.ndim == 1 else dz
-        d_log_std = None
     elif spec.head == "gaussian":
         d_mean, d_log_std = d_out
         dz = np.asarray(d_mean, dtype=np.float64)
-        dz = dz[None, :] if single and dz.ndim == 1 else dz
-        d_log_std = np.asarray(d_log_std, dtype=np.float64)
-        if d_log_std.ndim == 2:
-            d_log_std = d_log_std.sum(axis=0)
+        d_log_std = np.asarray(d_log_std, dtype=np.float64).reshape(
+            -1, spec.out_dim).sum(axis=0)
     else:
-        dv = np.asarray(d_out, dtype=np.float64).reshape(b)
+        dv = np.asarray(d_out, dtype=np.float64)
         dz = (dv * _sigmoid(z[:, 0]))[:, None] if spec.head == "nonneg" \
             else dv[:, None]
-        d_log_std = None
     grads = []
     for li in range(len(ws) - 1, -1, -1):
         grads.append((dz.T @ hs[li], dz.sum(axis=0)))

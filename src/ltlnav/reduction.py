@@ -56,16 +56,12 @@ def reduce_grid(obs: Observation, sub: Subgoal) -> np.ndarray:
     """
     if obs.kind != "grid":
         raise ValueError("reduce_grid needs a grid observation")
-    values = np.full(obs.ap.shape, V_NEUTRAL, dtype=np.float64)
-    for p in np.unique(obs.ap):
-        if p < 0:
-            continue
-        cell = 1 << int(p)
-        if cell in sub.avoid:
-            values[obs.ap == p] = V_AVOID
-        elif cell & sub.reach:
-            values[obs.ap == p] = V_REACH
-    return values
+    table = [V_NEUTRAL]     # index 0: empty cells (letter index -1)
+    for p in range(int(obs.ap.max()) + 1):
+        cell = 1 << p
+        table.append(V_AVOID if cell in sub.avoid
+                     else V_REACH if cell & sub.reach else V_NEUTRAL)
+    return np.array(table)[obs.ap + 1]
 
 
 def _min_fuse(ap: np.ndarray, assignment: int) -> np.ndarray:

@@ -25,9 +25,9 @@ import numpy as np
 from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .nets import (
     AdamState, MlpSpec, adam_init, adam_step, backward, categorical_logp,
-    categorical_logp_grad, forward, gaussian_logp, gaussian_logp_grad,
-    head_from_json, head_to_json, init_params, n_params, sample_categorical,
-    sample_gaussian,
+    categorical_logp_grad, forward, forward_tape, gaussian_logp,
+    gaussian_logp_grad, head_from_json, head_to_json, init_params, n_params,
+    sample_categorical, sample_gaussian,
 )
 from .reduction import FusionMode, default_mode, reduce, reduced_dim
 from .subgoals import Subgoal, build_universe, sample_subgoal
@@ -253,7 +253,7 @@ def loss(heads: dict, batch: dict, clip_eps: float, gamma: float):
     obs = batch["obs"]
     b = len(obs)
     pol = heads["policy"]
-    out = forward(pol.spec, pol.params, obs)
+    out, pol_tape = forward_tape(pol.spec, pol.params, obs)
     if pol.spec.head == "categorical":
         logits = out
         logp_new = categorical_logp(logits, batch["actions"])
@@ -270,49 +270,34 @@ def loss(heads: dict, batch: dict, clip_eps: float, gamma: float):
     surr = np.minimum(unclipped, clipped)
 
     lam_head = heads["lam"]
-    lam = forward(lam_head.spec, lam_head.params, obs)
+    lam, lam_tape = forward_tape(lam_head.spec, lam_head.params, obs)
     constraint = (1 - gamma) * cost_togo + ratio * adv_h
-    policy_objective = float(np.mean(surr - lam * constraint))
 
     # d surr / d ratio is adv_r exactly where the unclipped branch is the
     # minimum; the clipped branch has zero slope whenever it differs.
     dsurr = np.where(unclipped <= clipped, adv_r, 0.0)
     dlogp = -(dsurr - lam * adv_h) * ratio / b
     if pol.spec.head == "categorical":
-        d_logits = dlogp[:, None] * categorical_logp_grad(
+        d_pol = dlogp[:, None] * categorical_logp_grad(
             logits, batch["actions"])
-        policy_grad = backward(pol.spec, pol.params, obs, d_logits)
     else:
         g_mean, g_ls = gaussian_logp_grad(mean, log_std, batch["actions"])
-        policy_grad = backward(pol.spec, pol.params, obs,
-                               (dlogp[:, None] * g_mean,
-                                dlogp[:, None] * g_ls))
-
-    multiplier_loss = float(np.mean(-lam * constraint))
-    lam_grad = backward(lam_head.spec, lam_head.params, obs, -constraint / b)
-
-    vr = heads["v_r"]
-    v_pred = forward(vr.spec, vr.params, obs)
-    vr_loss = float(np.mean((v_pred - batch["ret"]) ** 2))
-    vr_grad = backward(vr.spec, vr.params, obs,
-                       2.0 * (v_pred - batch["ret"]) / b)
-
-    vh = heads["v_h"]
-    vh_pred = forward(vh.spec, vh.params, obs)
-    vh_loss = float(np.mean((vh_pred - cost_togo) ** 2))
-    vh_grad = backward(vh.spec, vh.params, obs,
-                       2.0 * (vh_pred - cost_togo) / b)
+        d_pol = dlogp[:, None] * g_mean, dlogp[:, None] * g_ls
 
     stats = {
-        "policy_objective": policy_objective,
-        "multiplier_loss": multiplier_loss,
-        "vr_loss": vr_loss,
-        "vh_loss": vh_loss,
+        "policy_objective": float(np.mean(surr - lam * constraint)),
+        "multiplier_loss": float(np.mean(-lam * constraint)),
         "mean_lambda": float(np.mean(lam)),
         "mean_ratio": float(np.mean(ratio)),
     }
-    grads = {"policy": policy_grad, "lam": lam_grad, "v_r": vr_grad,
-             "v_h": vh_grad}
+    grads = {"policy": backward(pol.spec, pol_tape, d_pol),
+             "lam": backward(lam_head.spec, lam_tape, -constraint / b)}
+    for name, target in (("v_r", batch["ret"]), ("v_h", cost_togo)):
+        head = heads[name]
+        pred, tape = forward_tape(head.spec, head.params, obs)
+        err = pred - target
+        stats[name.replace("_", "") + "_loss"] = float(np.mean(err ** 2))
+        grads[name] = backward(head.spec, tape, 2.0 * err / b)
     return stats, grads
 
 

@@ -25,6 +25,7 @@ from test_subgoals import (
 )
 from test_trainer import brute_lambda1_advantage, random_episode_batch
 
+from ltlnav import envs, nets, reduction, subgoals, trainer
 from ltlnav.buchi import compile_formula
 from ltlnav.envs import EnvConfig, Observation, make_env
 from ltlnav.executor import (
@@ -33,7 +34,7 @@ from ltlnav.executor import (
     classify_trace_oracle, evaluate, run_episode,
 )
 from ltlnav.ltl import Alphabet, eval_lasso, parse
-from ltlnav.nets import backward, n_params
+from ltlnav.nets import backward, forward_tape, n_params
 from ltlnav.reduction import reduce, reduced_dim
 from ltlnav.subgoals import Subgoal, UniverseTooLarge, extract_subgoals
 from ltlnav.trainer import (
@@ -72,8 +73,14 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _desk_key() -> str:
+    # the sources of the training path are part of the key, so a change to
+    # training code retrains the policy instead of reusing an old one
+    sources = hashlib.sha256()
+    for module in (envs, reduction, subgoals, nets, trainer):
+        sources.update(Path(module.__file__).read_bytes())
     blob = json.dumps({"env": DESK_ENV.to_json(),
-                       "trainer": DESK_TRAINER.to_json()}, sort_keys=True)
+                       "trainer": DESK_TRAINER.to_json(),
+                       "sources": sources.hexdigest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -223,7 +230,8 @@ def test_criterion_05_gradient_checks():
                 d_out = rng.standard_normal((batch, spec.out_dim))
             else:
                 d_out = rng.standard_normal(batch)
-            got = backward(spec, params, x, d_out)
+            _, tape = forward_tape(spec, params, x)
+            got = backward(spec, tape, d_out)
             want = fd_grad(spec, params, x, d_out)
             rel = np.abs(got - want) / np.maximum(
                 1e-6, np.maximum(np.abs(got), np.abs(want)))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ltlnav import executor
 from ltlnav.buchi import BuchiAutomaton
 from ltlnav.cli import main
 
@@ -195,6 +196,27 @@ class TestEval:
         assert main(["eval", "--spec", "F a", "--checkpoint",
                      str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c.update(version=2), "unsupported checkpoint version 2"),
+        (lambda c: c["env"].update(grid_size=7),
+         "checkpoint head 'policy' takes 25 inputs"),
+    ])
+    def test_bad_checkpoint_exit_4_before_any_episode(
+            self, tmp_path, capsys, monkeypatch, edit, message):
+        ckpt = train_checkpoint(tmp_path)
+        saved = json.loads(ckpt.read_text())
+        edit(saved)
+        ckpt.write_text(json.dumps(saved))
+        capsys.readouterr()
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran on a bad checkpoint")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        assert main(["eval", "--spec", "F a", "--checkpoint", str(ckpt),
+                     "--n", "1", "--seeds", "1"]) == 4
+        assert message in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
