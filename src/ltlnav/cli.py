@@ -13,8 +13,8 @@ import os
 import sys
 
 from .buchi import compile_formula
-from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
-from .executor import PolicyAgent, TimeoutPolicy, run_episode, evaluate
+from .envs import EnvConfig, make_env
+from .executor import evaluate
 from .ltl import Alphabet, ParseError, alphabet_of, format_formula, parse
 from .subgoals import extract_subgoals
 from .trainer import (
@@ -268,44 +268,35 @@ def _render_svg(env, positions: list) -> str:
 def cmd_trace(args) -> int:
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
-    agent = PolicyAgent.from_checkpoint(ckpt)
-    env_config = agent.env_config
     specs = _load_specs(args.spec)
     if len(specs) != 1:
         raise ValueError("trace expects exactly one formula")
     text, formula = specs[0]
-    aut = compile_formula(formula, alphabet_for(env_config))
-    achievable = achievable_assignments(env_config)
-    env = make_env(env_config)
-    timeout = TimeoutPolicy(agent.mu_subgoal, args.eps_scale).threshold(
-        env_config.max_steps)
     seed = _resolve_seed(args.seed)
-    lines = []
-    svg_text = None
-    for ep in range(args.n):
-        rng = stream_rng(seed, STREAM_EVAL, ep)
-        outcome, trace = run_episode(
-            env, aut, agent, rng=rng, timeout=timeout,
-            switching=not args.no_switching, achievable=achievable,
-            record_positions=True)
-        lines.append(json.dumps({
-            "episode": ep, "spec": text, "status": outcome.status,
-            "steps": outcome.steps,
-            "steps_to_success": outcome.steps_to_success,
-            "accepting_visits": outcome.accepting_visits,
-            "labels": [int(x) for x in trace["labels"]],
-            "switches": trace["switches"],
-            "positions": trace["positions"],
-        }))
-        if ep == 0 and args.svg:
-            svg_text = _render_svg(env, trace["positions"])
+    _, (episodes,) = evaluate([formula], ckpt, n_traj=args.n, seeds=(seed,),
+                              eps_scale=args.eps_scale,
+                              switching=not args.no_switching,
+                              record_traces=True)
+    lines = [json.dumps({
+        "episode": ep, "spec": text, "status": outcome.status,
+        "steps": outcome.steps,
+        "steps_to_success": outcome.steps_to_success,
+        "accepting_visits": outcome.accepting_visits,
+        "labels": [int(x) for x in trace["labels"]],
+        "switches": trace["switches"],
+        "positions": trace["positions"],
+    }) for ep, (outcome, trace) in enumerate(episodes)]
     text_out = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text_out)
     else:
         print(text_out, end="")
-    if args.svg and svg_text is not None:
-        atomic_write_text(args.svg, svg_text)
+    if args.svg and episodes:
+        # the layout is the first draw from episode 0's stream
+        env = make_env(EnvConfig.from_json(ckpt["env"]))
+        env.reset(stream_rng(seed, STREAM_EVAL, 0))
+        atomic_write_text(args.svg,
+                          _render_svg(env, episodes[0][1]["positions"]))
     return EXIT_OK
 
 

@@ -63,7 +63,6 @@ class EnvConfig:
     zone_radius: float = 0.4
     lidar_beams: int = 16
     max_steps: int = 0                   # 0 selects the per-env default
-    seed: int = 0
     overlap_mode: bool = False
     arena_half_extent: float = 2.5
     # Test/scenario hooks: pin the layout instead of sampling it.
@@ -108,7 +107,6 @@ class EnvConfig:
             "env": self.env,
             "letters": list(self.letters),
             "max_steps": self.max_steps,
-            "seed": self.seed,
         }
         if self.env == "letterworld":
             d["grid_size"] = self.grid_size
@@ -138,6 +136,9 @@ class EnvConfig:
         if extra:
             raise ValueError(f"unknown env config keys {sorted(extra)}")
         kwargs = dict(d)
+        # older checkpoints carry an unused layout seed; layouts come from
+        # the episode's rng
+        kwargs.pop("seed", None)
         if "letters" in kwargs:
             kwargs["letters"] = tuple(kwargs["letters"])
         if "fixed_zones" in kwargs:

@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +27,16 @@ from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .nets import (
     AdamState, MlpSpec, adam_init, adam_step, backward, categorical_logp,
     categorical_logp_grad, forward, forward_tape, gaussian_logp,
-    gaussian_logp_grad, head_from_json, head_to_json, init_params, n_params,
+    gaussian_logp_grad, head_to_json, init_params, n_params,
     sample_categorical, sample_gaussian,
 )
-from .reduction import FusionMode, default_mode, reduce, reduced_dim
+from .reduction import FusionMode, reduce, reduced_dim
 from .subgoals import Subgoal, build_universe, sample_subgoal
 
 __all__ = [
     "TrainerConfig", "Rollout", "SubgoalStepStats", "NonFiniteError",
     "Trainer", "signals", "gae_reward", "gae_cost", "episode_cost_togo",
-    "loss", "train", "save_checkpoint", "atomic_write_text",
+    "loss", "train", "atomic_write_text",
     "STREAM_ENV", "STREAM_POLICY_INIT", "STREAM_ROLLOUT", "STREAM_EVAL",
 ]
 
@@ -140,9 +141,6 @@ class Rollout:
     costs: np.ndarray        # (N,) in {-1, +1}
     terminal: np.ndarray     # (N,) bool: episode truly ended (violation)
     boundary: np.ndarray     # (N,) bool: episode ended here for any reason
-    completions: list        # steps-to-complete for each satisfied subgoal
-    attempts: int = 0        # subgoal attempts that ended in this batch
-    violations: int = 0
 
     def __post_init__(self):
         if not set(np.unique(self.rewards)) <= {0.0, 1.0}:
@@ -305,7 +303,7 @@ def loss(heads: dict, batch: dict, clip_eps: float, gamma: float):
 class _Worker:
     env: object
     env_rng: np.random.Generator
-    obs: object = None
+    vec: np.ndarray = None   # current observation reduced under sub
     sub: Subgoal = None
     steps_on_sub: int = 0
 
@@ -351,9 +349,10 @@ class Trainer:
         return reduce(obs, sub, self.mode, self.alphabet)
 
     def _reset_worker(self, worker: _Worker) -> None:
-        worker.obs = worker.env.reset(worker.env_rng)
+        obs = worker.env.reset(worker.env_rng)
         worker.sub = sample_subgoal(self.universe, self.rollout_rng,
                                     current_label=worker.env.label())
+        worker.vec = self._reduce(obs, worker.sub)
         worker.steps_on_sub = 0
 
     def collect(self, n: int) -> Rollout:
@@ -361,13 +360,10 @@ class Trainer:
         if n % w_count:
             raise ValueError("collection size must be divisible by workers")
         pol = self.heads["policy"]
-        rows = {k: [] for k in ("obs", "next_obs", "actions", "logp",
-                                "rewards", "costs", "terminal", "boundary")}
-        completions, attempts, violations = [], 0, 0
+        steps = []   # one tuple per transition, in Rollout's field order
         for _ in range(n // w_count):
-            reduced = np.stack([self._reduce(w.obs, w.sub)
-                                for w in self.workers])
-            out = forward(pol.spec, pol.params, reduced)
+            vecs = np.stack([w.vec for w in self.workers])
+            out = forward(pol.spec, pol.params, vecs)
             for i, worker in enumerate(self.workers):
                 if pol.spec.head == "categorical":
                     action, logp = sample_categorical(out[i], self.rollout_rng)
@@ -377,54 +373,25 @@ class Trainer:
                 obs2, label, done = worker.env.step(action)
                 r, h = signals(label, worker.sub)
                 worker.steps_on_sub += 1
-                violated = h > 0
-                satisfied = r == 1
-                terminal = violated
-                boundary = violated or done
-                if satisfied:
-                    completions.append(worker.steps_on_sub)
-                if satisfied or boundary:
-                    attempts += 1
-                if violated:
-                    violations += 1
-                if satisfied and not boundary:
-                    new_sub = sample_subgoal(self.universe, self.rollout_rng,
-                                             current_label=label)
-                    next_vec = self._reduce(obs2, new_sub)
-                else:
-                    next_vec = self._reduce(obs2, worker.sub)
-                rows["obs"].append(reduced[i])
-                rows["next_obs"].append(next_vec)
-                rows["actions"].append(action)
-                rows["logp"].append(logp)
-                rows["rewards"].append(float(r))
-                rows["costs"].append(float(h))
-                rows["terminal"].append(terminal)
-                rows["boundary"].append(boundary)
+                terminal = h > 0
+                boundary = terminal or done
+                if r:
+                    self.stats.add(worker.steps_on_sub)
+                    if not boundary:
+                        # the next step already pursues the new subgoal
+                        worker.sub = sample_subgoal(
+                            self.universe, self.rollout_rng,
+                            current_label=label)
+                        worker.steps_on_sub = 0
+                next_vec = self._reduce(obs2, worker.sub)
+                steps.append((vecs[i], next_vec, action, logp, float(r),
+                              float(h), terminal, boundary))
                 if boundary:
                     self._reset_worker(worker)
-                elif satisfied:
-                    worker.obs = obs2
-                    worker.sub = new_sub
-                    worker.steps_on_sub = 0
                 else:
-                    worker.obs = obs2
-        for steps in completions:
-            self.stats.add(steps)
+                    worker.vec = next_vec
         self.interactions += n
-        return Rollout(
-            obs=np.stack(rows["obs"]),
-            next_obs=np.stack(rows["next_obs"]),
-            actions=np.asarray(rows["actions"]),
-            logp=np.asarray(rows["logp"]),
-            rewards=np.asarray(rows["rewards"]),
-            costs=np.asarray(rows["costs"]),
-            terminal=np.asarray(rows["terminal"], dtype=bool),
-            boundary=np.asarray(rows["boundary"], dtype=bool),
-            completions=completions,
-            attempts=attempts,
-            violations=violations,
-        )
+        return Rollout(*(np.asarray(col) for col in zip(*steps)))
 
     def _advantages(self, roll: Rollout) -> dict:
         cfg = self.config
@@ -466,13 +433,14 @@ class Trainer:
                                             head.adam, lr=lr)
         self.iter_count += 1
         mean_of = lambda key: float(np.mean([s[key] for s in stats_acc]))
+        attempts = int((roll.rewards.astype(bool) | roll.boundary).sum())
         record = {
             "iter": self.iter_count,
             "steps": self.interactions,
             "mean_reward": float(roll.rewards.mean()),
-            "subgoal_success": (len(roll.completions) / roll.attempts
-                                if roll.attempts else 0.0),
-            "violation_rate": roll.violations / n,
+            "subgoal_success": (float(roll.rewards.sum()) / attempts
+                                if attempts else 0.0),
+            "violation_rate": int(roll.terminal.sum()) / n,
             "mean_lambda": mean_of("mean_lambda"),
             "mu_subgoal": self.stats.maximum,
         }
@@ -492,15 +460,21 @@ class Trainer:
             checkpoint_path: str | None = None) -> dict:
         cfg = self.config
         iterations = max(1, cfg.total_interactions // cfg.n_per_iter)
-        for _ in range(iterations):
-            self.iteration()
-            if log_path:
-                atomic_write_text(log_path, "".join(
-                    json.dumps(rec) + "\n" for rec in self.log))
+        if log_path:
+            os.makedirs(os.path.dirname(os.path.abspath(log_path)),
+                        exist_ok=True)
+        # one line per finished iteration, flushed, so a crash keeps them all
+        with open(log_path, "w") if log_path else nullcontext() as log:
+            for _ in range(iterations):
+                record = self.iteration()
+                if log:
+                    log.write(json.dumps(record) + "\n")
+                    log.flush()
+        ckpt = self.checkpoint()
         if checkpoint_path:
-            save_checkpoint(checkpoint_path, self)
+            atomic_write_text(checkpoint_path, json.dumps(ckpt))
         return {"iterations": self.iter_count, "mu_subgoal": self.stats.maximum,
-                "log": self.log, "checkpoint": self.checkpoint()}
+                "log": self.log, "checkpoint": ckpt}
 
     def checkpoint(self) -> dict:
         return {
@@ -512,10 +486,6 @@ class Trainer:
                       for name, h in self.heads.items()},
             "mu_subgoal": self.stats.maximum,
         }
-
-
-def save_checkpoint(path: str, trainer: Trainer) -> None:
-    atomic_write_text(path, json.dumps(trainer.checkpoint()))
 
 
 def train(config: TrainerConfig, env_config: EnvConfig,

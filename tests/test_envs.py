@@ -31,11 +31,18 @@ class TestConfig:
         assert z.max_steps == 1000
 
     def test_json_round_trip(self):
-        for c in (grid_config(grid_size=5, letters=tuple("abcd"), seed=7),
+        for c in (grid_config(grid_size=5, letters=tuple("abcd")),
                   zone_config(overlap_mode=True, lidar_beams=8,
                               fixed_zones=(("blue", (0.0, 1.0), 0.4),),
                               agent_start=(0.5, -0.5))):
             assert EnvConfig.from_json(c.to_json()) == c
+
+    def test_legacy_seed_key_dropped(self):
+        # checkpoints written before the layout seed was removed still load
+        legacy = dict(grid_config().to_json(), seed=0)
+        c = EnvConfig.from_json(legacy)
+        assert c == grid_config()
+        assert "seed" not in c.to_json()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

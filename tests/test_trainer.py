@@ -353,18 +353,37 @@ class TestLoss:
 class TestCollect:
     def test_batch_accounting(self):
         trainer = Trainer(small_trainer_config(), small_env_config())
+        for _ in range(2):
+            before = len(trainer.stats.values)
+            roll = trainer.collect(256)
+            assert len(roll.obs) == 256
+            assert roll.obs.shape == roll.next_obs.shape
+            assert set(np.unique(roll.rewards)) <= {0.0, 1.0}
+            assert set(np.unique(roll.costs)) <= {-1.0, 1.0}
+            # violations terminate: h=+1 exactly at terminal steps
+            assert np.array_equal(roll.terminal, roll.costs > 0)
+            assert not (roll.terminal & ~roll.boundary).any()
+            # each completed subgoal adds its step count to the window
+            assert len(trainer.stats.values) < trainer.stats.window
+            assert (len(trainer.stats.values) - before
+                    == int(roll.rewards.sum()))
+
+    def test_one_reduce_per_transition(self, monkeypatch):
+        # each step's successor is reduced once and reused as the next
+        # step's input; only episode resets reduce a fresh observation
+        import ltlnav.trainer
+        calls = []
+        real = ltlnav.trainer.reduce
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        trainer = Trainer(small_trainer_config(), small_env_config())
+        monkeypatch.setattr(ltlnav.trainer, "reduce", counting)
         roll = trainer.collect(256)
-        assert len(roll.obs) == 256
-        assert roll.obs.shape == roll.next_obs.shape
-        assert set(np.unique(roll.rewards)) <= {0.0, 1.0}
-        assert set(np.unique(roll.costs)) <= {-1.0, 1.0}
-        # violations terminate: h=+1 exactly at terminal steps
-        assert np.array_equal(roll.terminal, roll.costs > 0)
-        assert not (roll.terminal & ~roll.boundary).any()
-        assert len(roll.completions) == int(roll.rewards.sum())
-        assert roll.violations == int(roll.terminal.sum())
-        ended = roll.rewards.astype(bool) | roll.boundary
-        assert roll.attempts == int(ended.sum())
+        assert roll.boundary.any()
+        assert len(calls) == 256 + int(roll.boundary.sum())
 
     def test_deterministic_given_seed(self):
         rolls = []
@@ -388,8 +407,7 @@ class TestCollect:
             Rollout(obs=np.zeros((1, 2)), next_obs=np.zeros((1, 2)),
                     actions=np.zeros(1), logp=np.zeros(1),
                     rewards=np.array([0.5]), costs=np.array([-1.0]),
-                    terminal=np.array([False]), boundary=np.array([False]),
-                    completions=[])
+                    terminal=np.array([False]), boundary=np.array([False]))
 
 
 class TestTrainer:
@@ -442,6 +460,27 @@ class TestTrainer:
         assert TrainerConfig.from_json(cfg.to_json()) == cfg
         with pytest.raises(ValueError):
             TrainerConfig.from_json({"momentum": 0.9})
+
+    def test_crash_keeps_finished_log_records(self, tmp_path, monkeypatch):
+        # the log is appended per iteration, so a divergence at iteration 3
+        # leaves iterations 1 and 2 on disk
+        trainer = Trainer(small_trainer_config(
+            total_interactions=5 * 64, n_per_iter=64, minibatch=32, epochs=1),
+            small_env_config())
+        real = Trainer.iteration
+
+        def iteration(self):
+            if self.iter_count == 2:
+                self.heads["v_r"].params[:] = np.nan
+            return real(self)
+
+        monkeypatch.setattr(Trainer, "iteration", iteration)
+        log = tmp_path / "run" / "log.jsonl"
+        with pytest.raises(NonFiniteError):
+            trainer.run(log_path=str(log))
+        records = [json.loads(x) for x in log.read_text().splitlines()]
+        assert [r["iter"] for r in records] == [1, 2]
+        assert records == trainer.log
 
     def test_nonfinite_detection(self):
         trainer = Trainer(small_trainer_config(n_per_iter=64, minibatch=32,
