@@ -9,7 +9,7 @@ unsatisfiable so it is not offered again within the episode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .envs import (
     DT, MAX_SPEED, TURN_RATE, EnvConfig, achievable_assignments, alphabet_for,
     make_env,
 )
-from .ltl import (
-    Always, And, Atom, Bool, Eventually, Formula, Not, Or, eval_bool, parse,
-)
+from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
 from .nets import forward, head_from_json, mean_action
 from .reduction import FusionMode, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
@@ -29,7 +27,7 @@ from .trainer import STREAM_EVAL, stream_rng
 __all__ = [
     "SUCCESS", "VIOLATION", "OTHER",
     "SATISFIED", "VIOLATED", "UNDETERMINED",
-    "Outcome", "TimeoutPolicy", "EvalReport",
+    "Outcome", "EvalReport", "timeout_threshold",
     "PolicyAgent", "ScriptedGridAgent", "ScriptedZoneAgent",
     "select_subgoal", "run_episode", "classify_trace_oracle",
     "accepting_run_count", "evaluate",
@@ -58,17 +56,13 @@ class Outcome:
             raise ValueError("steps_to_success present iff status is success")
 
 
-@dataclass(frozen=True)
-class TimeoutPolicy:
-    mu_subgoal: int | None = None
-    eps_scale: float = 0.5
-
-    def threshold(self, max_steps: int) -> int:
-        # fall back to a quarter of the horizon when no training statistic
-        # is available
-        if self.mu_subgoal is None:
-            return max(1, max_steps // 4)
-        return max(1, math.ceil((1.0 + self.eps_scale) * self.mu_subgoal))
+def timeout_threshold(mu_subgoal: int | None, eps_scale: float,
+                      max_steps: int) -> int:
+    # fall back to a quarter of the horizon when no training statistic is
+    # available
+    if mu_subgoal is None:
+        return max(1, max_steps // 4)
+    return max(1, math.ceil((1.0 + eps_scale) * mu_subgoal))
 
 
 @dataclass
@@ -288,25 +282,19 @@ class _CandidateCache:
         return self._memo[key]
 
 
-def run_episode(env, aut: BuchiAutomaton, agent, *, rng,
-                timeout: int, max_steps: int | None = None,
-                switching: bool = True,
-                achievable: tuple[int, ...] | None = None,
-                cache: _CandidateCache | None = None,
+def run_episode(env, aut: BuchiAutomaton, agent, *, rng, timeout: int,
+                switching: bool = True, cache: _CandidateCache | None = None,
                 record_positions: bool = False):
     """One rollout under automaton guidance; returns (Outcome, trace).
 
     The trace holds the per-step label sequence plus the subgoal switch log
     (and agent positions when requested), enough for offline re-checking.
     """
-    if achievable is None:
-        achievable = achievable_assignments(env.config)
-    if max_steps is None:
-        max_steps = env.config.max_steps
     if cache is None:
-        cache = _CandidateCache(aut, achievable)
+        cache = _CandidateCache(aut, achievable_assignments(env.config))
     cls = aut.classify()
     accepting = frozenset(aut.accepting)
+    max_steps = env.config.max_steps
 
     obs = env.reset(rng)
     states = frozenset({aut.initial})
@@ -314,63 +302,49 @@ def run_episode(env, aut: BuchiAutomaton, agent, *, rng,
     trace = {"labels": [], "switches": []}
     if record_positions:
         trace["positions"] = [_agent_position(env)]
+    t = steps_on = visits = 0
+    pick, done = True, False
 
-    def log_switch(t, q, sub):
-        trace["switches"].append(
-            {"t": t, "state": q, "reach": sub.reach,
-             "avoid": sorted(sub.avoid)})
-
-    if states & cls.accepting_sink:
-        return Outcome(SUCCESS, 0, steps_to_success=0), trace
-    if not (states & cls.live):
-        return Outcome(VIOLATION, 0), trace
-    cand = cache.get(states, unsat)
-    if not cand:
-        return Outcome(OTHER, 0), trace
-    cur_q, cur_sub = select_subgoal(cand, agent, obs)
-    log_switch(0, cur_q, cur_sub)
-    steps_on = 0
-    visits = 0
-
-    for t in range(1, max_steps + 1):
-        action = agent.act(obs, cur_sub)
-        obs, label, done = env.step(action)
-        trace["labels"].append(label)
-        if record_positions:
-            trace["positions"].append(_agent_position(env))
-        steps_on += 1
-        nxt = aut.step(states, label)
-        if nxt & accepting:
-            visits += 1
-        if nxt & cls.accepting_sink:
+    # the pick comes before the horizon check, so a switch caused by the
+    # final step is still logged
+    while True:
+        if states & cls.accepting_sink:
             return (Outcome(SUCCESS, t, steps_to_success=t,
                             accepting_visits=visits), trace)
-        if not nxt or not (nxt & cls.live):
+        if not (states & cls.live):
             return Outcome(VIOLATION, t, accepting_visits=visits), trace
-        if nxt != states:
-            states = nxt
-            steps_on = 0
+        if pick:
             cand = cache.get(states, unsat)
             if not cand:
                 return Outcome(OTHER, t, accepting_visits=visits), trace
             cur_q, cur_sub = select_subgoal(cand, agent, obs)
-            log_switch(t, cur_q, cur_sub)
-        elif steps_on >= timeout:
+            trace["switches"].append(
+                {"t": t, "state": cur_q, "reach": cur_sub.reach,
+                 "avoid": sorted(cur_sub.avoid)})
+            steps_on = 0
+        if done or t == max_steps:
+            return Outcome(OTHER, t, accepting_visits=visits), trace
+
+        obs, label, done = env.step(agent.act(obs, cur_sub))
+        t += 1
+        trace["labels"].append(label)
+        if record_positions:
+            trace["positions"].append(_agent_position(env))
+        nxt = aut.step(states, label)
+        if nxt & accepting:
+            visits += 1
+        steps_on += 1
+
+        pick = nxt != states
+        if not pick and steps_on >= timeout:
             steps_on = 0
             # accepting state in the set: the run is already making progress
             # in the Buchi sense, so only the timer restarts
             if switching and not (states & accepting):
+                pick = True
                 unsat = unsat | {(q, cur_sub.reach)
                                  for q in states if q not in accepting}
-                cand = cache.get(states, unsat)
-                if not cand:
-                    return Outcome(OTHER, t, accepting_visits=visits), trace
-                cur_q, cur_sub = select_subgoal(cand, agent, obs)
-                log_switch(t, cur_q, cur_sub)
-        if done:
-            break
-    return (Outcome(OTHER, len(trace["labels"]), accepting_visits=visits),
-            trace)
+        states = nxt
 
 
 def classify_trace_oracle(aut: BuchiAutomaton, labels) -> str:
@@ -398,20 +372,10 @@ def classify_trace_oracle(aut: BuchiAutomaton, labels) -> str:
 # -- metrics --------------------------------------------------------------------
 
 
-def _propositional(f: Formula) -> bool:
-    if isinstance(f, (Bool, Atom)):
-        return True
-    if isinstance(f, Not):
-        return _propositional(f.arg)
-    if isinstance(f, (And, Or)):
-        return _propositional(f.lhs) and _propositional(f.rhs)
-    return False
-
-
 def _stabilization_core(f: Formula) -> Formula | None:
     """The propositional core p when f has the shape F G p, else None."""
     if (isinstance(f, Eventually) and isinstance(f.arg, Always)
-            and _propositional(f.arg.arg)):
+            and is_boolean(f.arg.arg)):
         return f.arg.arg
     return None
 
@@ -452,9 +416,8 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     if env_config is None:
         env_config = EnvConfig.from_json(checkpoint["env"])
     if horizon_multiplier != 1:
-        d = env_config.to_json()
-        d["max_steps"] = env_config.max_steps * int(horizon_multiplier)
-        env_config = EnvConfig.from_json(d)
+        env_config = replace(env_config, max_steps=(
+            env_config.max_steps * int(horizon_multiplier)))
     alphabet = alphabet_for(env_config)
     achievable = achievable_assignments(env_config)
 
@@ -466,7 +429,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
         agent = PolicyAgent.from_checkpoint(checkpoint)
         mu = agent.mu_subgoal
     if timeout is None:
-        timeout = TimeoutPolicy(mu, eps_scale).threshold(env_config.max_steps)
+        timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)
 
     reports = []
     all_traces = []
@@ -483,8 +446,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
                 rng = stream_rng(int(seed), STREAM_EVAL, ep)
                 outcome, trace = run_episode(
                     env, aut, agent, rng=rng, timeout=timeout,
-                    max_steps=env_config.max_steps, switching=switching,
-                    achievable=achievable, cache=cache,
+                    switching=switching, cache=cache,
                     record_positions=record_traces)
                 if outcome.status == SUCCESS:
                     n_s += 1

@@ -16,7 +16,7 @@ __all__ = [
     "Always", "Until", "Release", "TRUE", "FALSE",
     "Alphabet", "Lasso", "ParseError",
     "parse", "format_formula", "nnf", "atoms", "alphabet_of",
-    "eval_lasso", "eval_bool", "is_boolean", "to_json", "from_json",
+    "eval_lasso", "eval_bool", "is_boolean",
 ]
 
 # Single capitals are temporal operators; `true`/`false` are constants.
@@ -142,16 +142,6 @@ class Lasso:
     def __post_init__(self):
         if not self.cycle:
             raise ValueError("lasso cycle must be nonempty")
-
-    @property
-    def positions(self) -> int:
-        return len(self.prefix) + len(self.cycle)
-
-    def letter(self, t: int) -> int:
-        """Letter at absolute time t of the infinite word."""
-        if t < len(self.prefix):
-            return self.prefix[t]
-        return self.cycle[(t - len(self.prefix)) % len(self.cycle)]
 
 
 class ParseError(ValueError):
@@ -479,40 +469,3 @@ def eval_lasso(f: Formula, word: Lasso, alphabet: Alphabet) -> bool:
 
     return bool(ev(f) & 1)
 
-
-_JSON_UNARY = {"not": Not, "X": Next, "F": Eventually, "G": Always}
-_JSON_BINARY = {"and": And, "or": Or, "U": Until, "R": Release}
-_OP_OF_TYPE = {Not: "not", Next: "X", Eventually: "F", Always: "G",
-               And: "and", Or: "or", Until: "U", Release: "R"}
-
-
-def to_json(f: Formula) -> dict:
-    """Tagged-tree encoding, e.g. {"op": "U", "lhs": ..., "rhs": ...}."""
-    if isinstance(f, Bool):
-        return {"op": "true" if f.value else "false"}
-    if isinstance(f, Atom):
-        return {"op": "ap", "name": f.name}
-    op = _OP_OF_TYPE[type(f)]
-    if isinstance(f, _UNARY):
-        return {"op": op, "arg": to_json(f.arg)}
-    return {"op": op, "lhs": to_json(f.lhs), "rhs": to_json(f.rhs)}
-
-
-def from_json(d: dict) -> Formula:
-    if not isinstance(d, dict) or "op" not in d:
-        raise ValueError(f"bad formula node: {d!r}")
-    op = d["op"]
-    if op == "true":
-        return TRUE
-    if op == "false":
-        return FALSE
-    if op == "ap":
-        name = d.get("name")
-        if not isinstance(name, str) or not _NAME_RE.fullmatch(name) or name in RESERVED_NAMES:
-            raise ValueError(f"bad atom name: {name!r}")
-        return Atom(name)
-    if op in _JSON_UNARY:
-        return _JSON_UNARY[op](from_json(d["arg"]))
-    if op in _JSON_BINARY:
-        return _JSON_BINARY[op](from_json(d["lhs"]), from_json(d["rhs"]))
-    raise ValueError(f"unknown formula op: {op!r}")

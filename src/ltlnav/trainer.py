@@ -56,8 +56,12 @@ def atomic_write_text(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    # mkstemp creates the file 0600; give it the mode open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

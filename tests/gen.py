@@ -1,9 +1,11 @@
-"""Seeded random generators shared across test modules."""
+"""Seeded random generators and a scripted-label env shared across test
+modules."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ltlnav.envs import EnvConfig, Observation
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
     Or, Release, Until,
@@ -51,3 +53,23 @@ def random_lasso(rng: np.random.Generator, n_props: int,
 
 def small_alphabet(n: int) -> Alphabet:
     return Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))
+
+
+class ScriptEnv:
+    """Replays a fixed label sequence; the agent's actions are ignored."""
+
+    def __init__(self, labels, letters=("a",)):
+        self.labels = list(labels)
+        self.t = 0
+        self.config = EnvConfig(env="letterworld", letters=tuple(letters),
+                                max_steps=len(self.labels))
+
+    def reset(self, rng):
+        self.t = 0
+        return Observation("grid", np.zeros(0), np.full((7, 7), -1))
+
+    def step(self, action):
+        label = self.labels[self.t]
+        self.t += 1
+        return (Observation("grid", np.zeros(0), np.full((7, 7), -1)),
+                label, self.t >= len(self.labels))

@@ -27,7 +27,7 @@ from test_trainer import brute_lambda1_advantage, random_episode_batch
 
 from ltlnav import envs, nets, reduction, subgoals, trainer
 from ltlnav.buchi import compile_formula
-from ltlnav.envs import EnvConfig, Observation, make_env
+from ltlnav.envs import EnvConfig, make_env
 from ltlnav.executor import (
     OTHER, SATISFIED, SUCCESS, UNDETERMINED, VIOLATED, VIOLATION,
     ScriptedGridAgent, ScriptedZoneAgent, accepting_run_count,
@@ -305,26 +305,6 @@ def test_criterion_09_observation_reduction_equivariance():
             f"props: {sorted(dims)}")
 
 
-class _ScriptEnv:
-    """Replays a fixed label sequence; the agent's actions are ignored."""
-
-    def __init__(self, labels):
-        self.labels = list(labels)
-        self.t = 0
-        self.config = EnvConfig(env="letterworld", letters=("a",),
-                                max_steps=len(self.labels))
-
-    def reset(self, rng):
-        self.t = 0
-        return Observation("grid", np.zeros(0), np.full((7, 7), -1))
-
-    def step(self, action):
-        label = self.labels[self.t]
-        self.t += 1
-        return (Observation("grid", np.zeros(0), np.full((7, 7), -1)),
-                label, self.t >= len(self.labels))
-
-
 class _InertAgent:
     def act(self, obs, sub):
         return 0
@@ -373,10 +353,9 @@ def test_criterion_10_metric_identities_and_agreement():
     # recurrence G (F a) on labels a,-,a,a,-: the state set touches the
     # accepting state after each a, so three online visits
     aut = compile_formula(parse("G (F a)"), Alphabet(("a",)))
-    script = _ScriptEnv([1, 0, 1, 1, 0])
+    script = gen.ScriptEnv([1, 0, 1, 1, 0])
     outcome, trace = run_episode(script, aut, _InertAgent(),
-                                 rng=stream_rng(0, 3), timeout=100,
-                                 achievable=(1,))
+                                 rng=stream_rng(0, 3), timeout=100)
     online = accepting_run_count(parse("G (F a)"), trace["labels"],
                                  Alphabet(("a",)), outcome.accepting_visits)
     counts_ok &= online == 3

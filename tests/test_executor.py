@@ -3,12 +3,12 @@ import pytest
 
 import gen
 from ltlnav.buchi import compile_formula
-from ltlnav.envs import EnvConfig, achievable_assignments, alphabet_for, make_env
+from ltlnav.envs import EnvConfig, alphabet_for, make_env
 from ltlnav.executor import (
     OTHER, SATISFIED, SUCCESS, UNDETERMINED, VIOLATED, VIOLATION,
     EvalReport, Outcome, PolicyAgent, ScriptedGridAgent, ScriptedZoneAgent,
-    TimeoutPolicy, accepting_run_count, classify_trace_oracle, evaluate,
-    run_episode, select_subgoal,
+    accepting_run_count, classify_trace_oracle, evaluate, run_episode,
+    select_subgoal, timeout_threshold,
 )
 from ltlnav.ltl import parse
 from ltlnav.subgoals import Subgoal, UniverseTooLarge
@@ -88,10 +88,10 @@ class TestOutcomeAndTimeout:
             Outcome("won", 5)
 
     def test_threshold(self):
-        assert TimeoutPolicy(10).threshold(1000) == 15
-        assert TimeoutPolicy(1, eps_scale=0.0).threshold(1000) == 1
-        assert TimeoutPolicy(None).threshold(100) == 25
-        assert TimeoutPolicy(None).threshold(2) == 1
+        assert timeout_threshold(10, 0.5, 1000) == 15
+        assert timeout_threshold(1, 0.0, 1000) == 1
+        assert timeout_threshold(None, 0.5, 100) == 25
+        assert timeout_threshold(None, 0.5, 2) == 1
 
 
 class TestSelectSubgoal:
@@ -212,6 +212,16 @@ class TestRunEpisode:
                                  rng=stream_rng(1, 3), timeout=5)
         assert outcome.status == VIOLATION and outcome.steps == 0
 
+    def test_switch_on_final_step_is_logged(self):
+        # reaching a on the horizon step moves the state set, so a new
+        # subgoal is picked and logged before the episode ends undecided
+        env = gen.ScriptEnv([0, 1], letters=("a", "b"))
+        aut = compile_formula(parse("F (a & F b)"), alphabet_for(env.config))
+        outcome, trace = run_episode(env, aut, StandStillAgent(),
+                                     rng=stream_rng(1, 3), timeout=5)
+        assert outcome.status == OTHER and outcome.steps == 2
+        assert [s["t"] for s in trace["switches"]] == [0, 2]
+
 
 class TestZoneSwitching:
     def zone_config(self):
@@ -248,8 +258,7 @@ class TestZoneSwitching:
         aut = compile_formula(parse(spec), alphabet_for(config))
         agent = ScriptedZoneAgent(env)
         outcome, trace = run_episode(
-            env, aut, agent, rng=stream_rng(0, 3), timeout=60,
-            achievable=achievable_assignments(config))
+            env, aut, agent, rng=stream_rng(0, 3), timeout=60)
         assert outcome.status == SUCCESS
         switches = trace["switches"]
         assert len(switches) >= 2
@@ -292,9 +301,17 @@ class TestTraceOracle:
                     agent = RandomAgent(np.random.default_rng(1000 + checked))
                     outcome, trace = run_episode(
                         env, aut, agent, rng=stream_rng(checked, 3),
-                        timeout=6)
-                    got = classify_trace_oracle(aut, trace["labels"])
+                        timeout=6, record_positions=checked % 2 == 0)
+                    labels = trace["labels"]
+                    got = classify_trace_oracle(aut, labels)
                     assert got == mapping[outcome.status], (f, outcome, trace)
+                    assert outcome.steps == len(labels)
+                    times = [s["t"] for s in trace["switches"]]
+                    assert times[:1] == [0] or outcome.steps == 0
+                    assert all(a < b for a, b in zip(times, times[1:]))
+                    assert all(t <= outcome.steps for t in times)
+                    if "positions" in trace:
+                        assert len(trace["positions"]) == len(labels) + 1
                     checked += 1
             except UniverseTooLarge:
                 continue

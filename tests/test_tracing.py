@@ -40,3 +40,26 @@ def test_install_traces_extraction_and_restore_undoes_it():
     assert tracer.counts["ltl.eval_bool_calls"] > 0
     metrics = tracing.layer_metrics(tracer, 1)
     assert metrics["buchi.states_total"][0] == aut.n_states
+
+
+def test_install_traces_the_episode_loop():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    config = envs.EnvConfig(env="letterworld", grid_size=5,
+                            letters=tuple("abcd"), copies_per_letter=2)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        _, traces = executor.evaluate(
+            ["(!a) U (b & F c)"], env_config=config,
+            agent_factory=executor.ScriptedGridAgent, n_traj=3, seeds=(0,),
+            record_traces=True)
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in OWNERS] == before
+
+    stats = tracer.span_stats()
+    switches = sum(len(trace["switches"]) for _, trace in traces[0])
+    assert stats["executor.episode"][0] == 3
+    assert stats["executor.select"][0] == switches
+    assert stats["executor.candidates"][0] >= stats["executor.select"][0]
+    assert tracer.counts["executor.switches_total"] == switches

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from ltlnav.nets import (
 from ltlnav.subgoals import Subgoal
 from ltlnav.trainer import (
     Head, NonFiniteError, Rollout, SubgoalStepStats, Trainer, TrainerConfig,
-    episode_cost_togo, gae_cost, gae_reward, loss, signals, train,
+    atomic_write_text, episode_cost_togo, gae_cost, gae_reward, loss, signals,
+    train,
 )
 from ltlnav.nets import adam_init
 
@@ -507,3 +510,18 @@ class TestSubgoalStepStats:
         for _ in range(100):
             stats.add(7)
         assert stats.maximum == 7
+
+
+def test_atomic_write_text_honours_umask(tmp_path):
+    # the file gets the mode open(path, "w") would give, not mkstemp's 0600
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        path = tmp_path / f"out-{umask:03o}.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(path), "text\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == "text\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out-022.txt", "out-077.txt"]
