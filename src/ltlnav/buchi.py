@@ -14,7 +14,7 @@ transition guards are Boolean formulas over the alphabet.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -43,16 +43,10 @@ class StateClasses:
     live: an accepting cycle is reachable from the state.
     accepting_sink: accepting state whose outgoing edges are self-loops
         covering every assignment, so acceptance is guaranteed forever.
-    trap: no accepting cycle is reachable (complement of live).
     """
 
     live: frozenset[int]
     accepting_sink: frozenset[int]
-    trap: frozenset[int]
-
-
-def _fkey(f: Formula) -> str:
-    return format_formula(f)
 
 
 def _and_fold(parts: list[Formula]) -> Formula:
@@ -170,33 +164,10 @@ class BuchiAutomaton:
     # -- state classification --------------------------------------------
 
     def live_states(self) -> frozenset[int]:
+        """States that can reach a cycle through an accepting state."""
         adj = self.edges()
-        comp = _tarjan_scc(self.n_states, adj)
-        has_internal_edge = [False] * (max(comp) + 1 if comp else 0)
-        for src, dsts in enumerate(adj):
-            for d in dsts:
-                if comp[src] == comp[d]:
-                    has_internal_edge[comp[src]] = True
-        good = set()
-        for q in self.accepting:
-            if has_internal_edge[comp[q]]:
-                good.add(q)
-        # states in the same SCC as a good state, plus backward reachability
-        good_comps = {comp[q] for q in good}
-        seeds = [q for q in range(self.n_states) if comp[q] in good_comps]
-        radj: list[list[int]] = [[] for _ in range(self.n_states)]
-        for src, dsts in enumerate(adj):
-            for d in dsts:
-                radj[d].append(src)
-        live = set(seeds)
-        stack = list(seeds)
-        while stack:
-            q = stack.pop()
-            for p in radj[q]:
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
-        return frozenset(live)
+        good = (q for q in self.accepting if _on_cycle(q, adj))
+        return frozenset(_closure(good, _reverse(adj)))
 
     def classify(self) -> StateClasses:
         if self._classes is not None:
@@ -210,9 +181,7 @@ class BuchiAutomaton:
                 union = _or_fold([g for g, _ in edges])
                 if _tautology(union, support, self.alphabet):
                     sinks.add(q)
-        trap = frozenset(range(self.n_states)) - live
-        self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks),
-                                     trap=trap)
+        self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
         return self._classes
 
     def _support(self) -> tuple[str, ...]:
@@ -224,93 +193,19 @@ class BuchiAutomaton:
     # -- lasso acceptance --------------------------------------------------
 
     def accepts_lasso(self, word: Lasso) -> bool:
-        """Does some run over prefix . cycle^omega visit acceptance infinitely often?"""
+        """Does some run over prefix . cycle^omega visit acceptance infinitely often?
+
+        Product node q * n + i means state q is about to read position i; the
+        word is accepted iff a reachable node with an accepting state lies on
+        a cycle.
+        """
         letters = word.prefix + word.cycle
         n = len(letters)
-        loop = len(word.prefix)
-        nq = self.n_states
-
-        succ_mask: dict[int, list[int]] = {}
-        for letter in set(letters):
-            masks = []
-            for q in range(nq):
-                m = 0
-                for d in self.succ(q, letter):
-                    m |= 1 << d
-                masks.append(m)
-            succ_mask[letter] = masks
-
-        def step_mask(states: int, letter: int) -> int:
-            out = 0
-            masks = succ_mask[letter]
-            while states:
-                low = states & -states
-                out |= masks[low.bit_length() - 1]
-                states &= states - 1
-            return out
-
-        # reachable state sets per position, iterated to a fixpoint over the loop
-        reach = [0] * n
-        reach[0] = 1 << self.initial
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                j = i + 1 if i + 1 < n else loop
-                moved = step_mask(reach[i], letters[i])
-                if moved | reach[j] != reach[j]:
-                    reach[j] |= moved
-                    changed = True
-
-        acc_mask = 0
-        for q in self.accepting:
-            acc_mask |= 1 << q
-
-        start_states = reach[loop]
-        if start_states == 0:
-            return False
-
-        # one-full-cycle reachability per start state, tracking whether an
-        # accepting state was visited on arrival at any step of the traversal
-        cycle_letters = letters[loop:]
-        full_reach: dict[int, int] = {}
-        marked_reach: dict[int, int] = {}
-        states = start_states
-        while states:
-            low = states & -states
-            q = low.bit_length() - 1
-            states &= states - 1
-            plain, marked = 1 << q, 0
-            for letter in cycle_letters:
-                np_, nm = step_mask(plain, letter), step_mask(marked, letter)
-                hit = np_ & acc_mask
-                np_ &= ~acc_mask
-                nm |= hit
-                plain, marked = np_, nm
-            full_reach[q] = plain | marked
-            marked_reach[q] = marked
-
-        nodes = sorted(full_reach)
-        index = {q: i for i, q in enumerate(nodes)}
-        adj = [[] for _ in nodes]
-        for q in nodes:
-            targets = full_reach[q]
-            while targets:
-                low = targets & -targets
-                d = low.bit_length() - 1
-                targets &= targets - 1
-                if d in index:
-                    adj[index[q]].append(index[d])
-        comp = _tarjan_scc(len(nodes), adj)
-        for q in nodes:
-            targets = marked_reach[q]
-            while targets:
-                low = targets & -targets
-                d = low.bit_length() - 1
-                targets &= targets - 1
-                if d in index and comp[index[q]] == comp[index[d]]:
-                    return True
-        return False
+        nxt = [i + 1 for i in range(n - 1)] + [len(word.prefix)]
+        adj = [[d * n + nxt[i] for d in self.succ(q, letters[i])]
+               for q in range(self.n_states) for i in range(n)]
+        return any(v // n in self.accepting and _on_cycle(v, adj)
+                   for v in _closure((self.initial * n,), adj))
 
     # -- serialization -----------------------------------------------------
 
@@ -355,52 +250,35 @@ class BuchiAutomaton:
         return "\n".join(lines) + "\n"
 
 
-def _tarjan_scc(n: int, adj: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns the SCC id per node."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    n_comp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
+def _closure(seeds: Iterable[int], adj: Sequence[Sequence[int]]) -> set[int]:
+    """Every node reachable from the seeds, the seeds included."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for d in adj[stack.pop()]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
+
+def _on_cycle(v: int, adj: Sequence[Sequence[int]]) -> bool:
+    """Can v reach itself in one or more steps?
+
+    A Buchi automaton accepts some word from a state iff it reaches an
+    accepting state for which this holds, the criterion behind the nested
+    depth-first emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis,
+    1992).
+    """
+    return v in _closure(adj[v], adj)
+
+
+def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    radj: list[list[int]] = [[] for _ in adj]
+    for src, dsts in enumerate(adj):
+        for d in dsts:
+            radj[d].append(src)
+    return radj
 
 
 def _tautology(guard: Formula, support: tuple[str, ...], alphabet: Alphabet) -> bool:
@@ -434,7 +312,7 @@ def _expand_tableau(root: Formula):
 
     def close(new: set, old: frozenset, nxt: frozenset, inc: frozenset):
         while new:
-            g = min(new, key=_fkey)
+            g = min(new, key=format_formula)
             new.discard(g)
             if isinstance(g, Bool):
                 if not g.value:
@@ -494,7 +372,7 @@ def _expand_tableau(root: Formula):
 def _guard_of(old: frozenset) -> Formula:
     lits = [g for g in old
             if isinstance(g, Atom) or (isinstance(g, Not) and isinstance(g.arg, Atom))]
-    lits.sort(key=_fkey)
+    lits.sort(key=format_formula)
     return _and_fold(lits)
 
 
@@ -510,7 +388,7 @@ def _until_subformulas(f: Formula) -> list[Until]:
                 walk(child)
 
     walk(f)
-    return sorted(found, key=_fkey)
+    return sorted(found, key=format_formula)
 
 
 def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutomaton:
@@ -608,18 +486,9 @@ def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
 def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Drop states with no reachable accepting cycle (keeping the initial
     state) and anything unreachable from the initial state."""
-    live = aut.live_states()
-    keep = set(live) | {aut.initial}
-    adj = aut.edges()
-    reachable = {aut.initial}
-    stack = [aut.initial]
-    while stack:
-        q = stack.pop()
-        for d in adj[q]:
-            if d in keep and d not in reachable:
-                reachable.add(d)
-                stack.append(d)
-    keep &= reachable
+    keep = set(aut.live_states()) | {aut.initial}
+    inside = [[d for d in dsts if d in keep] for dsts in aut.edges()]
+    keep &= _closure((aut.initial,), inside)
     remap = {q: i for i, q in enumerate(sorted(keep))}
     transitions = tuple(
         Transition(remap[t.src], t.guard, remap[t.dst])
@@ -640,12 +509,7 @@ def _trim_transient_accepting(aut: BuchiAutomaton) -> BuchiAutomaton:
     bisimulation quotient fold the copies away.
     """
     adj = aut.edges()
-    comp = _tarjan_scc(aut.n_states, adj)
-    size: dict[int, int] = {}
-    for q in range(aut.n_states):
-        size[comp[q]] = size.get(comp[q], 0) + 1
-    keep = frozenset(q for q in aut.accepting
-                     if size[comp[q]] > 1 or q in adj[q])
+    keep = frozenset(q for q in aut.accepting if _on_cycle(q, adj))
     if keep == aut.accepting:
         return aut
     return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial, keep,
@@ -655,28 +519,26 @@ def _trim_transient_accepting(aut: BuchiAutomaton) -> BuchiAutomaton:
 def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Collapse components that accept every continuation into one sink.
 
-    An SCC is universal when no transition leaves it, every internal guard
-    is a tautology, every member has a successor, and some member accepts:
-    from any member, any word can forever stay inside while routing through
-    the accepting state. Degeneralization turns fulfilled formulas into
-    such counter cycles instead of a single looping state; merging them
-    back restores an explicit accepting sink without changing the language.
+    The states an accepting state q reaches form a universal component when
+    each of them leads back to q (so they are one SCC), has a successor, and
+    has only tautology-guarded transitions that stay inside: from any
+    member, any word can forever stay inside while routing through q.
+    Degeneralization turns fulfilled formulas into such counter cycles
+    instead of a single looping state; merging them back restores an
+    explicit accepting sink without changing the language.
     """
     support = aut._support()
-    comp = _tarjan_scc(aut.n_states, aut.edges())
-    groups: dict[int, list[int]] = {}
-    for q in range(aut.n_states):
-        groups.setdefault(comp[q], []).append(q)
+    adj = aut.edges()
     universal: set[int] = set()
-    for members in groups.values():
-        mset = set(members)
-        if not (mset & aut.accepting):
+    for q in aut.accepting:
+        if q in universal:
             continue
-        if all(aut.out(q)
-               and all(d in mset and _tautology(g, support, aut.alphabet)
-                       for g, d in aut.out(q))
-               for q in members):
-            universal |= mset
+        comp = _closure((q,), adj)
+        if all(aut.out(p)
+               and all(d in comp and _tautology(g, support, aut.alphabet)
+                       for g, d in aut.out(p))
+               for p in comp) and comp <= _closure((q,), _reverse(adj)):
+            universal |= comp
     if not universal:
         return aut
     # close upward: a state every letter can move into the universal set is
@@ -688,7 +550,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
             if q in universal:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
-                          key=_fkey)
+                          key=format_formula)
             if into and _tautology(_or_fold(into), support, aut.alphabet):
                 universal.add(q)
                 changed = True
@@ -737,7 +599,7 @@ def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
     seen = set()
     for c, q in sorted(rep.items()):
         for guard, dst in aut.out(q):
-            key = (c, _fkey(guard), cls[dst])
+            key = (c, format_formula(guard), cls[dst])
             if key not in seen:
                 seen.add(key)
                 transitions.append(Transition(c, guard, cls[dst]))
@@ -763,7 +625,7 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
     transitions: list[Transition] = []
     for q in range(aut.n_states):
         edges = aut.out(q)
-        sink_guards = sorted((g for g, d in edges if d in sinks), key=_fkey)
+        sink_guards = sorted((g for g, d in edges if d in sinks), key=format_formula)
         if q in sinks or not sink_guards:
             transitions.extend(Transition(q, g, d) for g, d in edges)
             continue
@@ -787,7 +649,7 @@ def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
     while i < len(order):
         q = order[i]
         i += 1
-        for guard, dst in sorted(aut.out(q), key=lambda e: (_fkey(e[0]), e[1])):
+        for guard, dst in sorted(aut.out(q), key=lambda e: (format_formula(e[0]), e[1])):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
@@ -795,7 +657,7 @@ def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
     transitions = sorted(
         (Transition(remap[t.src], t.guard, remap[t.dst])
          for t in aut.transitions if t.src in remap and t.dst in remap),
-        key=lambda t: (t.src, _fkey(t.guard), t.dst))
+        key=lambda t: (t.src, format_formula(t.guard), t.dst))
     accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
     return BuchiAutomaton(aut.alphabet, len(order), 0, accepting,
                           tuple(transitions))

@@ -103,6 +103,9 @@ class TrainerConfig:
             raise ValueError("clip_eps must be in (0, 1)")
         if self.fusion not in ("reduced", "raw"):
             raise ValueError(f"unknown fusion {self.fusion!r}")
+        for name in ("n_per_iter", "minibatch", "epochs", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.n_per_iter % self.workers != 0:
             raise ValueError("n_per_iter must be divisible by workers")
         object.__setattr__(self, "actor_hidden", tuple(self.actor_hidden))

@@ -1,14 +1,15 @@
-"""Seeded random generators and a scripted-label env shared across test
-modules."""
+"""Seeded random generators, a brute-force successor oracle and a
+scripted-label env shared across test modules."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ltlnav.buchi import BuchiAutomaton, Transition
 from ltlnav.envs import EnvConfig, Observation
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
-    Or, Release, Until,
+    Or, Release, Until, eval_bool,
 )
 
 
@@ -53,6 +54,38 @@ def random_lasso(rng: np.random.Generator, n_props: int,
 
 def small_alphabet(n: int) -> Alphabet:
     return Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))
+
+
+def random_automaton(rng: np.random.Generator, n_states: int = 5,
+                     n_props: int = 2) -> BuchiAutomaton:
+    """Raw automaton with initial state 0: each edge exists with
+    probability 0.3 under a random conjunction of literals, and a random
+    subset of the states accepts."""
+    ab = small_alphabet(n_props)
+    transitions = []
+    for src in range(n_states):
+        for dst in range(n_states):
+            if rng.random() < 0.3:
+                lits = []
+                for name in ab.names:
+                    r = rng.random()
+                    if r < 0.3:
+                        lits.append(Atom(name))
+                    elif r < 0.6:
+                        lits.append(Not(Atom(name)))
+                guard = TRUE
+                for lit in lits:
+                    guard = And(guard, lit) if guard is not TRUE else lit
+                transitions.append(Transition(src, guard, dst))
+    n_acc = int(rng.integers(0, n_states + 1))
+    accepting = frozenset(int(x) for x in rng.choice(n_states, size=n_acc, replace=False))
+    return BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
+
+
+def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
+    """Successors of q under one letter, straight from the guards."""
+    return {t.dst for t in aut.transitions
+            if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
 
 
 class ScriptEnv:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from gen import random_formula, random_lasso, small_alphabet
+from gen import (
+    brute_successors, random_automaton, random_formula, random_lasso,
+    small_alphabet,
+)
+from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
 from ltlnav.ltl import (
     TRUE, Alphabet, Lasso, Not, atoms, eval_bool, eval_lasso, format_formula,
@@ -17,6 +21,27 @@ def compile_str(text, alphabet=None):
     return compile_formula(parse(text), alphabet)
 
 
+def brute_accepts_lasso(aut, word):
+    """Some accepting (q, i), with state q about to read position i, is
+    reachable from (initial, 0) and reaches itself in at least one step."""
+    letters = word.prefix + word.cycle
+    loop = len(word.prefix)
+
+    def after(nodes):
+        """Every node reachable from the nodes in one step or more."""
+        seen, step = set(), set(nodes)
+        while step:
+            step = {(d, i + 1 if i + 1 < len(letters) else loop)
+                    for q, i in step
+                    for d in brute_successors(aut, q, letters[i])} - seen
+            seen |= step
+        return seen
+
+    start = (aut.initial, 0)
+    return any(q in aut.accepting and (q, i) in after({(q, i)})
+               for q, i in after({start}) | {start})
+
+
 class TestCompileShapes:
     def test_eventually_two_live_states(self):
         aut = compile_str("F a")
@@ -28,7 +53,7 @@ class TestCompileShapes:
         classes = aut.classify()
         assert classes.live == frozenset({0, 1})
         assert classes.accepting_sink == frozenset({1})
-        assert classes.trap == frozenset()
+        assert frozenset(range(aut.n_states)) - classes.live == frozenset()
 
     def test_until_with_avoid(self):
         aut = compile_str("!a U b")
@@ -91,6 +116,18 @@ class TestAcceptsLasso:
                 assert aut.accepts_lasso(w) == eval_lasso(f, w, ab), (
                     f"mismatch on {format_formula(f)} with {w}")
 
+    def test_matches_step_set_oracle_on_random_automata(self):
+        rng = np.random.default_rng(15)
+        verdicts = []
+        for _ in range(300):
+            n_props = int(rng.integers(1, 4))
+            aut = random_automaton(rng, int(rng.integers(1, 9)), n_props)
+            for _ in range(20):
+                w = random_lasso(rng, n_props)
+                verdicts.append(aut.accepts_lasso(w))
+                assert verdicts[-1] == brute_accepts_lasso(aut, w), w
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_step_set_semantics(self):
         aut = compile_str("F a")
         s0 = frozenset({0})
@@ -122,8 +159,21 @@ class TestStructuralProperties:
             aut.alphabet, aut.n_states + 1, aut.initial, aut.accepting,
             aut.transitions + (Transition(0, Not(parse("a")), 2),))
         classes = dead.classify()
-        assert 2 in classes.trap
+        assert classes.live == frozenset({0, 1})
         assert 2 not in classes.live
+
+    def test_universal_merge_needs_a_cycle_back(self):
+        # 0 accepts every word, 1 none; 2 reads a into 0 and !a into 1.
+        # Everything 0 reaches has only true edges, yet 1 never returns to
+        # 0, so merging {0, 1} into one accepting sink would accept !a words
+        a = parse("a")
+        aut = BuchiAutomaton(AB, 3, 2, frozenset({0}), (
+            Transition(0, TRUE, 0), Transition(0, TRUE, 1),
+            Transition(1, TRUE, 1), Transition(2, a, 0),
+            Transition(2, Not(a), 1)))
+        merged = buchi._merge_universal_sccs(aut)
+        for w in (Lasso((), (A,)), Lasso((), (0,)), Lasso((B,), (A,))):
+            assert merged.accepts_lasso(w) == aut.accepts_lasso(w)
 
     def test_initial_is_zero_and_states_dense(self):
         rng = np.random.default_rng(12)

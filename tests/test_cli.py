@@ -153,6 +153,16 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 4
         capsys.readouterr()
 
+    def test_zero_workers_exit_4(self, tmp_path, capsys):
+        cfg = write_train_config(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        assert main(["train", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--workers", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "workers" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()

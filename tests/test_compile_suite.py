@@ -1,0 +1,59 @@
+"""Pins what the benchmark's compile suite produces: for each spec in
+perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
+the subgoals extracted at every live state.
+
+A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
+change that alters the output on purpose updates DIGESTS and says so in
+CHANGES.md."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ltlnav import buchi, ltl, subgoals
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = workloads     # dataclasses look their module up
+_SPEC.loader.exec_module(workloads)
+
+# recorded with the code of the commit before the one that added this test
+DIGESTS = {
+    "sequence-2": "f776e07cb4fc699d1a591501d060201fd714bfc0736da81af3b60f7eb8eca146",
+    "sequence-3": "9edf928f13b8ecc99d6273baf384c2247091d1b1eeca1a69361428ae18e2f1aa",
+    "sequence-4": "7602855de77fb2b8a608a24ac9efefbcf51d1df004b7fad53e9139d0d7f6d845",
+    "sequence-5": "6b2402a8c1da3192fd45adc3983df76b753e015c4a1669c533609ca00cde9f4d",
+    "gf-3": "8cae58959d1001afa279a6f6d64b2cb5d0ab03d5746faf8cc058daaeac8551e6",
+    "gf-4": "eee3df2078b2756913e4718c11aabeab90b9f8384bba08805ae6ec8becba10f9",
+    "response": "12a4df23c10327f27c6cb9c74b06048e149b7bee4633ccf53f8feddbac5f7811",
+    "response-next": "c723e98d0f58d3f93e165c81a0b27192680bffd538ba858ddccd8ffa3eefd25b",
+    "persistence": "e4f0ca9ffdc65dbe5931c0dcded46bf070aabf3bb392d87c807bac9091100bb0",
+    "nested-c07": "65823766c1c279d72c4649aafffdc8a83e2ccce9fde2b05149f93bf12c74f7e3",
+    "zone-c08": "888cdc9e6edccbbeeb5007e47dcf6d094b319f49ccd4cb0ec9dabdae381b28f0",
+    "too-many-lassos": "7f46e72e5ba8ca92944787f54a89d29e673de1ada4d717ff9793653f10b705d7",
+}
+
+
+def suite_digest(spec) -> str:
+    aut = buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    achievable = workloads.achievable_for(spec.alphabet)
+    try:
+        subs = [[q, [[p, sub.reach, sorted(sub.avoid)]
+                     for p, sub in subgoals.extract_subgoals(
+                         aut, frozenset({q}), frozenset(), achievable)]]
+                for q in sorted(aut.classify().live)]
+    except subgoals.UniverseTooLarge:
+        subs = "UniverseTooLarge"
+    blob = json.dumps({"automaton": aut.to_json(), "subgoals": subs},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", workloads.SUITE, ids=lambda s: s.name)
+def test_suite_output_unchanged(spec):
+    assert suite_digest(spec) == DIGESTS[spec.name]

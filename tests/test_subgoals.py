@@ -3,10 +3,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gen import small_alphabet
+from gen import brute_successors, random_automaton, small_alphabet
 from ltlnav import buchi
-from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
-from ltlnav.ltl import TRUE, Alphabet, Atom, Not, And, eval_bool, parse
+from ltlnav.buchi import compile_formula
+from ltlnav.ltl import eval_bool, parse
 from ltlnav.subgoals import (
     LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, build_universe,
     encode_subgoal, extract_subgoals, find_lassos, sample_subgoal,
@@ -63,33 +63,6 @@ def decode_subgoal(vec, alphabet):
     return Subgoal(reach, avoid)
 
 
-def brute_successors(aut, q, letter):
-    return {t.dst for t in aut.transitions
-            if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
-
-
-def random_automaton(rng, n_states=5, n_props=2):
-    ab = small_alphabet(n_props)
-    transitions = []
-    for src in range(n_states):
-        for dst in range(n_states):
-            if rng.random() < 0.3:
-                lits = []
-                for name in ab.names:
-                    r = rng.random()
-                    if r < 0.3:
-                        lits.append(Atom(name))
-                    elif r < 0.6:
-                        lits.append(Not(Atom(name)))
-                guard = TRUE
-                for lit in lits:
-                    guard = And(guard, lit) if guard is not TRUE else lit
-                transitions.append(Transition(src, guard, dst))
-    n_acc = int(rng.integers(0, n_states + 1))
-    accepting = frozenset(int(x) for x in rng.choice(n_states, size=n_acc, replace=False))
-    return BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
-
-
 # -- find_lassos --------------------------------------------------------------
 
 
@@ -102,6 +75,8 @@ class TestFindLassos:
             for q in range(aut.n_states):
                 got = {(lp.path, lp.cycle_start) for lp in find_lassos(aut, q)}
                 assert got == brute_lassos(aut, q)
+            assert aut.classify().live == {
+                q for q in range(aut.n_states) if brute_lassos(aut, q)}
 
     def test_accepting_self_loop_is_a_lasso(self):
         aut = compile_str("F a")

@@ -459,6 +459,9 @@ class TestTrainer:
             TrainerConfig(n_per_iter=100, workers=3)
         with pytest.raises(ValueError):
             TrainerConfig(fusion="conv")
+        for name in ("n_per_iter", "minibatch", "epochs", "workers"):
+            with pytest.raises(ValueError, match=name):
+                TrainerConfig(**{name: 0})
         cfg = small_trainer_config()
         assert TrainerConfig.from_json(cfg.to_json()) == cfg
         with pytest.raises(ValueError):
