@@ -1,12 +1,13 @@
 """Buchi automata compiled from LTL formulas.
 
-The pipeline: negation normal form, on-the-fly tableau expansion into a
-generalized Buchi automaton (one acceptance set per Until subformula),
-counting degeneralization to a single acceptance set, removal of states
-with no reachable accepting cycle, collapsing of universal components into
-explicit accepting sinks, a bisimulation quotient, and guard narrowing
-toward accepting sink states. Every stage preserves the accepted language;
-structural simplification only makes the automaton smaller.
+Every formula takes one path: negation normal form, on-the-fly tableau
+expansion into a generalized Buchi automaton (one acceptance set per Until
+subformula, all states when there is none), counting degeneralization to
+one acceptance set, one prune of dead and unreachable states and of
+accepting marks no run can repeat, collapsing of universal components into
+accepting sinks, a bisimulation quotient, guard narrowing toward accepting
+sinks, and a canonical renumbering. Every stage preserves the accepted
+language; structural simplification only makes the automaton smaller.
 
 States are dense ints, the initial state is 0 after renumbering, and
 transition guards are Boolean formulas over the alphabet.
@@ -110,6 +111,8 @@ class BuchiAutomaton:
                  accepting: frozenset[int], transitions: tuple[Transition, ...]):
         if not (0 <= initial < n_states):
             raise ValueError("initial state out of range")
+        if not all(0 <= q < n_states for q in accepting):
+            raise ValueError("accepting state out of range")
         names = set(alphabet.names)
         for t in transitions:
             if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
@@ -163,23 +166,17 @@ class BuchiAutomaton:
 
     # -- state classification --------------------------------------------
 
-    def live_states(self) -> frozenset[int]:
-        """States that can reach a cycle through an accepting state."""
-        adj = self.edges()
-        good = (q for q in self.accepting if _on_cycle(q, adj))
-        return frozenset(_closure(good, _reverse(adj)))
-
     def classify(self) -> StateClasses:
         if self._classes is not None:
             return self._classes
-        live = self.live_states()
-        support = self._support()
+        adj = self.edges()
+        good = (q for q in self.accepting if _on_cycle(q, adj))
+        live = frozenset(_closure(good, _reverse(adj)))
         sinks = set()
         for q in self.accepting:
             edges = self._out[q]
             if edges and all(d == q for _, d in edges):
-                union = _or_fold([g for g, _ in edges])
-                if _tautology(union, support, self.alphabet):
+                if _tautology(_or_fold([g for g, _ in edges]), self.alphabet):
                     sinks.add(q)
         self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
         return self._classes
@@ -281,8 +278,9 @@ def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return radj
 
 
-def _tautology(guard: Formula, support: tuple[str, ...], alphabet: Alphabet) -> bool:
-    names = sorted(set(support) | atoms(guard))
+def _tautology(guard: Formula, alphabet: Alphabet) -> bool:
+    """Validity by enumerating the guard's own atoms only."""
+    names = sorted(atoms(guard))
     if len(names) > 14:
         return False  # give up; treated as non-tautology, which is safe
     return all(eval_bool(guard, letter, alphabet)
@@ -401,44 +399,26 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
             raise ValueError(f"formula atoms {sorted(missing)} not in alphabet")
     g = nnf(f)
     olds, nexts, incomings = _expand_tableau(g)
-    untils = _until_subformulas(g)
-    k = len(untils)
 
     # states: tableau nodes shifted by one, state 0 is the virtual initial
     n_states = len(olds) + 1
-    initial = 0
     transitions: list[Transition] = []
     for nid in range(len(olds)):
         guard = _guard_of(olds[nid])
         for src in sorted(incomings[nid]):
             transitions.append(Transition(src + 1, guard, nid + 1))
-
-    if k == 0:
-        accepting = frozenset(range(n_states))
-        aut = BuchiAutomaton(alphabet, n_states, initial, accepting,
-                             tuple(transitions))
-    else:
-        acc_sets = []
-        for u in untils:
-            # a true right-hand side holds at every node even though the
-            # closure never stores it
-            rhs_trivial = isinstance(u.rhs, Bool) and u.rhs.value
-            acc = frozenset(nid + 1 for nid in range(len(olds))
-                            if u not in olds[nid] or rhs_trivial
-                            or u.rhs in olds[nid])
-            acc_sets.append(acc)
-        if k == 1:
-            aut = BuchiAutomaton(alphabet, n_states, initial, acc_sets[0],
-                                 tuple(transitions))
-        else:
-            aut = _degeneralize(alphabet, n_states, initial, transitions, acc_sets)
-
-    aut = _trim_transient_accepting(aut)
+    # a true right-hand side holds at every node even though the closure
+    # never stores it
+    acc_sets = [frozenset(nid + 1 for nid, old in enumerate(olds)
+                          if u not in old or u.rhs == TRUE or u.rhs in old)
+                for u in _until_subformulas(g)]
+    # with no Until every state accepts; with one the counter stays at 0
+    aut = _degeneralize(alphabet, n_states, 0, transitions,
+                        acc_sets or [frozenset(range(n_states))])
     aut = _prune(aut)
     aut = _merge_universal_sccs(aut)
     aut = _merge_bisimilar(aut)
     aut = _absorb_into_sinks(aut)
-    aut = _prune(aut)
     return _renumber(aut)
 
 
@@ -485,35 +465,29 @@ def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
 
 def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Drop states with no reachable accepting cycle (keeping the initial
-    state) and anything unreachable from the initial state."""
-    keep = set(aut.live_states()) | {aut.initial}
-    inside = [[d for d in dsts if d in keep] for dsts in aut.edges()]
-    keep &= _closure((aut.initial,), inside)
-    remap = {q: i for i, q in enumerate(sorted(keep))}
-    transitions = tuple(
-        Transition(remap[t.src], t.guard, remap[t.dst])
-        for t in aut.transitions
-        if t.src in remap and t.dst in remap and _sat_disjoint(t.guard, aut.alphabet))
-    accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
-    return BuchiAutomaton(aut.alphabet, len(remap), remap[aut.initial],
-                          accepting, transitions)
-
-
-def _trim_transient_accepting(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Unmark accepting states that no run can visit infinitely often.
+    state) and anything unreachable from the initial state, and unmark
+    accepting states that no run can visit infinitely often.
 
     A run satisfies the acceptance condition iff it visits some single
     accepting state infinitely often, which requires a cycle through that
     state. Degeneralization marks counter-wrap copies of transient states
     as accepting; dropping those marks keeps the language and lets the
-    bisimulation quotient fold the copies away.
+    bisimulation quotient fold the copies away. Liveness stays as it is:
+    its seeds are exactly the accepting states on a cycle. Guards are not
+    re-tested, since the tableau drops every contradictory node.
     """
     adj = aut.edges()
-    keep = frozenset(q for q in aut.accepting if _on_cycle(q, adj))
-    if keep == aut.accepting:
-        return aut
-    return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial, keep,
-                          aut.transitions)
+    keep = set(aut.classify().live) | {aut.initial}
+    inside = [[d for d in dsts if d in keep] for dsts in adj]
+    keep &= _closure((aut.initial,), inside)
+    remap = {q: i for i, q in enumerate(sorted(keep))}
+    transitions = tuple(
+        Transition(remap[t.src], t.guard, remap[t.dst])
+        for t in aut.transitions if t.src in remap and t.dst in remap)
+    accepting = frozenset(remap[q] for q in aut.accepting
+                          if q in remap and _on_cycle(q, adj))
+    return BuchiAutomaton(aut.alphabet, len(remap), remap[aut.initial],
+                          accepting, transitions)
 
 
 def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -527,7 +501,6 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     instead of a single looping state; merging them back restores an
     explicit accepting sink without changing the language.
     """
-    support = aut._support()
     adj = aut.edges()
     universal: set[int] = set()
     for q in aut.accepting:
@@ -535,7 +508,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
             continue
         comp = _closure((q,), adj)
         if all(aut.out(p)
-               and all(d in comp and _tautology(g, support, aut.alphabet)
+               and all(d in comp and _tautology(g, aut.alphabet)
                        for g, d in aut.out(p))
                for p in comp) and comp <= _closure((q,), _reverse(adj)):
             universal |= comp
@@ -551,7 +524,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
                           key=format_formula)
-            if into and _tautology(_or_fold(into), support, aut.alphabet):
+            if into and _tautology(_or_fold(into), aut.alphabet):
                 universal.add(q)
                 changed = True
     rep = min(universal)

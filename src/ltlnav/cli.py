@@ -41,7 +41,8 @@ def _load_specs(value: str) -> list:
     return [(text, parse(text)) for text in texts]
 
 
-def _resolve_seed(flag_value, config_value=None, default=0) -> int:
+def _resolve_seed(flag_value, config_value=None) -> int:
+    """The --seed flag, else GENZ_SEED, else the config's seed, else 0."""
     if flag_value is not None:
         return int(flag_value)
     env = os.environ.get("GENZ_SEED")
@@ -49,7 +50,7 @@ def _resolve_seed(flag_value, config_value=None, default=0) -> int:
         return int(env)
     if config_value is not None:
         return int(config_value)
-    return int(default)
+    return 0
 
 
 def _subgoal_entry(alphabet: Alphabet, q: int, sub) -> dict:
@@ -161,7 +162,7 @@ def cmd_eval(args) -> int:
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
     specs = _load_specs(args.spec)
-    base = _resolve_seed(None, None, 0)
+    base = _resolve_seed(None)
     seeds = tuple(range(base, base + args.seeds))
     reports = evaluate([f for _, f in specs], ckpt, n_traj=args.n,
                        seeds=seeds, horizon_multiplier=args.horizon_mult,

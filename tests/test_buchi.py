@@ -82,6 +82,14 @@ class TestCompileShapes:
         assert aut.n_states == 1
         assert aut.classify().accepting_sink == frozenset({0})
 
+    def test_sink_past_fourteen_propositions(self):
+        # a guard's validity depends on its own atoms only, however many
+        # propositions the rest of the automaton reads
+        aut = compile_str(" | ".join(f"F p{i}" for i in range(15)))
+        (sink,) = aut.classify().accepting_sink
+        assert aut.accepts_lasso(Lasso((), (aut.alphabet.mask("p14"),)))
+        assert aut.out(sink) == [(TRUE, sink)]
+
     def test_unsatisfiable_formula_has_empty_language(self):
         aut = compile_str("a & !a")
         assert aut.classify().live == frozenset()
@@ -223,6 +231,11 @@ class TestSerialization:
         data["states"] = [0, 2]
         with pytest.raises(ValueError):
             BuchiAutomaton.from_json(data)
+        for q in (7, -1):
+            data = aut.to_json()
+            data["accepting"] = [q]
+            with pytest.raises(ValueError, match="accepting"):
+                BuchiAutomaton.from_json(data)
 
     def test_dot_golden(self):
         dot = compile_str("F a").to_dot()

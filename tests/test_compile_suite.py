@@ -1,19 +1,23 @@
 """Pins what the benchmark's compile suite produces: for each spec in
 perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
-the subgoals extracted at every live state.
+the subgoals extracted at every live state; and one sha256 over the
+automata and state classes of 300 seeded random formulas.
 
 A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
 change that alters the output on purpose updates DIGESTS and says so in
 CHANGES.md."""
 
+import functools
 import hashlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gen
 from ltlnav import buchi, ltl, subgoals
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -37,10 +41,29 @@ DIGESTS = {
     "zone-c08": "888cdc9e6edccbbeeb5007e47dcf6d094b319f49ccd4cb0ec9dabdae381b28f0",
     "too-many-lassos": "7f46e72e5ba8ca92944787f54a89d29e673de1ada4d717ff9793653f10b705d7",
 }
+# recorded with the code of the commit before the one that added it
+RANDOM_DIGEST = "bf3b1c5367b434b072c3b9ee77585e9219b578b8e5fdb1c20005050481b209b2"
+
+
+@functools.cache
+def compiled(spec) -> buchi.BuchiAutomaton:
+    return buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+
+
+@functools.cache
+def random_automata() -> tuple[buchi.BuchiAutomaton, ...]:
+    """300 formulas of depth 4 over 1 to 4 propositions, seed 7."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(300):
+        ab = gen.small_alphabet(int(rng.integers(1, 5)))
+        out.append(buchi.compile_formula(
+            gen.random_formula(rng, depth=4, names=ab.names), ab))
+    return tuple(out)
 
 
 def suite_digest(spec) -> str:
-    aut = buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    aut = compiled(spec)
     achievable = workloads.achievable_for(spec.alphabet)
     try:
         subs = [[q, [[p, sub.reach, sorted(sub.avoid)]
@@ -57,3 +80,29 @@ def suite_digest(spec) -> str:
 @pytest.mark.parametrize("spec", workloads.SUITE, ids=lambda s: s.name)
 def test_suite_output_unchanged(spec):
     assert suite_digest(spec) == DIGESTS[spec.name]
+
+
+def test_random_outputs_unchanged():
+    digest = hashlib.sha256()
+    for aut in random_automata():
+        classes = aut.classify()
+        digest.update(json.dumps(
+            {"automaton": aut.to_json(), "live": sorted(classes.live),
+             "accepting_sink": sorted(classes.accepting_sink)},
+            sort_keys=True).encode())
+    assert digest.hexdigest() == RANDOM_DIGEST
+
+
+@pytest.mark.parametrize("case", ["suite", "random"])
+def test_compiled_automata_are_trim(case):
+    """What the single prune relies on: every compiled guard is
+    satisfiable, every state is reachable from the initial state, and
+    every other state is live."""
+    auts = ([compiled(s) for s in workloads.SUITE] if case == "suite"
+            else random_automata())
+    for aut in auts:
+        everything = set(range(aut.n_states))
+        assert all(buchi._sat_disjoint(t.guard, aut.alphabet)
+                   for t in aut.transitions)
+        assert buchi._closure((aut.initial,), aut.edges()) == everything
+        assert everything - {aut.initial} <= aut.classify().live
