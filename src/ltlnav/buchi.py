@@ -589,9 +589,6 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
     Removing the letter from competing guards keeps the language unchanged
     and makes progress toward the sink explicit.
     """
-    support = aut._support()
-    if len(support) > 10:
-        return aut
     sinks = aut.classify().accepting_sink
     if not sinks:
         return aut

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ltl import Alphabet
+from .nets import JsonFields
 
 __all__ = [
     "DT", "MAX_SPEED", "ACCEL", "TURN_RATE", "SENSOR_RANGE",
@@ -37,7 +38,7 @@ SENSOR_RANGE = 5.0
 _SPAWN_ATTEMPTS = 1000
 
 
-class LayoutInfeasible(RuntimeError):
+class LayoutInfeasible(ValueError):
     """Rejection sampling failed to place the agent or a zone."""
 
 
@@ -54,7 +55,7 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(JsonFields):
     env: str = "letterworld"
     grid_size: int = 7
     letters: tuple[str, ...] = ()        # () selects the per-env default
@@ -82,6 +83,8 @@ class EnvConfig:
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if self.env == "letterworld":
+            if self.grid_size < 1:
+                raise ValueError("grid_size must be >= 1")
             cells = self.grid_size * self.grid_size
             if self.copies_per_letter < 1:
                 raise ValueError("copies_per_letter must be >= 1")
@@ -94,59 +97,19 @@ class EnvConfig:
                 raise ValueError("zone_radius must be positive")
             if self.zones_per_color < 1 and not self.fixed_zones:
                 raise ValueError("zones_per_color must be >= 1")
-        if self.fixed_zones:
-            object.__setattr__(self, "fixed_zones", tuple(
-                (name, (float(x), float(y)), float(r))
-                for name, (x, y), r in self.fixed_zones))
-        if self.agent_start:
-            object.__setattr__(
-                self, "agent_start", tuple(float(v) for v in self.agent_start))
+        object.__setattr__(self, "fixed_zones", tuple(
+            (name, (float(x), float(y)), float(r))
+            for name, (x, y), r in self.fixed_zones))
+        object.__setattr__(
+            self, "agent_start", tuple(float(v) for v in self.agent_start))
 
-    def to_json(self) -> dict:
-        d = {
-            "env": self.env,
-            "letters": list(self.letters),
-            "max_steps": self.max_steps,
-        }
-        if self.env == "letterworld":
-            d["grid_size"] = self.grid_size
-            d["copies_per_letter"] = self.copies_per_letter
-        else:
-            d["zones_per_color"] = self.zones_per_color
-            d["zone_radius"] = self.zone_radius
-            d["lidar_beams"] = self.lidar_beams
-            d["overlap_mode"] = self.overlap_mode
-            d["arena_half_extent"] = self.arena_half_extent
-            if self.fixed_zones:
-                d["fixed_zones"] = [[name, list(c), r]
-                                    for name, c, r in self.fixed_zones]
-        if self.agent_start:
-            d["agent_start"] = list(self.agent_start)
-        return d
-
-    @staticmethod
-    def from_json(d: dict) -> "EnvConfig":
-        known = {
-            "env", "grid_size", "letters", "copies_per_letter",
-            "zones_per_color", "zone_radius", "lidar_beams", "max_steps",
-            "seed", "overlap_mode", "arena_half_extent", "fixed_zones",
-            "agent_start",
-        }
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown env config keys {sorted(extra)}")
-        kwargs = dict(d)
+    @classmethod
+    def from_json(cls, d: dict) -> "EnvConfig":
+        d = dict(d)
         # older checkpoints carry an unused layout seed; layouts come from
         # the episode's rng
-        kwargs.pop("seed", None)
-        if "letters" in kwargs:
-            kwargs["letters"] = tuple(kwargs["letters"])
-        if "fixed_zones" in kwargs:
-            kwargs["fixed_zones"] = tuple(
-                (name, (c[0], c[1]), r) for name, c, r in kwargs["fixed_zones"])
-        if "agent_start" in kwargs:
-            kwargs["agent_start"] = tuple(kwargs["agent_start"])
-        return EnvConfig(**kwargs)
+        d.pop("seed", None)
+        return super().from_json(d)
 
 
 def alphabet_for(config: EnvConfig) -> Alphabet:

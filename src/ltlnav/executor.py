@@ -19,8 +19,8 @@ from .envs import (
     make_env,
 )
 from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
-from .nets import forward, head_from_json, mean_action
-from .reduction import FusionMode, reduce, reduced_dim
+from .nets import JsonFields, forward, head_from_json, mean_action
+from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
 from .trainer import STREAM_EVAL, stream_rng
 
@@ -66,7 +66,7 @@ def timeout_threshold(mu_subgoal: int | None, eps_scale: float,
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonFields):
     spec: str
     eta_s: float
     eta_v: float
@@ -81,13 +81,6 @@ class EvalReport:
             raise ValueError("rates must sum to 1")
         self.seeds = tuple(int(s) for s in self.seeds)
 
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec, "eta_s": self.eta_s, "eta_v": self.eta_v,
-            "eta_o": self.eta_o, "mu": self.mu, "mu_acc": self.mu_acc,
-            "seeds": list(self.seeds), "n": self.n,
-        }
-
 
 # -- agents --------------------------------------------------------------------
 
@@ -101,9 +94,11 @@ class PolicyAgent:
 
     def __init__(self, heads: dict, env_config: EnvConfig, fusion: str,
                  mu_subgoal: int | None = None):
+        if fusion not in FUSIONS:
+            raise ValueError(f"unknown fusion {fusion!r}")
         self.heads = heads
         self.env_config = env_config
-        self.mode = FusionMode.RawBitvector if fusion == "raw" else None
+        self.fusion = fusion
         self.alphabet = alphabet_for(env_config)
         self.mu_subgoal = mu_subgoal
 
@@ -115,7 +110,7 @@ class PolicyAgent:
         heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()}
         agent = cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"],
                     ckpt.get("mu_subgoal"))
-        dim = reduced_dim(agent.env_config, agent.mode)
+        dim = reduced_dim(agent.env_config, agent.fusion)
         for name, (spec, _) in heads.items():
             if spec.in_dim != dim:
                 raise ValueError(
@@ -125,7 +120,7 @@ class PolicyAgent:
         return agent
 
     def _vec(self, obs, sub: Subgoal) -> np.ndarray:
-        return reduce(obs, sub, self.mode, self.alphabet)
+        return reduce(obs, sub, self.fusion, self.alphabet)
 
     def _head(self, name: str, x: np.ndarray):
         spec, params = self.heads[name]

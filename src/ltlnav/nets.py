@@ -11,24 +11,46 @@ forward pass recorded, checked against finite differences in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "MlpSpec", "AdamState", "n_params", "init_params", "forward",
+    "JsonFields", "MlpSpec", "AdamState", "n_params", "init_params", "forward",
     "forward_tape", "backward", "adam_init", "adam_step",
     "sample_categorical", "categorical_logp", "categorical_logp_grad",
     "sample_gaussian", "gaussian_logp", "gaussian_logp_grad",
-    "mean_action", "softmax",
-    "spec_to_json", "spec_from_json", "head_to_json", "head_from_json",
+    "mean_action", "softmax", "head_to_json", "head_from_json",
 ]
 
 HEADS = ("categorical", "gaussian", "scalar", "nonneg")
 
 
+class JsonFields:
+    """Dataclass mixin: the JSON form is the fields in declaration order,
+    with tuples written as lists.  from_json rejects keys that are not
+    fields and leaves normalizing the values to __post_init__."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_native(getattr(self, f.name))
+                for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, d: dict):
+        extra = set(d) - {f.name for f in fields(cls)}
+        if extra:
+            raise ValueError(f"unknown {cls.__name__} keys {sorted(extra)}")
+        return cls(**d)
+
+
+def _json_native(value):
+    if isinstance(value, tuple):
+        return [_json_native(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class MlpSpec:
+class MlpSpec(JsonFields):
     in_dim: int
     hidden: tuple[int, ...]
     head: str
@@ -261,22 +283,12 @@ def mean_action(spec: MlpSpec, head_out):
 # -- checkpoint serialization -------------------------------------------------
 
 
-def spec_to_json(spec: MlpSpec) -> dict:
-    return {"in_dim": spec.in_dim, "hidden": list(spec.hidden),
-            "head": spec.head, "out_dim": spec.out_dim}
-
-
-def spec_from_json(d: dict) -> MlpSpec:
-    return MlpSpec(int(d["in_dim"]), tuple(int(h) for h in d["hidden"]),
-                   str(d["head"]), int(d["out_dim"]))
-
-
 def head_to_json(spec: MlpSpec, params: np.ndarray) -> dict:
-    return {"spec": spec_to_json(spec), "params": [float(p) for p in params]}
+    return {"spec": spec.to_json(), "params": [float(p) for p in params]}
 
 
 def head_from_json(d: dict) -> tuple[MlpSpec, np.ndarray]:
-    spec = spec_from_json(d["spec"])
+    spec = MlpSpec.from_json(d["spec"])
     params = np.asarray(d["params"], dtype=np.float64)
     if params.size != n_params(spec):
         raise ValueError(f"checkpoint has {params.size} params, spec needs "

@@ -5,13 +5,11 @@ of how many propositions the environment has, so the policy surface does
 not grow with the alphabet.  Grid observations map cells to {+1, -1, 0}
 values; lidar observations fuse per-proposition closeness arrays (min
 across the propositions of one assignment, max across the assignments of
-the avoid set, so the fused beam tracks the nearest avoid region).  Raw
-mode skips fusion and appends the subgoal bitvector instead.
+the avoid set, so the fused beam tracks the nearest avoid region).  The
+"raw" fusion skips this and appends the subgoal bitvector instead.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -20,23 +18,15 @@ from .ltl import Alphabet
 from .subgoals import Subgoal, encode_subgoal
 
 __all__ = [
-    "V_REACH", "V_AVOID", "V_NEUTRAL", "FusionMode",
-    "reduce_grid", "reduce_lidar", "reduce", "default_mode", "reduced_dim",
+    "V_REACH", "V_AVOID", "V_NEUTRAL", "FUSIONS",
+    "reduce_grid", "reduce_lidar", "reduce", "reduced_dim",
 ]
 
 V_REACH = 1.0
 V_AVOID = -1.0
 V_NEUTRAL = 0.0
 
-
-class FusionMode(Enum):
-    GridValues = "grid"
-    LidarMin = "lidar"
-    RawBitvector = "raw"
-
-
-def default_mode(kind: str) -> FusionMode:
-    return FusionMode.GridValues if kind == "grid" else FusionMode.LidarMin
+FUSIONS = ("reduced", "raw")
 
 
 def _check_masks(sub: Subgoal, n_props: int) -> None:
@@ -85,29 +75,26 @@ def reduce_lidar(obs: Observation, sub: Subgoal) -> np.ndarray:
     return np.concatenate([obs.not_ap, reach, avoid])
 
 
-def reduce(obs: Observation, sub: Subgoal, mode: FusionMode | None = None,
+def reduce(obs: Observation, sub: Subgoal, fusion: str = "reduced",
            alphabet: Alphabet | None = None) -> np.ndarray:
-    if mode is None:
-        mode = default_mode(obs.kind)
-    if mode is FusionMode.GridValues:
-        return np.concatenate([obs.not_ap, reduce_grid(obs, sub).ravel()])
-    if mode is FusionMode.LidarMin:
+    """Policy input for one observation under one subgoal.  Any fusion but
+    "raw" reduces by the observation's kind."""
+    if fusion != "raw":
+        if obs.kind == "grid":
+            return np.concatenate([obs.not_ap, reduce_grid(obs, sub).ravel()])
         return reduce_lidar(obs, sub)
     if alphabet is None:
-        raise ValueError("raw mode needs the alphabet to encode the subgoal")
+        raise ValueError("raw fusion needs the alphabet to encode the subgoal")
     flat = np.concatenate([obs.not_ap, obs.ap.ravel().astype(np.float64)])
     return np.concatenate([flat, encode_subgoal(sub, alphabet)])
 
 
-def reduced_dim(config: EnvConfig, mode: FusionMode | None = None) -> int:
-    """Input width of the policy for a given environment and fusion mode."""
+def reduced_dim(config: EnvConfig, fusion: str = "reduced") -> int:
+    """Input width of the policy for a given environment and fusion."""
     grid = config.grid_size * config.grid_size
-    if mode is None:
-        mode = default_mode("grid" if config.env == "letterworld" else "lidar")
-    if mode is FusionMode.GridValues:
-        return grid
-    if mode is FusionMode.LidarMin:
-        return 3 + 2 * config.lidar_beams
+    if fusion != "raw":
+        return (grid if config.env == "letterworld"
+                else 3 + 2 * config.lidar_beams)
     n = len(config.letters)
     raw = grid if config.env == "letterworld" else 3 + n * config.lidar_beams
     return raw + n + (1 << n)

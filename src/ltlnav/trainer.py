@@ -25,12 +25,12 @@ import numpy as np
 
 from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .nets import (
-    AdamState, MlpSpec, adam_init, adam_step, backward, categorical_logp,
-    categorical_logp_grad, forward, forward_tape, gaussian_logp,
-    gaussian_logp_grad, head_to_json, init_params, n_params,
+    AdamState, JsonFields, MlpSpec, adam_init, adam_step, backward,
+    categorical_logp, categorical_logp_grad, forward, forward_tape,
+    gaussian_logp, gaussian_logp_grad, head_to_json, init_params, n_params,
     sample_categorical, sample_gaussian,
 )
-from .reduction import FusionMode, reduce, reduced_dim
+from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, build_universe, sample_subgoal
 
 __all__ = [
@@ -79,7 +79,7 @@ class NonFiniteError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(JsonFields):
     gamma: float = 0.94
     lam_gae: float = 0.95
     clip_eps: float = 0.2
@@ -101,7 +101,7 @@ class TrainerConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip_eps must be in (0, 1)")
-        if self.fusion not in ("reduced", "raw"):
+        if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
         for name in ("n_per_iter", "minibatch", "epochs", "workers"):
             if getattr(self, name) < 1:
@@ -110,32 +110,6 @@ class TrainerConfig:
             raise ValueError("n_per_iter must be divisible by workers")
         object.__setattr__(self, "actor_hidden", tuple(self.actor_hidden))
         object.__setattr__(self, "value_hidden", tuple(self.value_hidden))
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma, "lam_gae": self.lam_gae,
-            "clip_eps": self.clip_eps, "lr": self.lr,
-            "multiplier_lr": self.multiplier_lr,
-            "total_interactions": self.total_interactions,
-            "n_per_iter": self.n_per_iter, "minibatch": self.minibatch,
-            "epochs": self.epochs, "workers": self.workers, "seed": self.seed,
-            "fusion": self.fusion,
-            "actor_hidden": list(self.actor_hidden),
-            "value_hidden": list(self.value_hidden),
-            "stats_window": self.stats_window,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "TrainerConfig":
-        known = set(TrainerConfig().to_json())
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown trainer config keys {sorted(extra)}")
-        kwargs = dict(d)
-        for key in ("actor_hidden", "value_hidden"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return TrainerConfig(**kwargs)
 
 
 @dataclass
@@ -324,8 +298,7 @@ class Trainer:
         if universe is None:
             universe = build_universe(achievable_assignments(env_config))
         self.universe = list(universe)
-        self.mode = FusionMode.RawBitvector if config.fusion == "raw" else None
-        dim = reduced_dim(env_config, self.mode)
+        dim = reduced_dim(env_config, config.fusion)
         init_rng = stream_rng(config.seed, STREAM_POLICY_INIT)
         if env_config.env == "letterworld":
             policy_spec = MlpSpec(dim, config.actor_hidden, "categorical", 4)
@@ -353,7 +326,7 @@ class Trainer:
         self.log = []
 
     def _reduce(self, obs, sub: Subgoal) -> np.ndarray:
-        return reduce(obs, sub, self.mode, self.alphabet)
+        return reduce(obs, sub, self.config.fusion, self.alphabet)
 
     def _reset_worker(self, worker: _Worker) -> None:
         obs = worker.env.reset(worker.env_rng)

@@ -90,6 +90,27 @@ class TestCompileShapes:
         assert aut.accepts_lasso(Lasso((), (aut.alphabet.mask("p14"),)))
         assert aut.out(sink) == [(TRUE, sink)]
 
+    def test_sink_absorbs_past_ten_propositions(self):
+        # guard narrowing checks each narrowed guard over its own atoms, so
+        # it runs whatever the size of the support
+        f = parse(" | ".join(f"F p{i}" for i in range(11)))
+        aut = compile_formula(f, None)
+        (sink,) = aut.classify().accepting_sink
+        for i in range(11):
+            letter = aut.alphabet.mask(f"p{i}")
+            assert aut.step(frozenset({aut.initial}), letter) == {sink}
+        rng = np.random.default_rng(11)
+        letters = [0] + [1 << i for i in range(11)]
+        weights = [0.8] + [0.2 / 11] * 11
+
+        def word(lo):
+            n = int(rng.integers(lo, 5))
+            return tuple(int(x) for x in rng.choice(letters, n, p=weights))
+
+        for _ in range(300):
+            w = Lasso(word(0), word(1))
+            assert aut.accepts_lasso(w) == eval_lasso(f, w, aut.alphabet)
+
     def test_unsatisfiable_formula_has_empty_language(self):
         aut = compile_str("a & !a")
         assert aut.classify().live == frozenset()

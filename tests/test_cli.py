@@ -5,6 +5,7 @@ import pytest
 from ltlnav import executor
 from ltlnav.buchi import BuchiAutomaton
 from ltlnav.cli import main
+from test_trainer import zone_checkpoint
 
 F_A_DOT = """\
 digraph buchi {
@@ -163,6 +164,21 @@ class TestTrain:
         assert "Traceback" not in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("env", [
+        {"env": "letterworld", "grid_size": -7},
+        {"env": "zonesim", "arena_half_extent": 0.3},   # no room for a zone
+    ])
+    def test_bad_env_config_exit_4(self, tmp_path, capsys, env):
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["env"] = env
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "ckpt.json"
+        assert main(["train", "--config", str(path),
+                     "--checkpoint", str(ckpt)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()
@@ -211,6 +227,7 @@ class TestEval:
         (lambda c: c.update(version=2), "unsupported checkpoint version 2"),
         (lambda c: c["env"].update(grid_size=7),
          "checkpoint head 'policy' takes 25 inputs"),
+        (lambda c: c.update(fusion="conv"), "unknown fusion 'conv'"),
     ])
     def test_bad_checkpoint_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, edit, message):
@@ -263,3 +280,19 @@ class TestTrace:
                      "--seed", "1"]) == 0
         line = capsys.readouterr().out.strip().split("\n")[-1]
         assert json.loads(line)["episode"] == 0
+
+    def test_zone_svg(self, tmp_path, capsys):
+        ckpt = tmp_path / "zone.json"
+        ckpt.write_text(json.dumps(zone_checkpoint()))
+        svg = tmp_path / "zone.svg"
+        argv = ["trace", "--spec", "F blue", "--checkpoint", str(ckpt),
+                "--seed", "0", "--svg", str(svg)]
+        assert main(argv) == 0
+        first = svg.read_bytes()
+        text = first.decode()
+        # 4 colors x 2 zones, plus the start and end markers
+        assert text.count("<circle") == 8 + 2
+        assert "<polyline" in text
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert svg.read_bytes() == first

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -31,11 +33,22 @@ class TestConfig:
         assert z.max_steps == 1000
 
     def test_json_round_trip(self):
+        # every field away from its default, including the ones the env
+        # does not read
+        away = dict(grid_size=5, letters=("blue", "green"),
+                    copies_per_letter=3, zones_per_color=1, zone_radius=0.7,
+                    lidar_beams=8, max_steps=40, overlap_mode=True,
+                    arena_half_extent=3.0,
+                    fixed_zones=(("blue", (0.0, 1.0), 0.4),),
+                    agent_start=(0.5, -0.5))
         for c in (grid_config(grid_size=5, letters=tuple("abcd")),
-                  zone_config(overlap_mode=True, lidar_beams=8,
-                              fixed_zones=(("blue", (0.0, 1.0), 0.4),),
-                              agent_start=(0.5, -0.5))):
-            assert EnvConfig.from_json(c.to_json()) == c
+                  grid_config(zone_radius=0.7),
+                  grid_config(**away), zone_config(**away)):
+            blob = c.to_json()
+            assert list(blob) == [f.name for f in fields(EnvConfig)]
+            # JSON-native values: a tuple would not survive json.loads
+            assert json.loads(json.dumps(blob)) == blob
+            assert EnvConfig.from_json(blob) == c
 
     def test_legacy_seed_key_dropped(self):
         # checkpoints written before the layout seed was removed still load
@@ -51,6 +64,8 @@ class TestConfig:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             grid_config(grid_size=3, letters=tuple("abcd"), copies_per_letter=3)
+        with pytest.raises(ValueError, match="grid_size"):
+            grid_config(grid_size=-7)
         with pytest.raises(ValueError):
             zone_config(lidar_beams=3)
         with pytest.raises(ValueError):

@@ -357,9 +357,11 @@ class TestMetrics:
             assert rep.eta_s == 1.0
             assert rep.mu is not None and rep.mu > 0
             assert rep.n == 4 and rep.seeds == (0, 1, 2)
-            assert set(rep.to_json()) == {
-                "spec", "eta_s", "eta_v", "eta_o", "mu", "mu_acc",
-                "seeds", "n"}
+            blob = rep.to_json()
+            assert list(blob) == ["spec", "eta_s", "eta_v", "eta_o", "mu",
+                                  "mu_acc", "seeds", "n"]
+            assert blob["seeds"] == [0, 1, 2]
+            assert EvalReport.from_json(blob) == rep
 
     def test_evaluate_mu_null_without_successes(self):
         config = grid_config(max_steps=20)

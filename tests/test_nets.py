@@ -9,7 +9,6 @@ from ltlnav.nets import (
     categorical_logp_grad, forward, forward_tape, gaussian_logp,
     gaussian_logp_grad, head_from_json, head_to_json, init_params,
     mean_action, n_params, sample_categorical, sample_gaussian, softmax,
-    spec_from_json, spec_to_json,
 )
 
 
@@ -295,13 +294,11 @@ class TestCheckpoint:
             spec = random_spec(rng, head)
             params = init_params(spec, rng)
             blob = json.dumps(head_to_json(spec, params))
+            assert list(json.loads(blob)["spec"]) == [
+                "in_dim", "hidden", "head", "out_dim"]
             spec2, params2 = head_from_json(json.loads(blob))
             assert spec2 == spec
             assert np.array_equal(params, params2)
-
-    def test_spec_round_trip(self):
-        spec = MlpSpec(10, (64, 64, 64), "gaussian", 2)
-        assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_bad_param_count_rejected(self):
         spec = MlpSpec(4, (5,), "scalar", 1)

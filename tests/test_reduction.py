@@ -4,8 +4,8 @@ import pytest
 from gen import small_alphabet
 from ltlnav.envs import EnvConfig, Observation
 from ltlnav.reduction import (
-    FusionMode, V_AVOID, V_NEUTRAL, V_REACH,
-    default_mode, reduce, reduce_grid, reduce_lidar, reduced_dim,
+    V_AVOID, V_NEUTRAL, V_REACH, reduce, reduce_grid, reduce_lidar,
+    reduced_dim,
 )
 from ltlnav.subgoals import Subgoal, encode_subgoal
 
@@ -171,16 +171,12 @@ class TestEquivariance:
 
 
 class TestDispatch:
-    def test_default_modes(self):
-        assert default_mode("grid") is FusionMode.GridValues
-        assert default_mode("lidar") is FusionMode.LidarMin
-
     def test_raw_mode_layout(self):
         rng = np.random.default_rng(9)
         obs = lidar_obs(rng, 3, k=4)
         sub = Subgoal(1, frozenset({2}))
         ab = small_alphabet(3)
-        out = reduce(obs, sub, FusionMode.RawBitvector, ab)
+        out = reduce(obs, sub, "raw", ab)
         assert out.shape == (3 + 12 + 3 + 8,)
         assert np.array_equal(out[:3], obs.not_ap)
         assert np.array_equal(out[3:15], obs.ap.ravel())
@@ -189,12 +185,15 @@ class TestDispatch:
     def test_raw_mode_needs_alphabet(self):
         obs = lidar_obs(np.random.default_rng(10), 3)
         with pytest.raises(ValueError):
-            reduce(obs, Subgoal(1, frozenset()), FusionMode.RawBitvector)
+            reduce(obs, Subgoal(1, frozenset()), "raw")
 
     def test_kind_mismatch_rejected(self):
-        obs = lidar_obs(np.random.default_rng(11), 3)
+        lobs = lidar_obs(np.random.default_rng(11), 3)
+        gobs = grid_obs(np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
-            reduce(obs, Subgoal(1, frozenset()), FusionMode.GridValues)
+            reduce_grid(lobs, Subgoal(1, frozenset()))
+        with pytest.raises(ValueError):
+            reduce_lidar(gobs, Subgoal(1, frozenset()))
 
     def test_outputs_are_flat_float(self):
         rng = np.random.default_rng(12)
@@ -225,8 +224,8 @@ class TestReducedDim:
         cfg4 = EnvConfig(env="zonesim")
         letters = ("blue", "green", "magenta", "yellow", "red", "cyan")
         cfg6 = EnvConfig(env="zonesim", letters=letters)
-        d4 = reduced_dim(cfg4, FusionMode.RawBitvector)
-        d6 = reduced_dim(cfg6, FusionMode.RawBitvector)
+        d4 = reduced_dim(cfg4, "raw")
+        d6 = reduced_dim(cfg6, "raw")
         assert d4 == 3 + 4 * 16 + 4 + 16
         assert d6 == 3 + 6 * 16 + 6 + 64
         assert d6 > d4
@@ -238,5 +237,5 @@ class TestReducedDim:
         sub = Subgoal(1, frozenset({2}))
         assert reduce(obs, sub).shape == (reduced_dim(cfg),)
         from ltlnav.envs import alphabet_for
-        raw = reduce(obs, sub, FusionMode.RawBitvector, alphabet_for(cfg))
-        assert raw.shape == (reduced_dim(cfg, FusionMode.RawBitvector),)
+        raw = reduce(obs, sub, "raw", alphabet_for(cfg))
+        assert raw.shape == (reduced_dim(cfg, "raw"),)

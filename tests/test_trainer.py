@@ -2,11 +2,13 @@ import json
 import math
 import os
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ltlnav.envs import EnvConfig
+from ltlnav.envs import EnvConfig, make_env
+from ltlnav.executor import PolicyAgent
 from ltlnav.nets import (
     MlpSpec, categorical_logp, forward, head_from_json, init_params, n_params,
 )
@@ -32,6 +34,13 @@ def small_trainer_config(**kw):
                 value_hidden=(16,))
     base.update(kw)
     return TrainerConfig(**base)
+
+
+def zone_checkpoint() -> dict:
+    """Checkpoint of a tiny gaussian policy after two ZoneSim iterations."""
+    cfg = small_trainer_config(total_interactions=128, n_per_iter=64,
+                               minibatch=32, epochs=1, workers=2)
+    return train(cfg, EnvConfig(env="zonesim", max_steps=25))["checkpoint"]
 
 
 # -- signals ------------------------------------------------------------------
@@ -462,10 +471,35 @@ class TestTrainer:
         for name in ("n_per_iter", "minibatch", "epochs", "workers"):
             with pytest.raises(ValueError, match=name):
                 TrainerConfig(**{name: 0})
-        cfg = small_trainer_config()
-        assert TrainerConfig.from_json(cfg.to_json()) == cfg
+        # every field away from its default
+        for cfg in (small_trainer_config(),
+                    TrainerConfig(gamma=0.9, lam_gae=0.9, clip_eps=0.1,
+                                  lr=1e-3, multiplier_lr=1e-2,
+                                  total_interactions=1000, n_per_iter=64,
+                                  minibatch=32, epochs=3, workers=2, seed=7,
+                                  fusion="raw", actor_hidden=(8,),
+                                  value_hidden=(8, 8), stats_window=50)):
+            blob = cfg.to_json()
+            assert list(blob) == [f.name for f in fields(TrainerConfig)]
+            assert json.loads(json.dumps(blob)) == blob
+            assert TrainerConfig.from_json(blob) == cfg
         with pytest.raises(ValueError):
             TrainerConfig.from_json({"momentum": 0.9})
+
+    def test_gaussian_policy_trains_on_zonesim(self):
+        runs = [zone_checkpoint() for _ in range(2)]
+        ckpt = runs[0]
+        assert ckpt["heads"]["policy"]["spec"]["head"] == "gaussian"
+        for name, head in ckpt["heads"].items():
+            assert head["params"] == runs[1]["heads"][name]["params"]
+            assert np.all(np.isfinite(head["params"]))
+        loaded = json.loads(json.dumps(ckpt))
+        assert loaded == ckpt
+        agent = PolicyAgent.from_checkpoint(loaded)
+        env = make_env(agent.env_config)
+        action = agent.act(env.reset(np.random.default_rng(0)),
+                           Subgoal(1, frozenset({2})))
+        assert action.shape == (2,) and np.all(np.isfinite(action))
 
     def test_crash_keeps_finished_log_records(self, tmp_path, monkeypatch):
         # the log is appended per iteration, so a divergence at iteration 3
