@@ -125,6 +125,8 @@ def cmd_inspect_subgoals(args) -> int:
 def cmd_train(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got {cfg!r}")
     allowed = {"env", "trainer", "checkpoint", "log"}
     unknown = set(cfg) - allowed
     if unknown:

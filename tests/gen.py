@@ -1,12 +1,14 @@
-"""Seeded random generators, a brute-force successor oracle and a
-scripted-label env shared across test modules."""
+"""Seeded random generators, a brute-force successor oracle, a
+zone-by-zone lidar and a scripted-label env shared across test modules."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ltlnav.buchi import BuchiAutomaton, Transition
-from ltlnav.envs import EnvConfig, Observation
+from ltlnav.envs import SENSOR_RANGE, EnvConfig, Observation, ZoneSimState
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
     Or, Release, Until, eval_bool,
@@ -86,6 +88,30 @@ def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
     """Successors of q under one letter, straight from the guards."""
     return {t.dst for t in aut.transitions
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
+
+
+def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:
+    """Normalized closeness per beam for one proposition's zones, casting
+    the k beams at one zone at a time."""
+    angles = state.heading + 2 * math.pi * np.arange(k) / k
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    dist = np.full(k, np.inf)
+    for z in state.zones:
+        if z.color != prop:
+            continue
+        m = np.asarray(z.center) - state.position
+        m2 = float(m @ m)
+        if m2 <= z.radius * z.radius:
+            dist[:] = 0.0
+            break
+        b = dirs @ m
+        disc = b * b - (m2 - z.radius * z.radius)
+        hit = disc >= 0
+        t = b[hit] - np.sqrt(disc[hit])
+        t[t < 0] = np.inf
+        dist[hit] = np.minimum(dist[hit], t)
+    closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0, 1.0)
+    return np.where(np.isfinite(dist), closeness, 0.0)
 
 
 class ScriptEnv:

@@ -154,6 +154,25 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("blob", ["[]", "3", '"env"', "null"])
+    def test_non_object_config_exit_4(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(blob)
+        assert main(["train", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_int_count_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"env": {"env": "letterworld", "max_steps": 2.5}}))
+        ckpt = tmp_path / "ckpt.json"
+        assert main(["train", "--config", str(path),
+                     "--checkpoint", str(ckpt)]) == 4
+        assert "max_steps" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_zero_workers_exit_4(self, tmp_path, capsys):
         cfg = write_train_config(tmp_path)
         ckpt = tmp_path / "ckpt.json"

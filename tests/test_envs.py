@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gen import reference_lidar
 from ltlnav.envs import (
     ACCEL, DT, MAX_SPEED, SENSOR_RANGE, TURN_RATE,
     EnvConfig, LayoutInfeasible, LetterWorld, ZoneSim,
@@ -72,6 +73,13 @@ class TestConfig:
             zone_config(zone_radius=0.0)
         with pytest.raises(ValueError):
             EnvConfig(env="mujoco")
+        # counts are ints: no float, and no bool although bool is an int
+        for env in ("letterworld", "zonesim"):
+            for name in ("grid_size", "copies_per_letter", "zones_per_color",
+                         "lidar_beams", "max_steps"):
+                for bad in (2.5, 16.0, True, "7", None):
+                    with pytest.raises(ValueError, match=name):
+                        EnvConfig(env=env, **{name: bad})
 
     def test_achievable_assignments(self):
         assert achievable_assignments(grid_config()) == tuple(
@@ -300,14 +308,14 @@ class TestLidar:
                           agent_start=(0.1, 0.1))
         env = ZoneSim(cfg)
         env.reset(np.random.default_rng(0))
-        assert np.array_equal(env.lidar(0), np.ones(16))
+        assert np.array_equal(env.observe().ap[0], np.ones(16))
 
     def test_absent_color_all_zeros(self):
         cfg = zone_config(fixed_zones=(("blue", (0.0, 0.0), 0.4),),
                           agent_start=(2.0, 2.0))
         env = ZoneSim(cfg)
         env.reset(np.random.default_rng(0))
-        assert np.array_equal(env.lidar(1), np.zeros(16))
+        assert np.array_equal(env.observe().ap[1], np.zeros(16))
 
     def test_dead_ahead_closed_form(self):
         for d in (0.3, 1.0, 2.0):
@@ -316,7 +324,7 @@ class TestLidar:
             env = ZoneSim(cfg)
             env.reset(np.random.default_rng(0))
             env.state.heading = 0.0
-            beam0 = env.lidar(0)[0]
+            beam0 = env.observe().ap[0, 0]
             assert beam0 == pytest.approx(1 - d / SENSOR_RANGE, abs=1e-9)
 
     def test_matches_ray_marching_oracle(self):
@@ -325,8 +333,9 @@ class TestLidar:
         for trial in range(20):
             env.reset(np.random.default_rng(trial))
             st = env.state
+            ap = env.observe().ap
             for prop in range(4):
-                got = env.lidar(prop)
+                got = ap[prop]
                 for i in [0, 5, 11]:
                     angle = st.heading + 2 * math.pi * i / 16
                     u = np.array([math.cos(angle), math.sin(angle)])
@@ -349,10 +358,10 @@ class TestLidar:
         env = ZoneSim(cfg)
         env.reset(np.random.default_rng(0))
         env.state.heading = 0.0
-        prev = env.lidar(0)[0]
+        prev = env.observe().ap[0, 0]
         for _ in range(60):
-            env.step((1.0, 0.0))
-            cur = env.lidar(0)[0]
+            obs, _, _ = env.step((1.0, 0.0))
+            cur = obs.ap[0, 0]
             assert cur >= prev - 1e-12
             prev = cur
             if cur == 1.0:
@@ -365,9 +374,64 @@ class TestLidar:
         for seed in range(5):
             env.reset(np.random.default_rng(seed))
             for _ in range(80):
-                _, label, _ = env.step(rng.uniform(-1, 1, size=2))
+                obs, label, _ = env.step(rng.uniform(-1, 1, size=2))
                 for p in range(4):
-                    assert (label >> p) & 1 == (env.lidar(p).max() == 1.0)
+                    assert (label >> p) & 1 == (obs.ap[p].max() == 1.0)
+
+
+def assert_lidar_matches_reference(env, obs):
+    k = env.config.lidar_beams
+    for p in range(env.alphabet.n):
+        want = reference_lidar(env.state, p, k)
+        assert np.array_equal(obs.ap[p], want)
+        assert obs.ap[p].tobytes() == want.tobytes()
+
+
+def run_against_reference(env, seeds, steps):
+    rng = np.random.default_rng(17)
+    for seed in seeds:
+        obs = env.reset(np.random.default_rng(seed))
+        assert_lidar_matches_reference(env, obs)
+        for _ in range(steps):
+            obs, _, _ = env.step(rng.uniform(-1, 1, size=2))
+            assert_lidar_matches_reference(env, obs)
+
+
+class TestLidarMatchesReference:
+    """observe() casts every zone and beam in one array pass; each row
+    must equal the zone-by-zone reference byte for byte."""
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_random_trajectories(self, overlap):
+        env = ZoneSim(zone_config(overlap_mode=overlap))
+        run_against_reference(env, seeds=range(12), steps=60)
+
+    @pytest.mark.parametrize("layout,start", [
+        ((("blue", (0.5, -0.3), 0.4),), (-1.5, 0.5)),
+        ((("green", (0.0, 0.0), 0.6), ("blue", (1.5, 1.5), 0.4)),
+         (0.1, 0.1)),
+        ((("blue", (0.0, 0.0), 0.5), ("yellow", (0.4, 0.0), 0.5),
+          ("magenta", (-1.8, 1.2), 0.3)), (0.2, 0.0)),
+        ((("yellow", (1.0, 1.0), 0.4), ("yellow", (-1.0, -1.0), 0.4),
+          ("blue", (1.0, -1.0), 0.3)), (0.0, 0.0)),
+    ], ids=["single-zone", "start-inside", "overlapping-colors",
+            "two-of-one-color"])
+    def test_fixed_layouts(self, layout, start):
+        env = ZoneSim(zone_config(fixed_zones=layout, agent_start=start,
+                                  lidar_beams=8))
+        run_against_reference(env, seeds=range(4), steps=40)
+
+    def test_inside_and_overlapping_rows(self):
+        env = ZoneSim(zone_config(
+            fixed_zones=(("blue", (0.0, 0.0), 0.5),
+                         ("yellow", (0.4, 0.0), 0.5)),
+            agent_start=(0.2, 0.0)))
+        obs = env.reset(np.random.default_rng(0))
+        assert env.label() == 0b1001
+        assert np.array_equal(obs.ap[0], np.ones(16))
+        assert np.array_equal(obs.ap[3], np.ones(16))
+        assert np.array_equal(obs.ap[1:3], np.zeros((2, 16)))
+        assert_lidar_matches_reference(env, obs)
 
 
 def test_make_env_dispatch():
