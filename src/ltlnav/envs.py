@@ -107,6 +107,14 @@ class EnvConfig(JsonFields):
             for name, (x, y), r in self.fixed_zones))
         object.__setattr__(
             self, "agent_start", tuple(float(v) for v in self.agent_start))
+        # a LetterWorld start names a grid cell: reject fractions rather
+        # than let reset truncate them
+        if self.env == "letterworld" and self.agent_start and not (
+                len(self.agent_start) == 2
+                and all(v.is_integer() and 0 <= v < self.grid_size
+                        for v in self.agent_start)):
+            raise ValueError(f"agent_start {self.agent_start!r} is not a cell "
+                             f"of the {self.grid_size}x{self.grid_size} grid")
 
     @classmethod
     def from_json(cls, d: dict) -> "EnvConfig":
@@ -167,7 +175,14 @@ class LetterWorld:
         self.config = config
         self.alphabet = alphabet_for(config)
         self.state: LetterWorldState | None = None
-        self._grid = None                # static (G, G) prop-index array
+        self._cells = None               # static flat (G*G,) prop-index array
+        # _view_ix[ar, ac] gathers the egocentric (G, G) view centered on
+        # cell (ar, ac) out of the flat grid.  With the agent in row a, view
+        # row i shows grid row shift[a, i] = (a + i - G//2) % G; columns
+        # alike.  The table holds G**4 indices.
+        g = config.grid_size
+        shift = (np.arange(g)[:, None] + np.arange(g) - g // 2) % g
+        self._view_ix = shift[:, None, :, None] * g + shift[None, :, None, :]
 
     def reset(self, rng: np.random.Generator) -> Observation:
         g = self.config.grid_size
@@ -179,8 +194,6 @@ class LetterWorld:
         if self.config.agent_start:
             agent = (int(self.config.agent_start[0]),
                      int(self.config.agent_start[1]))
-            if not (0 <= agent[0] < g and 0 <= agent[1] < g):
-                raise ValueError("agent_start outside the grid")
         else:
             for _ in range(_SPAWN_ATTEMPTS):
                 agent = cells[int(rng.integers(len(cells)))]
@@ -192,7 +205,7 @@ class LetterWorld:
         grid = np.full((g, g), -1, dtype=np.int64)
         for (r, c), p in placement.items():
             grid[r, c] = p
-        self._grid = grid
+        self._cells = grid.ravel()
         return self.observe()
 
     def step(self, action: int):
@@ -211,11 +224,9 @@ class LetterWorld:
         return 0 if p is None else 1 << p
 
     def observe(self) -> Observation:
-        g = self.config.grid_size
-        center = g // 2
         ar, ac = self.state.agent
-        view = np.roll(self._grid, (center - ar, center - ac), axis=(0, 1))
-        return Observation("grid", np.zeros(0), view)
+        return Observation("grid", np.zeros(0),
+                           self._cells[self._view_ix[ar, ac]])
 
 
 class ZoneSim:

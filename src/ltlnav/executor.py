@@ -19,7 +19,7 @@ from .envs import (
     make_env,
 )
 from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
-from .nets import JsonFields, forward, head_from_json, mean_action
+from .nets import JsonFields, forward, head_from_json, mean_action, unpack
 from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
 from .trainer import STREAM_EVAL, stream_rng
@@ -89,18 +89,28 @@ class PolicyAgent:
     """Deterministic wrapper around a trained checkpoint.
 
     Actions come from the mean of the policy head; candidate scores are
-    V_r(s) - lambda(s) * V_h(s) on the subgoal-reduced observation.
+    V_r(s) - lambda(s) * V_h(s) on the subgoal-reduced observation.  The
+    heads are unpacked once, with v_r, v_h and lam stacked so one forward
+    pass scores a candidate.
     """
+
+    VALUE_HEADS = ("v_r", "v_h", "lam")
 
     def __init__(self, heads: dict, env_config: EnvConfig, fusion: str,
                  mu_subgoal: int | None = None):
         if fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {fusion!r}")
-        self.heads = heads
+        if set(heads) != {"policy", *self.VALUE_HEADS}:
+            raise ValueError(f"checkpoint heads {sorted(heads)}, expected "
+                             f"policy, v_r, v_h and lam")
         self.env_config = env_config
         self.fusion = fusion
         self.alphabet = alphabet_for(env_config)
         self.mu_subgoal = mu_subgoal
+        spec, params = heads["policy"]
+        self._policy = spec, unpack(spec, params)
+        specs, params = zip(*(heads[name] for name in self.VALUE_HEADS))
+        self._values = specs, unpack(specs, params)
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "PolicyAgent":
@@ -122,19 +132,13 @@ class PolicyAgent:
     def _vec(self, obs, sub: Subgoal) -> np.ndarray:
         return reduce(obs, sub, self.fusion, self.alphabet)
 
-    def _head(self, name: str, x: np.ndarray):
-        spec, params = self.heads[name]
-        return spec, forward(spec, params, x)
-
     def act(self, obs, sub: Subgoal):
-        spec, out = self._head("policy", self._vec(obs, sub))
-        return mean_action(spec, out)
+        spec, layers = self._policy
+        return mean_action(spec, forward(spec, layers, self._vec(obs, sub)))
 
     def score(self, obs, sub: Subgoal) -> float:
-        x = self._vec(obs, sub)
-        v_r = float(self._head("v_r", x)[1])
-        v_h = float(self._head("v_h", x)[1])
-        lam = float(self._head("lam", x)[1])
+        specs, layers = self._values
+        v_r, v_h, lam = forward(specs, layers, self._vec(obs, sub)).tolist()
         return v_r - lam * v_h
 
 

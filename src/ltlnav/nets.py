@@ -4,8 +4,11 @@ Parameters live in one flat float64 vector per network so optimizer state
 and checkpoints stay trivial.  Hidden layers use tanh; four output heads
 cover the policy (categorical or diagonal gaussian), the two value
 functions (scalar), and the nonnegative multiplier (softplus scalar).
-Backward passes are hand-rolled reverse mode over the activations the
-forward pass recorded, checked against finite differences in the tests.
+Callers that run fixed weights many times unpack them into per-layer
+views once, and may stack same-shaped value heads so that one pass
+evaluates all of them.  Backward passes are hand-rolled reverse mode over
+the activations the forward pass recorded, checked against finite
+differences in the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
-    "JsonFields", "MlpSpec", "AdamState", "n_params", "init_params", "forward",
-    "forward_tape", "backward", "adam_init", "adam_step",
+    "JsonFields", "MlpSpec", "AdamState", "n_params", "init_params",
+    "unpack", "forward", "forward_tape", "backward", "adam_init", "adam_step",
     "sample_categorical", "categorical_logp", "categorical_logp_grad",
     "sample_gaussian", "gaussian_logp", "gaussian_logp_grad",
     "mean_action", "softmax", "head_to_json", "head_from_json",
@@ -108,14 +111,39 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _unpack(spec: MlpSpec, params: np.ndarray):
     dims = spec.dims
-    ws, bs, at = [], [], 0
+    wts, bs, at = [], [], 0
     for i, o in zip(dims, dims[1:]):
-        ws.append(params[at:at + o * i].reshape(o, i))
+        wts.append(params[at:at + o * i].reshape(o, i).T)
         at += o * i
         bs.append(params[at:at + o])
         at += o
     log_std = params[at:at + spec.out_dim] if spec.head == "gaussian" else None
-    return ws, bs, log_std
+    return wts, bs, log_std
+
+
+def unpack(spec, params):
+    """Flat params split into layers once, for forward to run many times:
+    (wts, bs, log_std) of views, with wts[l] layer l's weight matrix
+    transposed, (in, out), bs[l] its bias (out,) and log_std the gaussian
+    head's (out_dim,), else None.
+
+    With spec a tuple of MlpSpecs of one shape and params their flat
+    vectors in that order, scalar and nonneg heads stack on a leading head
+    axis, copied: wts[l] (K, in, out), bs[l] (K, 1, out).  Each stacked
+    weight keeps the memory layout of its own head's view, so a stacked
+    forward makes the same per-head BLAS calls, and gives the same bits,
+    as running the heads one by one."""
+    if isinstance(spec, MlpSpec):
+        return _unpack(spec, params)
+    if len({s.dims for s in spec}) != 1:
+        raise ValueError("stacked heads differ in shape: "
+                         f"{[s.dims for s in spec]}")
+    if any(s.head not in ("scalar", "nonneg") for s in spec):
+        raise ValueError("only scalar and nonneg heads stack")
+    wts, bs, _ = zip(*(_unpack(s, p) for s, p in zip(spec, params)))
+    return ([np.stack([wt.T for wt in layer]).swapaxes(-1, -2)
+             for layer in zip(*wts)],
+            [np.stack(layer)[:, None, :] for layer in zip(*bs)], None)
 
 
 def _softplus(z):
@@ -126,36 +154,50 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def forward_tape(spec: MlpSpec, params: np.ndarray, x):
+def forward_tape(spec, params, x):
     """(head output, tape).  The output is forward's; the tape holds the
-    per-layer weight views, the hidden activations hs and the pre-head
-    values z, which backward consumes instead of recomputing them."""
+    per-layer transposed weights, the hidden activations hs and the
+    pre-head values z, which backward consumes instead of recomputing them.
+
+    params is the flat vector or what unpack made of it.  For heads
+    stacked by unpack, spec is their tuple of MlpSpecs and the output has
+    one row per head, each through its own head's transform."""
+    stacked = not isinstance(spec, MlpSpec)
+    in_dim = spec[0].in_dim if stacked else spec.in_dim
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+    if x.ndim != 2 or x.shape[1] != in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim "
-                         f"{spec.in_dim}")
-    ws, bs, log_std = _unpack(spec, params)
+                         f"{in_dim}")
+    wts, bs, log_std = (_unpack(spec, params)
+                        if isinstance(params, np.ndarray) else params)
     hs = [x]
-    for w, b in zip(ws[:-1], bs[:-1]):
-        hs.append(np.tanh(hs[-1] @ w.T + b))
-    z = hs[-1] @ ws[-1].T + bs[-1]
-    if spec.head == "categorical":
+    for wt, b in zip(wts[:-1], bs[:-1]):
+        hs.append(np.tanh(hs[-1] @ wt + b))
+    z = hs[-1] @ wts[-1] + bs[-1]
+    if stacked:
+        v = z[..., 0].copy()
+        for k, s in enumerate(spec):
+            if s.head == "nonneg":
+                v[k] = _softplus(v[k])
+        out = v[:, 0] if single else v
+    elif spec.head == "categorical":
         out = z[0] if single else z
     elif spec.head == "gaussian":
         out = (z[0] if single else z), log_std.copy()
     else:
         v = _softplus(z[:, 0]) if spec.head == "nonneg" else z[:, 0]
         out = float(v[0]) if single else v
-    return out, (ws, hs, z)
+    return out, (wts, hs, z)
 
 
-def forward(spec: MlpSpec, params: np.ndarray, x):
+def forward(spec, params, x):
     """Head output: categorical -> logits (B, n); gaussian -> (mean (B, n),
-    log_std (n,)); scalar -> (B,); nonneg -> softplus values (B,).  A 1-D
-    input drops the batch axis in the result."""
+    log_std (n,)); scalar -> (B,); nonneg -> softplus values (B,); K
+    stacked heads -> (K, B).  A 1-D input drops the batch axis in the
+    result."""
     return forward_tape(spec, params, x)[0]
 
 
@@ -167,7 +209,7 @@ def backward(spec: MlpSpec, tape, d_out) -> np.ndarray:
     gaussian -> (d_mean (B, n), d_log_std (n,) or (B, n)); scalar/nonneg ->
     (B,) on the (post-softplus) value.
     """
-    ws, hs, z = tape
+    wts, hs, z = tape
     if spec.head == "categorical":
         dz = np.asarray(d_out, dtype=np.float64)
     elif spec.head == "gaussian":
@@ -180,10 +222,10 @@ def backward(spec: MlpSpec, tape, d_out) -> np.ndarray:
         dz = (dv * _sigmoid(z[:, 0]))[:, None] if spec.head == "nonneg" \
             else dv[:, None]
     grads = []
-    for li in range(len(ws) - 1, -1, -1):
+    for li in range(len(wts) - 1, -1, -1):
         grads.append((dz.T @ hs[li], dz.sum(axis=0)))
         if li > 0:
-            dz = (dz @ ws[li]) * (1.0 - hs[li] * hs[li])
+            dz = (dz @ wts[li].T) * (1.0 - hs[li] * hs[li])
     flat = []
     for dw, db in reversed(grads):
         flat.append(dw.ravel())
@@ -293,4 +335,7 @@ def head_from_json(d: dict) -> tuple[MlpSpec, np.ndarray]:
     if params.size != n_params(spec):
         raise ValueError(f"checkpoint has {params.size} params, spec needs "
                          f"{n_params(spec)}")
+    bad = int(np.count_nonzero(~np.isfinite(params)))
+    if bad:
+        raise ValueError(f"checkpoint has {bad} non-finite params")
     return spec, params

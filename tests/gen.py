@@ -1,5 +1,6 @@
-"""Seeded random generators, a brute-force successor oracle, a
-zone-by-zone lidar and a scripted-label env shared across test modules."""
+"""Seeded random generators, a brute-force successor oracle, a rolled
+LetterWorld view, a zone-by-zone lidar and a scripted-label env shared
+across test modules."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import math
 import numpy as np
 
 from ltlnav.buchi import BuchiAutomaton, Transition
-from ltlnav.envs import SENSOR_RANGE, EnvConfig, Observation, ZoneSimState
+from ltlnav.envs import (
+    SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
+)
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
     Or, Release, Until, eval_bool,
@@ -88,6 +91,17 @@ def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
     """Successors of q under one letter, straight from the guards."""
     return {t.dst for t in aut.transitions
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
+
+
+def reference_view(state: LetterWorldState, g: int) -> np.ndarray:
+    """The egocentric (g, g) view of the layout, rolled so the agent's cell
+    lands on the center cell."""
+    grid = np.full((g, g), -1, dtype=np.int64)
+    for (r, c), p in state.placement.items():
+        grid[r, c] = p
+    center = g // 2
+    ar, ac = state.agent
+    return np.roll(grid, (center - ar, center - ac), axis=(0, 1))
 
 
 def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:

@@ -35,6 +35,10 @@ def write_train_config(tmp_path, seed=3):
     return path
 
 
+def set_params(ckpt, head, value, n):
+    ckpt["heads"][head]["params"][3:3 + n] = [value] * n
+
+
 def train_checkpoint(tmp_path):
     cfg = write_train_config(tmp_path)
     ckpt = tmp_path / "ckpt.json"
@@ -186,6 +190,7 @@ class TestTrain:
     @pytest.mark.parametrize("env", [
         {"env": "letterworld", "grid_size": -7},
         {"env": "zonesim", "arena_half_extent": 0.3},   # no room for a zone
+        {"env": "letterworld", "agent_start": [1.7, -0.5]},  # not a cell
     ])
     def test_bad_env_config_exit_4(self, tmp_path, capsys, env):
         cfg = json.loads(write_train_config(tmp_path).read_text())
@@ -247,6 +252,13 @@ class TestEval:
         (lambda c: c["env"].update(grid_size=7),
          "checkpoint head 'policy' takes 25 inputs"),
         (lambda c: c.update(fusion="conv"), "unknown fusion 'conv'"),
+        (lambda c: set_params(c, "policy", float("nan"), 1),
+         "checkpoint has 1 non-finite params"),
+        (lambda c: set_params(c, "v_r", float("inf"), 2),
+         "checkpoint has 2 non-finite params"),
+        (lambda c: c["heads"].pop("lam"), "expected policy, v_r, v_h and lam"),
+        (lambda c: c["heads"].update(v_h=c["heads"]["policy"]),
+         "stacked heads differ in shape"),
     ])
     def test_bad_checkpoint_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, edit, message):

@@ -1,12 +1,12 @@
 import json
 import math
 from dataclasses import fields
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from gen import reference_lidar
+from gen import reference_lidar, reference_view
 from ltlnav.envs import (
     ACCEL, DT, MAX_SPEED, SENSOR_RANGE, TURN_RATE,
     EnvConfig, LayoutInfeasible, LetterWorld, ZoneSim,
@@ -42,9 +42,11 @@ class TestConfig:
                     arena_half_extent=3.0,
                     fixed_zones=(("blue", (0.0, 1.0), 0.4),),
                     agent_start=(0.5, -0.5))
+        # a LetterWorld start must name a cell of its grid
         for c in (grid_config(grid_size=5, letters=tuple("abcd")),
                   grid_config(zone_radius=0.7),
-                  grid_config(**away), zone_config(**away)):
+                  grid_config(**dict(away, agent_start=(1, 4))),
+                  zone_config(**away)):
             blob = c.to_json()
             assert list(blob) == [f.name for f in fields(EnvConfig)]
             # JSON-native values: a tuple would not survive json.loads
@@ -80,6 +82,13 @@ class TestConfig:
                 for bad in (2.5, 16.0, True, "7", None):
                     with pytest.raises(ValueError, match=name):
                         EnvConfig(env=env, **{name: bad})
+        # a LetterWorld start is a cell of the grid: no fraction (which
+        # reset would truncate), no value off the grid, two coordinates
+        for bad in ((1.7, -0.5), (1.5, 2), (2, 0.25), (-1, 0), (0, 7),
+                    (math.nan, 0), (math.inf, 0), (3,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="agent_start"):
+                grid_config(agent_start=bad)
+        assert grid_config(agent_start=(6.0, 0)).agent_start == (6.0, 0.0)
 
     def test_achievable_assignments(self):
         assert achievable_assignments(grid_config()) == tuple(
@@ -165,6 +174,28 @@ class TestLetterWorld:
         env = LetterWorld(grid_config(agent_start=(2, 3)))
         env.reset(np.random.default_rng(0))
         assert env.state.agent == (2, 3)
+
+
+class TestViewMatchesReference:
+    """observe() gathers the egocentric view through one precomputed index;
+    for every agent cell it must equal the rolled reference byte for byte,
+    dtype included.  Grid size 1 has no valid layout (one letter and the
+    agent's empty cell need two cells), so sizes start at 2."""
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_every_agent_cell(self, g):
+        letters = tuple("abcd")[:min(4, g * g - 1)]
+        copies = max(1, (g * g - 1) // (2 * len(letters)))
+        env = LetterWorld(grid_config(grid_size=g, letters=letters,
+                                      copies_per_letter=copies))
+        for seed in range(3):
+            env.reset(np.random.default_rng(seed))
+            for cell in product(range(g), repeat=2):
+                env.state.agent = cell
+                got = env.observe().ap
+                want = reference_view(env.state, g)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 # -- ZoneSim ------------------------------------------------------------------

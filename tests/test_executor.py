@@ -11,8 +11,11 @@ from ltlnav.executor import (
     select_subgoal, timeout_threshold,
 )
 from ltlnav.ltl import parse
+from ltlnav.nets import forward, mean_action
+from ltlnav.reduction import reduce
 from ltlnav.subgoals import Subgoal, UniverseTooLarge
 from ltlnav.trainer import Trainer, TrainerConfig, stream_rng
+from test_reduction import random_subgoal
 
 
 def grid_config(**kw):
@@ -401,6 +404,45 @@ class TestPolicyAgent:
         assert a in (0, 1, 2, 3)
         assert np.isfinite(agent.score(obs, sub))
         assert agent.act(obs, sub) == a
+
+    @pytest.mark.parametrize("fusion", ["reduced", "raw"])
+    @pytest.mark.parametrize("world", ["letterworld", "zonesim"])
+    def test_act_and_score_equal_per_head_forward(self, world, fusion):
+        # the agent runs layers unpacked at load and scores with v_r, v_h
+        # and lam stacked in one pass; both must give exactly the bits of
+        # running each head's flat params through nets.forward on its own
+        rng = np.random.default_rng(17)
+        config = (grid_config() if world == "letterworld" else
+                  EnvConfig(env="zonesim", overlap_mode=True, max_steps=60))
+        trainer = Trainer(TrainerConfig(fusion=fusion, seed=2,
+                                        actor_hidden=(16, 8),
+                                        value_hidden=(12, 6)), config)
+        # random weights and biases, so no head is near zero and v_r, v_h
+        # and lam all differ
+        for head in trainer.heads.values():
+            head.params = 0.5 * rng.standard_normal(head.params.size)
+        agent = PolicyAgent.from_checkpoint(trainer.checkpoint())
+        heads = {name: (h.spec, h.params) for name, h in trainer.heads.items()}
+        env = make_env(agent.env_config)
+        for ep in range(8):
+            obs = env.reset(stream_rng(ep, 3))
+            for _ in range(25):
+                for _ in range(3):
+                    sub = random_subgoal(rng, agent.alphabet.n)
+                    x = reduce(obs, sub, fusion, agent.alphabet)
+                    out = {name: forward(spec, params, x)
+                           for name, (spec, params) in heads.items()}
+                    want = mean_action(heads["policy"][0], out["policy"])
+                    got = agent.act(obs, sub)
+                    assert type(got) is type(want)
+                    assert np.array_equal(got, want)
+                    if world == "zonesim":
+                        assert got.dtype == want.dtype
+                    assert (agent.score(obs, sub)
+                            == out["v_r"] - out["lam"] * out["v_h"])
+                action = (int(rng.integers(4)) if world == "letterworld"
+                          else rng.uniform(-1, 1, size=2))
+                obs = env.step(action)[0]
 
     def test_evaluate_with_checkpoint_runs(self):
         ckpt = self.small_checkpoint()

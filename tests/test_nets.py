@@ -9,6 +9,7 @@ from ltlnav.nets import (
     categorical_logp_grad, forward, forward_tape, gaussian_logp,
     gaussian_logp_grad, head_from_json, head_to_json, init_params,
     mean_action, n_params, sample_categorical, sample_gaussian, softmax,
+    unpack,
 )
 
 
@@ -144,6 +145,49 @@ class TestForward:
         spec = MlpSpec(4, (5,), "scalar", 1)
         with pytest.raises(ValueError):
             forward(spec, np.zeros(n_params(spec)), np.ones(5))
+
+    @pytest.mark.parametrize("head", ["categorical", "gaussian", "scalar"])
+    def test_unpacked_layers_give_the_same_bits(self, head):
+        rng = np.random.default_rng(9)
+        spec = random_spec(rng, head)
+        params = rng.standard_normal(n_params(spec))
+        layers = unpack(spec, params)
+        for x in (rng.standard_normal(spec.in_dim),
+                  rng.standard_normal((6, spec.in_dim))):
+            want, got = forward(spec, params, x), forward(spec, layers, x)
+            for a, b in zip(*((want, got) if head == "gaussian"
+                              else ((want,), (got,)))):
+                assert np.array_equal(a, b)
+
+    def test_stacked_heads_match_each_head(self):
+        # one row per head, each through its own output transform, equal
+        # bit for bit to running the heads one by one, single or batched
+        # (a single row and a batch row may differ: gemv against gemm)
+        rng = np.random.default_rng(10)
+        specs = tuple(MlpSpec(5, (7, 6), head)
+                      for head in ("scalar", "nonneg", "scalar"))
+        params = [rng.standard_normal(n_params(s)) for s in specs]
+        layers = unpack(specs, params)
+        xs = rng.standard_normal((8, 5))
+        batch = forward(specs, layers, xs)
+        assert batch.shape == (3, 8)
+        for k, (s, p) in enumerate(zip(specs, params)):
+            assert np.array_equal(batch[k], forward(s, p, xs))
+            for x in xs:
+                single = forward(specs, layers, x)
+                assert single.shape == (3,)
+                assert single[k] == forward(s, p, x)
+
+    def test_only_same_shaped_value_heads_stack(self):
+        a = MlpSpec(5, (7,), "scalar")
+        for other in (MlpSpec(5, (6,), "scalar"), MlpSpec(4, (7,), "scalar"),
+                      MlpSpec(5, (7, 7), "nonneg")):
+            with pytest.raises(ValueError, match="differ in shape"):
+                unpack((a, other), [np.zeros(n_params(a)),
+                                    np.zeros(n_params(other))])
+        policy = MlpSpec(5, (7,), "categorical", 1)
+        with pytest.raises(ValueError, match="only scalar and nonneg"):
+            unpack((a, policy), [np.zeros(n_params(a))] * 2)
 
 
 class TestBackward:
