@@ -22,7 +22,6 @@ from functools import reduce
 from .ltl import (
     TRUE, Alphabet, And, Atom, Bool, Formula, Lasso, Next, Not, Or, Release,
     Until, alphabet_of, atoms, eval_bool, format_formula, is_boolean, nnf,
-    parse,
 )
 
 __all__ = [
@@ -217,21 +216,6 @@ class BuchiAutomaton:
                 for t in self.transitions
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BuchiAutomaton":
-        alphabet = Alphabet(tuple(data["alphabet"]))
-        states = data["states"]
-        n = len(states)
-        if sorted(states) != list(range(n)):
-            raise ValueError("states must be dense ints starting at 0")
-        transitions = []
-        for t in data["transitions"]:
-            guard = parse(t["guard"])
-            transitions.append(Transition(int(t["src"]), guard, int(t["dst"])))
-        return cls(alphabet, n, int(data["initial"]),
-                   frozenset(int(q) for q in data["accepting"]),
-                   tuple(transitions))
 
     def to_dot(self) -> str:
         lines = ["digraph buchi {", "  rankdir=LR;", '  node [shape=circle];',

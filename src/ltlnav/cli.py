@@ -41,6 +41,14 @@ def _load_specs(value: str) -> list:
     return [(text, parse(text)) for text in texts]
 
 
+def _load_one_spec(args) -> tuple:
+    """The single (text, formula) that args.spec names."""
+    specs = _load_specs(args.spec)
+    if len(specs) != 1:
+        raise ValueError(f"{args.command} expects exactly one formula")
+    return specs[0]
+
+
 def _resolve_seed(flag_value, config_value=None) -> int:
     """The --seed flag, else GENZ_SEED, else the config's seed, else 0."""
     if flag_value is not None:
@@ -49,7 +57,7 @@ def _resolve_seed(flag_value, config_value=None) -> int:
     if env is not None:
         return int(env)
     if config_value is not None:
-        return int(config_value)
+        return config_value             # TrainerConfig checks its type
     return 0
 
 
@@ -61,23 +69,24 @@ def _subgoal_entry(alphabet: Alphabet, q: int, sub) -> dict:
     }
 
 
-def _spec_alphabet(args, formula) -> Alphabet:
-    if args.props:
-        return Alphabet(tuple(p.strip() for p in args.props.split(",")))
-    return alphabet_of(formula)
-
-
 # -- compile / inspect-subgoals -------------------------------------------------
 
 
-def cmd_compile(args) -> int:
-    specs = _load_specs(args.spec)
-    if len(specs) != 1:
-        raise ValueError("compile expects exactly one formula")
-    text, formula = specs[0]
-    alphabet = _spec_alphabet(args, formula)
+def _compile_spec(args):
+    """(formula, alphabet, automaton, achievable) for the one formula of
+    args.spec, over the --props order or else the formula's atoms; every
+    single proposition counts as achievable."""
+    _, formula = _load_one_spec(args)
+    if args.props:
+        alphabet = Alphabet(tuple(p.strip() for p in args.props.split(",")))
+    else:
+        alphabet = alphabet_of(formula)
     aut = compile_formula(formula, alphabet)
-    achievable = tuple(1 << i for i in range(alphabet.n))
+    return formula, alphabet, aut, tuple(1 << i for i in range(alphabet.n))
+
+
+def cmd_compile(args) -> int:
+    formula, alphabet, aut, achievable = _compile_spec(args)
     subs = extract_subgoals(aut, frozenset({aut.initial}), frozenset(),
                             achievable)
     summary = {
@@ -98,13 +107,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_inspect_subgoals(args) -> int:
-    specs = _load_specs(args.spec)
-    if len(specs) != 1:
-        raise ValueError("inspect-subgoals expects exactly one formula")
-    text, formula = specs[0]
-    alphabet = _spec_alphabet(args, formula)
-    aut = compile_formula(formula, alphabet)
-    achievable = tuple(1 << i for i in range(alphabet.n))
+    formula, alphabet, aut, achievable = _compile_spec(args)
     per_state = {}
     for q in sorted(aut.classify().live):
         subs = extract_subgoals(aut, frozenset({q}), frozenset(), achievable)
@@ -187,59 +190,68 @@ _FALLBACK_FILL = ("#4a90d9", "#4caf50", "#c543c5", "#e0c030", "#e06030",
                   "#30b0a0", "#8050d0", "#a0a030")
 
 
+def _svg(size: float, layout: list, paths: list, pt,
+         border: str = "") -> str:
+    """The frame both worlds share: header, background, the world's own
+    layout rows, each path as one polyline of points mapped through pt to
+    pixels, start and end markers, and footer."""
+    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="0 0 {size:.1f} {size:.1f}">',
+            f'<rect width="{size:.1f}" height="{size:.1f}" fill="#fafafa"'
+            f'{border}/>', *layout]
+    for path in paths:
+        pts = " ".join("{:.1f},{:.1f}".format(*pt(p)) for p in path)
+        rows.append(f'<polyline points="{pts}" fill="none" stroke="#222" '
+                    f'stroke-width="2"/>')
+    sx, sy = pt(paths[0][0])
+    ex, ey = pt(paths[-1][-1])
+    rows.append(f'<circle cx="{sx:.1f}" cy="{sy:.1f}" r="5" fill="#fff" '
+                f'stroke="#222" stroke-width="2"/>')
+    rows.append(f'<circle cx="{ex:.1f}" cy="{ey:.1f}" r="5" fill="#222"/>')
+    rows.append("</svg>")
+    return "\n".join(rows) + "\n"
+
+
 def _zone_svg(env, positions: list) -> str:
     half = env.config.arena_half_extent
     scale = 100.0
-    size = 2 * half * scale
 
-    def pt(x, y):
-        return f"{(x + half) * scale:.1f},{(half - y) * scale:.1f}"
+    def pt(p):
+        return (p[0] + half) * scale, (half - p[1]) * scale
 
-    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="0 0 {size:.1f} {size:.1f}">',
-            f'<rect width="{size:.1f}" height="{size:.1f}" fill="#fafafa" '
-            f'stroke="#333"/>']
+    layout = []
     for z in env.state.zones:
         name = env.config.letters[z.color]
         fill = _ZONE_FILL.get(name, _FALLBACK_FILL[z.color
                                                    % len(_FALLBACK_FILL)])
-        cx, cy = pt(*z.center).split(",")
-        rows.append(f'<circle cx="{cx}" cy="{cy}" r="{z.radius * scale:.1f}" '
-                    f'fill="{fill}" fill-opacity="0.5" stroke="{fill}"/>')
-        rows.append(f'<text x="{cx}" y="{cy}" font-size="14" '
-                    f'text-anchor="middle">{name}</text>')
-    points = " ".join(pt(x, y) for x, y in positions)
-    rows.append(f'<polyline points="{points}" fill="none" stroke="#222" '
-                f'stroke-width="2"/>')
-    sx, sy = pt(*positions[0]).split(",")
-    ex, ey = pt(*positions[-1]).split(",")
-    rows.append(f'<circle cx="{sx}" cy="{sy}" r="5" fill="#fff" '
-                f'stroke="#222" stroke-width="2"/>')
-    rows.append(f'<circle cx="{ex}" cy="{ey}" r="5" fill="#222"/>')
-    rows.append("</svg>")
-    return "\n".join(rows) + "\n"
+        cx, cy = pt(z.center)
+        layout.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" '
+                      f'r="{z.radius * scale:.1f}" fill="{fill}" '
+                      f'fill-opacity="0.5" stroke="{fill}"/>')
+        layout.append(f'<text x="{cx:.1f}" y="{cy:.1f}" font-size="14" '
+                      f'text-anchor="middle">{name}</text>')
+    return _svg(2 * half * scale, layout, [positions], pt,
+                border=' stroke="#333"')
 
 
 def _grid_svg(env, positions: list) -> str:
     g = env.config.grid_size
     s = 40.0
     size = g * s
-    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="0 0 {size:.1f} {size:.1f}">',
-            f'<rect width="{size:.1f}" height="{size:.1f}" fill="#fafafa"/>']
+    layout = []
     for i in range(g + 1):
         v = i * s
-        rows.append(f'<line x1="{v:.1f}" y1="0" x2="{v:.1f}" '
-                    f'y2="{size:.1f}" stroke="#ddd"/>')
-        rows.append(f'<line x1="0" y1="{v:.1f}" x2="{size:.1f}" '
-                    f'y2="{v:.1f}" stroke="#ddd"/>')
+        layout.append(f'<line x1="{v:.1f}" y1="0" x2="{v:.1f}" '
+                      f'y2="{size:.1f}" stroke="#ddd"/>')
+        layout.append(f'<line x1="0" y1="{v:.1f}" x2="{size:.1f}" '
+                      f'y2="{v:.1f}" stroke="#ddd"/>')
     for (r, c), p in sorted(env.state.placement.items()):
-        rows.append(f'<text x="{c * s + s / 2:.1f}" y="{r * s + s / 2 + 5:.1f}" '
-                    f'font-size="18" text-anchor="middle">'
-                    f'{env.config.letters[p]}</text>')
+        layout.append(f'<text x="{c * s + s / 2:.1f}" '
+                      f'y="{r * s + s / 2 + 5:.1f}" font-size="18" '
+                      f'text-anchor="middle">{env.config.letters[p]}</text>')
 
-    def center(cell):
-        return (cell[1] * s + s / 2, cell[0] * s + s / 2)
+    def pt(cell):
+        return cell[1] * s + s / 2, cell[0] * s + s / 2
 
     # split the path where it wraps around the torus edge
     segments, current = [], [positions[0]]
@@ -249,17 +261,7 @@ def _grid_svg(env, positions: list) -> str:
             current = []
         current.append(cur)
     segments.append(current)
-    for seg in segments:
-        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(center, seg))
-        rows.append(f'<polyline points="{pts}" fill="none" stroke="#222" '
-                    f'stroke-width="2"/>')
-    sx, sy = center(positions[0])
-    ex, ey = center(positions[-1])
-    rows.append(f'<circle cx="{sx:.1f}" cy="{sy:.1f}" r="5" fill="#fff" '
-                f'stroke="#222" stroke-width="2"/>')
-    rows.append(f'<circle cx="{ex:.1f}" cy="{ey:.1f}" r="5" fill="#222"/>')
-    rows.append("</svg>")
-    return "\n".join(rows) + "\n"
+    return _svg(size, layout, segments, pt)
 
 
 def _render_svg(env, positions: list) -> str:
@@ -271,10 +273,7 @@ def _render_svg(env, positions: list) -> str:
 def cmd_trace(args) -> int:
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
-    specs = _load_specs(args.spec)
-    if len(specs) != 1:
-        raise ValueError("trace expects exactly one formula")
-    text, formula = specs[0]
+    text, formula = _load_one_spec(args)
     seed = _resolve_seed(args.seed)
     _, (episodes,) = evaluate([formula], ckpt, n_traj=args.n, seeds=(seed,),
                               eps_scale=args.eps_scale,
@@ -294,7 +293,7 @@ def cmd_trace(args) -> int:
         atomic_write_text(args.out, text_out)
     else:
         print(text_out, end="")
-    if args.svg and episodes:
+    if args.svg:
         # the layout is the first draw from episode 0's stream
         env = make_env(EnvConfig.from_json(ckpt["env"]))
         env.reset(stream_rng(seed, STREAM_EVAL, 0))

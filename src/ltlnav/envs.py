@@ -73,11 +73,11 @@ class EnvConfig(JsonFields):
     def __post_init__(self):
         if self.env not in ("letterworld", "zonesim"):
             raise ValueError(f"unknown env kind {self.env!r}")
-        for name in ("grid_size", "copies_per_letter", "zones_per_color",
-                     "lidar_beams", "max_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        self._require_ints("grid_size", "copies_per_letter",
+                           "zones_per_color", "lidar_beams", "max_steps")
+        if not isinstance(self.overlap_mode, bool):
+            raise ValueError(f"overlap_mode must be a bool, got "
+                             f"{self.overlap_mode!r}")
         if not self.letters:
             default = DEFAULT_LETTERS if self.env == "letterworld" else DEFAULT_COLORS
             object.__setattr__(self, "letters", default)
@@ -166,7 +166,6 @@ class ZoneSimState:
 class LetterWorld:
     """Torus grid; each cell holds at most one letter; labels are singletons."""
 
-    ACTION_NAMES = ("up", "down", "left", "right")
     _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
     def __init__(self, config: EnvConfig):

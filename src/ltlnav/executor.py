@@ -14,10 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .buchi import BuchiAutomaton, compile_formula
-from .envs import (
-    DT, MAX_SPEED, TURN_RATE, EnvConfig, achievable_assignments, alphabet_for,
-    make_env,
-)
+from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
 from .nets import JsonFields, forward, head_from_json, mean_action, unpack
 from .reduction import FUSIONS, reduce, reduced_dim
@@ -28,8 +25,7 @@ __all__ = [
     "SUCCESS", "VIOLATION", "OTHER",
     "SATISFIED", "VIOLATED", "UNDETERMINED",
     "Outcome", "EvalReport", "timeout_threshold",
-    "PolicyAgent", "ScriptedGridAgent", "ScriptedZoneAgent",
-    "select_subgoal", "run_episode", "classify_trace_oracle",
+    "PolicyAgent", "select_subgoal", "run_episode", "classify_trace_oracle",
     "accepting_run_count", "evaluate",
 ]
 
@@ -129,117 +125,18 @@ class PolicyAgent:
                     f"{dim}")
         return agent
 
-    def _vec(self, obs, sub: Subgoal) -> np.ndarray:
-        return reduce(obs, sub, self.fusion, self.alphabet)
+    def _row(self, obs, sub: Subgoal) -> np.ndarray:
+        """The reduced observation as a one-row batch, (1, D)."""
+        return reduce(obs, sub, self.fusion, self.alphabet)[None]
 
     def act(self, obs, sub: Subgoal):
         spec, layers = self._policy
-        return mean_action(spec, forward(spec, layers, self._vec(obs, sub)))
+        return mean_action(spec, forward(spec, layers, self._row(obs, sub)))[0]
 
     def score(self, obs, sub: Subgoal) -> float:
         specs, layers = self._values
-        v_r, v_h, lam = forward(specs, layers, self._vec(obs, sub)).tolist()
+        v_r, v_h, lam = forward(specs, layers, self._row(obs, sub))[:, 0].tolist()
         return v_r - lam * v_h
-
-
-class ScriptedGridAgent:
-    """Hand-coded torus-grid navigator used when no checkpoint is trained.
-
-    Walks toward the nearest cell carrying the reach letter, refusing moves
-    that land on a letter in the avoid set.
-    """
-
-    def __init__(self, env):
-        self.env = env
-
-    def _delta(self, a: int, b: int) -> int:
-        g = self.env.config.grid_size
-        return (b - a + g // 2) % g - g // 2
-
-    def _targets(self, sub: Subgoal) -> list[tuple[int, int]]:
-        return [cell for cell, p in self.env.state.placement.items()
-                if (1 << p) == sub.reach]
-
-    def _distance(self, cell: tuple[int, int], sub: Subgoal) -> int:
-        ar, ac = cell
-        return min(abs(self._delta(ar, tr)) + abs(self._delta(ac, tc))
-                   for tr, tc in self._targets(sub))
-
-    def act(self, obs, sub: Subgoal) -> int:
-        g = self.env.config.grid_size
-        ar, ac = self.env.state.agent
-        placement = self.env.state.placement
-        ranked = []
-        for action, (dr, dc) in enumerate(self.env._MOVES):
-            cell = ((ar + dr) % g, (ac + dc) % g)
-            ranked.append((self._distance(cell, sub), action, cell))
-        ranked.sort()
-        for _, action, cell in ranked:
-            p = placement.get(cell)
-            if p is None or (1 << p) not in sub.avoid:
-                return action
-        return ranked[0][1]
-
-    def score(self, obs, sub: Subgoal) -> float:
-        return -float(self._distance(self.env.state.agent, sub))
-
-
-class ScriptedZoneAgent:
-    """Hand-coded point-robot navigator for the zone environment.
-
-    Steers to the closest point whose label would equal the reach
-    assignment (a zone center, or the midpoint of a zone pair for two-color
-    assignments) while skirting zones whose color appears in the avoid set.
-    """
-
-    def __init__(self, env):
-        self.env = env
-
-    def _zone_pairs(self, props: list[int]):
-        a, b = props
-        return [(za, zb) for za in self.env.state.zones if za.color == a
-                for zb in self.env.state.zones if zb.color == b]
-
-    def _target(self, sub: Subgoal) -> np.ndarray:
-        zones = self.env.state.zones
-        pos = self.env.state.position
-        props = [i for i in range(len(self.env.config.letters))
-                 if sub.reach >> i & 1]
-        if len(props) == 1:
-            centers = [np.asarray(z.center) for z in zones
-                       if z.color == props[0]]
-        else:
-            centers = [(np.asarray(za.center) + np.asarray(zb.center)) / 2.0
-                       for za, zb in self._zone_pairs(props)]
-        return min(centers, key=lambda c: float(np.linalg.norm(c - pos)))
-
-    def _avoid_zones(self, sub: Subgoal):
-        colors = set()
-        for mask in sub.avoid:
-            colors.update(i for i in range(len(self.env.config.letters))
-                          if mask >> i & 1)
-        return [z for z in self.env.state.zones if z.color in colors]
-
-    def act(self, obs, sub: Subgoal) -> np.ndarray:
-        st = self.env.state
-        vec = self._target(sub) - st.position
-        dist = float(np.linalg.norm(vec))
-        for z in self._avoid_zones(sub):
-            away = st.position - z.center
-            d = float(np.linalg.norm(away))
-            margin = z.radius + 0.3
-            if 1e-9 < d < margin:
-                vec = vec + away / d * 4.0 * (margin - d)
-        desired = math.atan2(vec[1], vec[0])
-        diff = math.remainder(desired - st.heading, 2 * math.pi)
-        turn = float(np.clip(diff / (TURN_RATE * DT), -1.0, 1.0))
-        brake = dist < 0.3 and st.speed > 0.5 * MAX_SPEED
-        accel = -1.0 if (abs(diff) > 1.2 or brake) else 1.0
-        return np.array([accel, turn])
-
-    def score(self, obs, sub: Subgoal) -> float:
-        return -float(np.linalg.norm(self._target(sub) -
-                                     self.env.state.position))
 
 
 # -- subgoal selection and the episode loop ------------------------------------
@@ -402,16 +299,25 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
              seeds=(0, 1, 2, 3, 4), horizon_multiplier: int = 1,
              eps_scale: float = 0.5, switching: bool = True,
              env_config: EnvConfig | None = None, agent_factory=None,
-             record_traces: bool = False, timeout: int | None = None):
+             record_traces: bool = False):
     """Run each spec over seeds x episodes and aggregate outcome rates.
 
     Agents come from the checkpoint unless agent_factory(env) is given
-    (scripted baselines). Returns a list of EvalReport aligned with specs;
-    with record_traces, returns (reports, traces) where traces[i] is the
+    (scripted baselines); the switching timeout comes from the agent's
+    mu_subgoal. Returns a list of EvalReport aligned with specs; with
+    record_traces, returns (reports, traces) where traces[i] is the
     per-episode (outcome, trace) list for specs[i].
     """
     if checkpoint is None and agent_factory is None:
         raise ValueError("need a checkpoint or an agent_factory")
+    seeds = tuple(seeds)
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if horizon_multiplier < 1:
+        raise ValueError(f"horizon_multiplier must be at least 1, got "
+                         f"{horizon_multiplier}")
     if env_config is None:
         env_config = EnvConfig.from_json(checkpoint["env"])
     if horizon_multiplier != 1:
@@ -427,8 +333,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     else:
         agent = PolicyAgent.from_checkpoint(checkpoint)
         mu = agent.mu_subgoal
-    if timeout is None:
-        timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)
+    timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)
 
     reports = []
     all_traces = []
@@ -458,7 +363,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
                         outcome.accepting_visits))
                 if record_traces:
                     spec_traces.append((outcome, trace))
-        total = len(tuple(seeds)) * n_traj
+        total = len(seeds) * n_traj
         eta_s = n_s / total
         eta_v = n_v / total
         reports.append(EvalReport(
@@ -466,7 +371,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
             eta_s=eta_s, eta_v=eta_v, eta_o=1.0 - eta_s - eta_v,
             mu=float(np.mean(steps_to)) if steps_to else None,
             mu_acc=float(np.mean(acc_counts)) if acc_counts else None,
-            seeds=tuple(seeds), n=n_traj))
+            seeds=seeds, n=n_traj))
         all_traces.append(spec_traces)
     if record_traces:
         return reports, all_traces

@@ -89,7 +89,6 @@ TRUE = Bool(True)
 FALSE = Bool(False)
 
 _UNARY = (Not, Next, Eventually, Always)
-_BINARY = (And, Or, Until, Release)
 
 
 @dataclass(frozen=True)
@@ -311,10 +310,9 @@ def atoms(f: Formula) -> frozenset[str]:
     return atoms(f.lhs) | atoms(f.rhs)
 
 
-def alphabet_of(f: Formula, extra: tuple[str, ...] = ()) -> Alphabet:
-    """Alphabet from the formula's atoms (sorted), plus optional extra names."""
-    names = sorted(atoms(f) | set(extra))
-    return Alphabet(tuple(names))
+def alphabet_of(f: Formula) -> Alphabet:
+    """Alphabet from the formula's atoms, sorted."""
+    return Alphabet(tuple(sorted(atoms(f))))
 
 
 def nnf(f: Formula) -> Formula:

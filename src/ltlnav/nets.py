@@ -45,6 +45,13 @@ class JsonFields:
             raise ValueError(f"unknown {cls.__name__} keys {sorted(extra)}")
         return cls(**d)
 
+    def _require_ints(self, *names: str) -> None:
+        # a bool is an int to Python, never to a config
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+
 
 def _json_native(value):
     if isinstance(value, tuple):
@@ -155,9 +162,10 @@ def _sigmoid(z):
 
 
 def forward_tape(spec, params, x):
-    """(head output, tape).  The output is forward's; the tape holds the
-    per-layer transposed weights, the hidden activations hs and the
-    pre-head values z, which backward consumes instead of recomputing them.
+    """(head output, tape) for a (B, in_dim) batch of rows.  The output is
+    forward's; the tape holds the per-layer transposed weights, the hidden
+    activations hs and the pre-head values z, which backward consumes
+    instead of recomputing them.
 
     params is the flat vector or what unpack made of it.  For heads
     stacked by unpack, spec is their tuple of MlpSpecs and the output has
@@ -165,12 +173,9 @@ def forward_tape(spec, params, x):
     stacked = not isinstance(spec, MlpSpec)
     in_dim = spec[0].in_dim if stacked else spec.in_dim
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != in_dim:
-        raise ValueError(f"input shape {x.shape} does not match in_dim "
-                         f"{in_dim}")
+        raise ValueError(f"input shape {x.shape} is not (rows, in_dim "
+                         f"{in_dim})")
     wts, bs, log_std = (_unpack(spec, params)
                         if isinstance(params, np.ndarray) else params)
     hs = [x]
@@ -178,26 +183,24 @@ def forward_tape(spec, params, x):
         hs.append(np.tanh(hs[-1] @ wt + b))
     z = hs[-1] @ wts[-1] + bs[-1]
     if stacked:
-        v = z[..., 0].copy()
+        out = z[..., 0].copy()
         for k, s in enumerate(spec):
             if s.head == "nonneg":
-                v[k] = _softplus(v[k])
-        out = v[:, 0] if single else v
+                out[k] = _softplus(out[k])
     elif spec.head == "categorical":
-        out = z[0] if single else z
+        out = z
     elif spec.head == "gaussian":
-        out = (z[0] if single else z), log_std.copy()
+        out = z, log_std.copy()
     else:
-        v = _softplus(z[:, 0]) if spec.head == "nonneg" else z[:, 0]
-        out = float(v[0]) if single else v
+        out = _softplus(z[:, 0]) if spec.head == "nonneg" else z[:, 0]
     return out, (wts, hs, z)
 
 
 def forward(spec, params, x):
-    """Head output: categorical -> logits (B, n); gaussian -> (mean (B, n),
-    log_std (n,)); scalar -> (B,); nonneg -> softplus values (B,); K
-    stacked heads -> (K, B).  A 1-D input drops the batch axis in the
-    result."""
+    """Head output for a (B, in_dim) batch: categorical -> logits (B, n);
+    gaussian -> (mean (B, n), log_std (n,)); scalar -> (B,); nonneg ->
+    softplus values (B,); K stacked heads -> (K, B).  A single input is
+    the batch x[None] of one row."""
     return forward_tape(spec, params, x)[0]
 
 
@@ -249,15 +252,19 @@ def adam_init(size: int) -> AdamState:
     return AdamState(np.zeros(size), np.zeros(size))
 
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> np.ndarray:
+              lr: float = 3e-4) -> np.ndarray:
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * grad
-    state.v = beta2 * state.v + (1 - beta2) * grad * grad
-    m_hat = state.m / (1 - beta1 ** state.t)
-    v_hat = state.v / (1 - beta2 ** state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = _ADAM_BETA1 * state.m + (1 - _ADAM_BETA1) * grad
+    state.v = _ADAM_BETA2 * state.v + (1 - _ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1 - _ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1 - _ADAM_BETA2 ** state.t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # -- action distributions -----------------------------------------------------
@@ -315,10 +322,12 @@ def gaussian_logp_grad(mean, log_std, actions):
 
 
 def mean_action(spec: MlpSpec, head_out):
+    """Deterministic action per row of a batched policy head output: the
+    argmax of the logits as an int, or the gaussian mean (n,)."""
     if spec.head == "categorical":
-        return int(np.argmax(head_out))
+        return head_out.argmax(axis=-1).tolist()
     if spec.head == "gaussian":
-        return np.array(head_out[0], dtype=np.float64)
+        return head_out[0]
     raise ValueError("mean_action is defined for policy heads only")
 
 

@@ -22,6 +22,9 @@ __all__ = [
     "encode_subgoal", "sample_subgoal",
 ]
 
+# rejection draws before sample_subgoal filters the universe for a label
+_SAMPLE_TRIES = 64
+
 
 @dataclass(frozen=True)
 class Subgoal:
@@ -168,8 +171,7 @@ def encode_subgoal(sub: Subgoal, alphabet: Alphabet) -> np.ndarray:
 
 
 def sample_subgoal(universe: list[Subgoal], rng: np.random.Generator,
-                   current_label: int | None = None,
-                   max_tries: int = 64) -> Subgoal:
+                   current_label: int | None = None) -> Subgoal:
     """Uniform draw; with a current label, only subgoals that the label
     neither satisfies nor violates are admissible."""
     if not universe:
@@ -177,7 +179,7 @@ def sample_subgoal(universe: list[Subgoal], rng: np.random.Generator,
     n = len(universe)
     if current_label is None:
         return universe[int(rng.integers(n))]
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         sub = universe[int(rng.integers(n))]
         if sub.reach != current_label and current_label not in sub.avoid:
             return sub

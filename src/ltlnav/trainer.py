@@ -103,6 +103,8 @@ class TrainerConfig(JsonFields):
             raise ValueError("clip_eps must be in (0, 1)")
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
+        self._require_ints("total_interactions", "n_per_iter", "minibatch",
+                           "epochs", "workers", "seed", "stats_window")
         for name in ("n_per_iter", "minibatch", "epochs", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -134,10 +136,12 @@ class Rollout:
 
 @dataclass
 class SubgoalStepStats:
-    """Trailing-window statistics of steps needed to complete a subgoal."""
+    """Trailing-window statistics of steps needed to complete a subgoal;
+    the maximum is reported once MIN_COUNT completions are in the window."""
+
+    MIN_COUNT = 100
 
     window: int = 500
-    min_count: int = 100
     values: deque = field(default_factory=deque)
 
     def __post_init__(self):
@@ -148,7 +152,7 @@ class SubgoalStepStats:
 
     @property
     def valid(self) -> bool:
-        return len(self.values) >= self.min_count
+        return len(self.values) >= self.MIN_COUNT
 
     @property
     def maximum(self):
@@ -290,14 +294,11 @@ class _Worker:
 
 
 class Trainer:
-    def __init__(self, config: TrainerConfig, env_config: EnvConfig,
-                 universe: list | None = None):
+    def __init__(self, config: TrainerConfig, env_config: EnvConfig):
         self.config = config
         self.env_config = env_config
         self.alphabet = alphabet_for(env_config)
-        if universe is None:
-            universe = build_universe(achievable_assignments(env_config))
-        self.universe = list(universe)
+        self.universe = build_universe(achievable_assignments(env_config))
         dim = reduced_dim(env_config, config.fusion)
         init_rng = stream_rng(config.seed, STREAM_POLICY_INIT)
         if env_config.env == "letterworld":
@@ -469,6 +470,6 @@ class Trainer:
 
 
 def train(config: TrainerConfig, env_config: EnvConfig,
-          universe: list | None = None, log_path: str | None = None,
+          log_path: str | None = None,
           checkpoint_path: str | None = None) -> dict:
-    return Trainer(config, env_config, universe).run(log_path, checkpoint_path)
+    return Trainer(config, env_config).run(log_path, checkpoint_path)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import gen
+from scripted import ScriptedGridAgent, ScriptedZoneAgent
 from test_nets import fd_grad, random_spec
 from test_reduction import (
     grid_obs, lidar_obs, permute_grid_obs, permute_lidar_obs,
@@ -30,8 +31,7 @@ from ltlnav.buchi import compile_formula
 from ltlnav.envs import EnvConfig, make_env
 from ltlnav.executor import (
     OTHER, SATISFIED, SUCCESS, UNDETERMINED, VIOLATED, VIOLATION,
-    ScriptedGridAgent, ScriptedZoneAgent, accepting_run_count,
-    classify_trace_oracle, evaluate, run_episode,
+    accepting_run_count, classify_trace_oracle, evaluate, run_episode,
 )
 from ltlnav.ltl import Alphabet, eval_lasso, parse
 from ltlnav.nets import backward, forward_tape, n_params
@@ -265,10 +265,10 @@ def test_criterion_07_zero_shot_nesting(desk_checkpoint):
 def test_criterion_08_unsatisfiable_subgoal_switching():
     on = evaluate([ZONE_SPEC], env_config=ZONE_CONFIG,
                   agent_factory=ScriptedZoneAgent, n_traj=20,
-                  seeds=(0, 1, 2, 3, 4), timeout=60)[0]
+                  seeds=(0, 1, 2, 3, 4))[0]
     off = evaluate([ZONE_SPEC], env_config=ZONE_CONFIG,
                    agent_factory=ScriptedZoneAgent, n_traj=20,
-                   seeds=(0, 1, 2, 3, 4), timeout=60, switching=False)[0]
+                   seeds=(0, 1, 2, 3, 4), switching=False)[0]
     _report(8, on.eta_s >= 0.8 and off.eta_s <= 0.1,
             f"switching on eta_s {on.eta_s:.2f}, switching off "
             f"eta_s {off.eta_s:.2f}")

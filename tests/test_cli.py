@@ -1,10 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
-from ltlnav import executor
-from ltlnav.buchi import BuchiAutomaton
-from ltlnav.cli import main
+from ltlnav import envs, executor
+from ltlnav.buchi import compile_formula
+from ltlnav.cli import _render_svg, main
+from ltlnav.envs import EnvConfig, make_env
+from ltlnav.ltl import Alphabet, parse
+from ltlnav.trainer import STREAM_EVAL, stream_rng
+from test_acceptance import ZONE_CONFIG
 from test_trainer import zone_checkpoint
 
 F_A_DOT = """\
@@ -55,8 +60,10 @@ class TestCompile:
                      "--json", str(aut_json)])
         assert code == 0
         assert dot.read_text().strip() == F_A_DOT
-        loaded = BuchiAutomaton.from_json(json.loads(aut_json.read_text()))
-        assert loaded.n_states == 2
+        written = json.loads(aut_json.read_text())
+        aut = compile_formula(parse("F a"), Alphabet(("a",)))
+        assert written == aut.to_json()
+        assert written["states"] == [0, 1]
         summary = json.loads(capsys.readouterr().out)
         assert summary["states"] == 2
         assert summary["initial_subgoals"] == [
@@ -203,6 +210,31 @@ class TestTrain:
         assert "Traceback" not in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("env", "overlap_mode", "false"),
+        ("trainer", "epochs", 1.5),
+        ("trainer", "total_interactions", 1e3),
+        ("trainer", "minibatch", True),
+        ("trainer", "seed", 2.5),
+    ])
+    def test_bad_config_type_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+
+        def no_reset(*args, **kwargs):
+            raise AssertionError("an env was reset under a bad config")
+
+        monkeypatch.setattr(envs.LetterWorld, "reset", no_reset)
+        monkeypatch.setattr(envs.ZoneSim, "reset", no_reset)
+        ckpt = tmp_path / "ckpt.json"
+        assert main(["train", "--config", str(path),
+                     "--checkpoint", str(ckpt)]) == 4
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()
@@ -276,6 +308,29 @@ class TestEval:
                      "--n", "1", "--seeds", "1"]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("eval", ["--n", "0"], "n_traj must be at least 1"),
+        ("eval", ["--n", "-2"], "n_traj must be at least 1"),
+        ("eval", ["--seeds", "0"], "need at least one seed"),
+        ("eval", ["--horizon-mult", "0"], "horizon_multiplier must be"),
+        ("trace", ["--n", "0"], "n_traj must be at least 1"),
+    ], ids=["eval-n-0", "eval-n-neg", "eval-seeds-0", "eval-horizon-0",
+            "trace-n-0"])
+    def test_degenerate_counts_exit_4_before_any_episode(
+            self, tmp_path, capsys, monkeypatch, command, flags, message):
+        ckpt = train_checkpoint(tmp_path)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran with a degenerate count")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        assert main([command, "--spec", "F a", "--checkpoint", str(ckpt),
+                     "--out", str(out), *flags]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["eval"])
@@ -327,3 +382,23 @@ class TestTrace:
         assert main(argv) == 0
         capsys.readouterr()
         assert svg.read_bytes() == first
+
+
+class TestSvg:
+    # the SVG is pure string formatting of a seeded layout and a fixed path,
+    # so its digest is the same on every machine
+    @pytest.mark.parametrize("config,path,digest", [
+        (EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
+                   copies_per_letter=2),
+         # wraps around both torus edges, so the path splits in three
+         [(2, 3), (2, 4), (2, 0), (1, 0), (0, 0), (4, 0), (4, 1)],
+         "6c0097d45cb774f85ff462abf6ccafb89d1b5a1e8c11211e270c4d3dad127fd3"),
+        (ZONE_CONFIG,
+         [(0.0, 0.0), (0.1, 0.25), (-0.2, 0.6), (-0.45, 1.1)],
+         "931c596de6846001352cce55748c05b45d9a4b7a2d86a02bbea0de7e748e1e62"),
+    ], ids=["letterworld", "zonesim"])
+    def test_render_svg_bytes_pinned(self, config, path, digest):
+        env = make_env(config)
+        env.reset(stream_rng(0, STREAM_EVAL, 0))
+        svg = _render_svg(env, path)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest

@@ -6,15 +6,16 @@ from ltlnav.buchi import compile_formula
 from ltlnav.envs import EnvConfig, alphabet_for, make_env
 from ltlnav.executor import (
     OTHER, SATISFIED, SUCCESS, UNDETERMINED, VIOLATED, VIOLATION,
-    EvalReport, Outcome, PolicyAgent, ScriptedGridAgent, ScriptedZoneAgent,
-    accepting_run_count, classify_trace_oracle, evaluate, run_episode,
-    select_subgoal, timeout_threshold,
+    EvalReport, Outcome, PolicyAgent, accepting_run_count,
+    classify_trace_oracle, evaluate, run_episode, select_subgoal,
+    timeout_threshold,
 )
 from ltlnav.ltl import parse
 from ltlnav.nets import forward, mean_action
 from ltlnav.reduction import reduce
 from ltlnav.subgoals import Subgoal, UniverseTooLarge
 from ltlnav.trainer import Trainer, TrainerConfig, stream_rng
+from scripted import ScriptedGridAgent, ScriptedZoneAgent
 from test_reduction import random_subgoal
 
 
@@ -241,7 +242,7 @@ class TestZoneSwitching:
         spec = "(!yellow) U ((blue & green) | magenta)"
         reports = evaluate([spec], env_config=config,
                            agent_factory=ScriptedZoneAgent,
-                           n_traj=3, seeds=(0, 1), timeout=60)
+                           n_traj=3, seeds=(0, 1))
         assert reports[0].eta_s == 1.0
         assert reports[0].eta_v == 0.0
 
@@ -250,8 +251,7 @@ class TestZoneSwitching:
         spec = "(!yellow) U ((blue & green) | magenta)"
         reports = evaluate([spec], env_config=config,
                            agent_factory=ScriptedZoneAgent,
-                           n_traj=3, seeds=(0, 1), timeout=60,
-                           switching=False)
+                           n_traj=3, seeds=(0, 1), switching=False)
         assert reports[0].eta_s == 0.0
 
     def test_marked_pairs_were_attempted_full_window(self):
@@ -429,17 +429,17 @@ class TestPolicyAgent:
             for _ in range(25):
                 for _ in range(3):
                     sub = random_subgoal(rng, agent.alphabet.n)
-                    x = reduce(obs, sub, fusion, agent.alphabet)
+                    x = reduce(obs, sub, fusion, agent.alphabet)[None]
                     out = {name: forward(spec, params, x)
                            for name, (spec, params) in heads.items()}
-                    want = mean_action(heads["policy"][0], out["policy"])
+                    want = mean_action(heads["policy"][0], out["policy"])[0]
                     got = agent.act(obs, sub)
                     assert type(got) is type(want)
                     assert np.array_equal(got, want)
                     if world == "zonesim":
                         assert got.dtype == want.dtype
                     assert (agent.score(obs, sub)
-                            == out["v_r"] - out["lam"] * out["v_h"])
+                            == out["v_r"][0] - out["lam"][0] * out["v_h"][0])
                 action = (int(rng.integers(4)) if world == "letterworld"
                           else rng.uniform(-1, 1, size=2))
                 obs = env.step(action)[0]

@@ -243,7 +243,6 @@ def test_atoms_and_alphabet_of():
     f = parse("(!a U b) & G c")
     assert atoms(f) == frozenset({"a", "b", "c"})
     assert alphabet_of(f).names == ("a", "b", "c")
-    assert alphabet_of(f, extra=("d",)).names == ("a", "b", "c", "d")
 
 
 def test_lasso_rejects_empty_cycle():

@@ -92,13 +92,14 @@ class TestInit:
 class TestForward:
     def test_zero_params_zero_logits(self):
         spec = MlpSpec(4, (5,), "categorical", 3)
-        out = forward(spec, np.zeros(n_params(spec)), np.ones(4))
-        assert np.array_equal(out, np.zeros(3))
+        out = forward(spec, np.zeros(n_params(spec)), np.ones((1, 4)))
+        assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_softplus_of_zero(self):
         spec = MlpSpec(4, (5,), "nonneg", 1)
-        out = forward(spec, np.zeros(n_params(spec)), np.ones(4))
-        assert out == pytest.approx(math.log(2))
+        out = forward(spec, np.zeros(n_params(spec)), np.ones((1, 4)))
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(math.log(2))
 
     def test_nonneg_head_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -121,7 +122,8 @@ class TestForward:
             h = np.tanh(w @ h + b)
         w, rest = rest[:3 * 6].reshape(3, 6), rest[3 * 6:]
         b = rest[:3]
-        assert np.allclose(forward(spec, params, x), w @ h + b, atol=1e-12)
+        assert np.allclose(forward(spec, params, x[None])[0], w @ h + b,
+                           atol=1e-12)
 
     def test_batch_and_single_agree(self):
         rng = np.random.default_rng(6)
@@ -129,22 +131,23 @@ class TestForward:
         params = rng.standard_normal(n_params(spec))
         xs = rng.standard_normal((5, 4))
         batch = forward(spec, params, xs)
-        singles = [forward(spec, params, x) for x in xs]
+        singles = [forward(spec, params, x[None])[0] for x in xs]
         assert np.allclose(batch, singles, atol=0)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(7)
         spec = MlpSpec(6, (8, 8), "gaussian", 2)
         params = rng.standard_normal(n_params(spec))
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         m1, s1 = forward(spec, params, x)
         m2, s2 = forward(spec, params, x)
         assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
 
     def test_dimension_mismatch(self):
         spec = MlpSpec(4, (5,), "scalar", 1)
-        with pytest.raises(ValueError):
-            forward(spec, np.zeros(n_params(spec)), np.ones(5))
+        for x in (np.ones((1, 5)), np.ones(4), np.ones((1, 1, 4))):
+            with pytest.raises(ValueError):
+                forward(spec, np.zeros(n_params(spec)), x)
 
     @pytest.mark.parametrize("head", ["categorical", "gaussian", "scalar"])
     def test_unpacked_layers_give_the_same_bits(self, head):
@@ -152,7 +155,7 @@ class TestForward:
         spec = random_spec(rng, head)
         params = rng.standard_normal(n_params(spec))
         layers = unpack(spec, params)
-        for x in (rng.standard_normal(spec.in_dim),
+        for x in (rng.standard_normal((1, spec.in_dim)),
                   rng.standard_normal((6, spec.in_dim))):
             want, got = forward(spec, params, x), forward(spec, layers, x)
             for a, b in zip(*((want, got) if head == "gaussian"
@@ -173,10 +176,10 @@ class TestForward:
         assert batch.shape == (3, 8)
         for k, (s, p) in enumerate(zip(specs, params)):
             assert np.array_equal(batch[k], forward(s, p, xs))
-            for x in xs:
+            for x in xs[:, None]:
                 single = forward(specs, layers, x)
-                assert single.shape == (3,)
-                assert single[k] == forward(s, p, x)
+                assert single.shape == (3, 1)
+                assert np.array_equal(single[k], forward(s, p, x))
 
     def test_only_same_shaped_value_heads_stack(self):
         a = MlpSpec(5, (7,), "scalar")
@@ -319,10 +322,11 @@ class TestDistributions:
 
     def test_mean_actions(self):
         spec_c = MlpSpec(3, (4,), "categorical", 3)
-        assert mean_action(spec_c, np.array([0.1, 2.0, -1.0])) == 1
+        logits = np.array([[0.1, 2.0, -1.0], [3.0, 3.0, 0.0]])
+        assert mean_action(spec_c, logits) == [1, 0]
         spec_g = MlpSpec(3, (4,), "gaussian", 2)
-        out = (np.array([0.3, -0.2]), np.array([-0.5, -0.5]))
-        assert np.array_equal(mean_action(spec_g, out), [0.3, -0.2])
+        out = (np.array([[0.3, -0.2]]), np.array([-0.5, -0.5]))
+        assert np.array_equal(mean_action(spec_g, out), [[0.3, -0.2]])
 
     def test_softmax_normalizes(self):
         rng = np.random.default_rng(17)

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from gen import small_alphabet
+from scripted import ScriptedGridAgent
 from ltlnav import buchi, envs, executor, ltl, subgoals, trainer
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,7 +52,7 @@ def test_install_traces_the_episode_loop():
         tracing.install(tracer)
         _, traces = executor.evaluate(
             ["(!a) U (b & F c)"], env_config=config,
-            agent_factory=executor.ScriptedGridAgent, n_traj=3, seeds=(0,),
+            agent_factory=ScriptedGridAgent, n_traj=3, seeds=(0,),
             record_traces=True)
     finally:
         tracer.restore()

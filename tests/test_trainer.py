@@ -534,7 +534,7 @@ class TestTrainer:
 
 class TestSubgoalStepStats:
     def test_validity_threshold(self):
-        stats = SubgoalStepStats(window=500, min_count=100)
+        stats = SubgoalStepStats(window=500)
         for i in range(99):
             stats.add(10)
         assert not stats.valid and stats.maximum is None
@@ -542,7 +542,7 @@ class TestSubgoalStepStats:
         assert stats.valid and stats.maximum == 25
 
     def test_trailing_window(self):
-        stats = SubgoalStepStats(window=100, min_count=10)
+        stats = SubgoalStepStats(window=100)
         stats.add(999)
         for _ in range(100):
             stats.add(7)
