@@ -14,6 +14,7 @@ differences in the tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,9 +22,10 @@ import numpy as np
 __all__ = [
     "JsonFields", "MlpSpec", "AdamState", "n_params", "init_params",
     "unpack", "forward", "forward_tape", "backward", "adam_init", "adam_step",
-    "sample_categorical", "categorical_logp", "categorical_logp_grad",
-    "sample_gaussian", "gaussian_logp", "gaussian_logp_grad",
-    "mean_action", "softmax", "head_to_json", "head_from_json",
+    "categorical_cdf", "sample_categorical", "categorical_logp",
+    "categorical_logp_grad", "sample_gaussian", "gaussian_logp",
+    "gaussian_logp_grad", "mean_action", "softmax", "head_to_json",
+    "head_from_json",
 ]
 
 HEADS = ("categorical", "gaussian", "scalar", "nonneg")
@@ -276,10 +278,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sample_categorical(logits: np.ndarray, rng: np.random.Generator):
-    p = softmax(logits)
-    action = int(rng.choice(len(p), p=p))
-    return action, float(categorical_logp(logits, action))
+def categorical_cdf(logits: np.ndarray) -> np.ndarray:
+    """Per-row normalized CDF of softmax(logits), built as
+    rng.choice(n, p=softmax(row)) builds it."""
+    cdf = np.cumsum(softmax(logits), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def sample_categorical(cdf_row, rng: np.random.Generator) -> int:
+    """One action from a row of categorical_cdf (a sequence of floats):
+    the same draw, and the same generator advance, as rng.choice(n, p=p)."""
+    return bisect_right(cdf_row, rng.random())
 
 
 def categorical_logp(logits: np.ndarray, actions) -> np.ndarray:
@@ -301,10 +311,8 @@ def categorical_logp_grad(logits: np.ndarray, actions) -> np.ndarray:
 
 
 def sample_gaussian(mean: np.ndarray, log_std: np.ndarray,
-                    rng: np.random.Generator):
-    std = np.exp(log_std)
-    action = mean + std * rng.standard_normal(mean.shape)
-    return action, float(gaussian_logp(mean, log_std, action))
+                    rng: np.random.Generator) -> np.ndarray:
+    return mean + np.exp(log_std) * rng.standard_normal(mean.shape)
 
 
 def gaussian_logp(mean, log_std, actions) -> np.ndarray:

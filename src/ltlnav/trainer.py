@@ -26,9 +26,9 @@ import numpy as np
 from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .nets import (
     AdamState, JsonFields, MlpSpec, adam_init, adam_step, backward,
-    categorical_logp, categorical_logp_grad, forward, forward_tape,
-    gaussian_logp, gaussian_logp_grad, head_to_json, init_params, n_params,
-    sample_categorical, sample_gaussian,
+    categorical_cdf, categorical_logp, categorical_logp_grad, forward,
+    forward_tape, gaussian_logp, gaussian_logp_grad, head_to_json,
+    init_params, n_params, sample_categorical, sample_gaussian,
 )
 from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, build_universe, sample_subgoal
@@ -341,16 +341,25 @@ class Trainer:
         if n % w_count:
             raise ValueError("collection size must be divisible by workers")
         pol = self.heads["policy"]
-        steps = []   # one tuple per transition, in Rollout's field order
+        categorical = pol.spec.head == "categorical"
+        steps = []   # one tuple per transition: Rollout's fields but logp
+        logps = []   # one array of W log-probs per step
         for _ in range(n // w_count):
             vecs = np.stack([w.vec for w in self.workers])
             out = forward(pol.spec, pol.params, vecs)
+            # one softmax and CDF for all rows; each row's uniform is still
+            # drawn in the worker loop, because sample_subgoal draws from
+            # the same generator between them
+            if categorical:
+                cdfs = categorical_cdf(out).tolist()
+            actions = []
             for i, worker in enumerate(self.workers):
-                if pol.spec.head == "categorical":
-                    action, logp = sample_categorical(out[i], self.rollout_rng)
+                if categorical:
+                    action = sample_categorical(cdfs[i], self.rollout_rng)
                 else:
-                    action, logp = sample_gaussian(out[0][i], out[1],
-                                                   self.rollout_rng)
+                    action = sample_gaussian(out[0][i], out[1],
+                                             self.rollout_rng)
+                actions.append(action)
                 obs2, label, done = worker.env.step(action)
                 r, h = signals(label, worker.sub)
                 worker.steps_on_sub += 1
@@ -365,14 +374,17 @@ class Trainer:
                             current_label=label)
                         worker.steps_on_sub = 0
                 next_vec = self._reduce(obs2, worker.sub)
-                steps.append((vecs[i], next_vec, action, logp, float(r),
-                              float(h), terminal, boundary))
+                steps.append((vecs[i], next_vec, action, float(r), float(h),
+                              terminal, boundary))
                 if boundary:
                     self._reset_worker(worker)
                 else:
                     worker.vec = next_vec
+            logps.append(categorical_logp(out, actions) if categorical
+                         else gaussian_logp(*out, np.stack(actions)))
         self.interactions += n
-        return Rollout(*(np.asarray(col) for col in zip(*steps)))
+        obs, next_obs, actions, *rest = (np.asarray(col) for col in zip(*steps))
+        return Rollout(obs, next_obs, actions, np.concatenate(logps), *rest)
 
     def _advantages(self, roll: Rollout) -> dict:
         cfg = self.config

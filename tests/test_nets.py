@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ltlnav.nets import (
-    AdamState, MlpSpec, adam_init, adam_step, backward, categorical_logp,
-    categorical_logp_grad, forward, forward_tape, gaussian_logp,
-    gaussian_logp_grad, head_from_json, head_to_json, init_params,
-    mean_action, n_params, sample_categorical, sample_gaussian, softmax,
-    unpack,
+    AdamState, MlpSpec, adam_init, adam_step, backward, categorical_cdf,
+    categorical_logp, categorical_logp_grad, forward, forward_tape,
+    gaussian_logp, gaussian_logp_grad, head_from_json, head_to_json,
+    init_params, mean_action, n_params, sample_categorical, sample_gaussian,
+    softmax, unpack,
 )
 
 
@@ -276,12 +276,36 @@ class TestDistributions:
     def test_categorical_sampling_frequencies(self):
         rng = np.random.default_rng(13)
         logits = np.log(np.array([0.6, 0.3, 0.1]))
+        cdf = categorical_cdf(logits).tolist()
+        assert cdf[-1] == 1.0
         counts = np.zeros(3)
         for _ in range(20_000):
-            a, logp = sample_categorical(logits, rng)
-            counts[a] += 1
-            assert logp == pytest.approx(float(categorical_logp(logits, a)))
+            counts[sample_categorical(cdf, rng)] += 1
         assert np.allclose(counts / 20_000, [0.6, 0.3, 0.1], atol=0.02)
+
+    def test_batched_cdf_draw_is_per_row_choice(self):
+        # the oracle is one rng.choice(n, p=softmax(row)) per row and a
+        # per-row categorical_logp: the same actions, the same logp bits and
+        # the same generator position
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            rows, n = int(rng.integers(1, 17)), int(rng.integers(2, 7))
+            scale = float(rng.choice([0.01, 1.0, 5.0, 40.0]))
+            logits = rng.standard_normal((rows, n)) * scale
+            if rng.random() < 0.1:
+                logits[:, 1] = logits[:, 0]    # ties
+            seed = int(rng.integers(2 ** 32))
+            ref, got_rng = np.random.default_rng(seed), \
+                np.random.default_rng(seed)
+            want = [int(ref.choice(n, p=softmax(row))) for row in logits]
+            want_logp = np.array([categorical_logp(row, a)
+                                  for row, a in zip(logits, want)])
+            got = [sample_categorical(cdf, got_rng)
+                   for cdf in categorical_cdf(logits).tolist()]
+            assert got == want
+            assert (categorical_logp(logits, got).tobytes()
+                    == want_logp.tobytes())
+            assert got_rng.bit_generator.state == ref.bit_generator.state
 
     def test_gaussian_logp_matches_scipy(self):
         from scipy.stats import norm
@@ -314,11 +338,26 @@ class TestDistributions:
             assert d_ls[i] == pytest.approx(fd, abs=1e-6)
 
     def test_gaussian_sample_logp_consistent(self):
-        rng = np.random.default_rng(16)
         mean = np.array([0.5, -1.0])
         log_std = np.array([-0.5, 0.1])
-        a, logp = sample_gaussian(mean, log_std, rng)
-        assert logp == pytest.approx(float(gaussian_logp(mean, log_std, a)))
+        a = sample_gaussian(mean, log_std, np.random.default_rng(16))
+        z = np.random.default_rng(16).standard_normal(2)
+        assert np.array_equal(a, mean + np.exp(log_std) * z)
+        want = -0.5 * z @ z - log_std.sum() - math.log(2 * math.pi)
+        assert gaussian_logp(mean, log_std, a) == pytest.approx(want)
+
+    def test_batched_gaussian_logp_is_per_row(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            rows, n = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+            mean = rng.standard_normal((rows, n)) * 2
+            log_std = rng.standard_normal(n) * 0.5
+            actions = np.stack([sample_gaussian(m, log_std, rng)
+                                for m in mean])
+            want = np.array([gaussian_logp(m, log_std, a)
+                             for m, a in zip(mean, actions)])
+            got = gaussian_logp(mean, log_std, actions)
+            assert got.tobytes() == want.tobytes()
 
     def test_mean_actions(self):
         spec_c = MlpSpec(3, (4,), "categorical", 3)

@@ -10,7 +10,8 @@ import pytest
 from ltlnav.envs import EnvConfig, make_env
 from ltlnav.executor import PolicyAgent
 from ltlnav.nets import (
-    MlpSpec, categorical_logp, forward, head_from_json, init_params, n_params,
+    MlpSpec, categorical_logp, forward, gaussian_logp, head_from_json,
+    init_params, n_params,
 )
 from ltlnav.subgoals import Subgoal
 from ltlnav.trainer import (
@@ -406,6 +407,25 @@ class TestCollect:
         assert np.array_equal(rolls[0].actions, rolls[1].actions)
         assert np.array_equal(rolls[0].logp, rolls[1].logp)
         assert np.array_equal(rolls[0].costs, rolls[1].costs)
+
+    @pytest.mark.parametrize("env_config", [
+        small_env_config(), EnvConfig(env="zonesim", max_steps=25)])
+    def test_logp_is_each_rows_own_logp(self, env_config):
+        # collect takes one batched logp per step; the oracle is the per-row
+        # logp of that step's policy forward over the same W rows
+        trainer = Trainer(small_trainer_config(), env_config)
+        roll = trainer.collect(128)
+        pol = trainer.heads["policy"]
+        w = len(trainer.workers)
+        for at in range(0, len(roll.obs), w):
+            out = forward(pol.spec, pol.params, roll.obs[at:at + w])
+            for i in range(w):
+                if pol.spec.head == "categorical":
+                    want = categorical_logp(out[i], roll.actions[at + i])
+                else:
+                    want = gaussian_logp(out[0][i], out[1],
+                                         roll.actions[at + i])
+                assert roll.logp[at + i].tobytes() == want.tobytes()
 
     def test_reward_advantages_normalized_cost_raw(self):
         trainer = Trainer(small_trainer_config(), small_env_config())
