@@ -1,7 +1,10 @@
 """Small feed-forward approximators with exact gradients and Adam.
 
 Parameters live in one flat float64 vector per network so optimizer state
-and checkpoints stay trivial.  Hidden layers use tanh; four output heads
+and checkpoints stay trivial.  Forward and backward passes run in the
+dtype of the weights they are given, so float64 callers keep every bit
+while the trainer runs its minibatch passes on float32 copies of the
+float64 parameters.  Hidden layers use tanh; four output heads
 cover the policy (categorical or diagonal gaussian), the two value
 functions (scalar), and the nonnegative multiplier (softplus scalar).
 Callers that run fixed weights many times unpack them into per-layer
@@ -169,17 +172,18 @@ def forward_tape(spec, params, x):
     activations hs and the pre-head values z, which backward consumes
     instead of recomputing them.
 
-    params is the flat vector or what unpack made of it.  For heads
-    stacked by unpack, spec is their tuple of MlpSpecs and the output has
-    one row per head, each through its own head's transform."""
+    params is the flat vector or what unpack made of it; x is cast to
+    its dtype, in which the whole pass runs.  For heads stacked by
+    unpack, spec is their tuple of MlpSpecs and the output has one row
+    per head, each through its own head's transform."""
     stacked = not isinstance(spec, MlpSpec)
     in_dim = spec[0].in_dim if stacked else spec.in_dim
-    x = np.asarray(x, dtype=np.float64)
+    wts, bs, log_std = (_unpack(spec, params)
+                        if isinstance(params, np.ndarray) else params)
+    x = np.asarray(x, dtype=wts[0].dtype)
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ValueError(f"input shape {x.shape} is not (rows, in_dim "
                          f"{in_dim})")
-    wts, bs, log_std = (_unpack(spec, params)
-                        if isinstance(params, np.ndarray) else params)
     hs = [x]
     for wt, b in zip(wts[:-1], bs[:-1]):
         hs.append(np.tanh(hs[-1] @ wt + b))
@@ -208,22 +212,24 @@ def forward(spec, params, x):
 
 def backward(spec: MlpSpec, tape, d_out) -> np.ndarray:
     """Gradient of sum(d_out * output) with respect to the flat params,
-    from the tape of a batched forward_tape call.
+    from the tape of a batched forward_tape call, in the dtype of its
+    weights.
 
     d_out mirrors the head output: categorical -> (B, n) on logits;
     gaussian -> (d_mean (B, n), d_log_std (n,) or (B, n)); scalar/nonneg ->
     (B,) on the (post-softplus) value.
     """
     wts, hs, z = tape
+    dtype = wts[0].dtype
     if spec.head == "categorical":
-        dz = np.asarray(d_out, dtype=np.float64)
+        dz = np.asarray(d_out, dtype=dtype)
     elif spec.head == "gaussian":
         d_mean, d_log_std = d_out
-        dz = np.asarray(d_mean, dtype=np.float64)
-        d_log_std = np.asarray(d_log_std, dtype=np.float64).reshape(
+        dz = np.asarray(d_mean, dtype=dtype)
+        d_log_std = np.asarray(d_log_std, dtype=dtype).reshape(
             -1, spec.out_dim).sum(axis=0)
     else:
-        dv = np.asarray(d_out, dtype=np.float64)
+        dv = np.asarray(d_out, dtype=dtype)
         dz = (dv * _sigmoid(z[:, 0]))[:, None] if spec.head == "nonneg" \
             else dv[:, None]
     grads = []

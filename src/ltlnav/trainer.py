@@ -19,7 +19,7 @@ import os
 import tempfile
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .subgoals import Subgoal, build_universe, sample_subgoal
 __all__ = [
     "TrainerConfig", "Rollout", "SubgoalStepStats", "NonFiniteError",
     "Trainer", "signals", "gae_reward", "gae_cost", "episode_cost_togo",
-    "loss", "train", "atomic_write_text",
+    "loss", "float32_heads", "train", "atomic_write_text", "LOSS_DIAGNOSTICS",
     "STREAM_ENV", "STREAM_POLICY_INIT", "STREAM_ROLLOUT", "STREAM_EVAL",
 ]
 
@@ -46,6 +46,11 @@ STREAM_ENV = 0
 STREAM_POLICY_INIT = 1
 STREAM_ROLLOUT = 2
 STREAM_EVAL = 3
+
+# loss statistics that each log record carries as means over the
+# iteration's minibatches
+LOSS_DIAGNOSTICS = ("mean_lambda", "policy_objective", "vr_loss", "vh_loss",
+                    "mean_ratio")
 
 
 def stream_rng(seed: int, stream: int, member: int = 0) -> np.random.Generator:
@@ -110,6 +115,11 @@ class TrainerConfig(JsonFields):
                 raise ValueError(f"{name} must be at least 1")
         if self.n_per_iter % self.workers != 0:
             raise ValueError("n_per_iter must be divisible by workers")
+        if self.stats_window < SubgoalStepStats.MIN_COUNT:
+            # a shorter window never reports mu_subgoal, and evaluation
+            # would silently fall back to its default switching timeout
+            raise ValueError("stats_window must be at least "
+                             f"{SubgoalStepStats.MIN_COUNT}")
         object.__setattr__(self, "actor_hidden", tuple(self.actor_hidden))
         object.__setattr__(self, "value_hidden", tuple(self.value_hidden))
 
@@ -220,6 +230,14 @@ class Head:
     @staticmethod
     def fresh(spec: MlpSpec, rng: np.random.Generator) -> "Head":
         return Head(spec, init_params(spec, rng), adam_init(n_params(spec)))
+
+
+def float32_heads(heads: dict) -> dict:
+    """The heads with float32 copies of their params, for one minibatch's
+    forward and backward passes; the float64 params and Adam state stay
+    the masters."""
+    return {name: replace(h, params=h.params.astype(np.float32))
+            for name, h in heads.items()}
 
 
 def loss(heads: dict, batch: dict, clip_eps: float, gamma: float):
@@ -411,6 +429,10 @@ class Trainer:
         cfg = self.config
         roll = self.collect(cfg.n_per_iter)
         batch = self._advantages(roll)
+        # the minibatch passes run in float32 (mixed precision): obs is cast
+        # once here, each head's params once per minibatch, and gradients
+        # go back to float64 for Adam on the float64 master params
+        batch["obs"] = batch["obs"].astype(np.float32)
         n = len(roll.obs)
         stats_acc = []
         for _ in range(cfg.epochs):
@@ -418,12 +440,14 @@ class Trainer:
             for at in range(0, n, cfg.minibatch):
                 idx = order[at:at + cfg.minibatch]
                 mini = {k: v[idx] for k, v in batch.items()}
-                stats, grads = loss(self.heads, mini, cfg.clip_eps, cfg.gamma)
+                stats, grads = loss(float32_heads(self.heads), mini,
+                                    cfg.clip_eps, cfg.gamma)
                 stats_acc.append(stats)
                 for name, head in self.heads.items():
                     lr = cfg.multiplier_lr if name == "lam" else cfg.lr
-                    head.params = adam_step(head.params, grads[name],
-                                            head.adam, lr=lr)
+                    head.params = adam_step(
+                        head.params, grads[name].astype(np.float64),
+                        head.adam, lr=lr)
         self.iter_count += 1
         mean_of = lambda key: float(np.mean([s[key] for s in stats_acc]))
         attempts = int((roll.rewards.astype(bool) | roll.boundary).sum())
@@ -434,18 +458,16 @@ class Trainer:
             "subgoal_success": (float(roll.rewards.sum()) / attempts
                                 if attempts else 0.0),
             "violation_rate": int(roll.terminal.sum()) / n,
-            "mean_lambda": mean_of("mean_lambda"),
+            **{key: mean_of(key) for key in LOSS_DIAGNOSTICS},
             "mu_subgoal": self.stats.maximum,
         }
-        diag = {"iter": self.iter_count,
-                "policy_objective": mean_of("policy_objective"),
-                "vr_loss": mean_of("vr_loss"), "vh_loss": mean_of("vh_loss")}
-        for key, value in diag.items():
-            if key != "iter" and not np.isfinite(value):
-                raise NonFiniteError(f"non-finite {key}", diag)
+        for key in LOSS_DIAGNOSTICS:
+            if not np.isfinite(record[key]):
+                raise NonFiniteError(f"non-finite {key}", record)
         for name, head in self.heads.items():
             if not np.all(np.isfinite(head.params)):
-                raise NonFiniteError(f"non-finite parameters in {name}", diag)
+                raise NonFiniteError(f"non-finite parameters in {name}",
+                                     record)
         self.log.append(record)
         return record
 

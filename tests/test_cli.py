@@ -216,6 +216,7 @@ class TestTrain:
         ("trainer", "total_interactions", 1e3),
         ("trainer", "minibatch", True),
         ("trainer", "seed", 2.5),
+        ("trainer", "stats_window", 50),
     ])
     def test_bad_config_type_exit_4_before_any_reset(
             self, tmp_path, capsys, monkeypatch, section, key, value):

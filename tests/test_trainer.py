@@ -15,9 +15,9 @@ from ltlnav.nets import (
 )
 from ltlnav.subgoals import Subgoal
 from ltlnav.trainer import (
-    Head, NonFiniteError, Rollout, SubgoalStepStats, Trainer, TrainerConfig,
-    atomic_write_text, episode_cost_togo, gae_cost, gae_reward, loss, signals,
-    train,
+    LOSS_DIAGNOSTICS, Head, NonFiniteError, Rollout, SubgoalStepStats,
+    Trainer, TrainerConfig, atomic_write_text, episode_cost_togo,
+    float32_heads, gae_cost, gae_reward, loss, signals, train,
 )
 from ltlnav.nets import adam_init
 
@@ -451,7 +451,9 @@ class TestTrainer:
         assert result["iterations"] == 1
         rec = result["log"][0]
         assert set(rec) == {"iter", "steps", "mean_reward", "subgoal_success",
-                            "violation_rate", "mean_lambda", "mu_subgoal"}
+                            "violation_rate", "mean_lambda", "mu_subgoal",
+                            "policy_objective", "vr_loss", "vh_loss",
+                            "mean_ratio"}
         assert rec["steps"] == 256
         lines = (tmp_path / "log.jsonl").read_text().strip().split("\n")
         assert [json.loads(x) for x in lines] == result["log"]
@@ -464,13 +466,19 @@ class TestTrainer:
                 params, np.asarray(ckpt["heads"][name]["params"]))
 
     def test_same_seed_identical_log(self):
-        logs = []
+        logs, params = [], []
         for _ in range(2):
             trainer = Trainer(small_trainer_config(workers=1, n_per_iter=128,
                                                    minibatch=64),
                               small_env_config())
             logs.append([trainer.iteration() for _ in range(2)])
+            params.append({name: h.params.tobytes()
+                           for name, h in trainer.heads.items()})
         assert logs[0] == logs[1]
+        assert params[0] == params[1]
+        for rec in logs[0]:
+            for key in LOSS_DIAGNOSTICS:
+                assert math.isfinite(rec[key]), key
 
     def test_raw_fusion_smoke(self):
         cfg = small_trainer_config(fusion="raw", n_per_iter=64, minibatch=32,
@@ -491,6 +499,11 @@ class TestTrainer:
         for name in ("n_per_iter", "minibatch", "epochs", "workers"):
             with pytest.raises(ValueError, match=name):
                 TrainerConfig(**{name: 0})
+        # a window that never holds MIN_COUNT completions never reports
+        # mu_subgoal
+        with pytest.raises(ValueError, match="stats_window"):
+            TrainerConfig(stats_window=SubgoalStepStats.MIN_COUNT - 1)
+        TrainerConfig(stats_window=SubgoalStepStats.MIN_COUNT)
         # every field away from its default
         for cfg in (small_trainer_config(),
                     TrainerConfig(gamma=0.9, lam_gae=0.9, clip_eps=0.1,
@@ -498,7 +511,7 @@ class TestTrainer:
                                   total_interactions=1000, n_per_iter=64,
                                   minibatch=32, epochs=3, workers=2, seed=7,
                                   fusion="raw", actor_hidden=(8,),
-                                  value_hidden=(8, 8), stats_window=50)):
+                                  value_hidden=(8, 8), stats_window=200)):
             blob = cfg.to_json()
             assert list(blob) == [f.name for f in fields(TrainerConfig)]
             assert json.loads(json.dumps(blob)) == blob
@@ -550,6 +563,57 @@ class TestTrainer:
         with pytest.raises(NonFiniteError) as err:
             trainer.iteration()
         assert "iter" in err.value.diagnostics
+
+
+class TestFloat32Update:
+    @pytest.mark.parametrize("env_config", [
+        small_env_config(max_steps=75), EnvConfig(env="zonesim",
+                                                  overlap_mode=True)])
+    def test_float32_gradients_match_float64(self, env_config):
+        # the desk head shapes, a categorical and a gaussian policy, on
+        # random minibatches of a real rollout after one update
+        trainer = Trainer(TrainerConfig(n_per_iter=512, minibatch=256,
+                                        epochs=2, workers=16, seed=2),
+                          env_config)
+        trainer.iteration()
+        batch = trainer._advantages(trainer.collect(1024))
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            mini = {k: v[rng.choice(1024, 256, replace=False)]
+                    for k, v in batch.items()}
+            _, want = loss(trainer.heads, mini, 0.2, 0.94)
+            _, got = loss(float32_heads(trainer.heads),
+                          dict(mini, obs=mini["obs"].astype(np.float32)),
+                          0.2, 0.94)
+            for name, grad in want.items():
+                assert grad.dtype == np.float64
+                assert got[name].dtype == np.float32
+                err = (np.linalg.norm(got[name] - grad)
+                       / np.linalg.norm(grad))
+                assert err <= 1e-5, (name, err)
+
+    def test_float32_passes_on_float64_master_state(self, monkeypatch):
+        import ltlnav.trainer
+        tape_dtypes = []
+        real = ltlnav.trainer.backward
+
+        def recording(spec, tape, d_out):
+            tape_dtypes.append(tape[1][0].dtype)
+            return real(spec, tape, d_out)
+
+        monkeypatch.setattr(ltlnav.trainer, "backward", recording)
+        trainer = Trainer(small_trainer_config(n_per_iter=64, minibatch=32,
+                                               epochs=1), small_env_config())
+        trainer.iteration()
+        assert tape_dtypes and set(tape_dtypes) == {np.dtype(np.float32)}
+        for head in trainer.heads.values():
+            assert head.params.dtype == np.float64
+            assert head.adam.m.dtype == np.float64
+            assert head.adam.v.dtype == np.float64
+        ckpt = json.loads(json.dumps(trainer.checkpoint()))
+        for name, head in trainer.heads.items():
+            _, params = head_from_json(ckpt["heads"][name])
+            assert params.tobytes() == head.params.tobytes()
 
 
 class TestSubgoalStepStats:
