@@ -370,14 +370,14 @@ class Trainer:
             # the same generator between them
             if categorical:
                 cdfs = categorical_cdf(out).tolist()
-            actions = []
+            row_actions = []
             for i, worker in enumerate(self.workers):
                 if categorical:
                     action = sample_categorical(cdfs[i], self.rollout_rng)
                 else:
                     action = sample_gaussian(out[0][i], out[1],
                                              self.rollout_rng)
-                actions.append(action)
+                row_actions.append(action)
                 obs2, label, done = worker.env.step(action)
                 r, h = signals(label, worker.sub)
                 worker.steps_on_sub += 1
@@ -398,10 +398,10 @@ class Trainer:
                     self._reset_worker(worker)
                 else:
                     worker.vec = next_vec
-            logps.append(categorical_logp(out, actions) if categorical
-                         else gaussian_logp(*out, np.stack(actions)))
+            logps.append(categorical_logp(out, row_actions) if categorical
+                         else gaussian_logp(*out, np.stack(row_actions)))
         self.interactions += n
-        obs, next_obs, actions, *rest = (np.asarray(col) for col in zip(*steps))
+        obs, next_obs, actions, *rest = map(np.asarray, zip(*steps))
         return Rollout(obs, next_obs, actions, np.concatenate(logps), *rest)
 
     def _advantages(self, roll: Rollout) -> dict:

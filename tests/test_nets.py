@@ -300,12 +300,29 @@ class TestDistributions:
             want = [int(ref.choice(n, p=softmax(row))) for row in logits]
             want_logp = np.array([categorical_logp(row, a)
                                   for row, a in zip(logits, want)])
-            got = [sample_categorical(cdf, got_rng)
-                   for cdf in categorical_cdf(logits).tolist()]
+            cdfs = categorical_cdf(logits)
+            for row, cdf in zip(logits, cdfs):
+                want_cdf = softmax(row).cumsum()
+                want_cdf /= want_cdf[-1]    # as Generator.choice builds it
+                assert cdf.tobytes() == want_cdf.tobytes()
+            got = [sample_categorical(cdf, got_rng) for cdf in cdfs.tolist()]
             assert got == want
             assert (categorical_logp(logits, got).tobytes()
                     == want_logp.tobytes())
             assert got_rng.bit_generator.state == ref.bit_generator.state
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        # a uniform on a CDF boundary goes right, as in Generator.choice
+        cdf = [0.25, 0.5, 0.75, 1.0]
+        for u in (0.0, 0.25, 0.3, 0.5, 0.75, 0.9999):
+            assert sample_categorical(cdf, Fixed(u)) == np.searchsorted(
+                cdf, u, side="right")
 
     def test_gaussian_logp_matches_scipy(self):
         from scipy.stats import norm
