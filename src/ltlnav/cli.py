@@ -15,11 +15,11 @@ import sys
 from .buchi import compile_formula
 from .envs import EnvConfig, make_env
 from .executor import evaluate
-from .ltl import Alphabet, ParseError, alphabet_of, format_formula, parse
+from .ltl import Alphabet, ParseError, format_formula, parse
 from .subgoals import extract_subgoals
 from .trainer import (
-    STREAM_EVAL, NonFiniteError, atomic_write_text, stream_rng, train,
-    TrainerConfig,
+    STREAM_EVAL, NonFiniteError, Trainer, TrainerConfig, atomic_write_text,
+    stream_rng,
 )
 
 __all__ = ["main"]
@@ -74,14 +74,13 @@ def _subgoal_entry(alphabet: Alphabet, q: int, sub) -> dict:
 
 def _compile_spec(args):
     """(formula, alphabet, automaton, achievable) for the one formula of
-    args.spec, over the --props order or else the formula's atoms; every
-    single proposition counts as achievable."""
+    args.spec, over the --props order or else compile_formula's default;
+    every single proposition counts as achievable."""
     _, formula = _load_one_spec(args)
-    if args.props:
-        alphabet = Alphabet(tuple(p.strip() for p in args.props.split(",")))
-    else:
-        alphabet = alphabet_of(formula)
-    aut = compile_formula(formula, alphabet)
+    props = (Alphabet(tuple(p.strip() for p in args.props.split(",")))
+             if args.props else None)
+    aut = compile_formula(formula, props)
+    alphabet = aut.alphabet
     return formula, alphabet, aut, tuple(1 << i for i in range(alphabet.n))
 
 
@@ -147,8 +146,8 @@ def cmd_train(args) -> int:
     for path in (checkpoint_path, log_path):
         if path:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    result = train(trainer_config, env_config,
-                   log_path=log_path, checkpoint_path=checkpoint_path)
+    result = Trainer(trainer_config, env_config).run(
+        log_path=log_path, checkpoint_path=checkpoint_path)
     summary = {
         "iterations": result["iterations"],
         "mu_subgoal": result["mu_subgoal"],
@@ -169,13 +168,11 @@ def cmd_eval(args) -> int:
     specs = _load_specs(args.spec)
     base = _resolve_seed(None)
     seeds = tuple(range(base, base + args.seeds))
-    reports = evaluate([f for _, f in specs], ckpt, n_traj=args.n,
+    reports = evaluate([text for text, _ in specs], ckpt, n_traj=args.n,
                        seeds=seeds, horizon_multiplier=args.horizon_mult,
                        eps_scale=args.eps_scale,
                        switching=not args.no_switching)
-    payload = [dict(rep.to_json(), spec=text)
-               for (text, _), rep in zip(specs, reports)]
-    out = json.dumps(payload, indent=2) + "\n"
+    out = json.dumps([rep.to_json() for rep in reports], indent=2) + "\n"
     if args.out:
         atomic_write_text(args.out, out)
     print(out, end="")
@@ -273,9 +270,9 @@ def _render_svg(env, positions: list) -> str:
 def cmd_trace(args) -> int:
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
-    text, formula = _load_one_spec(args)
+    text, _ = _load_one_spec(args)
     seed = _resolve_seed(args.seed)
-    _, (episodes,) = evaluate([formula], ckpt, n_traj=args.n, seeds=(seed,),
+    _, (episodes,) = evaluate([text], ckpt, n_traj=args.n, seeds=(seed,),
                               eps_scale=args.eps_scale,
                               switching=not args.no_switching,
                               record_traces=True)

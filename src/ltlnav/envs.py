@@ -71,13 +71,9 @@ class EnvConfig(JsonFields):
     agent_start: tuple[float, float] = ()
 
     def __post_init__(self):
+        self._check_scalars()
         if self.env not in ("letterworld", "zonesim"):
             raise ValueError(f"unknown env kind {self.env!r}")
-        self._require_ints("grid_size", "copies_per_letter",
-                           "zones_per_color", "lidar_beams", "max_steps")
-        if not isinstance(self.overlap_mode, bool):
-            raise ValueError(f"overlap_mode must be a bool, got "
-                             f"{self.overlap_mode!r}")
         if not self.letters:
             default = DEFAULT_LETTERS if self.env == "letterworld" else DEFAULT_COLORS
             object.__setattr__(self, "letters", default)

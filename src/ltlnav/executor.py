@@ -42,14 +42,15 @@ UNDETERMINED = "undetermined"
 class Outcome:
     status: str
     steps: int
-    steps_to_success: int | None = None
     accepting_visits: int = 0
 
     def __post_init__(self):
         if self.status not in (SUCCESS, VIOLATION, OTHER):
             raise ValueError(f"unknown status {self.status!r}")
-        if (self.steps_to_success is not None) != (self.status == SUCCESS):
-            raise ValueError("steps_to_success present iff status is success")
+
+    @property
+    def steps_to_success(self) -> int | None:
+        return self.steps if self.status == SUCCESS else None
 
 
 def timeout_threshold(mu_subgoal: int | None, eps_scale: float,
@@ -205,8 +206,7 @@ def run_episode(env, aut: BuchiAutomaton, agent, *, rng, timeout: int,
     # final step is still logged
     while True:
         if states & cls.accepting_sink:
-            return (Outcome(SUCCESS, t, steps_to_success=t,
-                            accepting_visits=visits), trace)
+            return Outcome(SUCCESS, t, accepting_visits=visits), trace
         if not (states & cls.live):
             return Outcome(VIOLATION, t, accepting_visits=visits), trace
         if pick:
@@ -300,7 +300,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
              eps_scale: float = 0.5, switching: bool = True,
              env_config: EnvConfig | None = None, agent_factory=None,
              record_traces: bool = False):
-    """Run each spec over seeds x episodes and aggregate outcome rates.
+    """Run each spec text over seeds x episodes and aggregate outcome rates.
 
     Agents come from the checkpoint unless agent_factory(env) is given
     (scripted baselines); the switching timeout comes from the agent's
@@ -338,7 +338,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     reports = []
     all_traces = []
     for text in specs:
-        formula = parse(text) if isinstance(text, str) else text
+        formula = parse(text)
         aut = compile_formula(formula, alphabet)
         cache = _CandidateCache(aut, achievable)
         n_s = n_v = 0
@@ -367,7 +367,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
         eta_s = n_s / total
         eta_v = n_v / total
         reports.append(EvalReport(
-            spec=text if isinstance(text, str) else str(text),
+            spec=text,
             eta_s=eta_s, eta_v=eta_v, eta_o=1.0 - eta_s - eta_v,
             mu=float(np.mean(steps_to)) if steps_to else None,
             mu_acc=float(np.mean(acc_counts)) if acc_counts else None,

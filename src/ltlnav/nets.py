@@ -17,6 +17,8 @@ differences in the tests.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
@@ -37,7 +39,8 @@ HEADS = ("categorical", "gaussian", "scalar", "nonneg")
 class JsonFields:
     """Dataclass mixin: the JSON form is the fields in declaration order,
     with tuples written as lists.  from_json rejects keys that are not
-    fields and leaves normalizing the values to __post_init__."""
+    fields and leaves normalizing the values to __post_init__, where
+    configs call _check_scalars."""
 
     def to_json(self) -> dict:
         return {f.name: _json_native(getattr(self, f.name))
@@ -50,12 +53,26 @@ class JsonFields:
             raise ValueError(f"unknown {cls.__name__} keys {sorted(extra)}")
         return cls(**d)
 
-    def _require_ints(self, *names: str) -> None:
-        # a bool is an int to Python, never to a config
-        for name in names:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+    def _check_scalars(self) -> None:
+        """Every field annotated int, float or bool holds one.  A bool is
+        an int to Python, never to a config; an int may stand for a float,
+        which must be finite once converted."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = (isinstance(value, numbers.Real)
+                      and not isinstance(value, bool))
+            # annotations are postponed, so f.type is their text
+            if f.type == "int":
+                ok, kind = number and isinstance(value, int), "an int"
+            elif f.type == "float":
+                ok, kind = (number and abs(value) <= sys.float_info.max,
+                            "a finite number")
+            elif f.type == "bool":
+                ok, kind = isinstance(value, bool), "a bool"
+            else:
+                continue
+            if not ok:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 def _json_native(value):
@@ -266,7 +283,7 @@ _ADAM_EPS = 1e-8
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float = 3e-4) -> np.ndarray:
+              lr: float) -> np.ndarray:
     state.t += 1
     state.m = _ADAM_BETA1 * state.m + (1 - _ADAM_BETA1) * grad
     state.v = _ADAM_BETA2 * state.v + (1 - _ADAM_BETA2) * grad * grad
@@ -299,20 +316,16 @@ def sample_categorical(cdf_row, rng: np.random.Generator) -> int:
 
 
 def categorical_logp(logits: np.ndarray, actions) -> np.ndarray:
+    """log softmax(logits)[b, actions[b]] per row of (B, n) logits."""
     z = logits - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(z).sum(axis=-1))
-    if np.ndim(logits) == 1:
-        return z[int(actions)] - log_z
     return z[np.arange(len(z)), np.asarray(actions, dtype=int)] - log_z
 
 
 def categorical_logp_grad(logits: np.ndarray, actions) -> np.ndarray:
-    """d logp / d logits: one-hot(action) - softmax(logits)."""
+    """d logp / d logits per row: one-hot(action) - softmax(logits)."""
     grad = -softmax(logits)
-    if np.ndim(logits) == 1:
-        grad[int(actions)] += 1.0
-    else:
-        grad[np.arange(len(grad)), np.asarray(actions, dtype=int)] += 1.0
+    grad[np.arange(len(grad)), np.asarray(actions, dtype=int)] += 1.0
     return grad
 
 

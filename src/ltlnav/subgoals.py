@@ -33,9 +33,6 @@ class Subgoal:
     reach: int
     avoid: frozenset[int]
 
-    def key(self) -> tuple:
-        return (self.reach, tuple(sorted(self.avoid)))
-
 
 @dataclass(frozen=True)
 class LassoPath:
@@ -43,14 +40,6 @@ class LassoPath:
 
     path: tuple[int, ...]
     cycle_start: int
-
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        return self.path[:self.cycle_start]
-
-    @property
-    def cycle(self) -> tuple[int, ...]:
-        return self.path[self.cycle_start:]
 
 
 class UniverseTooLarge(ValueError):
@@ -171,14 +160,13 @@ def encode_subgoal(sub: Subgoal, alphabet: Alphabet) -> np.ndarray:
 
 
 def sample_subgoal(universe: list[Subgoal], rng: np.random.Generator,
-                   current_label: int | None = None) -> Subgoal:
-    """Uniform draw; with a current label, only subgoals that the label
-    neither satisfies nor violates are admissible."""
+                   current_label: int = 0) -> Subgoal:
+    """Uniform draw over the subgoals that the current label neither
+    satisfies nor violates; the empty label 0 admits every subgoal that
+    build_universe makes."""
     if not universe:
         raise NoValidSubgoal("subgoal universe is empty")
     n = len(universe)
-    if current_label is None:
-        return universe[int(rng.integers(n))]
     for _ in range(_SAMPLE_TRIES):
         sub = universe[int(rng.integers(n))]
         if sub.reach != current_label and current_label not in sub.avoid:

@@ -36,7 +36,7 @@ from .subgoals import Subgoal, build_universe, sample_subgoal
 __all__ = [
     "TrainerConfig", "Rollout", "SubgoalStepStats", "NonFiniteError",
     "Trainer", "signals", "gae_reward", "gae_cost", "episode_cost_togo",
-    "loss", "float32_heads", "train", "atomic_write_text", "LOSS_DIAGNOSTICS",
+    "loss", "float32_heads", "atomic_write_text", "LOSS_DIAGNOSTICS",
     "STREAM_ENV", "STREAM_POLICY_INIT", "STREAM_ROLLOUT", "STREAM_EVAL",
 ]
 
@@ -102,15 +102,20 @@ class TrainerConfig(JsonFields):
     stats_window: int = 500
 
     def __post_init__(self):
+        self._check_scalars()
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must be in (0, 1)")
+        if not 0 <= self.lam_gae <= 1:
+            raise ValueError("lam_gae must be in [0, 1]")
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip_eps must be in (0, 1)")
+        for name in ("lr", "multiplier_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
-        self._require_ints("total_interactions", "n_per_iter", "minibatch",
-                           "epochs", "workers", "seed", "stats_window")
-        for name in ("n_per_iter", "minibatch", "epochs", "workers"):
+        for name in ("total_interactions", "n_per_iter", "minibatch",
+                     "epochs", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_per_iter % self.workers != 0:
@@ -501,9 +506,3 @@ class Trainer:
                       for name, h in self.heads.items()},
             "mu_subgoal": self.stats.maximum,
         }
-
-
-def train(config: TrainerConfig, env_config: EnvConfig,
-          log_path: str | None = None,
-          checkpoint_path: str | None = None) -> dict:
-    return Trainer(config, env_config).run(log_path, checkpoint_path)

@@ -38,7 +38,7 @@ from ltlnav.nets import backward, forward_tape, n_params
 from ltlnav.reduction import reduce, reduced_dim
 from ltlnav.subgoals import Subgoal, UniverseTooLarge, extract_subgoals
 from ltlnav.trainer import (
-    TrainerConfig, episode_cost_togo, gae_reward, stream_rng, train,
+    Trainer, TrainerConfig, episode_cost_togo, gae_reward, stream_rng,
 )
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / ".artifacts"
@@ -90,9 +90,9 @@ def ensure_desk_checkpoint() -> dict:
     if not path.exists():
         print("\ntraining desk-scale checkpoint (one-time, cached under "
               f"{ARTIFACTS})...")
-        train(DESK_TRAINER, DESK_ENV,
-              log_path=str(ARTIFACTS / f"desk-{_desk_key()}.log.jsonl"),
-              checkpoint_path=str(path))
+        Trainer(DESK_TRAINER, DESK_ENV).run(
+            log_path=str(ARTIFACTS / f"desk-{_desk_key()}.log.jsonl"),
+            checkpoint_path=str(path))
     return json.loads(path.read_text())
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -8,7 +10,7 @@ from ltlnav.buchi import compile_formula
 from ltlnav.cli import _render_svg, main
 from ltlnav.envs import EnvConfig, make_env
 from ltlnav.ltl import Alphabet, parse
-from ltlnav.trainer import STREAM_EVAL, stream_rng
+from ltlnav.trainer import STREAM_EVAL, TrainerConfig, stream_rng
 from test_acceptance import ZONE_CONFIG
 from test_trainer import zone_checkpoint
 
@@ -38,6 +40,13 @@ def write_train_config(tmp_path, seed=3):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+# every int and float field of the two configs that a run file holds
+SCALAR_FIELDS = [(section, f.name)
+                 for section, cls in (("env", EnvConfig),
+                                      ("trainer", TrainerConfig))
+                 for f in fields(cls) if f.type in ("int", "float")]
 
 
 def set_params(ckpt, head, value, n):
@@ -217,7 +226,15 @@ class TestTrain:
         ("trainer", "minibatch", True),
         ("trainer", "seed", 2.5),
         ("trainer", "stats_window", 50),
-    ])
+        ("trainer", "lr", 0),
+        ("trainer", "lr", -1e-3),
+        ("trainer", "multiplier_lr", -1),
+        ("trainer", "lam_gae", 3),
+        ("trainer", "lam_gae", -0.5),
+        ("trainer", "total_interactions", 0),
+        ("trainer", "total_interactions", -5),
+    ] + [(section, key, value) for section, key in SCALAR_FIELDS
+         for value in (math.nan, math.inf, "1")])
     def test_bad_config_type_exit_4_before_any_reset(
             self, tmp_path, capsys, monkeypatch, section, key, value):
         cfg = json.loads(write_train_config(tmp_path).read_text())
@@ -230,6 +247,7 @@ class TestTrain:
 
         monkeypatch.setattr(envs.LetterWorld, "reset", no_reset)
         monkeypatch.setattr(envs.ZoneSim, "reset", no_reset)
+        monkeypatch.delenv("GENZ_SEED", raising=False)
         ckpt = tmp_path / "ckpt.json"
         assert main(["train", "--config", str(path),
                      "--checkpoint", str(ckpt)]) == 4

@@ -67,7 +67,7 @@ class TableAgent:
         return 0
 
     def score(self, obs, sub):
-        return self.scores[sub.key()]
+        return self.scores[sub]
 
 
 class RandomAgent:
@@ -85,11 +85,10 @@ class RandomAgent:
 class TestOutcomeAndTimeout:
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
-            Outcome(SUCCESS, 5)
-        with pytest.raises(ValueError):
-            Outcome(OTHER, 5, steps_to_success=5)
-        with pytest.raises(ValueError):
             Outcome("won", 5)
+        assert Outcome(SUCCESS, 5).steps_to_success == 5
+        assert Outcome(VIOLATION, 5).steps_to_success is None
+        assert Outcome(OTHER, 5).steps_to_success is None
 
     def test_threshold(self):
         assert timeout_threshold(10, 0.5, 1000) == 15
@@ -101,25 +100,25 @@ class TestOutcomeAndTimeout:
 class TestSelectSubgoal:
     def test_single_candidate(self):
         sub = Subgoal(1, frozenset())
-        agent = TableAgent({sub.key(): 0.0})
+        agent = TableAgent({sub: 0.0})
         assert select_subgoal([(0, sub)], agent, None) == (0, sub)
 
     def test_value_tradeoff(self):
         s1, s2 = Subgoal(1, frozenset()), Subgoal(2, frozenset())
         # V_r equal, lambda*V_h = 0.5 vs -0.5
-        agent = TableAgent({s1.key(): 0.9 - 0.5, s2.key(): 0.9 + 0.5})
+        agent = TableAgent({s1: 0.9 - 0.5, s2: 0.9 + 0.5})
         assert select_subgoal([(0, s1), (0, s2)], agent, None) == (0, s2)
 
     def test_tie_takes_first(self):
         s1, s2 = Subgoal(1, frozenset()), Subgoal(2, frozenset())
-        agent = TableAgent({s1.key(): 1.0, s2.key(): 1.0})
+        agent = TableAgent({s1: 1.0, s2: 1.0})
         for _ in range(5):
             assert select_subgoal([(0, s1), (0, s2)], agent, None) == (0, s1)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         subs = [Subgoal(1 << i, frozenset()) for i in range(4)]
-        raw = {s.key(): float(rng.standard_normal()) for s in subs}
+        raw = {s: float(rng.standard_normal()) for s in subs}
         cands = [(0, s) for s in subs]
         base = select_subgoal(cands, TableAgent(raw), None)
         for c in (0.5, 3.0, 1e6):

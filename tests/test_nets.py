@@ -223,7 +223,7 @@ class TestAdam:
     def test_zero_grad_is_identity(self):
         p = np.array([1.0, -2.0, 0.5])
         st = adam_init(3)
-        assert np.array_equal(adam_step(p, np.zeros(3), st), p)
+        assert np.array_equal(adam_step(p, np.zeros(3), st, lr=3e-4), p)
 
     def test_first_step_hand_computed(self):
         p = np.array([1.0])
@@ -258,19 +258,21 @@ class TestDistributions:
         logits = rng.standard_normal(5) * 3
         ref = np.log(np.exp(logits) / np.exp(logits).sum())
         for a in range(5):
-            assert categorical_logp(logits, a) == pytest.approx(ref[a])
+            assert categorical_logp(logits[None], [a])[0] == pytest.approx(
+                ref[a])
 
     def test_categorical_grad_closed_form(self):
         rng = np.random.default_rng(12)
         logits = rng.standard_normal(4)
         h = 1e-6
         for a in range(4):
-            got = categorical_logp_grad(logits, a)
+            got = categorical_logp_grad(logits[None], [a])[0]
             for i in range(4):
                 up, dn = logits.copy(), logits.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (categorical_logp(up, a) - categorical_logp(dn, a)) / (2 * h)
+                fd = (categorical_logp(up[None], [a])[0]
+                      - categorical_logp(dn[None], [a])[0]) / (2 * h)
                 assert got[i] == pytest.approx(fd, abs=1e-7)
 
     def test_categorical_sampling_frequencies(self):
@@ -298,7 +300,7 @@ class TestDistributions:
             ref, got_rng = np.random.default_rng(seed), \
                 np.random.default_rng(seed)
             want = [int(ref.choice(n, p=softmax(row))) for row in logits]
-            want_logp = np.array([categorical_logp(row, a)
+            want_logp = np.array([categorical_logp(row[None], [a])[0]
                                   for row, a in zip(logits, want)])
             cdfs = categorical_cdf(logits)
             for row, cdf in zip(logits, cdfs):

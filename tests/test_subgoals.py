@@ -85,8 +85,8 @@ class TestFindLassos:
 
     def test_prefix_and_cycle_views(self):
         lp = LassoPath((0, 1, 2), 1)
-        assert lp.prefix == (0,)
-        assert lp.cycle == (1, 2)
+        assert lp.path[:lp.cycle_start] == (0,)
+        assert lp.path[lp.cycle_start:] == (1, 2)
 
     def test_too_many_lassos(self):
         ab = small_alphabet(3)
@@ -290,6 +290,20 @@ class TestSampling:
             sub = sample_subgoal(universe, rng, current_label=2)
             assert sub.reach != 2
             assert 2 not in sub.avoid
+
+    @pytest.mark.parametrize("achievable", [
+        (1, 2, 4, 8, 16),                                   # 80 subgoals
+        (1, 2, 4, 8, 3, 5, 6, 9, 10, 12),                   # 5120 subgoals
+    ])
+    def test_empty_label_is_one_plain_draw(self, achievable):
+        # label 0 admits every subgoal of a universe, so each sample is
+        # exactly one rng.integers(n) draw
+        universe = build_universe(achievable)
+        rng, ref = np.random.default_rng(25), np.random.default_rng(25)
+        for _ in range(2000):
+            assert sample_subgoal(universe, rng) is \
+                universe[int(ref.integers(len(universe)))]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_uniform_chi_squared(self):
         from scipy.stats import chisquare

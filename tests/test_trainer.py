@@ -17,7 +17,7 @@ from ltlnav.subgoals import Subgoal
 from ltlnav.trainer import (
     LOSS_DIAGNOSTICS, Head, NonFiniteError, Rollout, SubgoalStepStats,
     Trainer, TrainerConfig, atomic_write_text, episode_cost_togo,
-    float32_heads, gae_cost, gae_reward, loss, signals, train,
+    float32_heads, gae_cost, gae_reward, loss, signals,
 )
 from ltlnav.nets import adam_init
 
@@ -41,7 +41,8 @@ def zone_checkpoint() -> dict:
     """Checkpoint of a tiny gaussian policy after two ZoneSim iterations."""
     cfg = small_trainer_config(total_interactions=128, n_per_iter=64,
                                minibatch=32, epochs=1, workers=2)
-    return train(cfg, EnvConfig(env="zonesim", max_steps=25))["checkpoint"]
+    return Trainer(cfg, EnvConfig(env="zonesim", max_steps=25)).run()[
+        "checkpoint"]
 
 
 # -- signals ------------------------------------------------------------------
@@ -421,7 +422,8 @@ class TestCollect:
             out = forward(pol.spec, pol.params, roll.obs[at:at + w])
             for i in range(w):
                 if pol.spec.head == "categorical":
-                    want = categorical_logp(out[i], roll.actions[at + i])
+                    want = categorical_logp(out[i][None],
+                                            [roll.actions[at + i]])[0]
                 else:
                     want = gaussian_logp(out[0][i], out[1],
                                          roll.actions[at + i])
@@ -445,9 +447,9 @@ class TestCollect:
 class TestTrainer:
     def test_one_iteration_and_checkpoint_round_trip(self, tmp_path):
         cfg = small_trainer_config(total_interactions=256, n_per_iter=256)
-        result = train(cfg, small_env_config(),
-                       log_path=str(tmp_path / "log.jsonl"),
-                       checkpoint_path=str(tmp_path / "ckpt.json"))
+        result = Trainer(cfg, small_env_config()).run(
+            log_path=str(tmp_path / "log.jsonl"),
+            checkpoint_path=str(tmp_path / "ckpt.json"))
         assert result["iterations"] == 1
         rec = result["log"][0]
         assert set(rec) == {"iter", "steps", "mean_reward", "subgoal_success",
