@@ -49,40 +49,30 @@ class StateClasses:
     accepting_sink: frozenset[int]
 
 
-def _and_fold(parts: list[Formula]) -> Formula:
-    if not parts:
-        return TRUE
-    return reduce(And, parts)
+# Guards are built only through these three, which fold constants and double
+# negation as they go, so no guard carries a Bool below its root.
 
 
-def _or_fold(parts: list[Formula]) -> Formula:
-    return reduce(Or, parts)
+def _not(a: Formula) -> Formula:
+    if isinstance(a, Bool):
+        return Bool(not a.value)
+    return a.arg if isinstance(a, Not) else Not(a)
 
 
-def _simplify(f: Formula) -> Formula:
-    """Constant folding and double negation removal for guard formulas."""
-    if isinstance(f, Not):
-        a = _simplify(f.arg)
-        if isinstance(a, Bool):
-            return Bool(not a.value)
-        if isinstance(a, Not):
-            return a.arg
-        return Not(a)
-    if isinstance(f, And):
-        a, b = _simplify(f.lhs), _simplify(f.rhs)
-        if isinstance(a, Bool):
-            return b if a.value else a
-        if isinstance(b, Bool):
-            return a if b.value else b
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = _simplify(f.lhs), _simplify(f.rhs)
-        if isinstance(a, Bool):
-            return a if a.value else b
-        if isinstance(b, Bool):
-            return b if b.value else a
-        return Or(a, b)
-    return f
+def _and(a: Formula, b: Formula) -> Formula:
+    if isinstance(a, Bool):
+        return b if a.value else a
+    if isinstance(b, Bool):
+        return a if b.value else b
+    return And(a, b)
+
+
+def _or(a: Formula, b: Formula) -> Formula:
+    if isinstance(a, Bool):
+        return a if a.value else b
+    if isinstance(b, Bool):
+        return b if b.value else a
+    return Or(a, b)
 
 
 def _letters(names: Sequence[str], alphabet: Alphabet) -> Iterator[int]:
@@ -175,7 +165,7 @@ class BuchiAutomaton:
         for q in self.accepting:
             edges = self._out[q]
             if edges and all(d == q for _, d in edges):
-                if _tautology(_or_fold([g for g, _ in edges]), self.alphabet):
+                if _tautology(reduce(_or, [g for g, _ in edges]), self.alphabet):
                     sinks.add(q)
         self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
         return self._classes
@@ -355,7 +345,7 @@ def _guard_of(old: frozenset) -> Formula:
     lits = [g for g in old
             if isinstance(g, Atom) or (isinstance(g, Not) and isinstance(g.arg, Atom))]
     lits.sort(key=format_formula)
-    return _and_fold(lits)
+    return reduce(_and, lits, TRUE)
 
 
 def _until_subformulas(f: Formula) -> list[Until]:
@@ -508,7 +498,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
                           key=format_formula)
-            if into and _tautology(_or_fold(into), aut.alphabet):
+            if into and _tautology(reduce(_or, into), aut.alphabet):
                 universal.add(q)
                 changed = True
     rep = min(universal)
@@ -583,12 +573,12 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
         if q in sinks or not sink_guards:
             transitions.extend(Transition(q, g, d) for g, d in edges)
             continue
-        blocker = Not(_or_fold(sink_guards))
+        blocker = _not(reduce(_or, sink_guards))
         for g, d in edges:
             if d in sinks:
                 transitions.append(Transition(q, g, d))
                 continue
-            narrowed = _simplify(And(g, blocker))
+            narrowed = _and(g, blocker)
             if _sat_disjoint(narrowed, aut.alphabet):
                 transitions.append(Transition(q, narrowed, d))
     return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,

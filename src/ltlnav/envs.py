@@ -83,6 +83,11 @@ class EnvConfig(JsonFields):
                 self, "max_steps", 75 if self.env == "letterworld" else 1000)
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        object.__setattr__(self, "fixed_zones", tuple(
+            (name, (float(x), float(y)), float(r))
+            for name, (x, y), r in self.fixed_zones))
+        object.__setattr__(
+            self, "agent_start", tuple(float(v) for v in self.agent_start))
         if self.env == "letterworld":
             if self.grid_size < 1:
                 raise ValueError("grid_size must be >= 1")
@@ -91,6 +96,15 @@ class EnvConfig(JsonFields):
                 raise ValueError("copies_per_letter must be >= 1")
             if len(self.letters) * self.copies_per_letter > cells - 1:
                 raise ValueError("too many letter placements for the grid")
+            # a LetterWorld start names a grid cell: reject fractions rather
+            # than let reset truncate them
+            if self.agent_start and not (
+                    len(self.agent_start) == 2
+                    and all(v.is_integer() and 0 <= v < self.grid_size
+                            for v in self.agent_start)):
+                raise ValueError(f"agent_start {self.agent_start!r} is not a "
+                                 f"cell of the {self.grid_size}x"
+                                 f"{self.grid_size} grid")
         else:
             if self.lidar_beams < 4:
                 raise ValueError("lidar_beams must be >= 4")
@@ -98,19 +112,22 @@ class EnvConfig(JsonFields):
                 raise ValueError("zone_radius must be positive")
             if self.zones_per_color < 1 and not self.fixed_zones:
                 raise ValueError("zones_per_color must be >= 1")
-        object.__setattr__(self, "fixed_zones", tuple(
-            (name, (float(x), float(y)), float(r))
-            for name, (x, y), r in self.fixed_zones))
-        object.__setattr__(
-            self, "agent_start", tuple(float(v) for v in self.agent_start))
-        # a LetterWorld start names a grid cell: reject fractions rather
-        # than let reset truncate them
-        if self.env == "letterworld" and self.agent_start and not (
-                len(self.agent_start) == 2
-                and all(v.is_integer() and 0 <= v < self.grid_size
-                        for v in self.agent_start)):
-            raise ValueError(f"agent_start {self.agent_start!r} is not a cell "
-                             f"of the {self.grid_size}x{self.grid_size} grid")
+            # NaN fails every comparison, so these also reject NaN
+            half = self.arena_half_extent
+            if self.agent_start and not (
+                    len(self.agent_start) == 2
+                    and all(abs(v) <= half for v in self.agent_start)):
+                raise ValueError(f"agent_start must be two finite numbers "
+                                 f"inside the arena [-{half}, {half}]^2, "
+                                 f"got {self.agent_start!r}")
+            for name, center, r in self.fixed_zones:
+                if not (name in self.letters
+                        and all(map(math.isfinite, center))
+                        and 0 < r < math.inf):
+                    raise ValueError(
+                        f"fixed_zones must be (color, center, radius) with "
+                        f"a color in {self.letters}, a finite center and a "
+                        f"finite positive radius, got {(name, center, r)!r}")
 
     @classmethod
     def from_json(cls, d: dict) -> "EnvConfig":
@@ -285,8 +302,6 @@ class ZoneSim:
         half = self.config.arena_half_extent
         if self.config.agent_start:
             pos = np.array(self.config.agent_start, dtype=np.float64)
-            if np.any(np.abs(pos) > half):
-                raise ValueError("agent_start outside the arena")
         else:
             for _ in range(_SPAWN_ATTEMPTS):
                 pos = rng.uniform(-half, half, size=2)

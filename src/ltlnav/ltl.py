@@ -315,24 +315,23 @@ def alphabet_of(f: Formula) -> Alphabet:
     return Alphabet(tuple(sorted(atoms(f))))
 
 
+# Each binary operator and its dual under negation: !(a op b) is
+# dual(!a, !b).
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
+
+
 def nnf(f: Formula) -> Formula:
     """Negation normal form: negations only on atoms, F/G expanded into U/R."""
-    if isinstance(f, Bool) or isinstance(f, Atom):
+    if isinstance(f, (Bool, Atom)):
         return f
-    if isinstance(f, And):
-        return And(nnf(f.lhs), nnf(f.rhs))
-    if isinstance(f, Or):
-        return Or(nnf(f.lhs), nnf(f.rhs))
+    if type(f) in _DUAL:
+        return type(f)(nnf(f.lhs), nnf(f.rhs))
     if isinstance(f, Next):
         return Next(nnf(f.arg))
     if isinstance(f, Eventually):
         return Until(TRUE, nnf(f.arg))
     if isinstance(f, Always):
         return Release(FALSE, nnf(f.arg))
-    if isinstance(f, Until):
-        return Until(nnf(f.lhs), nnf(f.rhs))
-    if isinstance(f, Release):
-        return Release(nnf(f.lhs), nnf(f.rhs))
     if isinstance(f, Not):
         g = f.arg
         if isinstance(g, Bool):
@@ -341,20 +340,14 @@ def nnf(f: Formula) -> Formula:
             return f
         if isinstance(g, Not):
             return nnf(g.arg)
-        if isinstance(g, And):
-            return Or(nnf(Not(g.lhs)), nnf(Not(g.rhs)))
-        if isinstance(g, Or):
-            return And(nnf(Not(g.lhs)), nnf(Not(g.rhs)))
+        if type(g) in _DUAL:
+            return _DUAL[type(g)](nnf(Not(g.lhs)), nnf(Not(g.rhs)))
         if isinstance(g, Next):
             return Next(nnf(Not(g.arg)))
         if isinstance(g, Eventually):
-            return Release(FALSE, nnf(Not(g.arg)))
+            return nnf(Always(Not(g.arg)))
         if isinstance(g, Always):
-            return Until(TRUE, nnf(Not(g.arg)))
-        if isinstance(g, Until):
-            return Release(nnf(Not(g.lhs)), nnf(Not(g.rhs)))
-        if isinstance(g, Release):
-            return Until(nnf(Not(g.lhs)), nnf(Not(g.rhs)))
+            return nnf(Eventually(Not(g.arg)))
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -389,8 +382,8 @@ def eval_lasso(f: Formula, word: Lasso, alphabet: Alphabet) -> bool:
 
     The word has finitely many distinct positions, so each subformula's truth
     per position is a bitmask and temporal operators are solved by fixpoint
-    iteration over the position graph: least fixpoints for U (and F),
-    greatest for R (and G).
+    iteration over the position graph: least fixpoints for U, greatest for
+    R, with F a read as true U a and G a as false R a.
     """
     letters = word.prefix + word.cycle
     n = len(letters)
@@ -405,6 +398,16 @@ def eval_lasso(f: Formula, word: Lasso, alphabet: Alphabet) -> bool:
             if v >> nxt[i] & 1:
                 out |= 1 << i
         return out
+
+    def fixpoint(a: int, b: int, least: bool) -> int:
+        # a U b is the least fixpoint of b | (a & X v), a R b the greatest
+        # of b & (a | X v)
+        v = 0 if least else full
+        while True:
+            nv = b | (a & shift(v)) if least else b & (a | shift(v))
+            if nv == v:
+                return v
+            v = nv
 
     memo: dict[Formula, int] = {}
 
@@ -429,37 +432,13 @@ def eval_lasso(f: Formula, word: Lasso, alphabet: Alphabet) -> bool:
         elif isinstance(g, Next):
             v = shift(ev(g.arg))
         elif isinstance(g, Eventually):
-            a = ev(g.arg)
-            v = 0
-            while True:
-                nv = a | shift(v)
-                if nv == v:
-                    break
-                v = nv
+            v = fixpoint(full, ev(g.arg), least=True)
         elif isinstance(g, Always):
-            a = ev(g.arg)
-            v = full
-            while True:
-                nv = a & shift(v)
-                if nv == v:
-                    break
-                v = nv
+            v = fixpoint(0, ev(g.arg), least=False)
         elif isinstance(g, Until):
-            a, b = ev(g.lhs), ev(g.rhs)
-            v = 0
-            while True:
-                nv = b | (a & shift(v))
-                if nv == v:
-                    break
-                v = nv
+            v = fixpoint(ev(g.lhs), ev(g.rhs), least=True)
         elif isinstance(g, Release):
-            a, b = ev(g.lhs), ev(g.rhs)
-            v = full
-            while True:
-                nv = b & (a | shift(v))
-                if nv == v:
-                    break
-                v = nv
+            v = fixpoint(ev(g.lhs), ev(g.rhs), least=False)
         else:
             raise TypeError(f"not a formula node: {g!r}")
         memo[g] = v

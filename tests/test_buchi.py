@@ -8,8 +8,8 @@ from gen import (
 from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
 from ltlnav.ltl import (
-    TRUE, Alphabet, Lasso, Not, atoms, eval_bool, eval_lasso, format_formula,
-    parse,
+    FALSE, TRUE, Alphabet, And, Atom, Lasso, Not, Or, atoms, eval_bool,
+    eval_lasso, format_formula, parse,
 )
 
 AB = small_alphabet(2)
@@ -227,6 +227,42 @@ class TestStructuralProperties:
     def test_alphabet_mismatch_raises(self):
         with pytest.raises(ValueError):
             compile_str("F d", alphabet=AB)
+
+
+
+class TestGuardConstructors:
+    """_not, _and and _or fold constants and double negation at the root
+    and build every other operand pair as it is."""
+
+    P, Q = Atom("p"), Atom("q")
+    OPERANDS = (P, Not(P), And(P, Q), Or(P, Q), Not(Not(P)), And(TRUE, P))
+
+    def test_not(self):
+        assert buchi._not(TRUE) == FALSE
+        assert buchi._not(FALSE) == TRUE
+        assert buchi._not(Not(self.P)) == self.P
+        assert buchi._not(Not(Not(self.P))) == Not(self.P)
+        for x in self.OPERANDS:
+            if not isinstance(x, Not):
+                assert buchi._not(x) == Not(x)
+
+    def test_and(self):
+        for x in self.OPERANDS + (TRUE, FALSE):
+            assert buchi._and(TRUE, x) == x and buchi._and(x, TRUE) == x
+            assert buchi._and(FALSE, x) == FALSE
+            assert buchi._and(x, FALSE) == FALSE
+        for x in self.OPERANDS:
+            for y in self.OPERANDS:
+                assert buchi._and(x, y) == And(x, y)
+
+    def test_or(self):
+        for x in self.OPERANDS + (TRUE, FALSE):
+            assert buchi._or(FALSE, x) == x and buchi._or(x, FALSE) == x
+            assert buchi._or(TRUE, x) == TRUE
+            assert buchi._or(x, TRUE) == TRUE
+        for x in self.OPERANDS:
+            for y in self.OPERANDS:
+                assert buchi._or(x, y) == Or(x, y)
 
 
 def automaton_from_json(data):

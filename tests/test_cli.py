@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import ltlnav
 from ltlnav import envs, executor
 from ltlnav.buchi import compile_formula
 from ltlnav.cli import _render_svg, main
@@ -239,6 +244,10 @@ class TestTrain:
             self, tmp_path, capsys, monkeypatch, section, key, value):
         cfg = json.loads(write_train_config(tmp_path).read_text())
         cfg[section][key] = value
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
+
+    @staticmethod
+    def exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
 
@@ -253,6 +262,25 @@ class TestTrain:
                      "--checkpoint", str(ckpt)]) == 4
         assert f"{key} must be" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("agent_start", [math.nan, 0.0]),
+        ("agent_start", [0.0, math.inf]),
+        ("agent_start", [1.0]),
+        ("agent_start", [1.0, 2.0, 3.0]),
+        ("agent_start", [2.6, 0.0]),         # outside the 2.5 arena
+        ("fixed_zones", [["blue", [0.0, 1.0], math.nan]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], -1.0]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], 0.0]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], math.inf]]),
+        ("fixed_zones", [["blue", [math.nan, 1.0], 0.4]]),
+        ("fixed_zones", [["purple", [0.0, 1.0], 0.4]]),
+    ])
+    def test_bad_zone_layout_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["env"] = {"env": "zonesim", key: value}
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
@@ -421,3 +449,19 @@ class TestSvg:
         env.reset(stream_rng(0, STREAM_EVAL, 0))
         svg = _render_svg(env, path)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_entry_points_import_only_stdlib_and_numpy():
+    # the package is pure Python on numpy: importing every entry point in a
+    # fresh interpreter loads no other third-party module
+    code = ("import sys; before = set(sys.modules); "
+            "import ltlnav.cli, ltlnav.executor, ltlnav.trainer; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ltlnav.__file__).resolve().parents[1]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "ltlnav.trainer" in added
+    foreign = {m for m in added if m.split(".")[0] not in
+               sys.stdlib_module_names | {"numpy", "ltlnav"}}
+    assert not foreign, sorted(foreign)

@@ -3,8 +3,8 @@ import pytest
 
 from gen import random_formula, random_lasso, small_alphabet
 from ltlnav.ltl import (
-    TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
-    Or, ParseError, Release, Until,
+    TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Lasso, Next,
+    Not, Or, ParseError, Release, Until,
     alphabet_of, atoms, eval_bool, eval_lasso, format_formula,
     is_boolean, nnf, parse,
 )
@@ -225,6 +225,66 @@ class TestEvalLasso:
             f = random_formula(rng, depth=3, names=names)
             w = random_lasso(rng, 2)
             assert eval_lasso(Not(f), w, AB) != eval_lasso(f, w, AB)
+
+    def test_matches_path_walk_on_random_words(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            ab = small_alphabet(int(rng.integers(1, 4)))
+            f = random_formula(rng, depth=4, names=ab.names)
+            w = random_lasso(rng, ab.n)
+            assert eval_lasso(f, w, ab) == walk_eval(f, w, ab), (
+                format_formula(f), w)
+
+
+def walk_eval(f, word, ab, i=0):
+    """Truth of f at position i of the lasso by walking the successor
+    positions of i until one repeats: past that point the word only
+    revisits positions already walked, so a witness for F or U, or a
+    counterexample for G or R, is among them or nowhere."""
+    letters = word.prefix + word.cycle
+
+    def succ(j):
+        return j + 1 if j + 1 < len(letters) else len(word.prefix)
+
+    def at(g, j):
+        return walk_eval(g, word, ab, j)
+
+    path = []
+    j = i
+    while j not in path:
+        path.append(j)
+        j = succ(j)
+    if isinstance(f, (Bool, Atom)):
+        return eval_bool(f, letters[i], ab)
+    if isinstance(f, Not):
+        return not at(f.arg, i)
+    if isinstance(f, And):
+        return at(f.lhs, i) and at(f.rhs, i)
+    if isinstance(f, Or):
+        return at(f.lhs, i) or at(f.rhs, i)
+    if isinstance(f, Next):
+        return at(f.arg, succ(i))
+    if isinstance(f, Eventually):
+        return any(at(f.arg, j) for j in path)
+    if isinstance(f, Always):
+        return all(at(f.arg, j) for j in path)
+    if isinstance(f, Until):
+        # the first position where rhs holds or lhs fails decides
+        for j in path:
+            if at(f.rhs, j):
+                return True
+            if not at(f.lhs, j):
+                return False
+        return False
+    if isinstance(f, Release):
+        # the first position where rhs fails or lhs holds decides
+        for j in path:
+            if not at(f.rhs, j):
+                return False
+            if at(f.lhs, j):
+                return True
+        return True
+    raise TypeError(f)
 
 
 class TestEvalBool:
