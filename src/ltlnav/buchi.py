@@ -11,11 +11,17 @@ language; structural simplification only makes the automaton smaller.
 
 States are dense ints, the initial state is 0 after renumbering, and
 transition guards are Boolean formulas over the alphabet.
+
+No compile stage evaluates a guard letter by letter. The tableau works on
+subformula ids numbered in canonical-string order. Satisfiability and
+validity split on one atom at a time, folding its value through the guard.
+The bisimulation quotient compares, per successor class, the int truth
+table of the support letters that lead into it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -75,22 +81,31 @@ def _or(a: Formula, b: Formula) -> Formula:
     return Or(a, b)
 
 
-def _letters(names: Sequence[str], alphabet: Alphabet) -> Iterator[int]:
-    """Every letter that sets only propositions among `names`, counting in
-    binary with names[0] as the lowest bit."""
-    bits = [alphabet.index(n) for n in names]
-    for combo in range(1 << len(bits)):
-        letter = 0
-        for i, b in enumerate(bits):
-            if combo >> i & 1:
-                letter |= 1 << b
-        yield letter
+def _assign(g: Formula, name: str | None, value: bool) -> Formula:
+    """g with the atom `name` (none when None) set to `value`, constants
+    folded away."""
+    if isinstance(g, Atom):
+        return Bool(value) if g.name == name else g
+    if isinstance(g, Bool):
+        return g
+    if isinstance(g, Not):
+        return _not(_assign(g.arg, name, value))
+    fold = _and if isinstance(g, And) else _or
+    return fold(_assign(g.lhs, name, value), _assign(g.rhs, name, value))
 
 
-def _sat_disjoint(guard: Formula, alphabet: Alphabet) -> bool:
-    """Satisfiability by enumerating the guard's own atoms only."""
-    return any(eval_bool(guard, letter, alphabet)
-               for letter in _letters(sorted(atoms(guard)), alphabet))
+def _sat_disjoint(guard: Formula) -> bool:
+    """Satisfiability by splitting on one atom at a time.
+
+    Each split folds the atom's value through the guard, so a cube or a
+    disjunction of k literals is settled in O(k^2) steps where enumerating
+    its letters takes 2^k, and a guard over k atoms never splits into more
+    than 2^k leaves.
+    """
+    if isinstance(guard, Bool):
+        return guard.value
+    name = min(atoms(guard), default=None)
+    return any(_sat_disjoint(_assign(guard, name, v)) for v in (True, False))
 
 
 class BuchiAutomaton:
@@ -103,9 +118,13 @@ class BuchiAutomaton:
         if not all(0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
         names = set(alphabet.names)
+        checked: set[int] = set()   # ids of the guard objects already read
         for t in transitions:
             if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {t}")
+            if id(t.guard) in checked:
+                continue
+            checked.add(id(t.guard))
             if not is_boolean(t.guard):
                 raise ValueError(f"guard must be a Boolean formula: {t.guard}")
             if not atoms(t.guard) <= names:
@@ -147,8 +166,14 @@ class BuchiAutomaton:
         """Per state, the sorted distinct successors over satisfiable guards."""
         if self._edges is None:
             succ: list[set[int]] = [set() for _ in range(self.n_states)]
+            sat: dict[Formula, bool] = {}   # each distinct guard decided once
             for t in self.transitions:
-                if t.dst not in succ[t.src] and _sat_disjoint(t.guard, self.alphabet):
+                if t.dst in succ[t.src]:
+                    continue
+                ok = sat.get(t.guard)
+                if ok is None:
+                    ok = sat[t.guard] = _sat_disjoint(t.guard)
+                if ok:
                     succ[t.src].add(t.dst)
             self._edges = tuple(tuple(sorted(s)) for s in succ)
         return self._edges
@@ -165,7 +190,7 @@ class BuchiAutomaton:
         for q in self.accepting:
             edges = self._out[q]
             if edges and all(d == q for _, d in edges):
-                if _tautology(reduce(_or, [g for g, _ in edges]), self.alphabet):
+                if _tautology(reduce(_or, [g for g, _ in edges])):
                     sinks.add(q)
         self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
         return self._classes
@@ -252,76 +277,109 @@ def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return radj
 
 
-def _tautology(guard: Formula, alphabet: Alphabet) -> bool:
-    """Validity by enumerating the guard's own atoms only."""
-    names = sorted(atoms(guard))
-    if len(names) > 14:
+def _tautology(guard: Formula) -> bool:
+    """Validity: the guard's negation is unsatisfiable."""
+    if len(atoms(guard)) > 14:
         return False  # give up; treated as non-tautology, which is safe
-    return all(eval_bool(guard, letter, alphabet)
-               for letter in _letters(names, alphabet))
+    return not _sat_disjoint(_not(guard))
 
 
 # -- tableau construction ---------------------------------------------------
 
 
 _INIT = -1
+_LITERAL = "literal"   # kind of an atom or a negated atom
+
+
+def _is_literal(f: Formula) -> bool:
+    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.arg, Atom))
+
+
+def _children(f: Formula) -> list[Formula]:
+    return [c for c in (getattr(f, a, None) for a in ("arg", "lhs", "rhs"))
+            if isinstance(c, Formula)]
+
+
+def _subformulas(f: Formula) -> list[Formula]:
+    """Every distinct subformula of f, f included, in format_formula order."""
+    found: set[Formula] = set()
+
+    def walk(g: Formula):
+        if g not in found:
+            found.add(g)
+            for c in _children(g):
+                walk(c)
+
+    walk(f)
+    return sorted(found, key=format_formula)
 
 
 def _expand_tableau(root: Formula):
     """On-the-fly tableau expansion of an NNF formula.
 
-    Returns (olds, nexts, incomings): per-node processed formula sets, next
-    obligations, and incoming node ids (with -1 for the virtual initial node).
-    Nodes are unique per (old, next) pair. Processing order is fixed by the
-    formulas' canonical strings so construction is fully deterministic.
+    Returns (subs, olds, incomings): the root's subformulas in
+    format_formula order, and per node the ids (positions in subs) of its
+    processed formulas and its incoming node ids (with -1 for the virtual
+    initial node). Nodes are unique per (old, next) pair. Each step takes
+    the smallest id, the formula with the smallest canonical string, so
+    construction is fully deterministic.
     """
-    nodes: dict[tuple[frozenset, frozenset], int] = {}
-    olds: list[frozenset] = []
-    nexts: list[frozenset] = []
+    subs = _subformulas(root)
+    index = {g: i for i, g in enumerate(subs)}
+    kind = [_LITERAL if _is_literal(g) else type(g) for g in subs]
+    kids = [tuple(index[c] for c in _children(g)) for g in subs]
+    # a literal's complement, or -1 when the complement is no subformula
+    neg = [-1] * len(subs)
+    for i, g in enumerate(subs):
+        if kind[i] is _LITERAL and isinstance(g, Not):
+            neg[i], neg[kids[i][0]] = kids[i][0], i
+
+    nodes: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    olds: list[frozenset[int]] = []
+    nexts: list[frozenset[int]] = []
     incomings: list[set[int]] = []
     # worklist of closed nodes whose successors still need expansion
     pending: list[int] = []
 
-    def close(new: set, old: frozenset, nxt: frozenset, inc: frozenset):
+    def close(new: set[int], old: frozenset[int], nxt: frozenset[int],
+              inc: frozenset[int]):
         while new:
-            g = min(new, key=format_formula)
+            g = min(new)
             new.discard(g)
-            if isinstance(g, Bool):
-                if not g.value:
+            k = kind[g]
+            if k is Bool:
+                if not subs[g].value:
                     return
                 continue
             if g in old:
                 continue
-            if isinstance(g, Atom) or (isinstance(g, Not) and isinstance(g.arg, Atom)):
-                contra = g.arg if isinstance(g, Not) else Not(g)
-                if contra in old:
+            if k is _LITERAL:
+                if neg[g] in old:
                     return
                 old = old | {g}
                 continue
-            if isinstance(g, And):
+            if k is And:
                 old = old | {g}
-                new |= {g.lhs, g.rhs} - old
+                new |= set(kids[g]) - old
                 continue
-            if isinstance(g, Next):
+            if k is Next:
                 old = old | {g}
-                nxt = nxt | {g.arg}
+                nxt = nxt | set(kids[g])
                 continue
-            if isinstance(g, Or):
-                old2 = old | {g}
-                close(new | ({g.lhs} - old2), old2, nxt, inc)
-                close(new | ({g.rhs} - old2), old2, nxt, inc)
-                return
-            if isinstance(g, Until):
-                old2 = old | {g}
-                close(new | ({g.rhs} - old2), old2, nxt, inc)
-                close(new | ({g.lhs} - old2), old2, nxt | {g}, inc)
-                return
-            if isinstance(g, Release):
-                old2 = old | {g}
-                close(new | ({g.lhs, g.rhs} - old2), old2, nxt, inc)
-                close(new | ({g.rhs} - old2), old2, nxt | {g}, inc)
-                return
-            raise TypeError(f"formula not in negation normal form: {g}")
+            if k not in (Or, Until, Release):
+                raise TypeError(f"formula not in negation normal form: {subs[g]}")
+            lhs, rhs = kids[g]
+            old2 = old | {g}
+            if k is Or:
+                close(new | ({lhs} - old2), old2, nxt, inc)
+                close(new | ({rhs} - old2), old2, nxt, inc)
+            elif k is Until:
+                close(new | ({rhs} - old2), old2, nxt, inc)
+                close(new | ({lhs} - old2), old2, nxt | {g}, inc)
+            else:
+                close(new | ({lhs, rhs} - old2), old2, nxt, inc)
+                close(new | ({rhs} - old2), old2, nxt | {g}, inc)
+            return
         key = (old, nxt)
         nid = nodes.get(key)
         if nid is None:
@@ -334,33 +392,11 @@ def _expand_tableau(root: Formula):
         else:
             incomings[nid] |= inc
 
-    close({root}, frozenset(), frozenset(), frozenset({_INIT}))
+    close({index[root]}, frozenset(), frozenset(), frozenset({_INIT}))
     while pending:
         nid = pending.pop(0)
         close(set(nexts[nid]), frozenset(), frozenset(), frozenset({nid}))
-    return olds, nexts, incomings
-
-
-def _guard_of(old: frozenset) -> Formula:
-    lits = [g for g in old
-            if isinstance(g, Atom) or (isinstance(g, Not) and isinstance(g.arg, Atom))]
-    lits.sort(key=format_formula)
-    return reduce(_and, lits, TRUE)
-
-
-def _until_subformulas(f: Formula) -> list[Until]:
-    found: set[Until] = set()
-
-    def walk(g: Formula):
-        if isinstance(g, Until):
-            found.add(g)
-        for attr in ("arg", "lhs", "rhs"):
-            child = getattr(g, attr, None)
-            if isinstance(child, Formula):
-                walk(child)
-
-    walk(f)
-    return sorted(found, key=format_formula)
+    return subs, olds, incomings
 
 
 def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutomaton:
@@ -371,21 +407,23 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
         missing = atoms(f) - set(alphabet.names)
         if missing:
             raise ValueError(f"formula atoms {sorted(missing)} not in alphabet")
-    g = nnf(f)
-    olds, nexts, incomings = _expand_tableau(g)
+    subs, olds, incomings = _expand_tableau(nnf(f))
+    index = {g: i for i, g in enumerate(subs)}
 
     # states: tableau nodes shifted by one, state 0 is the virtual initial
     n_states = len(olds) + 1
     transitions: list[Transition] = []
-    for nid in range(len(olds)):
-        guard = _guard_of(olds[nid])
+    for nid, old in enumerate(olds):
+        # ids ascend in format_formula order, so the literals come sorted
+        guard = reduce(_and, (subs[i] for i in sorted(old) if _is_literal(subs[i])),
+                       TRUE)
         for src in sorted(incomings[nid]):
             transitions.append(Transition(src + 1, guard, nid + 1))
-    # a true right-hand side holds at every node even though the closure
-    # never stores it
+    # one acceptance set per Until; a true right-hand side holds at every
+    # node even though the closure never stores it
     acc_sets = [frozenset(nid + 1 for nid, old in enumerate(olds)
-                          if u not in old or u.rhs == TRUE or u.rhs in old)
-                for u in _until_subformulas(g)]
+                          if u not in old or g.rhs == TRUE or index[g.rhs] in old)
+                for u, g in enumerate(subs) if isinstance(g, Until)]
     # with no Until every state accepts; with one the counter stays at 0
     aut = _degeneralize(alphabet, n_states, 0, transitions,
                         acc_sets or [frozenset(range(n_states))])
@@ -482,7 +520,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
             continue
         comp = _closure((q,), adj)
         if all(aut.out(p)
-               and all(d in comp and _tautology(g, aut.alphabet)
+               and all(d in comp and _tautology(g)
                        for g, d in aut.out(p))
                for p in comp) and comp <= _closure((q,), _reverse(adj)):
             universal |= comp
@@ -498,7 +536,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
                           key=format_formula)
-            if into and _tautology(reduce(_or, into), aut.alphabet):
+            if into and _tautology(reduce(_or, into)):
                 universal.add(q)
                 changed = True
     rep = min(universal)
@@ -514,28 +552,57 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
                           tuple(transitions))
 
 
-def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Quotient by strong bisimulation (acceptance-respecting)."""
-    support = aut._support()
-    if len(support) > 10:
-        return aut
-    letters = list(_letters(support, aut.alphabet))
-    succ = [[frozenset(aut.succ(q, letter)) for letter in letters]
-            for q in range(aut.n_states)]
+def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
+    """g's truth table: bit l is its value on letter l, given each atom's
+    table and the table `full` of every letter."""
+    if isinstance(g, Bool):
+        return full if g.value else 0
+    if isinstance(g, Atom):
+        return atom[g.name]
+    if isinstance(g, Not):
+        return full ^ _letter_mask(g.arg, atom, full)
+    lhs, rhs = _letter_mask(g.lhs, atom, full), _letter_mask(g.rhs, atom, full)
+    return lhs & rhs if isinstance(g, And) else lhs | rhs
+
+
+def _bisimilar_classes(aut: BuchiAutomaton, support: Sequence[str]) -> list[int]:
+    """Each state's class under strong bisimulation (acceptance-respecting),
+    numbered in order of first member.
+
+    A state's signature is its class and, per successor class, the mask of
+    support letters that lead into that class: the same information as its
+    successor classes letter by letter, held in one int per class.
+    """
+    # letter l sets support[i] iff bit i of l is set
+    n = 1 << len(support)
+    atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
+            for i, name in enumerate(support)}
+    full = (1 << n) - 1
+    out = [[(_letter_mask(g, atom, full), d) for g, d in aut.out(q)]
+           for q in range(aut.n_states)]
     cls = [1 if q in aut.accepting else 0 for q in range(aut.n_states)]
     while True:
         sigs = {}
         new_cls = [0] * aut.n_states
         for q in range(aut.n_states):
-            sig = (cls[q],
-                   tuple(frozenset(cls[d] for d in succ[q][li])
-                         for li in range(len(letters))))
+            into: dict[int, int] = {}
+            for mask, d in out[q]:
+                into[cls[d]] = into.get(cls[d], 0) | mask
+            sig = (cls[q], frozenset(item for item in into.items() if item[1]))
             if sig not in sigs:
                 sigs[sig] = len(sigs)
             new_cls[q] = sigs[sig]
         if new_cls == cls:
-            break
+            return cls
         cls = new_cls
+
+
+def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
+    """Quotient by strong bisimulation; skipped above 10 support names."""
+    support = aut._support()
+    if len(support) > 10:
+        return aut
+    cls = _bisimilar_classes(aut, support)
     n_classes = len(set(cls))
     if n_classes == aut.n_states:
         return aut
@@ -579,7 +646,7 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
                 transitions.append(Transition(q, g, d))
                 continue
             narrowed = _and(g, blocker)
-            if _sat_disjoint(narrowed, aut.alphabet):
+            if _sat_disjoint(narrowed):
                 transitions.append(Transition(q, narrowed, d))
     return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
                           aut.accepting, tuple(transitions))

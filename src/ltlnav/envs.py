@@ -114,6 +114,10 @@ class EnvConfig(JsonFields):
                 raise ValueError("zones_per_color must be >= 1")
             # NaN fails every comparison, so these also reject NaN
             half = self.arena_half_extent
+            if not self.fixed_zones and not self.zone_radius < half:
+                raise LayoutInfeasible(
+                    f"zone_radius must be below arena_half_extent ({half}) "
+                    f"for a sampled zone to fit, got {self.zone_radius}")
             if self.agent_start and not (
                     len(self.agent_start) == 2
                     and all(abs(v) <= half for v in self.agent_start)):
@@ -264,8 +268,6 @@ class ZoneSim:
         half = self.config.arena_half_extent
         r = self.config.zone_radius
         lo, hi = -(half - r), half - r
-        if lo >= hi:
-            raise LayoutInfeasible("zone radius exceeds the arena")
         zones: list[Zone] = []
         for color in range(self.alphabet.n):
             for _ in range(self.config.zones_per_color):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,88 @@ class TestGuardConstructors:
         for x in self.OPERANDS:
             for y in self.OPERANDS:
                 assert buchi._or(x, y) == Or(x, y)
+
+
+def random_guard(rng, depth, names):
+    """Random Boolean formula, built with the raw node classes so that
+    constants and double negations can sit anywhere in it."""
+    if depth <= 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.9:
+            return Atom(names[int(rng.integers(len(names)))])
+        return TRUE if r < 0.95 else FALSE
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return Not(random_guard(rng, depth - 1, names))
+    op = And if kind == 1 else Or
+    return op(random_guard(rng, depth - 1, names),
+              random_guard(rng, depth - 1, names))
+
+
+def letter_set_classes(aut):
+    """Bisimulation classes from each state's successor classes, letter by
+    letter over the support, numbered in order of first member."""
+    support = sorted(set().union(*(atoms(t.guard) for t in aut.transitions)))
+    letters = [aut.alphabet.mask(*(n for i, n in enumerate(support) if combo >> i & 1))
+               for combo in range(1 << len(support))]
+    succ = [[brute_successors(aut, q, letter) for letter in letters]
+            for q in range(aut.n_states)]
+    cls = [int(q in aut.accepting) for q in range(aut.n_states)]
+    while True:
+        sigs = {}
+        new = [sigs.setdefault(
+                   (cls[q], tuple(frozenset(cls[d] for d in s) for s in succ[q])),
+                   len(sigs))
+               for q in range(aut.n_states)]
+        if new == cls:
+            return cls
+        cls = new
+
+
+class TestGuardDecisions:
+    """Satisfiability, validity and the bisimulation signature, against
+    enumerating the letters with eval_bool."""
+
+    def test_sat_and_tautology_match_enumeration(self):
+        rng = np.random.default_rng(5)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            ab = small_alphabet(int(rng.integers(1, 9)))
+            g = random_guard(rng, int(rng.integers(1, 7)), ab.names)
+            values = [eval_bool(g, letter, ab) for letter in range(1 << ab.n)]
+            assert buchi._sat_disjoint(g) == any(values), format_formula(g)
+            assert buchi._tautology(g) == all(values), format_formula(g)
+            seen[any(values) and not all(values)] += 1
+        assert min(seen.values()) > 50   # both kinds of guard were drawn
+
+    def test_wide_cube_and_disjunction(self):
+        cube = reduce(buchi._and, [Atom(f"p{i}") for i in range(40)])
+        wide = reduce(buchi._or, [Atom(f"p{i}") for i in range(40)])
+        assert buchi._sat_disjoint(cube)
+        assert not buchi._sat_disjoint(buchi._and(cube, Not(Atom("p39"))))
+        assert buchi._sat_disjoint(buchi._not(wide))
+        assert not buchi._sat_disjoint(buchi._and(buchi._not(wide), Atom("p7")))
+
+    def test_bisimulation_masks_match_letter_sets(self):
+        rng = np.random.default_rng(9)
+        merged = 0
+        for _ in range(200):
+            n_props = int(rng.integers(1, 5))
+            ab = small_alphabet(n_props)
+            n_states = int(rng.integers(1, 8))
+            pool = [random_guard(rng, 3, ab.names) for _ in range(3)]
+            transitions = []
+            for src in range(n_states):
+                k = int(rng.integers(0, min(n_states, 2) + 1))
+                for dst in rng.choice(n_states, size=k, replace=False):
+                    guard = pool[int(rng.integers(len(pool)))]
+                    transitions.append(Transition(src, guard, int(dst)))
+            accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
+            aut = BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
+            cls = buchi._bisimilar_classes(aut, aut._support())
+            assert cls == letter_set_classes(aut)
+            merged += len(set(cls)) < n_states
+        assert merged > 20   # the quotient was not always trivial
 
 
 def automaton_from_json(data):

@@ -246,6 +246,13 @@ class TestTrain:
         cfg[section][key] = value
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
 
+    def test_no_room_for_zones_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["env"] = {"env": "zonesim", "arena_half_extent": 0.3}
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                      "zone_radius")
+
     @staticmethod
     def exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key):
         path = tmp_path / "bad.json"

@@ -1,7 +1,8 @@
 """Pins what the benchmark's compile suite produces: for each spec in
 perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
-the subgoals extracted at every live state; and one sha256 over the
-automata and state classes of 300 seeded random formulas.
+the subgoals extracted at every live state; one sha256 over the automata
+and state classes of 300 seeded random formulas; and the automata of four
+specs with wide cube or disjunction guards.
 
 A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
 change that alters the output on purpose updates DIGESTS and says so in
@@ -43,6 +44,29 @@ DIGESTS = {
 }
 # recorded with the code of the commit before the one that added it
 RANDOM_DIGEST = "bf3b1c5367b434b072c3b9ee77585e9219b578b8e5fdb1c20005050481b209b2"
+
+
+_CUBE = " & ".join(f"p{i}" for i in range(16))
+_WIDE = " | ".join(f"p{i}" for i in range(30))
+# Specs with 16-literal cube or 30-literal disjunction guards, compiled over
+# their default alphabets: (text, sha256 of to_json), recorded with the code
+# of the commit before the one that decides guards by splitting on atoms.
+# That code took seconds on the cube specs, deciding each guard letter by
+# letter.
+WIDE_GUARDS = {
+    "gf-cube-16": (
+        f"G F ({_CUBE})",
+        "58fe6f987102744abac963a53f5b4f3d5a5d781c0de9749fd10de5b35b88ae18"),
+    "response-cube-16": (
+        f"G (p0 -> F ({_CUBE}))",
+        "5292f1281b03c2a8c988f30ae550c07958d0b9ca2be84b44301900e0aa16567f"),
+    "f-or-30": (
+        f"F ({_WIDE})",
+        "9942d99a09c36f761720661cde8b980ee26d1445afdc0d493248bb1970439611"),
+    "response-or-30": (
+        f"G (a -> F ({_WIDE}))",
+        "43df964f587cc7587e34ecdd4dbc04b2bd12c48ec06f909192fe2e856f7e4097"),
+}
 
 
 @functools.cache
@@ -93,6 +117,14 @@ def test_random_outputs_unchanged():
     assert digest.hexdigest() == RANDOM_DIGEST
 
 
+def satisfiable(guard, alphabet) -> bool:
+    """Brute force: some letter over the guard's own atoms satisfies it."""
+    bits = [alphabet.index(name) for name in sorted(ltl.atoms(guard))]
+    return any(ltl.eval_bool(guard, sum(1 << b for i, b in enumerate(bits)
+                                        if combo >> i & 1), alphabet)
+               for combo in range(1 << len(bits)))
+
+
 @pytest.mark.parametrize("case", ["suite", "random"])
 def test_compiled_automata_are_trim(case):
     """What the single prune relies on: every compiled guard is
@@ -102,7 +134,32 @@ def test_compiled_automata_are_trim(case):
             else random_automata())
     for aut in auts:
         everything = set(range(aut.n_states))
-        assert all(buchi._sat_disjoint(t.guard, aut.alphabet)
-                   for t in aut.transitions)
+        assert all(satisfiable(t.guard, aut.alphabet) for t in aut.transitions)
         assert buchi._closure((aut.initial,), aut.edges()) == everything
         assert everything - {aut.initial} <= aut.classify().live
+
+
+@pytest.mark.parametrize("name", WIDE_GUARDS)
+def test_wide_guard_outputs_unchanged(name):
+    text, digest = WIDE_GUARDS[name]
+    aut = buchi.compile_formula(ltl.parse(text))
+    blob = json.dumps(aut.to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_compile_evaluates_no_guard_letter_by_letter(monkeypatch):
+    """Compiling decides every guard question symbolically: no eval_bool
+    call on the wide-guard specs or on any SUITE spec."""
+    calls = []
+    real = buchi.eval_bool
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(buchi, "eval_bool", counted)
+    for text, _ in WIDE_GUARDS.values():
+        buchi.compile_formula(ltl.parse(text))
+    for spec in workloads.SUITE:
+        buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    assert calls == []

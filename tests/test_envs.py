@@ -90,6 +90,16 @@ class TestConfig:
                 grid_config(agent_start=bad)
         assert grid_config(agent_start=(6.0, 0)).agent_start == (6.0, 0.0)
 
+    def test_sampled_zones_must_fit_the_arena(self):
+        # a sampled zone's center lies within half - radius of the origin,
+        # so a radius of at least half leaves no room; pinned zones need none
+        for half in (0.3, 0.4):
+            with pytest.raises(LayoutInfeasible, match="zone_radius"):
+                zone_config(arena_half_extent=half)
+        assert zone_config(arena_half_extent=0.41).zone_radius == 0.4
+        zone_config(arena_half_extent=0.3,
+                    fixed_zones=(("blue", (0.0, 0.0), 0.4),))
+
     def test_achievable_assignments(self):
         assert achievable_assignments(grid_config()) == tuple(
             1 << i for i in range(12))

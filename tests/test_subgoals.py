@@ -113,9 +113,9 @@ class TestEdges:
         calls = []
         real = buchi._sat_disjoint
 
-        def counted(guard, alphabet):
+        def counted(guard):
             calls.append(guard)
-            return real(guard, alphabet)
+            return real(guard)
 
         monkeypatch.setattr(buchi, "_sat_disjoint", counted)
         first = aut.edges()
