@@ -5,7 +5,10 @@ layout and returns an observation, ``step(action)`` advances one timestep
 and returns ``(obs, label, done)`` where the label is an assignment bitmask
 over the environment's alphabet.  Observations split into a
 proposition-independent part and a proposition-dependent part so the
-reduction layer can fuse the latter with a subgoal.
+reduction layer can fuse the latter with a subgoal.  Each env builds what
+stays fixed once: LetterWorld its view index table per config and its
+cells per reset, ZoneSim its beam offsets per config and its zone layout
+arrays per reset.
 """
 
 from __future__ import annotations
@@ -260,6 +263,13 @@ class ZoneSim:
         self.config = config
         self.alphabet = alphabet_for(config)
         self.state: ZoneSimState | None = None
+        k = config.lidar_beams
+        self._beam_offsets = 2 * math.pi * np.arange(k) / k
+        # Layout arrays of state.zones, built by reset: zone centers (Z, 2),
+        # squared radii (Z,), the (n, Z, 1) mask of each color's zones, and
+        # (center, radius, label bit) per zone.
+        self._centers = self._r2 = self._own = None
+        self._disks = ()
 
     def _sample_zones(self, rng: np.random.Generator) -> tuple[Zone, ...]:
         if self.config.fixed_zones:
@@ -313,28 +323,40 @@ class ZoneSim:
                 raise LayoutInfeasible("no free spot for the agent")
         heading = float(rng.uniform(-math.pi, math.pi))
         self.state = ZoneSimState(pos.astype(np.float64), heading, 0.0, zones)
+        self._centers = np.array([z.center for z in zones])
+        self._r2 = np.array([z.radius * z.radius for z in zones])
+        colors = np.array([z.color for z in zones])
+        self._own = (colors == np.arange(self.alphabet.n)[:, None])[:, :, None]
+        self._disks = tuple((z.center, z.radius, 1 << z.color) for z in zones)
         return self.observe()
 
     def step(self, action):
-        a = np.clip(np.asarray(action, dtype=np.float64).reshape(2), -1.0, 1.0)
+        """One tick in Python floats.  Each clip is min(max(x, lo), hi),
+        which returns what np.clip returns, signed zeros included."""
+        a0, a1 = np.asarray(action, dtype=np.float64).reshape(2).tolist()
+        if not (math.isfinite(a0) and math.isfinite(a1)):
+            raise ValueError(f"action must be finite, got {action!r}")
+        a0 = min(max(a0, -1.0), 1.0)
+        a1 = min(max(a1, -1.0), 1.0)
         st = self.state
-        st.heading = math.remainder(st.heading + a[1] * TURN_RATE * DT,
+        st.heading = math.remainder(st.heading + a1 * TURN_RATE * DT,
                                     2 * math.pi)
-        st.speed = float(np.clip(st.speed + a[0] * ACCEL * DT, 0.0, MAX_SPEED))
+        st.speed = min(max(st.speed + a0 * ACCEL * DT, 0.0), MAX_SPEED)
         half = self.config.arena_half_extent
-        velocity = st.speed * np.array([math.cos(st.heading),
-                                        math.sin(st.heading)])
-        st.position = np.clip(st.position + velocity * DT, -half, half)
+        x, y = st.position.tolist()
+        x = min(max(x + st.speed * math.cos(st.heading) * DT, -half), half)
+        y = min(max(y + st.speed * math.sin(st.heading) * DT, -half), half)
+        st.position = np.array((x, y))
         st.step_count += 1
         done = st.step_count >= self.config.max_steps
         return self.observe(), self.label(), done
 
     def label(self) -> int:
-        st = self.state
+        pos = self.state.position.tolist()
         mask = 0
-        for z in st.zones:
-            if math.dist(st.position, z.center) <= z.radius:
-                mask |= 1 << z.color
+        for center, radius, bit in self._disks:
+            if math.dist(pos, center) <= radius:
+                mask |= bit
         return mask
 
     def observe(self) -> Observation:
@@ -345,16 +367,12 @@ class ZoneSim:
         single 2-D product or an elementwise form rounds differently.
         """
         st = self.state
-        not_ap = np.array([st.speed, math.sin(st.heading),
-                           math.cos(st.heading)], dtype=np.float64)
-        k = self.config.lidar_beams
-        angles = st.heading + 2 * math.pi * np.arange(k) / k
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        zones = st.zones
-        centers = np.array([z.center for z in zones])
-        r2 = np.array([z.radius * z.radius for z in zones])
-        colors = np.array([z.color for z in zones])
-        m = centers - st.position                              # (Z, 2)
+        h = st.heading
+        not_ap = np.array([st.speed, math.sin(h), math.cos(h)])
+        angles = h + self._beam_offsets
+        dirs = np.array((np.cos(angles), np.sin(angles))).T.copy()  # (k, 2)
+        r2 = self._r2
+        m = self._centers - st.position                        # (Z, 2)
         m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]          # (Z,)
         b = (dirs[None] @ m[:, :, None])[:, :, 0]              # (Z, k)
         disc = b * b - (m2 - r2)[:, None]
@@ -362,10 +380,11 @@ class ZoneSim:
         t = np.where(hit, b - np.sqrt(np.where(hit, disc, 0.0)), np.inf)
         t[t < 0] = np.inf
         t[m2 <= r2] = 0.0                  # the agent is inside the zone
-        own = colors == np.arange(self.alphabet.n)[:, None]    # (n, Z)
-        dist = np.where(own[:, :, None], t, np.inf).min(axis=1)
-        closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0, 1.0)
-        ap = np.where(np.isfinite(dist), closeness, 0.0)
+        dist = np.minimum.reduce(np.where(self._own, t, np.inf), axis=1)
+        # dist >= 0, so closeness is at most 1; no hit leaves dist inf,
+        # and 1 - inf clips to 0
+        ap = 1.0 - dist / SENSOR_RANGE
+        np.maximum(ap, 0.0, out=ap)
         return Observation("lidar", not_ap, ap)
 
 

@@ -5,11 +5,15 @@ of how many propositions the environment has, so the policy surface does
 not grow with the alphabet.  Grid observations map cells to {+1, -1, 0}
 values; lidar observations fuse per-proposition closeness arrays (min
 across the propositions of one assignment, max across the assignments of
-the avoid set, so the fused beam tracks the nearest avoid region).  The
-"raw" fusion skips this and appends the subgoal bitvector instead.
+the avoid set, so the fused beam tracks the nearest avoid region).  Each
+subgoal's fusion is planned once and memoized: a value table per letter
+for grids, a proposition mask per assignment for lidar.  The "raw" fusion
+skips this and appends the subgoal bitvector instead.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,13 +33,28 @@ V_NEUTRAL = 0.0
 FUSIONS = ("reduced", "raw")
 
 
-def _check_masks(sub: Subgoal, n_props: int) -> None:
-    limit = 1 << n_props
-    if not 0 < sub.reach < limit:
-        raise ValueError(f"reach assignment {sub.reach} out of range")
-    for a in sub.avoid:
-        if not 0 < a < limit:
-            raise ValueError(f"avoid assignment {a} out of range")
+# Plans are pure functions of a hashable subgoal, built on first use.  An
+# invalid subgoal raises while building, and lru_cache keeps no entry for
+# it, so it raises on every call.  The bound holds the subgoals of every
+# worker and spec at once with room to spare.
+_PLAN_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _grid_table(sub: Subgoal) -> np.ndarray:
+    """Cell value by letter index + 1: entry 0 for empty cells, then one
+    entry per letter up to the subgoal's highest bit, then a neutral entry
+    that every higher letter clips to."""
+    reach = int(sub.reach)
+    avoid = {int(a) for a in sub.avoid}
+    width = max([reach.bit_length()] + [a.bit_length() for a in avoid])
+    table = [V_NEUTRAL]
+    for p in range(width):
+        cell = 1 << p
+        table.append(V_AVOID if cell in avoid
+                     else V_REACH if cell & reach else V_NEUTRAL)
+    table.append(V_NEUTRAL)
+    return np.array(table)
 
 
 def reduce_grid(obs: Observation, sub: Subgoal) -> np.ndarray:
@@ -46,33 +65,32 @@ def reduce_grid(obs: Observation, sub: Subgoal) -> np.ndarray:
     """
     if obs.kind != "grid":
         raise ValueError("reduce_grid needs a grid observation")
-    table = [V_NEUTRAL]     # index 0: empty cells (letter index -1)
-    for p in range(int(obs.ap.max()) + 1):
-        cell = 1 << p
-        table.append(V_AVOID if cell in sub.avoid
-                     else V_REACH if cell & sub.reach else V_NEUTRAL)
-    return np.array(table)[obs.ap + 1]
+    return _grid_table(sub).take(obs.ap + 1, mode="clip")
 
 
-def _min_fuse(ap: np.ndarray, assignment: int) -> np.ndarray:
-    """Closeness of one assignment: min across its true propositions."""
-    rows = [ap[i] for i in range(ap.shape[0]) if (assignment >> i) & 1]
-    fused = rows[0].copy()
-    for row in rows[1:]:
-        np.minimum(fused, row, out=fused)
-    return fused
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _lidar_mask(sub: Subgoal, n_props: int) -> np.ndarray:
+    """(1 + A, n_props, 1) bool: row 0 marks the reach assignment's
+    propositions, the rest each avoid assignment's, in sorted order."""
+    rows = [int(sub.reach)] + sorted(int(a) for a in sub.avoid)
+    for i, a in enumerate(rows):
+        if not 0 < a < 1 << n_props:
+            role = "avoid" if i else "reach"
+            raise ValueError(f"{role} assignment {a} out of range")
+    return np.array([[(a >> i) & 1 for i in range(n_props)] for a in rows],
+                    dtype=bool)[:, :, None]
 
 
 def reduce_lidar(obs: Observation, sub: Subgoal) -> np.ndarray:
+    """Each assignment's closeness is the min over its propositions' rows;
+    the avoid channel is the max of those over the avoid set, and 0 when
+    it is empty.  Min and max are exact, so the order does not matter."""
     if obs.kind != "lidar":
         raise ValueError("reduce_lidar needs a lidar observation")
-    _check_masks(sub, obs.ap.shape[0])
-    k = obs.ap.shape[1]
-    reach = _min_fuse(obs.ap, sub.reach)
-    avoid = np.zeros(k)
-    for a in sorted(sub.avoid):
-        np.maximum(avoid, _min_fuse(obs.ap, a), out=avoid)
-    return np.concatenate([obs.not_ap, reach, avoid])
+    mask = _lidar_mask(sub, obs.ap.shape[0])
+    fused = np.minimum.reduce(np.where(mask, obs.ap, np.inf), axis=1)
+    avoid = np.maximum.reduce(fused[1:], axis=0, initial=0.0)
+    return np.concatenate([obs.not_ap, fused[0], avoid])
 
 
 def reduce(obs: Observation, sub: Subgoal, fusion: str = "reduced",

@@ -1,6 +1,6 @@
 """Seeded random generators, a brute-force successor oracle, a rolled
-LetterWorld view, a zone-by-zone lidar and a scripted-label env shared
-across test modules."""
+LetterWorld view, a zone-by-zone lidar, per-call observation reductions
+and a scripted-label env shared across test modules."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
     Or, Release, Until, eval_bool,
 )
+from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
 
 
 def random_formula(rng: np.random.Generator, depth: int, names: tuple[str, ...]):
@@ -126,6 +127,39 @@ def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:
         dist[hit] = np.minimum(dist[hit], t)
     closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0, 1.0)
     return np.where(np.isfinite(dist), closeness, 0.0)
+
+
+def reference_reduce_grid(obs: Observation, sub) -> np.ndarray:
+    """Cell values from a table built for this call over the letters up to
+    the view's largest."""
+    table = [V_NEUTRAL]     # index 0: empty cells (letter index -1)
+    for p in range(int(obs.ap.max()) + 1):
+        cell = 1 << p
+        table.append(V_AVOID if cell in sub.avoid
+                     else V_REACH if cell & sub.reach else V_NEUTRAL)
+    return np.array(table)[obs.ap + 1]
+
+
+def _min_fuse(ap: np.ndarray, assignment: int) -> np.ndarray:
+    """Closeness of one assignment: min across its true propositions."""
+    rows = [ap[i] for i in range(ap.shape[0]) if (assignment >> i) & 1]
+    fused = rows[0].copy()
+    for row in rows[1:]:
+        np.minimum(fused, row, out=fused)
+    return fused
+
+
+def reference_reduce_lidar(obs: Observation, sub) -> np.ndarray:
+    """Reach and avoid channels folded one proposition row and one avoid
+    assignment at a time."""
+    limit = 1 << obs.ap.shape[0]
+    if not all(0 < a < limit for a in (sub.reach, *sub.avoid)):
+        raise ValueError("assignment out of range")
+    reach = _min_fuse(obs.ap, sub.reach)
+    avoid = np.zeros(obs.ap.shape[1])
+    for a in sorted(sub.avoid):
+        np.maximum(avoid, _min_fuse(obs.ap, a), out=avoid)
+    return np.concatenate([obs.not_ap, reach, avoid])
 
 
 class ScriptEnv:

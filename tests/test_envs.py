@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import struct
 from dataclasses import fields
 from itertools import combinations, product
 
@@ -280,6 +282,23 @@ class TestZoneSim:
             assert np.all(np.abs(env.state.position) <= 2.5)
         assert env.state.position[0] == 2.5
 
+    @pytest.mark.parametrize("action", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+    ], ids=["nan-accel", "nan-steer", "inf-accel", "inf-steer"])
+    def test_non_finite_action_raises(self, action):
+        env = ZoneSim(zone_config())
+        env.reset(np.random.default_rng(5))
+        env.step((1.0, 0.3))
+        st = env.state
+        before = (st.position.tobytes(), st.heading, st.speed, st.step_count)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                env.step(np.array(action))
+        assert (st.position.tobytes(), st.heading, st.speed,
+                st.step_count) == before
+        env.step((1.0, 0.3))
+        assert np.all(np.isfinite(env.state.position))
+
     def test_heading_wraps(self):
         env = ZoneSim(zone_config())
         env.reset(np.random.default_rng(3))
@@ -480,3 +499,39 @@ def test_make_env_dispatch():
     assert isinstance(make_env(zone_config()), ZoneSim)
     assert alphabet_for(zone_config()).names == ("blue", "green", "magenta",
                                                  "yellow")
+
+
+def kinematics_digest(overlap: bool) -> str:
+    """sha256 over everything one ZoneSim episode exposes, step by step."""
+    h = hashlib.sha256()
+    env = ZoneSim(zone_config(overlap_mode=overlap))
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        obs = env.reset(np.random.default_rng(seed))
+        done = False
+        for t in range(61):
+            st = env.state
+            h.update(obs.not_ap.tobytes() + obs.ap.tobytes())
+            h.update(struct.pack("<qq", env.label(), done))
+            h.update(st.position.tobytes())
+            h.update(struct.pack("<dd", st.heading, st.speed))
+            if t < 60:
+                # past the clip range on both sides, biased forward so the
+                # agent reaches top speed and the walls
+                action = rng.uniform((-1.5, -1.5), (2.0, 1.5))
+                obs, label, done = env.step(action)
+                assert label == env.label()
+    return h.hexdigest()
+
+
+KINEMATICS_DIGESTS = {
+    True: "df32b78c08b5690c9427e30ea7b49e14d865975e4a36088849129ed839d8516b",
+    False: "8eb613809a63d172add93426e02cf059393769738c0d45ae3e5b7b32bd84ea50",
+}
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_kinematics_digest(overlap):
+    """Positions, headings, speeds, labels and readings over 8 seeds x 60
+    random actions, pinned bit for bit."""
+    assert kinematics_digest(overlap) == KINEMATICS_DIGESTS[overlap]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gen import small_alphabet
+from gen import reference_reduce_grid, reference_reduce_lidar, small_alphabet
+from ltlnav import reduction
 from ltlnav.envs import EnvConfig, Observation
 from ltlnav.reduction import (
     V_AVOID, V_NEUTRAL, V_REACH, reduce, reduce_grid, reduce_lidar,
@@ -144,6 +145,111 @@ class TestLidar:
             reduce_lidar(obs, Subgoal(8, frozenset()))
         with pytest.raises(ValueError):
             reduce_lidar(obs, Subgoal(1, frozenset({9})))
+
+
+def numpy_fields(sub):
+    return Subgoal(np.int64(sub.reach),
+                   frozenset(np.int64(a) for a in sub.avoid))
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMatchesReference:
+    """reduce builds one plan per subgoal; its output must equal the
+    per-call reductions in gen.py byte for byte."""
+
+    def test_grid_random(self):
+        rng = np.random.default_rng(20)
+        empty = 0
+        for _ in range(400):
+            n_sub = int(rng.integers(1, 6))
+            # view letters past the subgoal's propositions are in neither
+            # its reach nor its avoid set
+            n_view = n_sub + int(rng.integers(0, 3))
+            g = int(rng.choice([3, 5, 7]))
+            obs = grid_obs(rng.integers(-1, n_view, size=(g, g)))
+            sub = random_subgoal(rng, n_sub)
+            empty += not sub.avoid
+            if rng.random() < 0.3:
+                sub = numpy_fields(sub)
+            want = reference_reduce_grid(obs, sub)
+            assert_same_bytes(reduce_grid(obs, sub), want)
+            assert_same_bytes(reduce(obs, sub), want.ravel())
+        assert empty >= 10
+
+    def test_lidar_random(self):
+        rng = np.random.default_rng(21)
+        empty = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            obs = lidar_obs(rng, n, k=int(rng.choice([4, 8, 16])))
+            sub = random_subgoal(rng, n)
+            empty += not sub.avoid
+            if rng.random() < 0.3:
+                sub = numpy_fields(sub)
+            want = reference_reduce_lidar(obs, sub)
+            assert_same_bytes(reduce_lidar(obs, sub), want)
+            assert_same_bytes(reduce(obs, sub), want)
+        assert empty >= 10
+
+    def test_numpy_int_fields(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            sub = random_subgoal(rng, 4)
+            gobs = grid_obs(rng.integers(-1, 4, size=(5, 5)))
+            lobs = lidar_obs(rng, 4)
+            for obs in (gobs, lobs):
+                want = reduce(obs, sub)
+                assert_same_bytes(reduce(obs, numpy_fields(sub)), want)
+                assert_same_bytes(reduce(obs, sub), want)
+
+    def test_letters_outside_the_subgoal_are_neutral(self):
+        # subgoal over a and b; the view also holds c, d and letter 9
+        obs = grid_obs([[0, 1, 2], [3, 9, -1]])
+        sub = Subgoal(1, frozenset({2}))
+        want = np.array([[V_REACH, V_AVOID, V_NEUTRAL],
+                         [V_NEUTRAL, V_NEUTRAL, V_NEUTRAL]])
+        assert_same_bytes(reduce_grid(obs, sub), want)
+        assert_same_bytes(reference_reduce_grid(obs, sub), want)
+
+    @pytest.mark.parametrize("sub", [
+        Subgoal(8, frozenset()), Subgoal(0, frozenset()),
+        Subgoal(1, frozenset({9})), Subgoal(1, frozenset({2, 0})),
+        Subgoal(np.int64(8), frozenset({np.int64(2)})),
+    ], ids=["reach-high", "reach-empty", "avoid-high", "avoid-empty",
+            "numpy-reach-high"])
+    def test_invalid_subgoal_raises_on_every_call(self, sub):
+        obs = lidar_obs(np.random.default_rng(23), 3)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                reduce(obs, sub)
+            with pytest.raises(ValueError):
+                reference_reduce_lidar(obs, sub)
+
+    def test_plan_is_per_proposition_count(self):
+        # invalid over 3 propositions, valid over 4
+        sub = Subgoal(8, frozenset({9}))
+        narrow = lidar_obs(np.random.default_rng(24), 3)
+        wide = lidar_obs(np.random.default_rng(24), 4)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reduce(narrow, sub)
+            assert_same_bytes(reduce(wide, sub),
+                              reference_reduce_lidar(wide, sub))
+
+    def test_plan_built_once_per_subgoal(self):
+        rng = np.random.default_rng(25)
+        sub = Subgoal(5, frozenset({2, 8, 10}))
+        reduce(lidar_obs(rng, 4), sub)
+        before = reduction._lidar_mask.cache_info()
+        for _ in range(5):
+            reduce(lidar_obs(rng, 4), Subgoal(5, frozenset({2, 8, 10})))
+        after = reduction._lidar_mask.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 5
 
 
 class TestEquivariance:
