@@ -6,9 +6,10 @@ not grow with the alphabet.  Grid observations map cells to {+1, -1, 0}
 values; lidar observations fuse per-proposition closeness arrays (min
 across the propositions of one assignment, max across the assignments of
 the avoid set, so the fused beam tracks the nearest avoid region).  Each
-subgoal's fusion is planned once and memoized: a value table per letter
-for grids, a proposition mask per assignment for lidar.  The "raw" fusion
-skips this and appends the subgoal bitvector instead.
+subgoal's fusion is planned once and memoized, after one range check
+(subgoals.check_subgoal): an (n+1)-entry value table per letter for grids,
+a proposition mask per assignment for lidar.  The "raw" fusion skips this
+and appends the subgoal bitvector instead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .envs import EnvConfig, Observation
 from .ltl import Alphabet
-from .subgoals import Subgoal, encode_subgoal
+from .subgoals import Subgoal, check_subgoal, encode_subgoal
 
 __all__ = [
     "V_REACH", "V_AVOID", "V_NEUTRAL", "FUSIONS",
@@ -33,51 +34,43 @@ V_NEUTRAL = 0.0
 FUSIONS = ("reduced", "raw")
 
 
-# Plans are pure functions of a hashable subgoal, built on first use.  An
-# invalid subgoal raises while building, and lru_cache keeps no entry for
-# it, so it raises on every call.  The bound holds the subgoals of every
-# worker and spec at once with room to spare.
+# Plans are pure functions of a hashable subgoal and the proposition count,
+# built on first use.  check_subgoal raises for an invalid subgoal while
+# building, and lru_cache keeps no entry for it, so it raises on every
+# call.  The bound holds the subgoals of every worker and spec at once
+# with room to spare.
 _PLAN_CACHE = 256
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
-def _grid_table(sub: Subgoal) -> np.ndarray:
-    """Cell value by letter index + 1: entry 0 for empty cells, then one
-    entry per letter up to the subgoal's highest bit, then a neutral entry
-    that every higher letter clips to."""
-    reach = int(sub.reach)
-    avoid = {int(a) for a in sub.avoid}
-    width = max([reach.bit_length()] + [a.bit_length() for a in avoid])
-    table = [V_NEUTRAL]
-    for p in range(width):
-        cell = 1 << p
-        table.append(V_AVOID if cell in avoid
-                     else V_REACH if cell & reach else V_NEUTRAL)
-    table.append(V_NEUTRAL)
-    return np.array(table)
+def _grid_table(sub: Subgoal, n: int) -> np.ndarray:
+    """(n + 1,) cell value by letter index + 1: entry 0 for empty cells,
+    then one entry per letter."""
+    reach, avoid = check_subgoal(sub, n)
+    return np.array([V_NEUTRAL] + [
+        V_AVOID if (1 << p) in avoid else V_REACH if (reach >> p) & 1
+        else V_NEUTRAL for p in range(n)])
 
 
-def reduce_grid(obs: Observation, sub: Subgoal) -> np.ndarray:
-    """Cell values: avoid assignments -> -1, reach letters -> +1, else 0.
+def reduce_grid(obs: Observation, sub: Subgoal, n: int) -> np.ndarray:
+    """Cell values over n letters: avoid assignments -> -1, reach letters
+    -> +1, else 0.
 
     A cell's label is the singleton of its letter; it is an avoid cell when
     that singleton is in the avoid set (avoid wins on overlap with reach).
     """
     if obs.kind != "grid":
         raise ValueError("reduce_grid needs a grid observation")
-    return _grid_table(sub).take(obs.ap + 1, mode="clip")
+    return _grid_table(sub, n).take(obs.ap + 1)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
-def _lidar_mask(sub: Subgoal, n_props: int) -> np.ndarray:
-    """(1 + A, n_props, 1) bool: row 0 marks the reach assignment's
+def _lidar_mask(sub: Subgoal, n: int) -> np.ndarray:
+    """(1 + A, n, 1) bool: row 0 marks the reach assignment's
     propositions, the rest each avoid assignment's, in sorted order."""
-    rows = [int(sub.reach)] + sorted(int(a) for a in sub.avoid)
-    for i, a in enumerate(rows):
-        if not 0 < a < 1 << n_props:
-            role = "avoid" if i else "reach"
-            raise ValueError(f"{role} assignment {a} out of range")
-    return np.array([[(a >> i) & 1 for i in range(n_props)] for a in rows],
+    reach, avoid = check_subgoal(sub, n)
+    rows = (reach, *avoid)
+    return np.array([[(a >> i) & 1 for i in range(n)] for a in rows],
                     dtype=bool)[:, :, None]
 
 
@@ -93,16 +86,15 @@ def reduce_lidar(obs: Observation, sub: Subgoal) -> np.ndarray:
     return np.concatenate([obs.not_ap, fused[0], avoid])
 
 
-def reduce(obs: Observation, sub: Subgoal, fusion: str = "reduced",
-           alphabet: Alphabet | None = None) -> np.ndarray:
+def reduce(obs: Observation, sub: Subgoal, fusion: str,
+           alphabet: Alphabet) -> np.ndarray:
     """Policy input for one observation under one subgoal.  Any fusion but
     "raw" reduces by the observation's kind."""
     if fusion != "raw":
         if obs.kind == "grid":
-            return np.concatenate([obs.not_ap, reduce_grid(obs, sub).ravel()])
+            return np.concatenate([obs.not_ap,
+                                   reduce_grid(obs, sub, alphabet.n).ravel()])
         return reduce_lidar(obs, sub)
-    if alphabet is None:
-        raise ValueError("raw fusion needs the alphabet to encode the subgoal")
     flat = np.concatenate([obs.not_ap, obs.ap.ravel().astype(np.float64)])
     return np.concatenate([flat, encode_subgoal(sub, alphabet)])
 

@@ -18,7 +18,7 @@ from .ltl import Alphabet
 
 __all__ = [
     "Subgoal", "LassoPath", "UniverseTooLarge", "NoValidSubgoal",
-    "find_lassos", "extract_subgoals", "build_universe",
+    "find_lassos", "extract_subgoals", "build_universe", "check_subgoal",
     "encode_subgoal", "sample_subgoal",
 ]
 
@@ -143,18 +143,27 @@ def build_universe(achievable, cap: int = 1_000_000) -> list[Subgoal]:
     return universe
 
 
+def check_subgoal(sub: Subgoal, n: int) -> tuple[int, tuple[int, ...]]:
+    """(reach, sorted avoid) as ints, once every assignment is a nonempty
+    letter over n propositions, in 1 .. 2^n - 1; ValueError otherwise."""
+    reach = int(sub.reach)
+    avoid = tuple(sorted(int(a) for a in sub.avoid))
+    for role, a in (("reach", reach), *(("avoid", a) for a in avoid)):
+        if not 0 < a < 1 << n:
+            raise ValueError(f"{role} assignment {a} out of range for "
+                             f"{n} propositions")
+    return reach, avoid
+
+
 def encode_subgoal(sub: Subgoal, alphabet: Alphabet) -> np.ndarray:
     """Bitvector of length |AP| + 2^|AP|: reach bits then avoid indicators."""
     n = alphabet.n
+    reach, avoid = check_subgoal(sub, n)
     vec = np.zeros(n + (1 << n), dtype=np.float64)
-    if sub.reach >> n:
-        raise ValueError("reach assignment outside the alphabet")
     for i in range(n):
-        if sub.reach >> i & 1:
+        if reach >> i & 1:
             vec[i] = 1.0
-    for a in sub.avoid:
-        if a >> n:
-            raise ValueError("avoid assignment outside the alphabet")
+    for a in avoid:
         vec[n + a] = 1.0
     return vec
 

@@ -19,7 +19,7 @@ import os
 import tempfile
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, build_universe, sample_subgoal
 
 __all__ = [
-    "TrainerConfig", "Rollout", "SubgoalStepStats", "NonFiniteError",
+    "TrainerConfig", "Rollout", "MIN_COMPLETIONS", "NonFiniteError",
     "Trainer", "signals", "gae_reward", "gae_cost", "episode_cost_togo",
     "loss", "float32_heads", "atomic_write_text", "LOSS_DIAGNOSTICS",
     "STREAM_ENV", "STREAM_POLICY_INIT", "STREAM_ROLLOUT", "STREAM_EVAL",
@@ -51,6 +51,10 @@ STREAM_EVAL = 3
 # iteration's minibatches
 LOSS_DIAGNOSTICS = ("mean_lambda", "policy_objective", "vr_loss", "vh_loss",
                     "mean_ratio")
+
+# completions the trailing window must hold before it reports mu_subgoal,
+# the maximum number of steps one subgoal took
+MIN_COMPLETIONS = 100
 
 
 def stream_rng(seed: int, stream: int, member: int = 0) -> np.random.Generator:
@@ -120,11 +124,11 @@ class TrainerConfig(JsonFields):
                 raise ValueError(f"{name} must be at least 1")
         if self.n_per_iter % self.workers != 0:
             raise ValueError("n_per_iter must be divisible by workers")
-        if self.stats_window < SubgoalStepStats.MIN_COUNT:
+        if self.stats_window < MIN_COMPLETIONS:
             # a shorter window never reports mu_subgoal, and evaluation
             # would silently fall back to its default switching timeout
-            raise ValueError("stats_window must be at least "
-                             f"{SubgoalStepStats.MIN_COUNT}")
+            raise ValueError(
+                f"stats_window must be at least {MIN_COMPLETIONS}")
         object.__setattr__(self, "actor_hidden", tuple(self.actor_hidden))
         object.__setattr__(self, "value_hidden", tuple(self.value_hidden))
 
@@ -149,31 +153,6 @@ class Rollout:
             raise ValueError("terminal steps must be episode boundaries")
 
 
-@dataclass
-class SubgoalStepStats:
-    """Trailing-window statistics of steps needed to complete a subgoal;
-    the maximum is reported once MIN_COUNT completions are in the window."""
-
-    MIN_COUNT = 100
-
-    window: int = 500
-    values: deque = field(default_factory=deque)
-
-    def __post_init__(self):
-        self.values = deque(self.values, maxlen=self.window)
-
-    def add(self, steps: int) -> None:
-        self.values.append(int(steps))
-
-    @property
-    def valid(self) -> bool:
-        return len(self.values) >= self.MIN_COUNT
-
-    @property
-    def maximum(self):
-        return max(self.values) if self.valid else None
-
-
 def signals(label: int, sub: Subgoal) -> tuple[int, int]:
     """(reward, safety): r = 1 iff the label equals the reach assignment;
     h = +1 iff the label is one of the avoid assignments, else -1."""
@@ -182,38 +161,33 @@ def signals(label: int, sub: Subgoal) -> tuple[int, int]:
     return r, h
 
 
-def _gae_scan(delta: np.ndarray, boundary: np.ndarray, gamma: float,
-              lam_gae: float) -> np.ndarray:
-    adv = np.zeros_like(delta)
-    acc = 0.0
-    for t in range(len(delta) - 1, -1, -1):
-        if boundary[t]:
-            acc = 0.0
-        acc = delta[t] + gamma * lam_gae * acc
-        adv[t] = acc
-    return adv
+def _scan_back(x: np.ndarray, boundary: np.ndarray, fold, empty: float):
+    """out[t] = fold(x[t], out[t+1]) over time (axis 0), where the future
+    is `empty` past the end and at each episode boundary.  Trailing axes
+    are independent streams, each with its own boundaries."""
+    out = np.empty_like(x)
+    acc = np.full(x.shape[1:], empty)
+    for t in range(len(x) - 1, -1, -1):
+        acc = fold(x[t], np.where(boundary[t], empty, acc))
+        out[t] = acc
+    return out
 
 
 def gae_reward(rewards, v, v_next, terminal, boundary, gamma, lam_gae):
     """(advantages, returns): TD residuals with V(s') zeroed at true
     terminals, bootstrapped at horizon cutoffs, accumulation stopping at
-    episode boundaries.  Returns are advantage + baseline."""
+    episode boundaries.  Returns are advantage + baseline.  Arrays are
+    (steps,) or (steps, streams)."""
     v_eff = np.where(terminal, 0.0, v_next)
     delta = rewards + gamma * v_eff - v
-    adv = _gae_scan(delta, boundary, gamma, lam_gae)
+    decay = gamma * lam_gae
+    adv = _scan_back(delta, boundary, lambda d, acc: d + decay * acc, 0.0)
     return adv, adv + v
 
 
 def episode_cost_togo(costs, boundary):
     """Per-step maximum of h over the remainder of the episode."""
-    out = np.empty_like(costs)
-    acc = -np.inf
-    for t in range(len(costs) - 1, -1, -1):
-        if boundary[t]:
-            acc = -np.inf
-        acc = max(costs[t], acc)
-        out[t] = acc
-    return out
+    return _scan_back(costs, boundary, np.maximum, -np.inf)
 
 
 def gae_cost(costs, v_h, v_h_next, terminal, boundary, gamma, lam_gae):
@@ -222,7 +196,8 @@ def gae_cost(costs, v_h, v_h_next, terminal, boundary, gamma, lam_gae):
     h itself, so terminals use max(h, .) = h."""
     v_eff = np.where(terminal, costs, np.maximum(costs, v_h_next))
     delta = (1 - gamma) * costs + gamma * v_eff - v_h
-    adv = _gae_scan(delta, boundary, gamma, lam_gae)
+    decay = gamma * lam_gae
+    adv = _scan_back(delta, boundary, lambda d, acc: d + decay * acc, 0.0)
     return adv, episode_cost_togo(costs, boundary)
 
 
@@ -338,7 +313,8 @@ class Trainer:
                               init_rng),
         }
         self.rollout_rng = stream_rng(config.seed, STREAM_ROLLOUT)
-        self.stats = SubgoalStepStats(window=config.stats_window)
+        # steps taken by each completed subgoal, newest last
+        self.completions = deque(maxlen=config.stats_window)
         self.workers = []
         for w in range(config.workers):
             rng = stream_rng(config.seed, STREAM_ENV, w)
@@ -348,6 +324,14 @@ class Trainer:
         self.interactions = 0
         self.iter_count = 0
         self.log = []
+
+    @property
+    def mu_subgoal(self) -> int | None:
+        """Most steps any subgoal in the window took, once it holds
+        MIN_COMPLETIONS completions; None before."""
+        if len(self.completions) < MIN_COMPLETIONS:
+            return None
+        return max(self.completions)
 
     def _reduce(self, obs, sub: Subgoal) -> np.ndarray:
         return reduce(obs, sub, self.config.fusion, self.alphabet)
@@ -389,7 +373,7 @@ class Trainer:
                 terminal = h > 0
                 boundary = terminal or done
                 if r:
-                    self.stats.add(worker.steps_on_sub)
+                    self.completions.append(worker.steps_on_sub)
                     if not boundary:
                         # the next step already pursues the new subgoal
                         worker.sub = sample_subgoal(
@@ -464,7 +448,7 @@ class Trainer:
                                 if attempts else 0.0),
             "violation_rate": int(roll.terminal.sum()) / n,
             **{key: mean_of(key) for key in LOSS_DIAGNOSTICS},
-            "mu_subgoal": self.stats.maximum,
+            "mu_subgoal": self.mu_subgoal,
         }
         for key in LOSS_DIAGNOSTICS:
             if not np.isfinite(record[key]):
@@ -493,7 +477,7 @@ class Trainer:
         ckpt = self.checkpoint()
         if checkpoint_path:
             atomic_write_text(checkpoint_path, json.dumps(ckpt))
-        return {"iterations": self.iter_count, "mu_subgoal": self.stats.maximum,
+        return {"iterations": self.iter_count, "mu_subgoal": self.mu_subgoal,
                 "log": self.log, "checkpoint": ckpt}
 
     def checkpoint(self) -> dict:
@@ -504,5 +488,5 @@ class Trainer:
             "gamma": self.config.gamma,
             "heads": {name: head_to_json(h.spec, h.params)
                       for name, h in self.heads.items()},
-            "mu_subgoal": self.stats.maximum,
+            "mu_subgoal": self.mu_subgoal,
         }

@@ -1,6 +1,7 @@
 """Seeded random generators, a brute-force successor oracle, a rolled
-LetterWorld view, a zone-by-zone lidar, per-call observation reductions
-and a scripted-label env shared across test modules."""
+LetterWorld view, a zone-by-zone lidar, per-call observation reductions,
+per-row advantage scans and a scripted-label env shared across test
+modules."""
 
 from __future__ import annotations
 
@@ -160,6 +161,45 @@ def reference_reduce_lidar(obs: Observation, sub) -> np.ndarray:
     for a in sorted(sub.avoid):
         np.maximum(avoid, _min_fuse(obs.ap, a), out=avoid)
     return np.concatenate([obs.not_ap, reach, avoid])
+
+
+def reference_gae_scan(delta, boundary, gamma, lam_gae) -> np.ndarray:
+    """GAE accumulated one row at a time over a single stream."""
+    adv = np.zeros_like(delta)
+    acc = 0.0
+    for t in range(len(delta) - 1, -1, -1):
+        if boundary[t]:
+            acc = 0.0
+        acc = delta[t] + gamma * lam_gae * acc
+        adv[t] = acc
+    return adv
+
+
+def reference_cost_togo(costs, boundary) -> np.ndarray:
+    """Maximum h over the rest of each episode, one row at a time."""
+    out = np.empty_like(costs)
+    acc = -np.inf
+    for t in range(len(costs) - 1, -1, -1):
+        if boundary[t]:
+            acc = -np.inf
+        acc = max(costs[t], acc)
+        out[t] = acc
+    return out
+
+
+def reference_gae_reward(rewards, v, v_next, terminal, boundary, gamma,
+                         lam_gae):
+    delta = rewards + gamma * np.where(terminal, 0.0, v_next) - v
+    adv = reference_gae_scan(delta, boundary, gamma, lam_gae)
+    return adv, adv + v
+
+
+def reference_gae_cost(costs, v_h, v_h_next, terminal, boundary, gamma,
+                       lam_gae):
+    v_eff = np.where(terminal, costs, np.maximum(costs, v_h_next))
+    delta = (1 - gamma) * costs + gamma * v_eff - v_h
+    return (reference_gae_scan(delta, boundary, gamma, lam_gae),
+            reference_cost_togo(costs, boundary))
 
 
 class ScriptEnv:

@@ -282,18 +282,22 @@ def test_criterion_09_observation_reduction_equivariance():
         obs = grid_obs(rng.integers(-1, n, size=(5, 5)))
         sub = random_subgoal(rng, n)
         perm = rng.permutation(n)
+        ab = gen.small_alphabet(n)
         assert np.array_equal(
-            reduce(permute_grid_obs(obs, perm), permute_subgoal(sub, perm)),
-            reduce(obs, sub))
+            reduce(permute_grid_obs(obs, perm), permute_subgoal(sub, perm),
+                   "reduced", ab),
+            reduce(obs, sub, "reduced", ab))
         cases += 1
     for _ in range(500):
         n = int(rng.integers(2, 6))
         obs = lidar_obs(rng, n, k=8)
         sub = random_subgoal(rng, n)
         perm = rng.permutation(n)
+        ab = gen.small_alphabet(n)
         assert np.array_equal(
-            reduce(permute_lidar_obs(obs, perm), permute_subgoal(sub, perm)),
-            reduce(obs, sub))
+            reduce(permute_lidar_obs(obs, perm), permute_subgoal(sub, perm),
+                   "reduced", ab),
+            reduce(obs, sub, "reduced", ab))
         cases += 1
     dims = {reduced_dim(EnvConfig(
                 env="zonesim",

@@ -5,7 +5,7 @@ from gen import reference_reduce_grid, reference_reduce_lidar, small_alphabet
 from ltlnav import reduction
 from ltlnav.envs import EnvConfig, Observation
 from ltlnav.reduction import (
-    V_AVOID, V_NEUTRAL, V_REACH, reduce, reduce_grid, reduce_lidar,
+    FUSIONS, V_AVOID, V_NEUTRAL, V_REACH, reduce, reduce_grid, reduce_lidar,
     reduced_dim,
 )
 from ltlnav.subgoals import Subgoal, encode_subgoal
@@ -60,23 +60,23 @@ class TestGrid:
     def test_reach_avoid_values(self):
         # letters: a=0 b=1 c=2; reach {a}, avoid {{b}}
         obs = grid_obs([[0, 1, -1], [2, -1, 0], [-1, -1, 1]])
-        out = reduce_grid(obs, Subgoal(1, frozenset({2})))
+        out = reduce_grid(obs, Subgoal(1, frozenset({2})), 3)
         want = np.array([[1, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
         assert np.array_equal(out, want)
 
     def test_empty_avoid_no_negative_cells(self):
         obs = grid_obs([[0, 1], [2, -1]])
-        out = reduce_grid(obs, Subgoal(1, frozenset()))
+        out = reduce_grid(obs, Subgoal(1, frozenset()), 3)
         assert not (out < 0).any()
 
     def test_avoid_wins_over_reach(self):
         obs = grid_obs([[0, 1]])
-        out = reduce_grid(obs, Subgoal(3, frozenset({1})))
+        out = reduce_grid(obs, Subgoal(3, frozenset({1})), 3)
         assert np.array_equal(out, np.array([[V_AVOID, V_REACH]]))
 
     def test_multi_letter_reach(self):
         obs = grid_obs([[0, 1, 2]])
-        out = reduce_grid(obs, Subgoal(3, frozenset()))
+        out = reduce_grid(obs, Subgoal(3, frozenset()), 3)
         assert np.array_equal(out, np.array([[1.0, 1.0, 0.0]]))
 
 
@@ -176,8 +176,10 @@ class TestMatchesReference:
             if rng.random() < 0.3:
                 sub = numpy_fields(sub)
             want = reference_reduce_grid(obs, sub)
-            assert_same_bytes(reduce_grid(obs, sub), want)
-            assert_same_bytes(reduce(obs, sub), want.ravel())
+            assert_same_bytes(reduce_grid(obs, sub, n_view), want)
+            assert_same_bytes(
+                reduce(obs, sub, "reduced", small_alphabet(n_view)),
+                want.ravel())
         assert empty >= 10
 
     def test_lidar_random(self):
@@ -192,19 +194,22 @@ class TestMatchesReference:
                 sub = numpy_fields(sub)
             want = reference_reduce_lidar(obs, sub)
             assert_same_bytes(reduce_lidar(obs, sub), want)
-            assert_same_bytes(reduce(obs, sub), want)
+            assert_same_bytes(reduce(obs, sub, "reduced", small_alphabet(n)),
+                              want)
         assert empty >= 10
 
     def test_numpy_int_fields(self):
         rng = np.random.default_rng(22)
+        ab = small_alphabet(4)
         for _ in range(50):
             sub = random_subgoal(rng, 4)
             gobs = grid_obs(rng.integers(-1, 4, size=(5, 5)))
             lobs = lidar_obs(rng, 4)
             for obs in (gobs, lobs):
-                want = reduce(obs, sub)
-                assert_same_bytes(reduce(obs, numpy_fields(sub)), want)
-                assert_same_bytes(reduce(obs, sub), want)
+                want = reduce(obs, sub, "reduced", ab)
+                assert_same_bytes(
+                    reduce(obs, numpy_fields(sub), "reduced", ab), want)
+                assert_same_bytes(reduce(obs, sub, "reduced", ab), want)
 
     def test_letters_outside_the_subgoal_are_neutral(self):
         # subgoal over a and b; the view also holds c, d and letter 9
@@ -212,8 +217,11 @@ class TestMatchesReference:
         sub = Subgoal(1, frozenset({2}))
         want = np.array([[V_REACH, V_AVOID, V_NEUTRAL],
                          [V_NEUTRAL, V_NEUTRAL, V_NEUTRAL]])
-        assert_same_bytes(reduce_grid(obs, sub), want)
+        assert_same_bytes(reduce_grid(obs, sub, 10), want)
         assert_same_bytes(reference_reduce_grid(obs, sub), want)
+        # a letter past the alphabet has no table entry
+        with pytest.raises(IndexError):
+            reduce_grid(obs, sub, 9)
 
     @pytest.mark.parametrize("sub", [
         Subgoal(8, frozenset()), Subgoal(0, frozenset()),
@@ -222,34 +230,65 @@ class TestMatchesReference:
     ], ids=["reach-high", "reach-empty", "avoid-high", "avoid-empty",
             "numpy-reach-high"])
     def test_invalid_subgoal_raises_on_every_call(self, sub):
-        obs = lidar_obs(np.random.default_rng(23), 3)
+        rng = np.random.default_rng(23)
+        lobs = lidar_obs(rng, 3)
+        gobs = grid_obs(rng.integers(-1, 3, size=(5, 5)))
+        ab = small_alphabet(3)
         for _ in range(3):
+            for obs in (lobs, gobs):
+                for fusion in FUSIONS:
+                    with pytest.raises(ValueError, match="out of range"):
+                        reduce(obs, sub, fusion, ab)
             with pytest.raises(ValueError):
-                reduce(obs, sub)
+                reduce_grid(gobs, sub, 3)
             with pytest.raises(ValueError):
-                reference_reduce_lidar(obs, sub)
+                reference_reduce_lidar(lobs, sub)
 
     def test_plan_is_per_proposition_count(self):
         # invalid over 3 propositions, valid over 4
         sub = Subgoal(8, frozenset({9}))
         narrow = lidar_obs(np.random.default_rng(24), 3)
         wide = lidar_obs(np.random.default_rng(24), 4)
+        view = grid_obs(np.random.default_rng(24).integers(-1, 3, size=(5, 5)))
         for _ in range(2):
             with pytest.raises(ValueError):
-                reduce(narrow, sub)
-            assert_same_bytes(reduce(wide, sub),
+                reduce(narrow, sub, "reduced", small_alphabet(3))
+            assert_same_bytes(reduce(wide, sub, "reduced", small_alphabet(4)),
                               reference_reduce_lidar(wide, sub))
+            # the same letters, under a three- and a four-letter alphabet
+            with pytest.raises(ValueError):
+                reduce_grid(view, sub, 3)
+            assert_same_bytes(reduce_grid(view, sub, 4),
+                              reference_reduce_grid(view, sub))
 
     def test_plan_built_once_per_subgoal(self):
         rng = np.random.default_rng(25)
+        ab = small_alphabet(4)
         sub = Subgoal(5, frozenset({2, 8, 10}))
-        reduce(lidar_obs(rng, 4), sub)
+        reduce(lidar_obs(rng, 4), sub, "reduced", ab)
         before = reduction._lidar_mask.cache_info()
         for _ in range(5):
-            reduce(lidar_obs(rng, 4), Subgoal(5, frozenset({2, 8, 10})))
+            reduce(lidar_obs(rng, 4), Subgoal(5, frozenset({2, 8, 10})),
+                   "reduced", ab)
         after = reduction._lidar_mask.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 5
+
+    def test_grid_plan_built_once_per_subgoal_and_size(self):
+        rng = np.random.default_rng(26)
+        view = lambda: grid_obs(rng.integers(-1, 4, size=(5, 5)))
+        sub = Subgoal(5, frozenset({2, 8, 10}))
+        reduce(view(), sub, "reduced", small_alphabet(4))
+        before = reduction._grid_table.cache_info()
+        for _ in range(5):
+            reduce(view(), Subgoal(5, frozenset({2, 8, 10})), "reduced",
+                   small_alphabet(4))
+        after = reduction._grid_table.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 5
+        # the same subgoal over five letters is another plan
+        reduce(view(), sub, "reduced", small_alphabet(5))
+        assert reduction._grid_table.cache_info().misses == after.misses + 1
 
 
 class TestEquivariance:
@@ -260,9 +299,11 @@ class TestEquivariance:
             obs = grid_obs(rng.integers(-1, n, size=(5, 5)))
             sub = random_subgoal(rng, n)
             perm = rng.permutation(n)
+            ab = small_alphabet(n)
             assert np.array_equal(
-                reduce(permute_grid_obs(obs, perm), permute_subgoal(sub, perm)),
-                reduce(obs, sub))
+                reduce(permute_grid_obs(obs, perm), permute_subgoal(sub, perm),
+                       "reduced", ab),
+                reduce(obs, sub, "reduced", ab))
 
     def test_lidar_permutation(self):
         rng = np.random.default_rng(8)
@@ -271,9 +312,11 @@ class TestEquivariance:
             obs = lidar_obs(rng, n, k=8)
             sub = random_subgoal(rng, n)
             perm = rng.permutation(n)
+            ab = small_alphabet(n)
             assert np.array_equal(
-                reduce(permute_lidar_obs(obs, perm), permute_subgoal(sub, perm)),
-                reduce(obs, sub))
+                reduce(permute_lidar_obs(obs, perm), permute_subgoal(sub, perm),
+                       "reduced", ab),
+                reduce(obs, sub, "reduced", ab))
 
 
 class TestDispatch:
@@ -288,16 +331,11 @@ class TestDispatch:
         assert np.array_equal(out[3:15], obs.ap.ravel())
         assert np.array_equal(out[15:], encode_subgoal(sub, ab))
 
-    def test_raw_mode_needs_alphabet(self):
-        obs = lidar_obs(np.random.default_rng(10), 3)
-        with pytest.raises(ValueError):
-            reduce(obs, Subgoal(1, frozenset()), "raw")
-
     def test_kind_mismatch_rejected(self):
         lobs = lidar_obs(np.random.default_rng(11), 3)
         gobs = grid_obs(np.zeros((3, 3), dtype=np.int64))
         with pytest.raises(ValueError):
-            reduce_grid(lobs, Subgoal(1, frozenset()))
+            reduce_grid(lobs, Subgoal(1, frozenset()), 3)
         with pytest.raises(ValueError):
             reduce_lidar(gobs, Subgoal(1, frozenset()))
 
@@ -307,7 +345,7 @@ class TestDispatch:
         lobs = lidar_obs(rng, 4)
         sub = Subgoal(1, frozenset({2}))
         for obs in (gobs, lobs):
-            out = reduce(obs, sub)
+            out = reduce(obs, sub, "reduced", small_alphabet(4))
             assert out.ndim == 1 and out.dtype == np.float64
 
 
@@ -341,7 +379,8 @@ class TestReducedDim:
         cfg = EnvConfig(env="zonesim")
         obs = lidar_obs(rng, 4, k=16)
         sub = Subgoal(1, frozenset({2}))
-        assert reduce(obs, sub).shape == (reduced_dim(cfg),)
         from ltlnav.envs import alphabet_for
-        raw = reduce(obs, sub, "raw", alphabet_for(cfg))
+        ab = alphabet_for(cfg)
+        assert reduce(obs, sub, "reduced", ab).shape == (reduced_dim(cfg),)
+        raw = reduce(obs, sub, "raw", ab)
         assert raw.shape == (reduced_dim(cfg, "raw"),)

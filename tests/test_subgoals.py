@@ -9,7 +9,8 @@ from ltlnav.buchi import compile_formula
 from ltlnav.ltl import eval_bool, parse
 from ltlnav.subgoals import (
     LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, build_universe,
-    encode_subgoal, extract_subgoals, find_lassos, sample_subgoal,
+    check_subgoal, encode_subgoal, extract_subgoals, find_lassos,
+    sample_subgoal,
 )
 
 
@@ -273,10 +274,20 @@ class TestEncoding:
 
     def test_out_of_range_rejected(self):
         ab = small_alphabet(2)
-        with pytest.raises(ValueError):
-            encode_subgoal(Subgoal(4, frozenset()), ab)
-        with pytest.raises(ValueError):
-            encode_subgoal(Subgoal(1, frozenset({4})), ab)
+        # past the alphabet, or the empty assignment
+        for sub in (Subgoal(4, frozenset()), Subgoal(1, frozenset({4})),
+                    Subgoal(0, frozenset()), Subgoal(1, frozenset({0, 2})),
+                    Subgoal(-1, frozenset())):
+            with pytest.raises(ValueError, match="out of range"):
+                encode_subgoal(sub, ab)
+            with pytest.raises(ValueError, match="out of range"):
+                check_subgoal(sub, 2)
+
+    def test_check_subgoal_gives_int_fields(self):
+        sub = Subgoal(np.int64(3), frozenset({np.int64(2), np.int64(1)}))
+        reach, avoid = check_subgoal(sub, 2)
+        assert (reach, avoid) == (3, (1, 2))
+        assert type(reach) is int and all(type(a) is int for a in avoid)
 
 
 # -- sampling -----------------------------------------------------------------

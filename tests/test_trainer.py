@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import gen
 from ltlnav.envs import EnvConfig, make_env
 from ltlnav.executor import PolicyAgent
 from ltlnav.nets import (
@@ -15,7 +16,7 @@ from ltlnav.nets import (
 )
 from ltlnav.subgoals import Subgoal
 from ltlnav.trainer import (
-    LOSS_DIAGNOSTICS, Head, NonFiniteError, Rollout, SubgoalStepStats,
+    LOSS_DIAGNOSTICS, MIN_COMPLETIONS, Head, NonFiniteError, Rollout,
     Trainer, TrainerConfig, atomic_write_text, episode_cost_togo,
     float32_heads, gae_cost, gae_reward, loss, signals,
 )
@@ -145,6 +146,37 @@ class TestGaeReward:
         adv, _ = gae_reward(r, v, v_next, np.array([False, False]),
                             np.array([False, True]), 0.5, 1.0)
         assert np.allclose(adv, [2.5 + 0.5 * 4.5, 4.5])
+
+
+class TestScansMatchPerRowLoops:
+    def test_byte_equal_on_random_episodes(self):
+        # the shared backward scan against a copy of the per-row loops, on
+        # single streams with random boundaries, values and discounts
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            n = int(rng.integers(1, 60))
+            rewards, v, v_next, terminal, boundary = random_episode_batch(
+                rng, n)
+            h = np.where(terminal, 1.0,
+                         rng.choice([-1.0, 1.0], size=n, p=[0.9, 0.1]))
+            vh, vh_next = rng.standard_normal((2, n))
+            gamma = float(rng.uniform(0.8, 0.999))
+            lam_gae = float(rng.uniform(0.0, 1.0))
+            pairs = [
+                (gae_reward(rewards, v, v_next, terminal, boundary, gamma,
+                            lam_gae),
+                 gen.reference_gae_reward(rewards, v, v_next, terminal,
+                                          boundary, gamma, lam_gae)),
+                (gae_cost(h, vh, vh_next, terminal, boundary, gamma, lam_gae),
+                 gen.reference_gae_cost(h, vh, vh_next, terminal, boundary,
+                                        gamma, lam_gae)),
+                ((episode_cost_togo(h, boundary),),
+                 (gen.reference_cost_togo(h, boundary),)),
+            ]
+            for got, want in pairs:
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestCostToGo:
@@ -368,7 +400,7 @@ class TestCollect:
     def test_batch_accounting(self):
         trainer = Trainer(small_trainer_config(), small_env_config())
         for _ in range(2):
-            before = len(trainer.stats.values)
+            before = len(trainer.completions)
             roll = trainer.collect(256)
             assert len(roll.obs) == 256
             assert roll.obs.shape == roll.next_obs.shape
@@ -378,8 +410,8 @@ class TestCollect:
             assert np.array_equal(roll.terminal, roll.costs > 0)
             assert not (roll.terminal & ~roll.boundary).any()
             # each completed subgoal adds its step count to the window
-            assert len(trainer.stats.values) < trainer.stats.window
-            assert (len(trainer.stats.values) - before
+            assert len(trainer.completions) < trainer.config.stats_window
+            assert (len(trainer.completions) - before
                     == int(roll.rewards.sum()))
 
     def test_one_reduce_per_transition(self, monkeypatch):
@@ -501,11 +533,11 @@ class TestTrainer:
         for name in ("n_per_iter", "minibatch", "epochs", "workers"):
             with pytest.raises(ValueError, match=name):
                 TrainerConfig(**{name: 0})
-        # a window that never holds MIN_COUNT completions never reports
-        # mu_subgoal
+        # a window that never holds MIN_COMPLETIONS completions never
+        # reports mu_subgoal
         with pytest.raises(ValueError, match="stats_window"):
-            TrainerConfig(stats_window=SubgoalStepStats.MIN_COUNT - 1)
-        TrainerConfig(stats_window=SubgoalStepStats.MIN_COUNT)
+            TrainerConfig(stats_window=MIN_COMPLETIONS - 1)
+        TrainerConfig(stats_window=MIN_COMPLETIONS)
         # every field away from its default
         for cfg in (small_trainer_config(),
                     TrainerConfig(gamma=0.9, lam_gae=0.9, clip_eps=0.1,
@@ -619,20 +651,25 @@ class TestFloat32Update:
 
 
 class TestSubgoalStepStats:
+    """Trainer.mu_subgoal over its trailing window of completions."""
+
     def test_validity_threshold(self):
-        stats = SubgoalStepStats(window=500)
-        for i in range(99):
-            stats.add(10)
-        assert not stats.valid and stats.maximum is None
-        stats.add(25)
-        assert stats.valid and stats.maximum == 25
+        trainer = Trainer(small_trainer_config(stats_window=500),
+                          small_env_config())
+        assert trainer.mu_subgoal is None
+        trainer.completions.extend([10] * (MIN_COMPLETIONS - 1))
+        assert trainer.mu_subgoal is None
+        trainer.completions.append(25)
+        assert trainer.mu_subgoal == 25
+        assert trainer.checkpoint()["mu_subgoal"] == 25
 
     def test_trailing_window(self):
-        stats = SubgoalStepStats(window=100)
-        stats.add(999)
-        for _ in range(100):
-            stats.add(7)
-        assert stats.maximum == 7
+        trainer = Trainer(small_trainer_config(stats_window=100),
+                          small_env_config())
+        trainer.completions.append(999)
+        trainer.completions.extend([7] * 100)
+        assert len(trainer.completions) == 100
+        assert trainer.mu_subgoal == 7
 
 
 def test_atomic_write_text_honours_umask(tmp_path):
