@@ -161,7 +161,8 @@ def signals(label: int, sub: Subgoal) -> tuple[int, int]:
     return r, h
 
 
-def _scan_back(x: np.ndarray, boundary: np.ndarray, fold, empty: float):
+def _scan_back(x: np.ndarray, boundary: np.ndarray, fold,
+               empty: float) -> np.ndarray:
     """out[t] = fold(x[t], out[t+1]) over time (axis 0), where the future
     is `empty` past the end and at each episode boundary.  Trailing axes
     are independent streams, each with its own boundaries."""
@@ -397,14 +398,21 @@ class Trainer:
         cfg = self.config
         vr = self.heads["v_r"]
         vh = self.heads["v_h"]
+        # collect writes row t*W + i for worker i's step t, so the scans run
+        # down the columns of the (steps, workers) view, one per worker
+        cols = lambda a: a.reshape(-1, len(self.workers))
+        ends = cols(roll.terminal), cols(roll.boundary)
         v = forward(vr.spec, vr.params, roll.obs)
         v_next = forward(vr.spec, vr.params, roll.next_obs)
-        adv_r, ret = gae_reward(roll.rewards, v, v_next, roll.terminal,
-                                roll.boundary, cfg.gamma, cfg.lam_gae)
+        adv_r, ret = gae_reward(cols(roll.rewards), cols(v), cols(v_next),
+                                *ends, cfg.gamma, cfg.lam_gae)
         vh_now = forward(vh.spec, vh.params, roll.obs)
         vh_next = forward(vh.spec, vh.params, roll.next_obs)
-        adv_h, cost_togo = gae_cost(roll.costs, vh_now, vh_next, roll.terminal,
-                                    roll.boundary, cfg.gamma, cfg.lam_gae)
+        adv_h, cost_togo = gae_cost(cols(roll.costs), cols(vh_now),
+                                    cols(vh_next), *ends, cfg.gamma,
+                                    cfg.lam_gae)
+        adv_r, ret, adv_h, cost_togo = (
+            a.ravel() for a in (adv_r, ret, adv_h, cost_togo))
         # Only reward advantages are normalized; the safety term keeps its
         # natural scale so the multiplier balance stays meaningful.
         std = float(adv_r.std())

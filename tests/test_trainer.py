@@ -599,6 +599,69 @@ class TestTrainer:
         assert "iter" in err.value.diagnostics
 
 
+class TestAdvantagesPerWorker:
+    """collect writes rows step-major (row t*W + i is worker i's step t),
+    and each worker's steps are one stream for the backward scans."""
+
+    @staticmethod
+    def per_column(trainer, roll):
+        # the 1-D functions run on each worker's own rows, written back in
+        # step-major order and normalized like _advantages does
+        cfg = trainer.config
+        vr, vh = trainer.heads["v_r"], trainer.heads["v_h"]
+        v = forward(vr.spec, vr.params, roll.obs)
+        v_next = forward(vr.spec, vr.params, roll.next_obs)
+        vh_now = forward(vh.spec, vh.params, roll.obs)
+        vh_next = forward(vh.spec, vh.params, roll.next_obs)
+        out = {k: np.empty(len(roll.obs))
+               for k in ("adv_r", "ret", "adv_h", "cost_togo")}
+        w = len(trainer.workers)
+        for i in range(w):
+            rows = slice(i, None, w)
+            scan = (roll.terminal[rows], roll.boundary[rows], cfg.gamma,
+                    cfg.lam_gae)
+            out["adv_r"][rows], out["ret"][rows] = gae_reward(
+                roll.rewards[rows], v[rows], v_next[rows], *scan)
+            out["adv_h"][rows], out["cost_togo"][rows] = gae_cost(
+                roll.costs[rows], vh_now[rows], vh_next[rows], *scan)
+            assert np.array_equal(
+                out["cost_togo"][rows],
+                episode_cost_togo(roll.costs[rows], roll.boundary[rows]))
+        adv_r = out["adv_r"]
+        out["adv_r"] = (adv_r - adv_r.mean()) / float(adv_r.std())
+        return out
+
+    @pytest.mark.parametrize("w", [3, 16])
+    def test_each_worker_is_its_own_stream(self, w):
+        trainer = Trainer(small_trainer_config(workers=w, n_per_iter=64 * w),
+                          small_env_config())
+        roll = trainer.collect(64 * w)
+        # episodes end mid-rollout, so a scan that runs across workers
+        # would mix their steps
+        assert roll.boundary.any() and not roll.boundary[-w:].all()
+        batch = trainer._advantages(roll)
+        for key, want in self.per_column(trainer, roll).items():
+            assert batch[key].shape == want.shape
+            assert batch[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("w", [3, 16])
+    def test_permuting_workers_permutes_the_result(self, w):
+        trainer = Trainer(small_trainer_config(workers=w, n_per_iter=64 * w),
+                          small_env_config())
+        roll = trainer.collect(64 * w)
+        perm = np.random.default_rng(w).permutation(w)
+        # row t*W + i of the permuted rollout is worker perm[i]'s step t
+        idx = (np.arange(64)[:, None] * w + perm[None, :]).ravel()
+        moved = Rollout(**{f.name: getattr(roll, f.name)[idx]
+                           for f in fields(Rollout)})
+        want = trainer._advantages(roll)
+        got = trainer._advantages(moved)
+        assert np.array_equal(got["cost_togo"], want["cost_togo"][idx])
+        for key in ("adv_r", "ret", "adv_h"):
+            assert np.allclose(got[key], want[key][idx], rtol=0, atol=1e-9), \
+                key
+
+
 class TestFloat32Update:
     @pytest.mark.parametrize("env_config", [
         small_env_config(max_steps=75), EnvConfig(env="zonesim",
