@@ -24,6 +24,8 @@ __all__ = [
 
 # rejection draws before sample_subgoal filters the universe for a label
 _SAMPLE_TRIES = 64
+# lassos from one state past which extraction gives up
+_MAX_LASSOS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,37 +52,50 @@ class NoValidSubgoal(ValueError):
     """No subgoal satisfies the resampling constraint."""
 
 
-def find_lassos(aut: BuchiAutomaton, q: int, limit: int = 100_000) -> list[LassoPath]:
-    """All simple lasso paths from q whose cycle contains an accepting state.
+def _lassos(aut: BuchiAutomaton, q: int, limit: int):
+    """Yield (path, j) for each simple lasso from q whose cycle, path[j:],
+    holds an accepting state: the last node of path has an edge back to
+    path[j].  path is the live search list, so read it before the next item.
 
-    Depth-first search with an on-path visited set: prefixes and cycles are
-    simple, a node repeats only as the cycle closure.
+    Iterative depth-first search with an on-path index: prefixes and cycles
+    are simple, a node repeats only as the cycle closure.  last[i] is the
+    index of the last accepting node of path[:i + 1] (-1 if none), so an
+    edge back to path[j] closes an accepting cycle iff j <= last[-1].
+    Raises UniverseTooLarge at the lasso past `limit`.
     """
     adj = aut.edges()
     accepting = aut.accepting
-    results: list[LassoPath] = []
     path = [q]
     on_path = {q: 0}
-
-    def dfs():
-        v = path[-1]
-        for w in adj[v]:
+    last = [0 if q in accepting else -1]
+    stack = [iter(adj[q])]
+    count = 0
+    while stack:
+        for w in stack[-1]:
             j = on_path.get(w)
-            if j is not None:
-                if any(s in accepting for s in path[j:]):
-                    results.append(LassoPath(tuple(path), j))
-                    if len(results) > limit:
-                        raise UniverseTooLarge(
-                            f"more than {limit} lassos from state {q}")
-            else:
+            if j is None:
                 on_path[w] = len(path)
+                last.append(len(path) if w in accepting else last[-1])
                 path.append(w)
-                dfs()
-                path.pop()
-                del on_path[w]
+                stack.append(iter(adj[w]))
+                break
+            if j <= last[-1]:
+                count += 1
+                if count > limit:
+                    raise UniverseTooLarge(
+                        f"more than {limit} lassos from state {q}")
+                yield path, j
+        else:
+            stack.pop()
+            last.pop()
+            del on_path[path.pop()]
 
-    dfs()
-    return results
+
+def find_lassos(aut: BuchiAutomaton, q: int,
+                limit: int = _MAX_LASSOS) -> list[LassoPath]:
+    """All simple lasso paths from q whose cycle contains an accepting
+    state, in depth-first order over the sorted edges()."""
+    return [LassoPath(tuple(path), j) for path, j in _lassos(aut, q, limit)]
 
 
 def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
@@ -104,8 +119,8 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
         avoid = frozenset(
             a for a in achievable if not (aut.step(frozenset({q}), a) & live))
         # successor states that start some accepting lasso from q
-        second = {lp.path[1] if len(lp.path) > 1 else lp.path[lp.cycle_start]
-                  for lp in find_lassos(aut, q)}
+        second = {path[1] if len(path) > 1 else path[j]
+                  for path, j in _lassos(aut, q, _MAX_LASSOS)}
         if not second:
             continue
         for a in achievable:

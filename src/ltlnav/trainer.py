@@ -15,6 +15,7 @@ they do not.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from collections import deque
@@ -165,13 +166,20 @@ def _scan_back(x: np.ndarray, boundary: np.ndarray, fold,
                empty: float) -> np.ndarray:
     """out[t] = fold(x[t], out[t+1]) over time (axis 0), where the future
     is `empty` past the end and at each episode boundary.  Trailing axes
-    are independent streams, each with its own boundaries."""
-    out = np.empty_like(x)
-    acc = np.full(x.shape[1:], empty)
-    for t in range(len(x) - 1, -1, -1):
-        acc = fold(x[t], np.where(boundary[t], empty, acc))
-        out[t] = acc
-    return out
+    are independent streams, each with its own boundaries, and each is
+    scanned in Python floats, which round as float64 arrays do."""
+    width = math.prod(x.shape[1:])
+    streams = zip(x.reshape(len(x), width).T.tolist(),
+                  boundary.reshape(len(x), width).T.tolist())
+    cols = []
+    for xs, ends in streams:
+        col = [empty] * len(xs)
+        acc = empty
+        for t in range(len(xs) - 1, -1, -1):
+            acc = fold(xs[t], empty if ends[t] else acc)
+            col[t] = acc
+        cols.append(col)
+    return np.array(cols, dtype=x.dtype).T.reshape(x.shape)
 
 
 def gae_reward(rewards, v, v_next, terminal, boundary, gamma, lam_gae):
@@ -188,7 +196,7 @@ def gae_reward(rewards, v, v_next, terminal, boundary, gamma, lam_gae):
 
 def episode_cost_togo(costs, boundary):
     """Per-step maximum of h over the remainder of the episode."""
-    return _scan_back(costs, boundary, np.maximum, -np.inf)
+    return _scan_back(costs, boundary, max, -math.inf)
 
 
 def gae_cost(costs, v_h, v_h_next, terminal, boundary, gamma, lam_gae):

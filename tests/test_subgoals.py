@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gen import brute_successors, random_automaton, small_alphabet
-from ltlnav import buchi
+from ltlnav import buchi, subgoals
 from ltlnav.buchi import compile_formula
 from ltlnav.ltl import eval_bool, parse
 from ltlnav.subgoals import (
@@ -95,6 +95,24 @@ class TestFindLassos:
         assert len(find_lassos(aut, 0)) > 10
         with pytest.raises(UniverseTooLarge):
             find_lassos(aut, 0, limit=10)
+
+    def test_limit_is_exact_on_random_automata(self):
+        # a state with n lassos passes at limit n and raises at n - 1
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(200):
+            aut = random_automaton(rng, n_states=int(rng.integers(2, 6)))
+            for q in range(aut.n_states):
+                n = len(brute_lassos(aut, q))
+                if n == 0:
+                    continue
+                assert len(find_lassos(aut, q, limit=n)) == n
+                with pytest.raises(UniverseTooLarge,
+                                   match=f"more than {n - 1} lassos from "
+                                         f"state {q}$"):
+                    find_lassos(aut, q, limit=n - 1)
+                checked += 1
+        assert checked > 200
 
 
 # -- the satisfiable-edge graph ----------------------------------------------
@@ -213,6 +231,22 @@ class TestExtractSubgoals:
                     assert s.reach not in s.avoid
                     # taking the reach assignment lands on a live state
                     assert brute_successors(aut, q, s.reach) & live
+
+    def test_builds_no_lassos(self, monkeypatch):
+        # the compile suite's response spec: 2 obligations over 8 letters
+        ab = small_alphabet(8)
+        aut = compile_str("G (a -> F b) & G (c -> F d)", ab)
+        live = sorted(aut.classify().live)
+        achievable = tuple(1 << i for i in range(ab.n))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extraction built a lasso list")
+
+        monkeypatch.setattr(subgoals, "find_lassos", forbidden)
+        monkeypatch.setattr(subgoals, "LassoPath", forbidden)
+        for q in live:
+            assert extract_subgoals(aut, frozenset({q}), frozenset(),
+                                    achievable)
 
     def test_deterministic_order(self):
         ab = small_alphabet(2)
