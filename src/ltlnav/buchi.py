@@ -13,14 +13,19 @@ States are dense ints, the initial state is 0 after renumbering, and
 transition guards are Boolean formulas over the alphabet.
 
 No compile stage evaluates a guard letter by letter. The tableau works on
-subformula ids numbered in canonical-string order. Satisfiability and
-validity split on one atom at a time, folding its value through the guard.
-The bisimulation quotient compares, per successor class, the int truth
-table of the support letters that lead into it.
+subformula ids numbered in canonical-string order and expands each distinct
+next set once; later nodes with the same next set only gain incoming
+edges. Satisfiability and validity split on one atom at a time, folding its
+value through the guard. Each compile decides every distinct guard at most
+once: its stages share one memo of satisfiability, validity and support,
+which the returned automaton does not keep. The bisimulation quotient
+compares, per successor class, the int truth table of the support letters
+that lead into it, built once per distinct guard.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -108,35 +113,75 @@ def _sat_disjoint(guard: Formula) -> bool:
     return any(_sat_disjoint(_assign(guard, name, v)) for v in (True, False))
 
 
+class _Guards:
+    """Satisfiability, validity and support of guards, each decided at most
+    once per distinct guard.
+
+    The stages of one compile share one instance and drop it when the
+    compile returns; every other automaton has its own.
+    """
+
+    def __init__(self):
+        self._sat: dict[Formula, bool] = {}
+        self._valid: dict[Formula, bool] = {}
+        self._support: dict[Formula, frozenset[str]] = {}
+
+    def sat(self, g: Formula) -> bool:
+        ok = self._sat.get(g)
+        if ok is None:
+            ok = self._sat[g] = _sat_disjoint(g)
+        return ok
+
+    def valid(self, g: Formula) -> bool:
+        ok = self._valid.get(g)
+        if ok is None:
+            ok = self._valid[g] = _tautology(g)
+        return ok
+
+    def support(self, g: Formula) -> frozenset[str]:
+        """The guard's atoms; raises ValueError if it is not Boolean."""
+        names = self._support.get(g)
+        if names is None:
+            if not is_boolean(g):
+                raise ValueError(f"guard must be a Boolean formula: {g}")
+            names = self._support[g] = atoms(g)
+        return names
+
+
 class BuchiAutomaton:
-    """Nondeterministic Buchi automaton over assignment letters."""
+    """Nondeterministic Buchi automaton over assignment letters.
+
+    `guards` is the memo of guard facts a compile shares across its stages;
+    an automaton built without one gets its own.
+    """
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
-                 accepting: frozenset[int], transitions: tuple[Transition, ...]):
+                 accepting: frozenset[int], transitions: tuple[Transition, ...],
+                 guards: _Guards | None = None):
         if not (0 <= initial < n_states):
             raise ValueError("initial state out of range")
         if not all(0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
-        names = set(alphabet.names)
-        checked: set[int] = set()   # ids of the guard objects already read
-        for t in transitions:
+        self.transitions = tuple(transitions)
+        self._out: list[list[tuple[Formula, int]]] = [[] for _ in range(n_states)]
+        # the guard objects, each once: compile stages share guard objects,
+        # so facts about guards are looked up per object, not per transition
+        by_id: dict[int, Formula] = {}
+        for t in self.transitions:
             if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {t}")
-            if id(t.guard) in checked:
-                continue
-            checked.add(id(t.guard))
-            if not is_boolean(t.guard):
-                raise ValueError(f"guard must be a Boolean formula: {t.guard}")
-            if not atoms(t.guard) <= names:
-                raise ValueError(f"guard {t.guard} uses atoms outside the alphabet")
+            self._out[t.src].append((t.guard, t.dst))
+            by_id[id(t.guard)] = t.guard
+        self._guard_objects = tuple(by_id.values())
+        self._guards = _Guards() if guards is None else guards
+        names = set(alphabet.names)
+        for g in self._guard_objects:
+            if not self._guards.support(g) <= names:
+                raise ValueError(f"guard {g} uses atoms outside the alphabet")
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
         self.accepting = frozenset(accepting)
-        self.transitions = tuple(transitions)
-        self._out: list[list[tuple[Formula, int]]] = [[] for _ in range(n_states)]
-        for t in self.transitions:
-            self._out[t.src].append((t.guard, t.dst))
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._edges: tuple[tuple[int, ...], ...] | None = None
         self._classes: StateClasses | None = None
@@ -166,14 +211,9 @@ class BuchiAutomaton:
         """Per state, the sorted distinct successors over satisfiable guards."""
         if self._edges is None:
             succ: list[set[int]] = [set() for _ in range(self.n_states)]
-            sat: dict[Formula, bool] = {}   # each distinct guard decided once
+            sat = {id(g): self._guards.sat(g) for g in self._guard_objects}
             for t in self.transitions:
-                if t.dst in succ[t.src]:
-                    continue
-                ok = sat.get(t.guard)
-                if ok is None:
-                    ok = sat[t.guard] = _sat_disjoint(t.guard)
-                if ok:
+                if sat[id(t.guard)]:
                     succ[t.src].add(t.dst)
             self._edges = tuple(tuple(sorted(s)) for s in succ)
         return self._edges
@@ -184,21 +224,21 @@ class BuchiAutomaton:
         if self._classes is not None:
             return self._classes
         adj = self.edges()
-        good = (q for q in self.accepting if _on_cycle(q, adj))
-        live = frozenset(_closure(good, _reverse(adj)))
+        live = frozenset(_closure(self.accepting & _cycle_nodes(adj),
+                                  _reverse(adj)))
         sinks = set()
         for q in self.accepting:
             edges = self._out[q]
             if edges and all(d == q for _, d in edges):
-                if _tautology(reduce(_or, [g for g, _ in edges])):
+                if self._guards.valid(reduce(_or, [g for g, _ in edges])):
                     sinks.add(q)
         self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
         return self._classes
 
     def _support(self) -> tuple[str, ...]:
         names: set[str] = set()
-        for t in self.transitions:
-            names |= atoms(t.guard)
+        for g in self._guard_objects:
+            names |= self._guards.support(g)
         return tuple(sorted(names))
 
     # -- lasso acceptance --------------------------------------------------
@@ -215,8 +255,8 @@ class BuchiAutomaton:
         nxt = [i + 1 for i in range(n - 1)] + [len(word.prefix)]
         adj = [[d * n + nxt[i] for d in self.succ(q, letters[i])]
                for q in range(self.n_states) for i in range(n)]
-        return any(v // n in self.accepting and _on_cycle(v, adj)
-                   for v in _closure((self.initial * n,), adj))
+        return any(v // n in self.accepting
+                   for v in _cycle_nodes(adj, (self.initial * n,)))
 
     # -- serialization -----------------------------------------------------
 
@@ -258,15 +298,57 @@ def _closure(seeds: Iterable[int], adj: Sequence[Sequence[int]]) -> set[int]:
     return seen
 
 
-def _on_cycle(v: int, adj: Sequence[Sequence[int]]) -> bool:
-    """Can v reach itself in one or more steps?
+def _cycle_nodes(adj: Sequence[Sequence[int]],
+                 roots: Iterable[int] | None = None) -> set[int]:
+    """The nodes that reach themselves in one or more steps, among those
+    reachable from the roots (from every node when None).
 
     A Buchi automaton accepts some word from a state iff it reaches an
-    accepting state for which this holds, the criterion behind the nested
-    depth-first emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis,
-    1992).
+    accepting state on a cycle, the criterion behind the nested depth-first
+    emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis, 1992). One
+    iterative pass of Tarjan's strongly connected components finds them
+    all: a node is on a cycle iff its component has another node or it has
+    a self-loop.
     """
-    return v in _closure(adj[v], adj)
+    done = len(adj) + 1
+    num = [0] * len(adj)   # discovery number from 1; done once its component is
+    low = [0] * len(adj)   # complete, so that it no longer lowers a low link
+    stack: list[int] = []
+    cyclic: set[int] = set()
+    count = 0
+    for root in range(len(adj)) if roots is None else roots:
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], num[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == num[v]:
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    comp = stack[i:]
+                    del stack[i:]
+                    for w in comp:
+                        num[w] = done
+                    if len(comp) > 1 or v in adj[v]:
+                        cyclic.update(comp)
+    return cyclic
 
 
 def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -322,7 +404,9 @@ def _expand_tableau(root: Formula):
     processed formulas and its incoming node ids (with -1 for the virtual
     initial node). Nodes are unique per (old, next) pair. Each step takes
     the smallest id, the formula with the smallest canonical string, so
-    construction is fully deterministic.
+    construction is fully deterministic. A node's successors depend on its
+    next set alone, so each distinct next set is expanded once; a later
+    node with the same next set only joins its successors' incoming sets.
     """
     subs = _subformulas(root)
     index = {g: i for i, g in enumerate(subs)}
@@ -339,10 +423,13 @@ def _expand_tableau(root: Formula):
     nexts: list[frozenset[int]] = []
     incomings: list[set[int]] = []
     # worklist of closed nodes whose successors still need expansion
-    pending: list[int] = []
+    pending: deque[int] = deque()
+    # per next set expanded so far, the nodes its expansion reached
+    reached: dict[frozenset[int], list[int]] = {}
+    found: list[int] = []   # nodes the current expansion has reached
 
     def close(new: set[int], old: frozenset[int], nxt: frozenset[int],
-              inc: frozenset[int]):
+              src: int):
         while new:
             g = min(new)
             new.discard(g)
@@ -371,14 +458,14 @@ def _expand_tableau(root: Formula):
             lhs, rhs = kids[g]
             old2 = old | {g}
             if k is Or:
-                close(new | ({lhs} - old2), old2, nxt, inc)
-                close(new | ({rhs} - old2), old2, nxt, inc)
+                close(new | ({lhs} - old2), old2, nxt, src)
+                close(new | ({rhs} - old2), old2, nxt, src)
             elif k is Until:
-                close(new | ({rhs} - old2), old2, nxt, inc)
-                close(new | ({lhs} - old2), old2, nxt | {g}, inc)
+                close(new | ({rhs} - old2), old2, nxt, src)
+                close(new | ({lhs} - old2), old2, nxt | {g}, src)
             else:
-                close(new | ({lhs, rhs} - old2), old2, nxt, inc)
-                close(new | ({rhs} - old2), old2, nxt | {g}, inc)
+                close(new | ({lhs, rhs} - old2), old2, nxt, src)
+                close(new | ({rhs} - old2), old2, nxt | {g}, src)
             return
         key = (old, nxt)
         nid = nodes.get(key)
@@ -387,15 +474,23 @@ def _expand_tableau(root: Formula):
             nodes[key] = nid
             olds.append(old)
             nexts.append(nxt)
-            incomings.append(set(inc))
+            incomings.append({src})
             pending.append(nid)
         else:
-            incomings[nid] |= inc
+            incomings[nid].add(src)
+        found.append(nid)
 
-    close({index[root]}, frozenset(), frozenset(), frozenset({_INIT}))
+    close({index[root]}, frozenset(), frozenset(), _INIT)
     while pending:
-        nid = pending.pop(0)
-        close(set(nexts[nid]), frozenset(), frozenset(), frozenset({nid}))
+        nid = pending.popleft()
+        succ = reached.get(nexts[nid])
+        if succ is None:
+            found.clear()
+            close(set(nexts[nid]), frozenset(), frozenset(), nid)
+            reached[nexts[nid]] = found.copy()
+        else:
+            for s in succ:
+                incomings[s].add(nid)
     return subs, olds, incomings
 
 
@@ -426,17 +521,18 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
                 for u, g in enumerate(subs) if isinstance(g, Until)]
     # with no Until every state accepts; with one the counter stays at 0
     aut = _degeneralize(alphabet, n_states, 0, transitions,
-                        acc_sets or [frozenset(range(n_states))])
+                        acc_sets or [frozenset(range(n_states))], _Guards())
     aut = _prune(aut)
     aut = _merge_universal_sccs(aut)
     aut = _merge_bisimilar(aut)
-    aut = _absorb_into_sinks(aut)
-    return _renumber(aut)
+    aut = _renumber(_absorb_into_sinks(aut))
+    aut._guards = _Guards()   # the compile's memo goes when it returns
+    return aut
 
 
 def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
-                  transitions: list[Transition],
-                  acc_sets: list[frozenset[int]]) -> BuchiAutomaton:
+                  transitions: list[Transition], acc_sets: list[frozenset[int]],
+                  guards: _Guards) -> BuchiAutomaton:
     """Counting construction: one counter level per acceptance set.
 
     At level i, leaving a state in acceptance set i advances the counter;
@@ -462,17 +558,17 @@ def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
     start = state_id(initial, 0)
     new_transitions: list[Transition] = []
     i = 0
-    while i < len(order):
+    while i < len(order):   # state i is order[i]
         q, level = order[i]
         nxt_level = (level + 1) % k if q in acc_sets[level] else level
         for t in out[q]:
             new_transitions.append(
-                Transition(state_id(q, level), t.guard, state_id(t.dst, nxt_level)))
+                Transition(i, t.guard, state_id(t.dst, nxt_level)))
         i += 1
     accepting = frozenset(sid for (q, level), sid in index.items()
                           if level == k - 1 and q in acc_sets[k - 1])
     return BuchiAutomaton(alphabet, len(order), start, accepting,
-                          tuple(new_transitions))
+                          tuple(new_transitions), guards)
 
 
 def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -489,17 +585,17 @@ def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     re-tested, since the tableau drops every contradictory node.
     """
     adj = aut.edges()
-    keep = set(aut.classify().live) | {aut.initial}
+    good = aut.accepting & _cycle_nodes(adj)
+    keep = _closure(good, _reverse(adj)) | {aut.initial}
     inside = [[d for d in dsts if d in keep] for dsts in adj]
     keep &= _closure((aut.initial,), inside)
     remap = {q: i for i, q in enumerate(sorted(keep))}
     transitions = tuple(
         Transition(remap[t.src], t.guard, remap[t.dst])
         for t in aut.transitions if t.src in remap and t.dst in remap)
-    accepting = frozenset(remap[q] for q in aut.accepting
-                          if q in remap and _on_cycle(q, adj))
+    accepting = frozenset(remap[q] for q in good if q in remap)
     return BuchiAutomaton(aut.alphabet, len(remap), remap[aut.initial],
-                          accepting, transitions)
+                          accepting, transitions, aut._guards)
 
 
 def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -514,15 +610,16 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     explicit accepting sink without changing the language.
     """
     adj = aut.edges()
+    radj = _reverse(adj)
+    valid = aut._guards.valid
     universal: set[int] = set()
     for q in aut.accepting:
         if q in universal:
             continue
         comp = _closure((q,), adj)
         if all(aut.out(p)
-               and all(d in comp and _tautology(g)
-                       for g, d in aut.out(p))
-               for p in comp) and comp <= _closure((q,), _reverse(adj)):
+               and all(d in comp and valid(g) for g, d in aut.out(p))
+               for p in comp) and comp <= _closure((q,), radj):
             universal |= comp
     if not universal:
         return aut
@@ -536,7 +633,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
                           key=format_formula)
-            if into and _tautology(reduce(_or, into)):
+            if into and valid(reduce(_or, into)):
                 universal.add(q)
                 changed = True
     rep = min(universal)
@@ -549,7 +646,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     initial = rep if aut.initial in universal else aut.initial
     accepting = frozenset(aut.accepting - universal) | {rep}
     return BuchiAutomaton(aut.alphabet, aut.n_states, initial, accepting,
-                          tuple(transitions))
+                          tuple(transitions), aut._guards)
 
 
 def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
@@ -578,7 +675,8 @@ def _bisimilar_classes(aut: BuchiAutomaton, support: Sequence[str]) -> list[int]
     atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
             for i, name in enumerate(support)}
     full = (1 << n) - 1
-    out = [[(_letter_mask(g, atom, full), d) for g, d in aut.out(q)]
+    masks = {id(g): _letter_mask(g, atom, full) for g in aut._guard_objects}
+    out = [[(masks[id(g)], d) for g, d in aut.out(q)]
            for q in range(aut.n_states)]
     cls = [1 if q in aut.accepting else 0 for q in range(aut.n_states)]
     while True:
@@ -619,7 +717,7 @@ def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
                 transitions.append(Transition(c, guard, cls[dst]))
     accepting = frozenset(cls[q] for q in aut.accepting)
     return BuchiAutomaton(aut.alphabet, n_classes, cls[aut.initial],
-                          accepting, tuple(transitions))
+                          accepting, tuple(transitions), aut._guards)
 
 
 def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -646,10 +744,10 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
                 transitions.append(Transition(q, g, d))
                 continue
             narrowed = _and(g, blocker)
-            if _sat_disjoint(narrowed):
+            if aut._guards.sat(narrowed):
                 transitions.append(Transition(q, narrowed, d))
     return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                          aut.accepting, tuple(transitions))
+                          aut.accepting, tuple(transitions), aut._guards)
 
 
 def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -671,4 +769,4 @@ def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
         key=lambda t: (t.src, format_formula(t.guard), t.dst))
     accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
     return BuchiAutomaton(aut.alphabet, len(order), 0, accepting,
-                          tuple(transitions))
+                          tuple(transitions), aut._guards)

@@ -1,7 +1,7 @@
-"""Seeded random generators, a brute-force successor oracle, a rolled
-LetterWorld view, a zone-by-zone lidar, per-call observation reductions,
-per-row advantage scans and a scripted-label env shared across test
-modules."""
+"""Seeded random generators, a brute-force successor oracle, a per-node
+cycle check, a rolled LetterWorld view, a zone-by-zone lidar, per-call
+observation reductions, per-row advantage scans and a scripted-label env
+shared across test modules."""
 
 from __future__ import annotations
 
@@ -93,6 +93,19 @@ def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
     """Successors of q under one letter, straight from the guards."""
     return {t.dst for t in aut.transitions
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
+
+
+def reference_on_cycle(v: int, adj) -> bool:
+    """Can v reach itself in one or more steps? One depth-first closure
+    from v's successors."""
+    seen = set(adj[v])
+    stack = list(seen)
+    while stack:
+        for d in adj[stack.pop()]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return v in seen
 
 
 def reference_view(state: LetterWorldState, g: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from gen import (
     brute_successors, random_automaton, random_formula, random_lasso,
-    small_alphabet,
+    reference_on_cycle, small_alphabet,
 )
 from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
@@ -167,6 +167,51 @@ class TestAcceptsLasso:
         assert aut.step(s0, 0) == frozenset({0})
         # union over members
         assert aut.step(frozenset({0, 1}), 0) == frozenset({0, 1})
+
+
+class TestCycleNodes:
+    """The one Tarjan pass against a closure from each node's successors."""
+
+    @staticmethod
+    def reference(adj, roots=None):
+        nodes = range(len(adj)) if roots is None else buchi._closure(roots, adj)
+        return {v for v in nodes if reference_on_cycle(v, adj)}
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        shapes = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 16))
+            density = float(rng.choice([0.0, 0.05, 0.2, 0.5, 0.95]))
+            adj = [tuple(d for d in range(n) if rng.random() < density)
+                   for _ in range(n)]
+            roots = [int(r) for r in rng.choice(n, size=int(rng.integers(1, 3)))]
+            cyclic = buchi._cycle_nodes(adj)
+            assert cyclic == self.reference(adj)
+            assert buchi._cycle_nodes(adj, roots) == self.reference(adj, roots)
+            shapes.add((any(v in adj[v] for v in range(n)),
+                        any(not adj[v] for v in range(n)),
+                        0 < len(cyclic) < n))
+        # self-loops, isolated nodes and partly cyclic graphs all came up
+        assert len(shapes) >= 6
+
+    def test_accepts_lasso_product_graphs(self, monkeypatch):
+        real = buchi._cycle_nodes
+        graphs = []
+
+        def recorded(adj, roots=None):
+            graphs.append((adj, roots))
+            return real(adj, roots)
+
+        monkeypatch.setattr(buchi, "_cycle_nodes", recorded)
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            aut = random_automaton(rng, n_states=int(rng.integers(1, 7)))
+            for _ in range(5):
+                aut.accepts_lasso(random_lasso(rng, 2))
+        assert len(graphs) == 300
+        for adj, roots in graphs:
+            assert real(adj, roots) == self.reference(adj, roots)
 
 
 class TestStructuralProperties:

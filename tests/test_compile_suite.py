@@ -1,18 +1,21 @@
 """Pins what the benchmark's compile suite produces: for each spec in
 perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
 the subgoals extracted at every live state; one sha256 over the automata
-and state classes of 300 seeded random formulas; and the automata of four
-specs with wide cube or disjunction guards.
+and state classes of 300 seeded random formulas; the automata of four
+specs with wide cube or disjunction guards; and a 144-state automaton.
 
 A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
 change that alters the output on purpose updates DIGESTS and says so in
 CHANGES.md."""
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,13 @@ WIDE_GUARDS = {
         f"G (a -> F ({_WIDE}))",
         "43df964f587cc7587e34ecdd4dbc04b2bd12c48ec06f909192fe2e856f7e4097"),
 }
+
+# A random formula over 4 names that compiles to 144 states and 2131
+# transitions, all of them live and none an accepting sink: (text, sha256
+# of to_json), recorded with the code of the commit before the one that
+# expands each tableau next set once.
+LARGE = ("((G (F c U (true U true)) R (a U X (true U d))) U X F G b)",
+         "7eab4d95a6e250c00c74f97fe0d194f246a0bb51bbec7d5941eaea7d310ccbd8")
 
 
 @functools.cache
@@ -163,3 +173,65 @@ def test_compile_evaluates_no_guard_letter_by_letter(monkeypatch):
     for spec in workloads.SUITE:
         buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
     assert calls == []
+
+
+def test_large_automaton_unchanged():
+    text, digest = LARGE
+    aut = buchi.compile_formula(ltl.parse(text))
+    assert (aut.n_states, len(aut.transitions)) == (144, 2131)
+    blob = json.dumps(aut.to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    classes = aut.classify()
+    assert classes.live == frozenset(range(144))
+    assert classes.accepting_sink == frozenset()
+
+
+def test_compile_decides_each_guard_once(monkeypatch):
+    """A compile decides the satisfiability and the validity of each
+    distinct guard at most once, on every SUITE and wide-guard spec. Only
+    outermost calls count: a decision recurses on smaller guards."""
+    decided = []
+    depth = [0]
+
+    def counted(kind, real):
+        def decide(guard):
+            if not depth[0]:
+                decided.append((kind, guard))
+            depth[0] += 1
+            try:
+                return real(guard)
+            finally:
+                depth[0] -= 1
+        return decide
+
+    monkeypatch.setattr(buchi, "_sat_disjoint",
+                        counted("sat", buchi._sat_disjoint))
+    monkeypatch.setattr(buchi, "_tautology", counted("valid", buchi._tautology))
+    specs = ([(text, None) for text, _ in WIDE_GUARDS.values()]
+             + [(spec.text, spec.alphabet) for spec in workloads.SUITE])
+    for text, alphabet in specs:
+        decided.clear()
+        buchi.compile_formula(ltl.parse(text), alphabet)
+        assert decided, text
+        again = [(kind, ltl.format_formula(g))
+                 for (kind, g), n in Counter(decided).items() if n > 1]
+        assert again == [], text
+
+
+def test_no_guard_memo_outlives_a_compile():
+    """Compiling the suite pass after pass, renamed so that no two passes
+    share a guard, keeps nothing from earlier passes alive: whatever a
+    compile remembers about its guards goes when it returns."""
+    def traced_after_pass(tag: int) -> int:
+        for spec in workloads.SUITE:
+            text, alphabet, _ = workloads.renamed(spec, tag)
+            buchi.compile_formula(ltl.parse(text), alphabet)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        traced = [traced_after_pass(tag) for tag in range(10)]
+    finally:
+        tracemalloc.stop()
+    assert traced[9] - traced[1] < 16_000, traced
