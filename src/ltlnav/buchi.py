@@ -12,28 +12,28 @@ language; structural simplification only makes the automaton smaller.
 States are dense ints, the initial state is 0 after renumbering, and
 transition guards are Boolean formulas over the alphabet.
 
-No compile stage evaluates a guard letter by letter. The tableau works on
-subformula ids numbered in canonical-string order and expands each distinct
-next set once; later nodes with the same next set only gain incoming
-edges. Satisfiability and validity split on one atom at a time, folding its
-value through the guard. Each compile decides every distinct guard at most
-once: its stages share one memo of satisfiability, validity and support,
-which the returned automaton does not keep. The bisimulation quotient
-compares, per successor class, the int truth table of the support letters
-that lead into it, built once per distinct guard.
+No compile stage evaluates a guard letter by letter. The tableau
+(tableau.py) works on subformula ids numbered in canonical-string order and
+expands each distinct next set once; later nodes with the same next set
+only gain incoming edges. Satisfiability and validity split on one atom at
+a time, folding its value through the guard. Each compile decides every
+distinct guard at most once: its stages share one memo of satisfiability,
+validity and support, which the returned automaton does not keep. The
+bisimulation quotient compares, per successor class, the int truth table
+of the support letters that lead into it, built once per distinct guard.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
 from .ltl import (
-    TRUE, Alphabet, And, Atom, Bool, Formula, Lasso, Next, Not, Or, Release,
-    Until, alphabet_of, atoms, eval_bool, format_formula, is_boolean, nnf,
+    TRUE, Alphabet, And, Atom, Bool, Formula, Lasso, Not, Or, Until,
+    alphabet_of, atoms, eval_bool, format_formula, is_boolean, nnf,
 )
+from .tableau import expand_tableau, is_literal
 
 __all__ = [
     "Transition", "StateClasses", "BuchiAutomaton", "compile_formula",
@@ -366,134 +366,6 @@ def _tautology(guard: Formula) -> bool:
     return not _sat_disjoint(_not(guard))
 
 
-# -- tableau construction ---------------------------------------------------
-
-
-_INIT = -1
-_LITERAL = "literal"   # kind of an atom or a negated atom
-
-
-def _is_literal(f: Formula) -> bool:
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.arg, Atom))
-
-
-def _children(f: Formula) -> list[Formula]:
-    return [c for c in (getattr(f, a, None) for a in ("arg", "lhs", "rhs"))
-            if isinstance(c, Formula)]
-
-
-def _subformulas(f: Formula) -> list[Formula]:
-    """Every distinct subformula of f, f included, in format_formula order."""
-    found: set[Formula] = set()
-
-    def walk(g: Formula):
-        if g not in found:
-            found.add(g)
-            for c in _children(g):
-                walk(c)
-
-    walk(f)
-    return sorted(found, key=format_formula)
-
-
-def _expand_tableau(root: Formula):
-    """On-the-fly tableau expansion of an NNF formula.
-
-    Returns (subs, olds, incomings): the root's subformulas in
-    format_formula order, and per node the ids (positions in subs) of its
-    processed formulas and its incoming node ids (with -1 for the virtual
-    initial node). Nodes are unique per (old, next) pair. Each step takes
-    the smallest id, the formula with the smallest canonical string, so
-    construction is fully deterministic. A node's successors depend on its
-    next set alone, so each distinct next set is expanded once; a later
-    node with the same next set only joins its successors' incoming sets.
-    """
-    subs = _subformulas(root)
-    index = {g: i for i, g in enumerate(subs)}
-    kind = [_LITERAL if _is_literal(g) else type(g) for g in subs]
-    kids = [tuple(index[c] for c in _children(g)) for g in subs]
-    # a literal's complement, or -1 when the complement is no subformula
-    neg = [-1] * len(subs)
-    for i, g in enumerate(subs):
-        if kind[i] is _LITERAL and isinstance(g, Not):
-            neg[i], neg[kids[i][0]] = kids[i][0], i
-
-    nodes: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    olds: list[frozenset[int]] = []
-    nexts: list[frozenset[int]] = []
-    incomings: list[set[int]] = []
-    # worklist of closed nodes whose successors still need expansion
-    pending: deque[int] = deque()
-    # per next set expanded so far, the nodes its expansion reached
-    reached: dict[frozenset[int], list[int]] = {}
-    found: list[int] = []   # nodes the current expansion has reached
-
-    def close(new: set[int], old: frozenset[int], nxt: frozenset[int],
-              src: int):
-        while new:
-            g = min(new)
-            new.discard(g)
-            k = kind[g]
-            if k is Bool:
-                if not subs[g].value:
-                    return
-                continue
-            if g in old:
-                continue
-            if k is _LITERAL:
-                if neg[g] in old:
-                    return
-                old = old | {g}
-                continue
-            if k is And:
-                old = old | {g}
-                new |= set(kids[g]) - old
-                continue
-            if k is Next:
-                old = old | {g}
-                nxt = nxt | set(kids[g])
-                continue
-            if k not in (Or, Until, Release):
-                raise TypeError(f"formula not in negation normal form: {subs[g]}")
-            lhs, rhs = kids[g]
-            old2 = old | {g}
-            if k is Or:
-                close(new | ({lhs} - old2), old2, nxt, src)
-                close(new | ({rhs} - old2), old2, nxt, src)
-            elif k is Until:
-                close(new | ({rhs} - old2), old2, nxt, src)
-                close(new | ({lhs} - old2), old2, nxt | {g}, src)
-            else:
-                close(new | ({lhs, rhs} - old2), old2, nxt, src)
-                close(new | ({rhs} - old2), old2, nxt | {g}, src)
-            return
-        key = (old, nxt)
-        nid = nodes.get(key)
-        if nid is None:
-            nid = len(olds)
-            nodes[key] = nid
-            olds.append(old)
-            nexts.append(nxt)
-            incomings.append({src})
-            pending.append(nid)
-        else:
-            incomings[nid].add(src)
-        found.append(nid)
-
-    close({index[root]}, frozenset(), frozenset(), _INIT)
-    while pending:
-        nid = pending.popleft()
-        succ = reached.get(nexts[nid])
-        if succ is None:
-            found.clear()
-            close(set(nexts[nid]), frozenset(), frozenset(), nid)
-            reached[nexts[nid]] = found.copy()
-        else:
-            for s in succ:
-                incomings[s].add(nid)
-    return subs, olds, incomings
-
-
 def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutomaton:
     """Compile a formula into a pruned, simplified Buchi automaton."""
     if alphabet is None:
@@ -502,7 +374,7 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
         missing = atoms(f) - set(alphabet.names)
         if missing:
             raise ValueError(f"formula atoms {sorted(missing)} not in alphabet")
-    subs, olds, incomings = _expand_tableau(nnf(f))
+    subs, olds, incomings = expand_tableau(nnf(f))
     index = {g: i for i, g in enumerate(subs)}
 
     # states: tableau nodes shifted by one, state 0 is the virtual initial
@@ -510,7 +382,7 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
     transitions: list[Transition] = []
     for nid, old in enumerate(olds):
         # ids ascend in format_formula order, so the literals come sorted
-        guard = reduce(_and, (subs[i] for i in sorted(old) if _is_literal(subs[i])),
+        guard = reduce(_and, (subs[i] for i in sorted(old) if is_literal(subs[i])),
                        TRUE)
         for src in sorted(incomings[nid]):
             transitions.append(Transition(src + 1, guard, nid + 1))
