@@ -114,8 +114,8 @@ def _sat_disjoint(guard: Formula) -> bool:
 
 
 class _Guards:
-    """Satisfiability, validity and support of guards, each decided at most
-    once per distinct guard.
+    """Satisfiability, validity, support and text of guards, each worked
+    out at most once per distinct guard.
 
     The stages of one compile share one instance and drop it when the
     compile returns; every other automaton has its own.
@@ -125,6 +125,7 @@ class _Guards:
         self._sat: dict[Formula, bool] = {}
         self._valid: dict[Formula, bool] = {}
         self._support: dict[Formula, frozenset[str]] = {}
+        self._text: dict[Formula, str] = {}
 
     def sat(self, g: Formula) -> bool:
         ok = self._sat.get(g)
@@ -146,6 +147,13 @@ class _Guards:
                 raise ValueError(f"guard must be a Boolean formula: {g}")
             names = self._support[g] = atoms(g)
         return names
+
+    def text(self, g: Formula) -> str:
+        """format_formula(g), the key guards are sorted and deduplicated by."""
+        s = self._text.get(g)
+        if s is None:
+            s = self._text[g] = format_formula(g)
+        return s
 
 
 class BuchiAutomaton:
@@ -504,7 +512,7 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
             if q in universal:
                 continue
             into = sorted((g for g, d in aut.out(q) if d in universal),
-                          key=format_formula)
+                          key=aut._guards.text)
             if into and valid(reduce(_or, into)):
                 universal.add(q)
                 changed = True
@@ -583,7 +591,7 @@ def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
     seen = set()
     for c, q in sorted(rep.items()):
         for guard, dst in aut.out(q):
-            key = (c, format_formula(guard), cls[dst])
+            key = (c, aut._guards.text(guard), cls[dst])
             if key not in seen:
                 seen.add(key)
                 transitions.append(Transition(c, guard, cls[dst]))
@@ -606,7 +614,8 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
     transitions: list[Transition] = []
     for q in range(aut.n_states):
         edges = aut.out(q)
-        sink_guards = sorted((g for g, d in edges if d in sinks), key=format_formula)
+        sink_guards = sorted((g for g, d in edges if d in sinks),
+                             key=aut._guards.text)
         if q in sinks or not sink_guards:
             transitions.extend(Transition(q, g, d) for g, d in edges)
             continue
@@ -624,13 +633,14 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
 
 def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Canonical breadth-first state numbering with the initial state at 0."""
+    text = aut._guards.text
     order = [aut.initial]
     seen = {aut.initial}
     i = 0
     while i < len(order):
         q = order[i]
         i += 1
-        for guard, dst in sorted(aut.out(q), key=lambda e: (format_formula(e[0]), e[1])):
+        for guard, dst in sorted(aut.out(q), key=lambda e: (text(e[0]), e[1])):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
@@ -638,7 +648,7 @@ def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
     transitions = sorted(
         (Transition(remap[t.src], t.guard, remap[t.dst])
          for t in aut.transitions if t.src in remap and t.dst in remap),
-        key=lambda t: (t.src, format_formula(t.guard), t.dst))
+        key=lambda t: (t.src, text(t.guard), t.dst))
     accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
     return BuchiAutomaton(aut.alphabet, len(order), 0, accepting,
                           tuple(transitions), aut._guards)

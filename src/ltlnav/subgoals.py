@@ -91,6 +91,64 @@ def _lassos(aut: BuchiAutomaton, q: int, limit: int):
             del on_path[path.pop()]
 
 
+def _second_nodes(aut: BuchiAutomaton, q: int, limit: int) -> set[int]:
+    """The successors of q that start some accepting simple lasso from q,
+    plus q itself when it accepts and loops: the second nodes of the
+    lassos that _lassos yields, found by counting those lassos instead of
+    visiting each one.
+
+    Iterative depth-first search over simple paths from q on bitmasks. A
+    frame holds the key (v, P, C): the end node v, the mask P of the path
+    and the mask C of the path up to its last accepting node, so
+    (succ[v] & C).bit_count() lassos close at v. A subtree's count depends
+    on its key alone and is memoized on it, so sibling orders that visit
+    one set are counted once; a node with no successor off the path gets
+    no frame, since its lassos all close at it. `seen` counts the distinct
+    lassos counted so far, so the walk raises UniverseTooLarge as soon as
+    more than `limit` lassos exist, never later than _lassos would.
+    """
+    adj = aut.edges()
+    bit = (1).__lshift__
+    succ = [sum(map(bit, dsts)) for dsts in adj]
+    acc = sum(map(bit, aut.accepting))
+    memo: dict[tuple[int, int, int], int] = {}
+    upto = 1 << q & acc
+    seen = (succ[q] & upto).bit_count()
+    second = {q} if seen else set()
+    stack = [[(q, 1 << q, upto), iter(adj[q]), seen]]   # [key, children, count]
+    while seen <= limit:
+        frame = stack[-1]
+        (_, path, upto), children, _ = frame
+        for w in children:
+            if path >> w & 1:
+                continue
+            on_path = path | 1 << w
+            key = (w, on_path, on_path if acc >> w & 1 else upto)
+            n = memo.get(key)
+            if n is None:
+                n = (succ[w] & key[2]).bit_count()
+                if succ[w] & ~on_path:
+                    stack.append([key, iter(adj[w]), n])
+                    seen += n
+                    break
+            # a counted subtree: memoized, or w alone
+            frame[2] += n
+            seen += n
+            if n and frame is stack[0]:
+                second.add(w)
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return second
+            key, _, n = frame
+            memo[key] = n
+            stack[-1][2] += n
+            if n and len(stack) == 1:
+                second.add(key[0])
+    raise UniverseTooLarge(f"more than {limit} lassos from state {q}")
+
+
 def find_lassos(aut: BuchiAutomaton, q: int,
                 limit: int = _MAX_LASSOS) -> list[LassoPath]:
     """All simple lasso paths from q whose cycle contains an accepting
@@ -119,8 +177,7 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
         avoid = frozenset(
             a for a in achievable if not (aut.step(frozenset({q}), a) & live))
         # successor states that start some accepting lasso from q
-        second = {path[1] if len(path) > 1 else path[j]
-                  for path, j in _lassos(aut, q, _MAX_LASSOS)}
+        second = _second_nodes(aut, q, _MAX_LASSOS)
         if not second:
             continue
         for a in achievable:

@@ -64,15 +64,15 @@ def small_alphabet(n: int) -> Alphabet:
 
 
 def random_automaton(rng: np.random.Generator, n_states: int = 5,
-                     n_props: int = 2) -> BuchiAutomaton:
+                     n_props: int = 2, edge_prob: float = 0.3) -> BuchiAutomaton:
     """Raw automaton with initial state 0: each edge exists with
-    probability 0.3 under a random conjunction of literals, and a random
-    subset of the states accepts."""
+    probability edge_prob under a random conjunction of literals, and a
+    random subset of the states accepts."""
     ab = small_alphabet(n_props)
     transitions = []
     for src in range(n_states):
         for dst in range(n_states):
-            if rng.random() < 0.3:
+            if rng.random() < edge_prob:
                 lits = []
                 for name in ab.names:
                     r = rng.random()

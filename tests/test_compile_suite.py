@@ -79,6 +79,11 @@ LARGE = ("((G (F c U (true U true)) R (a U X (true U d))) U X F G b)",
          "7eab4d95a6e250c00c74f97fe0d194f246a0bb51bbec7d5941eaea7d310ccbd8")
 
 
+# the specs whose compiles the guard memo tests count
+GUARD_SPECS = ([(text, None) for text, _ in WIDE_GUARDS.values()]
+               + [(spec.text, spec.alphabet) for spec in workloads.SUITE])
+
+
 @functools.cache
 def compiled(spec) -> buchi.BuchiAutomaton:
     return buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
@@ -207,14 +212,33 @@ def test_compile_decides_each_guard_once(monkeypatch):
     monkeypatch.setattr(buchi, "_sat_disjoint",
                         counted("sat", buchi._sat_disjoint))
     monkeypatch.setattr(buchi, "_tautology", counted("valid", buchi._tautology))
-    specs = ([(text, None) for text, _ in WIDE_GUARDS.values()]
-             + [(spec.text, spec.alphabet) for spec in workloads.SUITE])
-    for text, alphabet in specs:
+    for text, alphabet in GUARD_SPECS:
         decided.clear()
         buchi.compile_formula(ltl.parse(text), alphabet)
         assert decided, text
         again = [(kind, ltl.format_formula(g))
                  for (kind, g), n in Counter(decided).items() if n > 1]
+        assert again == [], text
+
+
+def test_compile_formats_each_guard_once(monkeypatch):
+    """A compile formats each distinct guard at most once, on every SUITE
+    and wide-guard spec: its stages sort and deduplicate transitions by a
+    guard's text and look the text up. Every call buchi makes is an
+    outermost one, since format_formula recurses through ltl's own name."""
+    formatted = []
+
+    def counted(guard):
+        formatted.append(guard)
+        return ltl.format_formula(guard)
+
+    monkeypatch.setattr(buchi, "format_formula", counted)
+    for text, alphabet in GUARD_SPECS:
+        formatted.clear()
+        buchi.compile_formula(ltl.parse(text), alphabet)
+        assert formatted, text
+        again = [ltl.format_formula(g)
+                 for g, n in Counter(formatted).items() if n > 1]
         assert again == [], text
 
 
@@ -226,6 +250,62 @@ def test_no_guard_memo_outlives_a_compile():
         for spec in workloads.SUITE:
             text, alphabet, _ = workloads.renamed(spec, tag)
             buchi.compile_formula(ltl.parse(text), alphabet)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        traced = [traced_after_pass(tag) for tag in range(10)]
+    finally:
+        tracemalloc.stop()
+    assert traced[9] - traced[1] < 16_000, traced
+
+
+def test_extraction_memory_is_bounded_on_too_many_lassos():
+    """The lasso count memo of one extraction stays small on the spec that
+    passes the 100,000-lasso limit: the walk stops at the limit, and
+    sibling orders share one entry. It peaked at 2.0 MB when written."""
+    spec = next(s for s in workloads.SUITE if s.name == "too-many-lassos")
+    aut = compiled(spec)
+    aut.classify()
+    tracemalloc.start()
+    try:
+        with pytest.raises(subgoals.UniverseTooLarge,
+                           match="^more than 100000 lassos from state 0$"):
+            subgoals.extract_subgoals(aut, frozenset({0}), frozenset(),
+                                      workloads.achievable_for(spec.alphabet))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
+def test_no_extraction_memo_outlives_a_call():
+    """Extracting from renamed copies of the two extraction-heavy specs,
+    pass after pass, keeps nothing from earlier passes alive: the lasso
+    count memo goes when extraction returns. Each pass extracts at every
+    live state of response and at state 0 of too-many-lassos, which
+    raises. The automata are compiled before tracing starts, and each pass
+    drops its own."""
+    specs = [s for s in workloads.SUITE
+             if s.name in ("response", "too-many-lassos")]
+    passes = []
+    for tag in range(10):
+        renamed = [workloads.renamed(spec, tag) for spec in specs]
+        passes.append([(buchi.compile_formula(ltl.parse(text), alphabet),
+                        workloads.achievable_for(alphabet))
+                       for text, alphabet, _ in renamed])
+
+    def traced_after_pass(tag: int) -> int:
+        (response, achievable), (too_many, too_many_achievable) = passes[tag]
+        passes[tag] = None
+        for q in sorted(response.classify().live):
+            subgoals.extract_subgoals(response, frozenset({q}), frozenset(),
+                                      achievable)
+        with pytest.raises(subgoals.UniverseTooLarge):
+            subgoals.extract_subgoals(too_many, frozenset({0}), frozenset(),
+                                      too_many_achievable)
+        del response, too_many
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 

@@ -3,10 +3,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gen import brute_successors, random_automaton, small_alphabet
+from gen import (
+    brute_successors, random_automaton, random_formula, small_alphabet,
+)
 from ltlnav import buchi, subgoals
-from ltlnav.buchi import compile_formula
-from ltlnav.ltl import eval_bool, parse
+from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
+from ltlnav.ltl import TRUE, eval_bool, parse
 from ltlnav.subgoals import (
     LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, build_universe,
     check_subgoal, encode_subgoal, extract_subgoals, find_lassos,
@@ -113,6 +115,50 @@ class TestFindLassos:
                     find_lassos(aut, q, limit=n - 1)
                 checked += 1
         assert checked > 200
+
+
+# -- second nodes -------------------------------------------------------------
+
+
+def oracle_automata(rng):
+    """Sparse and dense random automata with 1-9 states, and compiled
+    random formulas with at most 8 states."""
+    # brute_lassos filters (n-1)! orderings and more, so big ones are few
+    for n, count in zip(range(1, 10), (12, 12, 12, 12, 12, 6, 4, 2, 1)):
+        for _ in range(count):
+            yield random_automaton(rng, n_states=n)
+            yield random_automaton(rng, n_states=n,
+                                   edge_prob=float(rng.uniform(0.5, 0.95)))
+    names = ("a", "b", "c")
+    compiled = 0
+    while compiled < 120:
+        aut = compile_formula(random_formula(rng, 3, names),
+                              small_alphabet(3))
+        if aut.n_states <= 8:
+            compiled += 1
+            yield aut
+
+
+class TestSecondNodes:
+    def test_matches_brute_force_lassos(self):
+        # the set is the brute-force lassos' second nodes, and the limit is
+        # exact: a state with n lassos passes at n and raises below it
+        rng = np.random.default_rng(24)
+        checked = 0
+        for aut in oracle_automata(rng):
+            for q in range(aut.n_states):
+                lassos = brute_lassos(aut, q)
+                n = len(lassos)
+                expected = {path[1] if len(path) > 1 else path[j]
+                            for path, j in lassos}
+                assert subgoals._second_nodes(aut, q, n) == expected
+                for limit in {0, n - 1} if n else ():
+                    with pytest.raises(UniverseTooLarge,
+                                       match=f"^more than {limit} lassos "
+                                             f"from state {q}$"):
+                        subgoals._second_nodes(aut, q, limit)
+                checked += 1
+        assert checked > 800
 
 
 # -- the satisfiable-edge graph ----------------------------------------------
@@ -244,9 +290,21 @@ class TestExtractSubgoals:
 
         monkeypatch.setattr(subgoals, "find_lassos", forbidden)
         monkeypatch.setattr(subgoals, "LassoPath", forbidden)
+        monkeypatch.setattr(subgoals, "_lassos", forbidden)
         for q in live:
             assert extract_subgoals(aut, frozenset({q}), frozenset(),
                                     achievable)
+
+    def test_deep_ring_needs_no_recursion(self):
+        # one lasso through 3000 states: a walk that recursed per node
+        # would pass Python's recursion limit
+        n = 3000
+        aut = BuchiAutomaton(small_alphabet(1), n, 0, frozenset({0}),
+                             tuple(Transition(q, TRUE, (q + 1) % n)
+                                   for q in range(n)))
+        for q in (0, n - 1):
+            assert extract_subgoals(aut, frozenset({q}), frozenset(), (1,)) \
+                == [(q, Subgoal(1, frozenset()))]
 
     def test_deterministic_order(self):
         ab = small_alphabet(2)
