@@ -264,7 +264,7 @@ def test_no_guard_memo_outlives_a_compile():
 def test_extraction_memory_is_bounded_on_too_many_lassos():
     """The lasso count memo of one extraction stays small on the spec that
     passes the 100,000-lasso limit: the walk stops at the limit, and
-    sibling orders share one entry. It peaked at 2.0 MB when written."""
+    sibling orders share one entry. It peaked at 1.8 MB when written."""
     spec = next(s for s in workloads.SUITE if s.name == "too-many-lassos")
     aut = compiled(spec)
     aut.classify()
