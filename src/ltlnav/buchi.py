@@ -12,15 +12,14 @@ language; structural simplification only makes the automaton smaller.
 States are dense ints, the initial state is 0 after renumbering, and
 transition guards are Boolean formulas over the alphabet.
 
-No compile stage evaluates a guard letter by letter. The tableau
-(tableau.py) works on subformula ids numbered in canonical-string order and
-expands each distinct next set once; later nodes with the same next set
-only gain incoming edges. Satisfiability and validity split on one atom at
-a time, folding its value through the guard. Each compile decides every
-distinct guard at most once: its stages share one memo of satisfiability,
-validity and support, which the returned automaton does not keep. The
-bisimulation quotient compares, per successor class, the int truth table
-of the support letters that lead into it, built once per distinct guard.
+Each compile runs its stages on one graph of guard ids (`_Graph`): every
+distinct guard is interned once, and its satisfiability, validity and text
+are worked out at most once. The renumbering alone builds a
+BuchiAutomaton, the one the compile returns, which keeps none of those
+facts. No stage evaluates a guard letter by letter: satisfiability and
+validity split on one atom at a time, folding its value through the guard,
+and the bisimulation quotient compares, per successor class, the int truth
+table of the support letters that lead into it.
 """
 
 from __future__ import annotations
@@ -114,97 +113,119 @@ def _sat_disjoint(guard: Formula) -> bool:
 
 
 class _Guards:
-    """Satisfiability, validity, support and text of guards, each worked
-    out at most once per distinct guard.
-
-    The stages of one compile share one instance and drop it when the
-    compile returns; every other automaton has its own.
-    """
+    """The distinct guards of one compile, or of one automaton, as int ids
+    in first-use order. Each guard's satisfiability, validity and text are
+    worked out at most once, and each text-ordered disjunction built once."""
 
     def __init__(self):
-        self._sat: dict[Formula, bool] = {}
-        self._valid: dict[Formula, bool] = {}
-        self._support: dict[Formula, frozenset[str]] = {}
-        self._text: dict[Formula, str] = {}
+        self.formulas: list[Formula] = []
+        self._ids: dict[Formula, int] = {}
+        self._sat: dict[int, bool] = {}
+        self._valid: dict[int, bool] = {}
+        self._text: dict[int, str] = {}
+        self._disjunctions: dict[tuple[int, ...], int] = {}
 
-    def sat(self, g: Formula) -> bool:
-        ok = self._sat.get(g)
+    def intern(self, g: Formula) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self.formulas)
+            self.formulas.append(g)
+        return i
+
+    def sat(self, i: int) -> bool:
+        ok = self._sat.get(i)
         if ok is None:
-            ok = self._sat[g] = _sat_disjoint(g)
+            ok = self._sat[i] = _sat_disjoint(self.formulas[i])
         return ok
 
-    def valid(self, g: Formula) -> bool:
-        ok = self._valid.get(g)
+    def valid(self, i: int) -> bool:
+        ok = self._valid.get(i)
         if ok is None:
-            ok = self._valid[g] = _tautology(g)
+            ok = self._valid[i] = _tautology(self.formulas[i])
         return ok
 
-    def support(self, g: Formula) -> frozenset[str]:
-        """The guard's atoms; raises ValueError if it is not Boolean."""
-        names = self._support.get(g)
-        if names is None:
-            if not is_boolean(g):
-                raise ValueError(f"guard must be a Boolean formula: {g}")
-            names = self._support[g] = atoms(g)
-        return names
-
-    def text(self, g: Formula) -> str:
-        """format_formula(g), the key guards are sorted and deduplicated by."""
-        s = self._text.get(g)
+    def text(self, i: int) -> str:
+        """format_formula of the guard, the key guards are sorted by."""
+        s = self._text.get(i)
         if s is None:
-            s = self._text[g] = format_formula(g)
+            s = self._text[i] = format_formula(self.formulas[i])
         return s
+
+    def disjunction(self, ids: Iterable[int]) -> int:
+        """The id of the guards' disjunction, taken in text order."""
+        key = tuple(sorted(ids, key=self.text))
+        i = self._disjunctions.get(key)
+        if i is None:
+            i = self._disjunctions[key] = self.intern(
+                reduce(_or, [self.formulas[j] for j in key]))
+        return i
+
+
+@dataclass
+class _Graph:
+    """An automaton as the compile stages pass it on: per state, its edges
+    as (guard id, dst) pairs in order, the ids indexing `guards`."""
+
+    guards: _Guards
+    initial: int
+    accepting: frozenset[int]
+    out: list[list[tuple[int, int]]]
+
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the sorted distinct successors over satisfiable guards."""
+        sat = self.guards.sat
+        return tuple(tuple(sorted({d for i, d in edges if sat(i)}))
+                     for edges in self.out)
+
+    def sinks(self) -> frozenset[int]:
+        """Accepting states with only self-loops, which cover every letter."""
+        valid, disjunction = self.guards.valid, self.guards.disjunction
+        return frozenset(
+            q for q in self.accepting
+            if self.out[q] and all(d == q for _, d in self.out[q])
+            and valid(disjunction(i for i, _ in self.out[q])))
 
 
 class BuchiAutomaton:
-    """Nondeterministic Buchi automaton over assignment letters.
-
-    `guards` is the memo of guard facts a compile shares across its stages;
-    an automaton built without one gets its own.
-    """
+    """Nondeterministic Buchi automaton over assignment letters."""
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
-                 accepting: frozenset[int], transitions: tuple[Transition, ...],
-                 guards: _Guards | None = None):
+                 accepting: frozenset[int], transitions: tuple[Transition, ...]):
         if not (0 <= initial < n_states):
             raise ValueError("initial state out of range")
         if not all(0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
         self.transitions = tuple(transitions)
-        self._out: list[list[tuple[Formula, int]]] = [[] for _ in range(n_states)]
-        # the guard objects, each once: compile stages share guard objects,
-        # so facts about guards are looked up per object, not per transition
-        by_id: dict[int, Formula] = {}
+        guards = _Guards()
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
         for t in self.transitions:
             if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {t}")
-            self._out[t.src].append((t.guard, t.dst))
-            by_id[id(t.guard)] = t.guard
-        self._guard_objects = tuple(by_id.values())
-        self._guards = _Guards() if guards is None else guards
+            out[t.src].append((guards.intern(t.guard), t.dst))
         names = set(alphabet.names)
-        for g in self._guard_objects:
-            if not self._guards.support(g) <= names:
+        for g in guards.formulas:
+            if not is_boolean(g):
+                raise ValueError(f"guard must be a Boolean formula: {g}")
+            if not atoms(g) <= names:
                 raise ValueError(f"guard {g} uses atoms outside the alphabet")
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
         self.accepting = frozenset(accepting)
+        self._graph = _Graph(guards, initial, self.accepting, out)
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._edges: tuple[tuple[int, ...], ...] | None = None
         self._classes: StateClasses | None = None
 
     # -- basic queries ---------------------------------------------------
 
-    def out(self, q: int) -> list[tuple[Formula, int]]:
-        return self._out[q]
-
     def succ(self, q: int, letter: int) -> frozenset[int]:
         key = (q, letter)
         hit = self._step_cache.get(key)
         if hit is None:
-            hit = frozenset(d for g, d in self._out[q]
-                            if eval_bool(g, letter, self.alphabet))
+            formulas = self._graph.guards.formulas
+            hit = frozenset(d for i, d in self._graph.out[q]
+                            if eval_bool(formulas[i], letter, self.alphabet))
             self._step_cache[key] = hit
         return hit
 
@@ -218,36 +239,19 @@ class BuchiAutomaton:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the sorted distinct successors over satisfiable guards."""
         if self._edges is None:
-            succ: list[set[int]] = [set() for _ in range(self.n_states)]
-            sat = {id(g): self._guards.sat(g) for g in self._guard_objects}
-            for t in self.transitions:
-                if sat[id(t.guard)]:
-                    succ[t.src].add(t.dst)
-            self._edges = tuple(tuple(sorted(s)) for s in succ)
+            self._edges = self._graph.adj()
         return self._edges
 
     # -- state classification --------------------------------------------
 
     def classify(self) -> StateClasses:
-        if self._classes is not None:
-            return self._classes
-        adj = self.edges()
-        live = frozenset(_closure(self.accepting & _cycle_nodes(adj),
-                                  _reverse(adj)))
-        sinks = set()
-        for q in self.accepting:
-            edges = self._out[q]
-            if edges and all(d == q for _, d in edges):
-                if self._guards.valid(reduce(_or, [g for g, _ in edges])):
-                    sinks.add(q)
-        self._classes = StateClasses(live=live, accepting_sink=frozenset(sinks))
+        if self._classes is None:
+            adj = self.edges()
+            live = frozenset(_closure(self.accepting & _cycle_nodes(adj),
+                                      _reverse(adj)))
+            self._classes = StateClasses(live=live,
+                                         accepting_sink=self._graph.sinks())
         return self._classes
-
-    def _support(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for g in self._guard_objects:
-            names |= self._guards.support(g)
-        return tuple(sorted(names))
 
     # -- lasso acceptance --------------------------------------------------
 
@@ -386,33 +390,27 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
     index = {g: i for i, g in enumerate(subs)}
 
     # states: tableau nodes shifted by one, state 0 is the virtual initial
-    n_states = len(olds) + 1
-    transitions: list[Transition] = []
+    guards = _Guards()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(len(olds) + 1)]
     for nid, old in enumerate(olds):
         # ids ascend in format_formula order, so the literals come sorted
-        guard = reduce(_and, (subs[i] for i in sorted(old) if is_literal(subs[i])),
-                       TRUE)
+        guard = guards.intern(reduce(
+            _and, (subs[i] for i in sorted(old) if is_literal(subs[i])), TRUE))
         for src in sorted(incomings[nid]):
-            transitions.append(Transition(src + 1, guard, nid + 1))
+            out[src + 1].append((guard, nid + 1))
     # one acceptance set per Until; a true right-hand side holds at every
     # node even though the closure never stores it
     acc_sets = [frozenset(nid + 1 for nid, old in enumerate(olds)
                           if u not in old or g.rhs == TRUE or index[g.rhs] in old)
                 for u, g in enumerate(subs) if isinstance(g, Until)]
     # with no Until every state accepts; with one the counter stays at 0
-    aut = _degeneralize(alphabet, n_states, 0, transitions,
-                        acc_sets or [frozenset(range(n_states))], _Guards())
-    aut = _prune(aut)
-    aut = _merge_universal_sccs(aut)
-    aut = _merge_bisimilar(aut)
-    aut = _renumber(_absorb_into_sinks(aut))
-    aut._guards = _Guards()   # the compile's memo goes when it returns
-    return aut
+    graph = _degeneralize(_Graph(guards, 0, frozenset(), out),
+                          acc_sets or [frozenset(range(len(out)))])
+    graph = _merge_bisimilar(_merge_universal_sccs(_prune(graph)))
+    return _renumber(_absorb_into_sinks(graph), alphabet)
 
 
-def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
-                  transitions: list[Transition], acc_sets: list[frozenset[int]],
-                  guards: _Guards) -> BuchiAutomaton:
+def _degeneralize(g: _Graph, acc_sets: list[frozenset[int]]) -> _Graph:
     """Counting construction: one counter level per acceptance set.
 
     At level i, leaving a state in acceptance set i advances the counter;
@@ -420,9 +418,6 @@ def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
     to visiting every set infinitely often.
     """
     k = len(acc_sets)
-    out: list[list[Transition]] = [[] for _ in range(n_states)]
-    for t in transitions:
-        out[t.src].append(t)
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
 
@@ -430,28 +425,21 @@ def _degeneralize(alphabet: Alphabet, n_states: int, initial: int,
         key = (q, level)
         sid = index.get(key)
         if sid is None:
-            sid = len(order)
-            index[key] = sid
+            sid = index[key] = len(order)
             order.append(key)
         return sid
 
-    start = state_id(initial, 0)
-    new_transitions: list[Transition] = []
-    i = 0
-    while i < len(order):   # state i is order[i]
-        q, level = order[i]
+    start = state_id(g.initial, 0)
+    out = []
+    for q, level in order:   # grows as new (state, level) pairs are reached
         nxt_level = (level + 1) % k if q in acc_sets[level] else level
-        for t in out[q]:
-            new_transitions.append(
-                Transition(i, t.guard, state_id(t.dst, nxt_level)))
-        i += 1
+        out.append([(i, state_id(d, nxt_level)) for i, d in g.out[q]])
     accepting = frozenset(sid for (q, level), sid in index.items()
                           if level == k - 1 and q in acc_sets[k - 1])
-    return BuchiAutomaton(alphabet, len(order), start, accepting,
-                          tuple(new_transitions), guards)
+    return _Graph(g.guards, start, accepting, out)
 
 
-def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
+def _prune(g: _Graph) -> _Graph:
     """Drop states with no reachable accepting cycle (keeping the initial
     state) and anything unreachable from the initial state, and unmark
     accepting states that no run can visit infinitely often.
@@ -464,21 +452,18 @@ def _prune(aut: BuchiAutomaton) -> BuchiAutomaton:
     its seeds are exactly the accepting states on a cycle. Guards are not
     re-tested, since the tableau drops every contradictory node.
     """
-    adj = aut.edges()
-    good = aut.accepting & _cycle_nodes(adj)
-    keep = _closure(good, _reverse(adj)) | {aut.initial}
+    adj = g.adj()
+    good = g.accepting & _cycle_nodes(adj)
+    keep = _closure(good, _reverse(adj)) | {g.initial}
     inside = [[d for d in dsts if d in keep] for dsts in adj]
-    keep &= _closure((aut.initial,), inside)
+    keep &= _closure((g.initial,), inside)
     remap = {q: i for i, q in enumerate(sorted(keep))}
-    transitions = tuple(
-        Transition(remap[t.src], t.guard, remap[t.dst])
-        for t in aut.transitions if t.src in remap and t.dst in remap)
+    out = [[(i, remap[d]) for i, d in g.out[q] if d in remap] for q in remap]
     accepting = frozenset(remap[q] for q in good if q in remap)
-    return BuchiAutomaton(aut.alphabet, len(remap), remap[aut.initial],
-                          accepting, transitions, aut._guards)
+    return _Graph(g.guards, remap[g.initial], accepting, out)
 
 
-def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
+def _merge_universal_sccs(g: _Graph) -> _Graph:
     """Collapse components that accept every continuation into one sink.
 
     The states an accepting state q reaches form a universal component when
@@ -489,44 +474,39 @@ def _merge_universal_sccs(aut: BuchiAutomaton) -> BuchiAutomaton:
     instead of a single looping state; merging them back restores an
     explicit accepting sink without changing the language.
     """
-    adj = aut.edges()
+    adj = g.adj()
     radj = _reverse(adj)
-    valid = aut._guards.valid
+    valid = g.guards.valid
     universal: set[int] = set()
-    for q in aut.accepting:
+    for q in g.accepting:
         if q in universal:
             continue
         comp = _closure((q,), adj)
-        if all(aut.out(p)
-               and all(d in comp and valid(g) for g, d in aut.out(p))
+        if all(g.out[p] and all(d in comp and valid(i) for i, d in g.out[p])
                for p in comp) and comp <= _closure((q,), radj):
             universal |= comp
     if not universal:
-        return aut
+        return g
     # close upward: a state every letter can move into the universal set is
     # itself universal, whatever its other edges do
     changed = True
     while changed:
         changed = False
-        for q in range(aut.n_states):
+        for q, edges in enumerate(g.out):
             if q in universal:
                 continue
-            into = sorted((g for g, d in aut.out(q) if d in universal),
-                          key=aut._guards.text)
-            if into and valid(reduce(_or, into)):
+            into = [i for i, d in edges if d in universal]
+            if into and valid(g.guards.disjunction(into)):
                 universal.add(q)
                 changed = True
     rep = min(universal)
-    transitions = [Transition(rep, TRUE, rep)]
-    for t in aut.transitions:
-        if t.src in universal:
-            continue
-        dst = rep if t.dst in universal else t.dst
-        transitions.append(Transition(t.src, t.guard, dst))
-    initial = rep if aut.initial in universal else aut.initial
-    accepting = frozenset(aut.accepting - universal) | {rep}
-    return BuchiAutomaton(aut.alphabet, aut.n_states, initial, accepting,
-                          tuple(transitions), aut._guards)
+    out = [[] if q in universal else
+           [(i, rep if d in universal else d) for i, d in edges]
+           for q, edges in enumerate(g.out)]
+    out[rep] = [(g.guards.intern(TRUE), rep)]
+    initial = rep if g.initial in universal else g.initial
+    accepting = frozenset(g.accepting - universal) | {rep}
+    return _Graph(g.guards, initial, accepting, out)
 
 
 def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
@@ -542,7 +522,7 @@ def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
     return lhs & rhs if isinstance(g, And) else lhs | rhs
 
 
-def _bisimilar_classes(aut: BuchiAutomaton, support: Sequence[str]) -> list[int]:
+def _bisimilar_classes(g: _Graph, support: Sequence[str]) -> list[int]:
     """Each state's class under strong bisimulation (acceptance-respecting),
     numbered in order of first member.
 
@@ -555,16 +535,16 @@ def _bisimilar_classes(aut: BuchiAutomaton, support: Sequence[str]) -> list[int]
     atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
             for i, name in enumerate(support)}
     full = (1 << n) - 1
-    masks = {id(g): _letter_mask(g, atom, full) for g in aut._guard_objects}
-    out = [[(masks[id(g)], d) for g, d in aut.out(q)]
-           for q in range(aut.n_states)]
-    cls = [1 if q in aut.accepting else 0 for q in range(aut.n_states)]
+    masks = {i: _letter_mask(g.guards.formulas[i], atom, full)
+             for i in {i for edges in g.out for i, _ in edges}}
+    out = [[(masks[i], d) for i, d in edges] for edges in g.out]
+    cls = [1 if q in g.accepting else 0 for q in range(len(out))]
     while True:
         sigs = {}
-        new_cls = [0] * aut.n_states
-        for q in range(aut.n_states):
+        new_cls = [0] * len(out)
+        for q, edges in enumerate(out):
             into: dict[int, int] = {}
-            for mask, d in out[q]:
+            for mask, d in edges:
                 into[cls[d]] = into.get(cls[d], 0) | mask
             sig = (cls[q], frozenset(item for item in into.items() if item[1]))
             if sig not in sigs:
@@ -575,32 +555,26 @@ def _bisimilar_classes(aut: BuchiAutomaton, support: Sequence[str]) -> list[int]
         cls = new_cls
 
 
-def _merge_bisimilar(aut: BuchiAutomaton) -> BuchiAutomaton:
+def _merge_bisimilar(g: _Graph) -> _Graph:
     """Quotient by strong bisimulation; skipped above 10 support names."""
-    support = aut._support()
+    used = {i for edges in g.out for i, _ in edges}
+    support = sorted(set().union(*(atoms(g.guards.formulas[i]) for i in used)))
     if len(support) > 10:
-        return aut
-    cls = _bisimilar_classes(aut, support)
-    n_classes = len(set(cls))
-    if n_classes == aut.n_states:
-        return aut
-    rep = {}
-    for q in range(aut.n_states):
-        rep.setdefault(cls[q], q)  # smallest member is the representative
-    transitions = []
-    seen = set()
-    for c, q in sorted(rep.items()):
-        for guard, dst in aut.out(q):
-            key = (c, aut._guards.text(guard), cls[dst])
-            if key not in seen:
-                seen.add(key)
-                transitions.append(Transition(c, guard, cls[dst]))
-    accepting = frozenset(cls[q] for q in aut.accepting)
-    return BuchiAutomaton(aut.alphabet, n_classes, cls[aut.initial],
-                          accepting, tuple(transitions), aut._guards)
+        return g
+    cls = _bisimilar_classes(g, support)
+    first: dict[int, int] = {}
+    for q, c in enumerate(cls):
+        first.setdefault(c, q)   # classes ascend in order of first member
+    if len(first) == len(cls):
+        return g
+    # a class keeps its smallest member's edges, each once
+    out = [list(dict.fromkeys((i, cls[d]) for i, d in g.out[q]))
+           for q in first.values()]
+    accepting = frozenset(cls[q] for q in g.accepting)
+    return _Graph(g.guards, cls[g.initial], accepting, out)
 
 
-def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
+def _absorb_into_sinks(g: _Graph) -> _Graph:
     """Narrow guards that compete with an edge into an accepting sink.
 
     If a letter can move into an accepting sink, any alternative successor
@@ -608,47 +582,45 @@ def _absorb_into_sinks(aut: BuchiAutomaton) -> BuchiAutomaton:
     Removing the letter from competing guards keeps the language unchanged
     and makes progress toward the sink explicit.
     """
-    sinks = aut.classify().accepting_sink
+    sinks = g.sinks()
     if not sinks:
-        return aut
-    transitions: list[Transition] = []
-    for q in range(aut.n_states):
-        edges = aut.out(q)
-        sink_guards = sorted((g for g, d in edges if d in sinks),
-                             key=aut._guards.text)
-        if q in sinks or not sink_guards:
-            transitions.extend(Transition(q, g, d) for g, d in edges)
+        return g
+    guards = g.guards
+    out = []
+    for q, edges in enumerate(g.out):
+        into = [i for i, d in edges if d in sinks]
+        if q in sinks or not into:
+            out.append(edges)
             continue
-        blocker = _not(reduce(_or, sink_guards))
-        for g, d in edges:
-            if d in sinks:
-                transitions.append(Transition(q, g, d))
-                continue
-            narrowed = _and(g, blocker)
-            if aut._guards.sat(narrowed):
-                transitions.append(Transition(q, narrowed, d))
-    return BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                          aut.accepting, tuple(transitions), aut._guards)
+        blocker = _not(guards.formulas[guards.disjunction(into)])
+        narrowed = []
+        for i, d in edges:
+            if d not in sinks:
+                i = guards.intern(_and(guards.formulas[i], blocker))
+                if not guards.sat(i):
+                    continue
+            narrowed.append((i, d))
+        out.append(narrowed)
+    return _Graph(guards, g.initial, g.accepting, out)
 
 
-def _renumber(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Canonical breadth-first state numbering with the initial state at 0."""
-    text = aut._guards.text
-    order = [aut.initial]
-    seen = {aut.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for guard, dst in sorted(aut.out(q), key=lambda e: (text(e[0]), e[1])):
-            if dst not in seen:
-                seen.add(dst)
-                order.append(dst)
+def _renumber(g: _Graph, alphabet: Alphabet) -> BuchiAutomaton:
+    """The automaton, in a canonical breadth-first state numbering with the
+    initial state at 0, and each state's transitions sorted by guard text
+    and then by successor."""
+    text = g.guards.text
+    order = [g.initial]
+    seen = {g.initial}
+    for q in order:   # grows as states are discovered
+        for _, d in sorted(g.out[q], key=lambda e: (text(e[0]), e[1])):
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
     remap = {q: i for i, q in enumerate(order)}
-    transitions = sorted(
-        (Transition(remap[t.src], t.guard, remap[t.dst])
-         for t in aut.transitions if t.src in remap and t.dst in remap),
-        key=lambda t: (t.src, text(t.guard), t.dst))
-    accepting = frozenset(remap[q] for q in aut.accepting if q in remap)
-    return BuchiAutomaton(aut.alphabet, len(order), 0, accepting,
-                          tuple(transitions), aut._guards)
+    formulas = g.guards.formulas
+    transitions = tuple(
+        Transition(src, formulas[i], remap[d])
+        for src, q in enumerate(order)
+        for i, d in sorted(g.out[q], key=lambda e: (text(e[0]), remap[e[1]])))
+    accepting = frozenset(remap[q] for q in g.accepting if q in remap)
+    return BuchiAutomaton(alphabet, len(order), 0, accepting, transitions)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 __all__ = [
     "Formula", "Bool", "Atom", "Not", "And", "Or", "Next", "Eventually",
     "Always", "Until", "Release", "TRUE", "FALSE",
-    "Alphabet", "Lasso", "ParseError",
+    "Alphabet", "Lasso", "ParseError", "MAX_DEPTH",
     "parse", "format_formula", "nnf", "atoms", "alphabet_of",
     "eval_lasso", "eval_bool", "is_boolean",
 ]
@@ -186,13 +186,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting a formula may have: every parenthesis, prefix operator and
+# binary operator above an atom counts one level, so that the parser and
+# every recursion over a parsed formula stay inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
-    """Recursive descent over: implies > or > and > until/release > unary > atom."""
+    """Recursive descent over: implies > or > and > until/release > unary > atom.
+
+    Each rule returns its formula and height, in levels as MAX_DEPTH counts
+    them; `depth` is the number of levels known to enclose the current token.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -207,72 +218,83 @@ class _Parser:
         found = "end of input" if kind == "END" else repr(value)
         raise ParseError(self.text, offset, expected, found)
 
+    def check(self, height: int, tok: tuple[str, str, int]) -> int:
+        """height, after making sure that `depth` levels above it stay
+        within MAX_DEPTH; raises ParseError at the token otherwise."""
+        if self.depth + height > MAX_DEPTH:
+            raise ParseError(self.text, tok[2],
+                             (f"at most {MAX_DEPTH} levels of nesting",),
+                             repr(tok[1]))
+        return height
+
+    def nested(self, rule, tok: tuple[str, str, int]):
+        """rule() one level deeper, below the token that opens the level."""
+        self.check(1, tok)
+        self.depth += 1
+        try:
+            return rule()
+        finally:
+            self.depth -= 1
+
     def parse(self) -> Formula:
-        f = self.implies()
+        f, _ = self.implies()
         if self.peek()[0] != "END":
             self.fail(("'&'", "'|'", "'->'", "'U'", "'R'", "end of input"))
         return f
 
-    def implies(self) -> Formula:
-        lhs = self.disjunction()
+    def implies(self) -> tuple[Formula, int]:
+        lhs, h = self.disjunction()
         if self.peek()[0] == "IMPLIES":
-            self.take()
-            rhs = self.implies()
-            return Or(Not(lhs), rhs)
-        return lhs
+            tok = self.take()
+            rhs, rh = self.nested(self.implies, tok)
+            return Or(Not(lhs), rhs), self.check(1 + max(h + 1, rh), tok)
+        return lhs, h
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self) -> tuple[Formula, int]:
+        f, h = self.conjunction()
         while self.peek()[0] == "OR":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
+            tok = self.take()
+            rhs, rh = self.conjunction()
+            f, h = Or(f, rhs), self.check(1 + max(h, rh), tok)
+        return f, h
 
-    def conjunction(self) -> Formula:
-        f = self.until()
+    def conjunction(self) -> tuple[Formula, int]:
+        f, h = self.until()
         while self.peek()[0] == "AND":
-            self.take()
-            f = And(f, self.until())
-        return f
+            tok = self.take()
+            rhs, rh = self.until()
+            f, h = And(f, rhs), self.check(1 + max(h, rh), tok)
+        return f, h
 
-    def until(self) -> Formula:
-        lhs = self.unary()
+    def until(self) -> tuple[Formula, int]:
+        lhs, h = self.unary()
         kind = self.peek()[0]
         if kind in ("U", "R"):
-            self.take()
-            rhs = self.until()  # right associative
-            return Until(lhs, rhs) if kind == "U" else Release(lhs, rhs)
-        return lhs
+            tok = self.take()
+            rhs, rh = self.nested(self.until, tok)  # right associative
+            op = Until if kind == "U" else Release
+            return op(lhs, rhs), self.check(1 + max(h, rh), tok)
+        return lhs, h
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind = self.peek()[0]
-        if kind == "NOT":
-            self.take()
-            return Not(self.unary())
-        if kind in ("F", "G", "X"):
-            self.take()
-            arg = self.unary()
-            return {"F": Eventually, "G": Always, "X": Next}[kind](arg)
+        if kind in ("NOT", "F", "G", "X"):
+            arg, h = self.nested(self.unary, self.take())
+            op = {"NOT": Not, "F": Eventually, "G": Always, "X": Next}[kind]
+            return op(arg), h + 1
         return self.atom()
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         kind, value, _ = self.peek()
-        if kind == "NAME":
+        if kind in ("NAME", "TRUE", "FALSE"):
             self.take()
-            return Atom(value)
-        if kind == "TRUE":
-            self.take()
-            return TRUE
-        if kind == "FALSE":
-            self.take()
-            return FALSE
+            return (Atom(value) if kind == "NAME" else Bool(kind == "TRUE")), 0
         if kind == "LPAREN":
-            self.take()
-            f = self.implies()
+            f, h = self.nested(self.implies, self.take())
             if self.peek()[0] != "RPAREN":
                 self.fail(("')'",))
             self.take()
-            return f
+            return f, h + 1
         self.fail(("atom", "'true'", "'false'", "'!'", "'F'", "'G'", "'X'", "'('"))
 
 

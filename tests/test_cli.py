@@ -14,7 +14,7 @@ from ltlnav import envs, executor
 from ltlnav.buchi import compile_formula
 from ltlnav.cli import _render_svg, main
 from ltlnav.envs import EnvConfig, make_env
-from ltlnav.ltl import Alphabet, parse
+from ltlnav.ltl import MAX_DEPTH, Alphabet, parse
 from ltlnav.trainer import STREAM_EVAL, TrainerConfig, stream_rng
 from test_acceptance import ZONE_CONFIG
 from test_trainer import zone_checkpoint
@@ -31,6 +31,15 @@ digraph buchi {
   q0 -> q1 [label="a"];
   q1 -> q1 [label="true"];
 }"""
+
+
+# formulas nested n levels deep, each with the token that opens a level
+NESTED = {
+    "parentheses": (lambda n: "(" * n + "a" + ")" * n, "("),
+    "not": (lambda n: "!" * n + "a", "!"),
+    "next": (lambda n: "X " * n + "a", "X"),
+    "and": (lambda n: " & ".join(f"p{i}" for i in range(n + 1)), "&"),
+}
 
 
 def write_train_config(tmp_path, seed=3):
@@ -86,6 +95,17 @@ class TestCompile:
     def test_parse_error_exit_2(self, capsys):
         assert main(["compile", "(a &"]) == 2
         assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_bound_exit_2(self, shape, capsys):
+        # past the bound is a parse error at the token that opens the level
+        # too many, not a RecursionError
+        spec, token = NESTED[shape]
+        assert main(["compile", spec(MAX_DEPTH)]) == 0
+        capsys.readouterr()
+        deep = spec(MAX_DEPTH + 1)
+        assert main(["compile", deep]) == 2
+        assert f"at byte {deep.rindex(token)}:" in capsys.readouterr().err
 
     def test_nested_formula_compiles(self, capsys):
         spec = "(!a) U (b & ((!c) U (d & ((!e) U f))))"

@@ -242,6 +242,25 @@ def test_compile_formats_each_guard_once(monkeypatch):
         assert again == [], text
 
 
+def test_one_automaton_per_compile(monkeypatch):
+    """The compile stages pass one graph of guard ids along, and only the
+    last builds a BuchiAutomaton: one per compile, on every SUITE and
+    wide-guard spec."""
+    built = []
+    real = buchi.BuchiAutomaton.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(buchi.BuchiAutomaton, "__init__", counted)
+    for text, alphabet in GUARD_SPECS:
+        built.clear()
+        aut = buchi.compile_formula(ltl.parse(text), alphabet)
+        assert len(built) == 1, (text, len(built))
+        assert built[0] is aut
+
+
 def test_no_guard_memo_outlives_a_compile():
     """Compiling the suite pass after pass, renamed so that no two passes
     share a guard, keeps nothing from earlier passes alive: whatever a

@@ -4,7 +4,7 @@ import pytest
 from gen import random_formula, random_lasso, small_alphabet
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Lasso, Next,
-    Not, Or, ParseError, Release, Until,
+    MAX_DEPTH, Not, Or, ParseError, Release, Until,
     alphabet_of, atoms, eval_bool, eval_lasso, format_formula,
     is_boolean, nnf, parse,
 )
@@ -63,6 +63,22 @@ class TestParse:
         with pytest.raises(ParseError) as e:
             parse("a + b")
         assert e.value.offset == 2
+
+    @pytest.mark.parametrize("op", ["U", "R", "->", "|", "&"])
+    def test_long_chains_are_parse_errors(self, op):
+        # deeper than MAX_DEPTH is a ParseError, also where the parser
+        # recurses into the chain, never a RecursionError
+        with pytest.raises(ParseError, match="levels of nesting"):
+            parse(f" {op} ".join(["a"] * 2000))
+
+    def test_depth_counts_parentheses_and_operators_together(self):
+        def spec(n_and):
+            return "(" * 50 + " & ".join(["a"] * (n_and + 1)) + ")" * 50
+
+        assert parse(spec(MAX_DEPTH - 50))
+        with pytest.raises(ParseError) as e:
+            parse(spec(MAX_DEPTH - 49))
+        assert e.value.offset == spec(MAX_DEPTH - 49).rindex("&")
 
     def test_reserved_atom_names_are_operators(self):
         # a lone operator letter cannot be an atom
