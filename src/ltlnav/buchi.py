@@ -19,12 +19,13 @@ BuchiAutomaton, the one the compile returns, which keeps none of those
 facts. No stage evaluates a guard letter by letter: satisfiability and
 validity split on one atom at a time, folding its value through the guard,
 and the bisimulation quotient compares, per successor class, the int truth
-table of the support letters that lead into it.
+table of the support letters that lead into it. One Tarjan pass (`_sccs`)
+gives the SCCs that liveness, pruning and the universal merge read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -310,23 +311,15 @@ def _closure(seeds: Iterable[int], adj: Sequence[Sequence[int]]) -> set[int]:
     return seen
 
 
-def _cycle_nodes(adj: Sequence[Sequence[int]],
-                 roots: Iterable[int] | None = None) -> set[int]:
-    """The nodes that reach themselves in one or more steps, among those
-    reachable from the roots (from every node when None).
-
-    A Buchi automaton accepts some word from a state iff it reaches an
-    accepting state on a cycle, the criterion behind the nested depth-first
-    emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis, 1992). One
-    iterative pass of Tarjan's strongly connected components finds them
-    all: a node is on a cycle iff its component has another node or it has
-    a self-loop.
-    """
+def _sccs(adj: Sequence[Sequence[int]],
+          roots: Iterable[int] | None = None) -> Iterator[list[int]]:
+    """The strongly connected components among the nodes reachable from the
+    roots (from every node when None), each after every component it
+    reaches: one iterative pass of Tarjan's algorithm."""
     done = len(adj) + 1
     num = [0] * len(adj)   # discovery number from 1; done once its component is
     low = [0] * len(adj)   # complete, so that it no longer lowers a low link
     stack: list[int] = []
-    cyclic: set[int] = set()
     count = 0
     for root in range(len(adj)) if roots is None else roots:
         if num[root]:
@@ -358,9 +351,20 @@ def _cycle_nodes(adj: Sequence[Sequence[int]],
                     del stack[i:]
                     for w in comp:
                         num[w] = done
-                    if len(comp) > 1 or v in adj[v]:
-                        cyclic.update(comp)
-    return cyclic
+                    yield comp
+
+
+def _cycle_nodes(adj: Sequence[Sequence[int]],
+                 roots: Iterable[int] | None = None) -> set[int]:
+    """The nodes that reach themselves in one or more steps, among those
+    reachable from the roots (from every node when None).
+
+    A Buchi automaton accepts some word from a state iff it reaches an
+    accepting state on a cycle, the criterion behind the nested depth-first
+    emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis, 1992).
+    """
+    return {w for comp in _sccs(adj, roots)
+            if len(comp) > 1 or comp[0] in adj[comp[0]] for w in comp}
 
 
 def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -400,9 +404,10 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
             out[src + 1].append((guard, nid + 1))
     # one acceptance set per Until; a true right-hand side holds at every
     # node even though the closure never stores it
+    rhs = {u: index[g.rhs] for u, g in enumerate(subs) if isinstance(g, Until)}
     acc_sets = [frozenset(nid + 1 for nid, old in enumerate(olds)
-                          if u not in old or g.rhs == TRUE or index[g.rhs] in old)
-                for u, g in enumerate(subs) if isinstance(g, Until)]
+                          if u not in old or r in old or subs[r] == TRUE)
+                for u, r in rhs.items()]
     # with no Until every state accepts; with one the counter stays at 0
     graph = _degeneralize(_Graph(guards, 0, frozenset(), out),
                           acc_sets or [frozenset(range(len(out)))])
@@ -463,28 +468,31 @@ def _prune(g: _Graph) -> _Graph:
     return _Graph(g.guards, remap[g.initial], accepting, out)
 
 
+def _universal_sccs(g: _Graph) -> set[int]:
+    """The states of the universal components: the SCCs that hold an
+    accepting state q and whose members each have a successor and only
+    tautology-guarded transitions that stay inside. From any member, any
+    word can forever stay inside while routing through q."""
+    valid = g.guards.valid
+    universal: set[int] = set()
+    for comp in _sccs(g.adj(), g.accepting):
+        members = set(comp)
+        if not g.accepting.isdisjoint(members) and all(
+                g.out[p] and all(d in members and valid(i) for i, d in g.out[p])
+                for p in comp):
+            universal |= members
+    return universal
+
+
 def _merge_universal_sccs(g: _Graph) -> _Graph:
     """Collapse components that accept every continuation into one sink.
 
-    The states an accepting state q reaches form a universal component when
-    each of them leads back to q (so they are one SCC), has a successor, and
-    has only tautology-guarded transitions that stay inside: from any
-    member, any word can forever stay inside while routing through q.
-    Degeneralization turns fulfilled formulas into such counter cycles
-    instead of a single looping state; merging them back restores an
-    explicit accepting sink without changing the language.
+    Degeneralization turns fulfilled formulas into universal components,
+    counter cycles instead of a single looping state; merging them back
+    restores an explicit accepting sink without changing the language.
     """
-    adj = g.adj()
-    radj = _reverse(adj)
     valid = g.guards.valid
-    universal: set[int] = set()
-    for q in g.accepting:
-        if q in universal:
-            continue
-        comp = _closure((q,), adj)
-        if all(g.out[p] and all(d in comp and valid(i) for i, d in g.out[p])
-               for p in comp) and comp <= _closure((q,), radj):
-            universal |= comp
+    universal = _universal_sccs(g)
     if not universal:
         return g
     # close upward: a state every letter can move into the universal set is

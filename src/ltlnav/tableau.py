@@ -5,13 +5,13 @@ the formulas it has processed (old) and the ones its successors must
 satisfy (next), and closing a node splits it on each disjunction, Until
 and Release. Nodes are numbered in the order they are first reached, on
 subformula ids numbered in canonical-string order, so the expansion is
-deterministic. buchi.compile_formula reads guards and acceptance sets off
-the nodes.
+deterministic. Each distinct close entry (new, old, next) is expanded once
+per call, to the tree of (old, next) leaves it reaches; the nodes come
+from replaying those trees in order. buchi.compile_formula reads guards
+and acceptance sets off the nodes.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .ltl import (
     And, Atom, Bool, Formula, Next, Not, Or, Release, Until, format_formula,
@@ -20,7 +20,6 @@ from .ltl import (
 __all__ = ["expand_tableau", "is_literal"]
 
 
-_INIT = -1
 _LITERAL = "literal"   # kind of an atom or a negated atom
 
 
@@ -48,6 +47,73 @@ def _subformulas(f: Formula) -> list[Formula]:
     return sorted(found, key=format_formula)
 
 
+class _Closer:
+    """The close step of one expand_tableau call; a set of subformula ids is
+    an int with bit i for id i. Each distinct entry (new, old, next) is
+    expanded once, to the tree of the (old, next) leaves it reaches in
+    order: a leaf, or the list of its branches' trees held by reference,
+    with empty trees (contradictions) left out."""
+
+    def __init__(self, root: Formula):
+        self.subs = subs = _subformulas(root)
+        index = {g: i for i, g in enumerate(subs)}
+        self.root = 1 << index[root]
+        self.kind = kind = [_LITERAL if is_literal(g) else type(g) for g in subs]
+        self.kids = kids = [tuple(1 << index[c] for c in _children(g)) for g in subs]
+        # a literal's complement, or 0 when the complement is no subformula
+        self.neg = neg = [0] * len(subs)
+        for i, g in enumerate(subs):
+            if kind[i] is _LITERAL and isinstance(g, Not):
+                neg[i], neg[index[g.arg]] = kids[i][0], 1 << i
+        self.memo: dict[tuple[int, int, int], tuple | list] = {}
+
+    def leaves(self, new: int, old: int, nxt: int):
+        key = (new, old, nxt)
+        tree = self.memo.get(key)
+        if tree is None:
+            tree = self.memo[key] = self.close(new, old, nxt)
+        return tree
+
+    def close(self, new: int, old: int, nxt: int):
+        subs, kind, kids, neg = self.subs, self.kind, self.kids, self.neg
+        while new:
+            bit = new & -new   # the smallest id
+            new ^= bit
+            g = bit.bit_length() - 1
+            k = kind[g]
+            if k is Bool:
+                if not subs[g].value:
+                    return []
+                continue
+            if old & bit:
+                continue
+            if k is _LITERAL:
+                if old & neg[g]:
+                    return []
+                old |= bit
+                continue
+            if k is And:
+                old |= bit
+                new |= (kids[g][0] | kids[g][1]) & ~old
+                continue
+            if k is Next:
+                old |= bit
+                nxt |= kids[g][0]
+                continue
+            if k not in (Or, Until, Release):
+                raise TypeError(f"formula not in negation normal form: {subs[g]}")
+            lhs, rhs = kids[g]
+            old2 = old | bit
+            # Or branches on lhs or rhs; Until on rhs, or lhs with itself
+            # next; Release on both, or rhs with itself next
+            now1, now2 = ((lhs, rhs) if k is Or else (rhs, lhs) if k is Until
+                          else (lhs | rhs, rhs))
+            a = self.leaves(new | now1 & ~old2, old2, nxt)
+            b = self.leaves(new | now2 & ~old2, old2, nxt if k is Or else nxt | bit)
+            return [a, b] if a and b else a or b
+        return (old, nxt)
+
+
 def expand_tableau(root: Formula):
     """On-the-fly tableau expansion of an NNF formula.
 
@@ -56,91 +122,31 @@ def expand_tableau(root: Formula):
     processed formulas and its incoming node ids (with -1 for the virtual
     initial node). Nodes are unique per (old, next) pair. Each step takes
     the smallest id, the formula with the smallest canonical string, so
-    construction is fully deterministic. A node's successors depend on its
-    next set alone, so each distinct next set is expanded once; a later
-    node with the same next set only joins its successors' incoming sets.
+    construction is fully deterministic. A node's successors are the
+    leaves of the close entry (its next set, {}, {}), registered in order.
     """
-    subs = _subformulas(root)
-    index = {g: i for i, g in enumerate(subs)}
-    kind = [_LITERAL if is_literal(g) else type(g) for g in subs]
-    kids = [tuple(index[c] for c in _children(g)) for g in subs]
-    # a literal's complement, or -1 when the complement is no subformula
-    neg = [-1] * len(subs)
-    for i, g in enumerate(subs):
-        if kind[i] is _LITERAL and isinstance(g, Not):
-            neg[i], neg[kids[i][0]] = kids[i][0], i
-
-    nodes: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    closer = _Closer(root)
+    nodes: dict[tuple[int, int], int] = {}
     olds: list[frozenset[int]] = []
-    nexts: list[frozenset[int]] = []
+    nexts: list[int] = []
     incomings: list[set[int]] = []
-    # worklist of closed nodes whose successors still need expansion
-    pending: deque[int] = deque()
-    # per next set expanded so far, the nodes its expansion reached
-    reached: dict[frozenset[int], list[int]] = {}
-    found: list[int] = []   # nodes the current expansion has reached
 
-    def close(new: set[int], old: frozenset[int], nxt: frozenset[int],
-              src: int):
-        while new:
-            g = min(new)
-            new.discard(g)
-            k = kind[g]
-            if k is Bool:
-                if not subs[g].value:
-                    return
-                continue
-            if g in old:
-                continue
-            if k is _LITERAL:
-                if neg[g] in old:
-                    return
-                old = old | {g}
-                continue
-            if k is And:
-                old = old | {g}
-                new |= set(kids[g]) - old
-                continue
-            if k is Next:
-                old = old | {g}
-                nxt = nxt | set(kids[g])
-                continue
-            if k not in (Or, Until, Release):
-                raise TypeError(f"formula not in negation normal form: {subs[g]}")
-            lhs, rhs = kids[g]
-            old2 = old | {g}
-            if k is Or:
-                close(new | ({lhs} - old2), old2, nxt, src)
-                close(new | ({rhs} - old2), old2, nxt, src)
-            elif k is Until:
-                close(new | ({rhs} - old2), old2, nxt, src)
-                close(new | ({lhs} - old2), old2, nxt | {g}, src)
+    def register(tree, src: int):
+        stack = [tree]
+        while stack:
+            tree = stack.pop()
+            if type(tree) is list:
+                stack += reversed(tree)
+            elif tree in nodes:
+                incomings[nodes[tree]].add(src)
             else:
-                close(new | ({lhs, rhs} - old2), old2, nxt, src)
-                close(new | ({rhs} - old2), old2, nxt | {g}, src)
-            return
-        key = (old, nxt)
-        nid = nodes.get(key)
-        if nid is None:
-            nid = len(olds)
-            nodes[key] = nid
-            olds.append(old)
-            nexts.append(nxt)
-            incomings.append({src})
-            pending.append(nid)
-        else:
-            incomings[nid].add(src)
-        found.append(nid)
+                nodes[tree] = len(olds)
+                olds.append(frozenset(i for i, c in enumerate(bin(tree[0])[:1:-1])
+                                      if c == "1"))
+                nexts.append(tree[1])
+                incomings.append({src})
 
-    close({index[root]}, frozenset(), frozenset(), _INIT)
-    while pending:
-        nid = pending.popleft()
-        succ = reached.get(nexts[nid])
-        if succ is None:
-            found.clear()
-            close(set(nexts[nid]), frozenset(), frozenset(), nid)
-            reached[nexts[nid]] = found.copy()
-        else:
-            for s in succ:
-                incomings[s].add(nid)
-    return subs, olds, incomings
+    register(closer.leaves(closer.root, 0, 0), -1)   # the virtual initial node
+    for nid, nxt in enumerate(nexts):   # grows as nodes are registered
+        register(closer.leaves(nxt, 0, 0), nid)
+    return closer.subs, olds, incomings

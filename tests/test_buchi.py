@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -308,6 +309,90 @@ def test_every_stage_keeps_the_language(monkeypatch):
             aut = buchi._renumber(g, ab)
             assert [aut.accepts_lasso(w) for w in words] == want, \
                 (name, format_formula(f))
+
+
+def guard_graph(n, accepting, edges, initial=0):
+    """A _Graph over n states from (src, guard, dst) edges, in order."""
+    guards = buchi._Guards()
+    out = [[] for _ in range(n)]
+    for src, guard, dst in edges:
+        out[src].append((guards.intern(guard), dst))
+    return buchi._Graph(guards, initial, frozenset(accepting), out)
+
+
+class TestUniversalSccs:
+    """The one Tarjan pass against the rule it replaced: per accepting
+    state q, the states q reaches form a universal component when each of
+    them reaches q back, has a successor, and has only tautology-guarded
+    transitions, all staying inside."""
+
+    @staticmethod
+    def reference(g):
+        adj = g.adj()
+        radj = [[] for _ in adj]
+        for src, dsts in enumerate(adj):
+            for d in dsts:
+                radj[d].append(src)
+        valid = g.guards.valid
+        universal = set()
+        for q in g.accepting:
+            if q in universal:
+                continue
+            comp = buchi._closure((q,), adj)
+            if all(g.out[p] and all(d in comp and valid(i) for i, d in g.out[p])
+                   for p in comp) and comp <= buchi._closure((q,), radj):
+                universal |= comp
+        return universal
+
+    def test_random_graphs(self):
+        a, b = Atom("a"), Atom("b")
+        # mostly true, also valid but not true, satisfiable, and unsatisfiable
+        pool = [TRUE] * 6 + [Or(a, Not(a)), a, Not(a), And(a, b), And(a, Not(a))]
+        rng = np.random.default_rng(22)
+        found = Counter()
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            density = float(rng.choice([0.1, 0.25, 0.5]))
+            edges = [(src, pool[int(rng.integers(len(pool)))], dst)
+                     for src in range(n) for dst in range(n)
+                     if rng.random() < density]
+            accepting = {q for q in range(n) if rng.random() < 0.4}
+            g = guard_graph(n, accepting, edges)
+            universal = buchi._universal_sccs(g)
+            assert universal == self.reference(g), (n, accepting, edges)
+            found[(bool(universal), len(universal) < n)] += 1
+        # empty, partial and whole-graph universal sets all came up
+        assert len(found) == 3 and min(found.values()) >= 20, found
+
+    def test_accepting_scc_that_is_not_bottom(self):
+        # {0, 1} cycles on true, but 1 also leaves for 2
+        g = guard_graph(3, {0}, [(0, TRUE, 1), (1, TRUE, 0), (1, TRUE, 2),
+                                 (2, TRUE, 2)])
+        assert buchi._universal_sccs(g) == set() == self.reference(g)
+        g.accepting = frozenset({0, 2})
+        assert buchi._universal_sccs(g) == {2} == self.reference(g)
+
+    def test_bottom_scc_with_a_guard_that_is_not_valid(self):
+        # 1 returns to 0 on every letter, but over two guards, neither valid
+        a = Atom("a")
+        g = guard_graph(2, {0}, [(0, TRUE, 1), (1, a, 0), (1, Not(a), 0)])
+        assert buchi._universal_sccs(g) == set() == self.reference(g)
+
+    def test_member_with_no_edges(self):
+        g = guard_graph(2, {0, 1}, [(1, TRUE, 0)], initial=1)
+        assert buchi._universal_sccs(g) == set() == self.reference(g)
+
+    def test_two_separate_universal_sccs(self):
+        # {0, 1} and {2}, and 3 reads a into the first, !a into the second
+        a = Atom("a")
+        g = guard_graph(4, {0, 2}, [(0, TRUE, 1), (1, TRUE, 0), (2, TRUE, 2),
+                                    (3, a, 0), (3, Not(a), 2)], initial=3)
+        assert buchi._universal_sccs(g) == {0, 1, 2} == self.reference(g)
+        # every letter moves 3 into one of them, so all four become one sink
+        merged = buchi._merge_universal_sccs(g)
+        true = g.guards.intern(TRUE)
+        assert (merged.initial, merged.accepting) == (0, frozenset({0}))
+        assert merged.out == [[(true, 0)], [], [], []]
 
 
 
