@@ -89,6 +89,12 @@ class PolicyAgent:
     V_r(s) - lambda(s) * V_h(s) on the subgoal-reduced observation.  The
     heads are unpacked once, with v_r, v_h and lam stacked so one forward
     pass scores a candidate.
+
+    Each (observation, subgoal) row is reduced once per step: the agent
+    keeps the rows of the observation it last saw, holding that object by
+    reference, so `act` reuses the row `score` built for the picked
+    subgoal, and any other observation object starts afresh.  Observations
+    must not be mutated once passed in.
     """
 
     VALUE_HEADS = ("v_r", "v_h", "lam")
@@ -108,6 +114,8 @@ class PolicyAgent:
         self._policy = spec, unpack(spec, params)
         specs, params = zip(*(heads[name] for name in self.VALUE_HEADS))
         self._values = specs, unpack(specs, params)
+        self._obs = None
+        self._rows: dict[Subgoal, np.ndarray] = {}
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "PolicyAgent":
@@ -127,8 +135,15 @@ class PolicyAgent:
         return agent
 
     def _row(self, obs, sub: Subgoal) -> np.ndarray:
-        """The reduced observation as a one-row batch, (1, D)."""
-        return reduce(obs, sub, self.fusion, self.alphabet)[None]
+        """The reduced observation as a one-row batch, (1, D), reduced on
+        the first call for this observation and subgoal."""
+        if obs is not self._obs:
+            self._obs, self._rows = obs, {}
+        row = self._rows.get(sub)
+        if row is None:
+            row = self._rows[sub] = reduce(obs, sub, self.fusion,
+                                           self.alphabet)[None]
+        return row
 
     def act(self, obs, sub: Subgoal):
         spec, layers = self._policy
@@ -145,13 +160,19 @@ class PolicyAgent:
 
 def select_subgoal(candidates: list[tuple[int, Subgoal]], agent, obs):
     """Best-scoring candidate; the first maximum wins, so ties fall back to
-    the deterministic candidate ordering."""
+    the deterministic candidate ordering.  A lone candidate is taken
+    unscored, since no score could change the pick.  A score that is not
+    finite raises ValueError."""
     if not candidates:
         raise ValueError("candidates must be nonempty")
+    if len(candidates) == 1:
+        return candidates[0]
     best = None
     best_score = -math.inf
     for q, sub in candidates:
         s = float(agent.score(obs, sub))
+        if not math.isfinite(s):
+            raise ValueError(f"candidate (state {q}, {sub}) scored {s}")
         if s > best_score:
             best, best_score = (q, sub), s
     return best

@@ -1,7 +1,13 @@
+import collections
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gen
+from ltlnav import executor
 from ltlnav.buchi import compile_formula
 from ltlnav.envs import EnvConfig, alphabet_for, make_env
 from ltlnav.executor import (
@@ -11,12 +17,18 @@ from ltlnav.executor import (
     timeout_threshold,
 )
 from ltlnav.ltl import parse
-from ltlnav.nets import forward, mean_action
+from ltlnav.nets import forward, head_from_json, mean_action
 from ltlnav.reduction import reduce
 from ltlnav.subgoals import Subgoal, UniverseTooLarge
-from ltlnav.trainer import Trainer, TrainerConfig, stream_rng
+from ltlnav.trainer import STREAM_EVAL, Trainer, TrainerConfig, stream_rng
 from scripted import ScriptedGridAgent, ScriptedZoneAgent
-from test_reduction import random_subgoal
+from test_acceptance import NESTED_SPEC, SEQ2_SPECS
+from test_reduction import grid_obs, random_subgoal
+
+
+# the checkpoint perfbench pins for eval-zeroshot; this module only reads it
+PINNED_DESK = (Path(__file__).resolve().parent.parent / "perfbench"
+               / "desk.ckpt.json")
 
 
 def grid_config(**kw):
@@ -128,6 +140,34 @@ class TestSelectSubgoal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_subgoal([], TableAgent({}), None)
+
+    def test_lone_candidate_is_not_scored(self):
+        class Unscorable:
+            def score(self, obs, sub):
+                raise AssertionError("a lone candidate was scored")
+
+        sub = Subgoal(1, frozenset({2}))
+        assert select_subgoal([(3, sub)], Unscorable(), None) == (3, sub)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_the_candidate(self, bad):
+        s1, s2 = Subgoal(1, frozenset()), Subgoal(2, frozenset({4}))
+        agent = TableAgent({s1: 0.5, s2: bad})
+        with pytest.raises(ValueError) as info:
+            select_subgoal([(0, s1), (7, s2)], agent, None)
+        assert "state 7" in str(info.value)
+        assert repr(s2) in str(info.value)
+        assert str(float(bad)) in str(info.value)
+
+    def test_all_nan_scores_fail_the_episode_with_value_error(self):
+        # every candidate NaN used to leave no pick, and run_episode died
+        # unpacking None
+        config = grid_config()
+        env = make_env(config)
+        aut = compile_formula(parse("F a | F b"), alphabet_for(config))
+        agent = TableAgent(collections.defaultdict(lambda: np.nan))
+        with pytest.raises(ValueError, match="scored nan"):
+            run_episode(env, aut, agent, rng=stream_rng(0, 3), timeout=10)
 
 
 class TestRunEpisode:
@@ -443,6 +483,65 @@ class TestPolicyAgent:
                           else rng.uniform(-1, 1, size=2))
                 obs = env.step(action)[0]
 
+    def test_each_row_is_reduced_once_per_step(self, monkeypatch):
+        # one desk episode: reduce runs once per distinct (observation,
+        # subgoal) that score or act asks for, so act reuses the row the
+        # pick scored
+        agent = PolicyAgent.from_checkpoint(
+            json.loads(PINNED_DESK.read_text()))
+        env = make_env(agent.env_config)
+        aut = compile_formula(parse(NESTED_SPEC), agent.alphabet)
+        reduced, asked, kept = [], [], []
+        real_reduce = executor.reduce
+
+        def counting_reduce(obs, sub, *args):
+            reduced.append((id(obs), sub))
+            return real_reduce(obs, sub, *args)
+
+        monkeypatch.setattr(executor, "reduce", counting_reduce)
+        for name in ("act", "score"):
+            def asking(obs, sub, method=getattr(agent, name), name=name):
+                kept.append(obs)    # no id is reused within the episode
+                asked.append((name, id(obs), sub))
+                return method(obs, sub)
+            monkeypatch.setattr(agent, name, asking)
+        timeout = timeout_threshold(agent.mu_subgoal, 0.5,
+                                    agent.env_config.max_steps)
+        outcome, trace = run_episode(env, aut, agent,
+                                     rng=stream_rng(0, STREAM_EVAL, 0),
+                                     timeout=timeout)
+        rows = {(i, sub) for _, i, sub in asked}
+        assert len(reduced) == len(rows)
+        assert set(reduced) == rows
+        # the episode holds contested picks, so act did reuse scored rows
+        assert sum(name == "score" for name, _, _ in asked) >= 2
+        assert len(asked) > len(rows)
+        assert outcome.steps == len(trace["labels"]) > 1
+
+    def test_new_observation_never_gets_a_stale_row(self):
+        ckpt = json.loads(PINNED_DESK.read_text())
+        agent = PolicyAgent.from_checkpoint(ckpt)
+        heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()}
+        rng = np.random.default_rng(23)
+        sub = Subgoal(1, frozenset({2, 8}))
+        rows = set()
+        for _ in range(40):
+            # a fresh object under the same subgoal each time, often at the
+            # address of the one freed just before
+            obs = grid_obs(rng.integers(-1, 4, size=(5, 5)))
+            x = reduce(obs, sub, agent.fusion, agent.alphabet)[None]
+            rows.add(x.tobytes())
+            out = {name: forward(spec, params, x)[0]
+                   for name, (spec, params) in heads.items()
+                   if name != "policy"}
+            want = mean_action(heads["policy"][0],
+                               forward(*heads["policy"], x))[0]
+            assert agent.score(obs, sub) == (out["v_r"]
+                                             - out["lam"] * out["v_h"])
+            assert agent.act(obs, sub) == want
+            del obs
+        assert len(rows) > 30
+
     def test_evaluate_with_checkpoint_runs(self):
         ckpt = self.small_checkpoint()
         reports = evaluate(["F a"], ckpt, n_traj=2, seeds=(0,))
@@ -451,3 +550,27 @@ class TestPolicyAgent:
     def test_evaluate_needs_agent_or_checkpoint(self):
         with pytest.raises(ValueError):
             evaluate(["F a"], n_traj=1, seeds=(0,))
+
+
+# sha256 over every Outcome and every trace's labels and switches, for the
+# criterion 06/07 specs at seeds 0-1, 100 episodes each
+EVAL_DIGEST = (
+    "a7abd7e3658cb3368b034c81a88ab392203fa17c7033de1f6010d156e0747cc1")
+
+
+def eval_digest(traces) -> str:
+    h = hashlib.sha256()
+    for spec_traces in traces:
+        for outcome, trace in spec_traces:
+            h.update(json.dumps(
+                [outcome.status, outcome.steps, outcome.accepting_visits,
+                 [int(x) for x in trace["labels"]], trace["switches"]],
+                default=int).encode())
+    return h.hexdigest()
+
+
+def test_pinned_desk_eval_is_byte_identical():
+    ckpt = json.loads(PINNED_DESK.read_text())
+    _, traces = evaluate(SEQ2_SPECS + [NESTED_SPEC], ckpt, n_traj=100,
+                         seeds=(0, 1), record_traces=True)
+    assert eval_digest(traces) == EVAL_DIGEST
