@@ -354,6 +354,8 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     else:
         agent = PolicyAgent.from_checkpoint(checkpoint)
         mu = agent.mu_subgoal
+    if not math.isfinite((1.0 + eps_scale) * (mu or 1)):
+        raise ValueError(f"eps_scale must keep the timeout finite: {eps_scale}")
     timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)
 
     reports = []

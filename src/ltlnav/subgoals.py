@@ -2,7 +2,7 @@
 
 A subgoal pairs one assignment to reach (progress along some accepting
 lasso of the automaton) with a set of assignments to avoid (assignments
-that kill every accepting continuation). The training universe enumerates
+that kill every accepting continuation). Training draws, by index, from
 all reach/avoid combinations over an environment's achievable assignments,
 so one policy conditioned on an encoded subgoal covers every formula.
 """
@@ -18,12 +18,10 @@ from .ltl import Alphabet
 
 __all__ = [
     "Subgoal", "LassoPath", "UniverseTooLarge", "NoValidSubgoal",
-    "find_lassos", "extract_subgoals", "build_universe", "check_subgoal",
-    "encode_subgoal", "sample_subgoal",
+    "find_lassos", "extract_subgoals", "check_subgoal", "encode_subgoal",
+    "sample_subgoal",
 ]
 
-# rejection draws before sample_subgoal filters the universe for a label
-_SAMPLE_TRIES = 64
 # lassos from one state past which extraction gives up
 _MAX_LASSOS = 100_000
 
@@ -45,7 +43,7 @@ class LassoPath:
 
 
 class UniverseTooLarge(ValueError):
-    """Subgoal universe enumeration would exceed the configured cap."""
+    """A state starts more accepting lassos than extraction walks."""
 
 
 class NoValidSubgoal(ValueError):
@@ -189,32 +187,6 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
     return out
 
 
-def build_universe(achievable, cap: int = 1_000_000) -> list[Subgoal]:
-    """Every (reach, avoid-set) combination over the achievable assignments.
-
-    A reach target never appears in its own avoid set. Raises
-    UniverseTooLarge beyond `cap` entries.
-    """
-    targets = sorted(set(achievable))
-    if any(a <= 0 for a in targets):
-        raise ValueError("achievable assignments must be nonzero bitmasks")
-    total = 0
-    pools: list[tuple[int, list[int]]] = []
-    for a in targets:
-        pool = [b for b in targets if b != a]
-        total += 1 << len(pool)
-        if total > cap:
-            raise UniverseTooLarge(
-                f"universe would hold more than {cap} subgoals")
-        pools.append((a, pool))
-    universe: list[Subgoal] = []
-    for a, pool in pools:
-        for mask in range(1 << len(pool)):
-            avoid = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
-            universe.append(Subgoal(a, avoid))
-    return universe
-
-
 def check_subgoal(sub: Subgoal, n: int) -> tuple[int, tuple[int, ...]]:
     """(reach, sorted avoid) as ints, once every assignment is a nonempty
     letter over n propositions, in 1 .. 2^n - 1; ValueError otherwise."""
@@ -240,21 +212,22 @@ def encode_subgoal(sub: Subgoal, alphabet: Alphabet) -> np.ndarray:
     return vec
 
 
-def sample_subgoal(universe: list[Subgoal], rng: np.random.Generator,
+def sample_subgoal(targets: tuple[int, ...], rng: np.random.Generator,
                    current_label: int = 0) -> Subgoal:
     """Uniform draw over the subgoals that the current label neither
-    satisfies nor violates; the empty label 0 admits every subgoal that
-    build_universe makes."""
-    if not universe:
-        raise NoValidSubgoal("subgoal universe is empty")
-    n = len(universe)
-    for _ in range(_SAMPLE_TRIES):
-        sub = universe[int(rng.integers(n))]
-        if sub.reach != current_label and current_label not in sub.avoid:
-            return sub
-    admissible = [s for s in universe
-                  if s.reach != current_label and current_label not in s.avoid]
-    if not admissible:
+    satisfies nor violates: one of the m sorted targets to reach, any subset
+    of the others to avoid. Draw i of rng.integers(m << (m - 1)) reaches
+    targets[i >> (m - 1)] and avoids the others, in order, whose bit is set
+    in the low m - 1 bits of i; a draw the label rules out is drawn again."""
+    m = len(targets)
+    if m == 0 or m == 1 and current_label == targets[0]:
         raise NoValidSubgoal(
             f"no subgoal admissible for current label {current_label:#x}")
-    return admissible[int(rng.integers(len(admissible)))]
+    while True:
+        i = int(rng.integers(m << (m - 1)))
+        at = i >> (m - 1)
+        others = targets[:at] + targets[at + 1:]
+        sub = Subgoal(targets[at], frozenset(
+            b for k, b in enumerate(others) if i >> k & 1))
+        if sub.reach != current_label and current_label not in sub.avoid:
+            return sub

@@ -1,15 +1,16 @@
 """Subgoal-conditioned policy training under a reachability constraint.
 
-One policy is trained against subgoals sampled uniformly from the subgoal
-universe.  Each transition carries two signals: a sparse reward (1 exactly
-when the label equals the reach assignment) and a safety value h (+1 when
-the label is in the avoid set, else -1).  Reward advantages come from
-standard GAE; safety advantages use the reachability residual
-``(1-g)h + g*max(h, V_h(s')) - V_h(s)`` whose fixed point is the maximum
-future h.  The policy ascends a clipped surrogate minus a state-dependent
-multiplier times the constraint term; the multiplier head descends the
-same term, growing where violations persist and decaying to zero where
-they do not.
+One policy is trained against subgoals drawn uniformly, by index and
+without listing them, from every reach/avoid pair over the env's
+achievable assignments.  Each transition carries two signals: a sparse
+reward (1 exactly when the label equals the reach assignment) and a
+safety value h (+1 when the label is in the avoid set, else -1).  Reward
+advantages come from standard GAE; safety advantages use the reachability
+residual ``(1-g)h + g*max(h, V_h(s')) - V_h(s)`` whose fixed point is the
+maximum future h.  The policy ascends a clipped surrogate minus a
+state-dependent multiplier times the constraint term; the multiplier head
+descends the same term, growing where violations persist and decaying to
+zero where they do not.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .nets import (
     init_params, n_params, sample_categorical, sample_gaussian,
 )
 from .reduction import FUSIONS, reduce, reduced_dim
-from .subgoals import Subgoal, build_universe, sample_subgoal
+from .subgoals import Subgoal, sample_subgoal
 
 __all__ = [
     "TrainerConfig", "Rollout", "MIN_COMPLETIONS", "NonFiniteError",
@@ -305,7 +306,12 @@ class Trainer:
         self.config = config
         self.env_config = env_config
         self.alphabet = alphabet_for(env_config)
-        self.universe = build_universe(achievable_assignments(env_config))
+        # one target leaves no subgoal once reached; past 58, sample_subgoal's
+        # m * 2^(m-1) subgoals overflow its int64 draw
+        self.targets = achievable_assignments(env_config)
+        if not 2 <= len(self.targets) <= 58:
+            raise ValueError(f"letters must be 2 to 58 achievable assignments "
+                             f"for training, got {len(self.targets)}")
         dim = reduced_dim(env_config, config.fusion)
         init_rng = stream_rng(config.seed, STREAM_POLICY_INIT)
         if env_config.env == "letterworld":
@@ -347,7 +353,7 @@ class Trainer:
 
     def _reset_worker(self, worker: _Worker) -> None:
         obs = worker.env.reset(worker.env_rng)
-        worker.sub = sample_subgoal(self.universe, self.rollout_rng,
+        worker.sub = sample_subgoal(self.targets, self.rollout_rng,
                                     current_label=worker.env.label())
         worker.vec = self._reduce(obs, worker.sub)
         worker.steps_on_sub = 0
@@ -386,7 +392,7 @@ class Trainer:
                     if not boundary:
                         # the next step already pursues the new subgoal
                         worker.sub = sample_subgoal(
-                            self.universe, self.rollout_rng,
+                            self.targets, self.rollout_rng,
                             current_label=label)
                         worker.steps_on_sub = 0
                 next_vec = self._reduce(obs2, worker.sub)

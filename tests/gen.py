@@ -1,7 +1,7 @@
-"""Seeded random generators, a brute-force successor oracle, a per-node
-cycle check, a rolled LetterWorld view, a zone-by-zone lidar, per-call
-observation reductions, per-row advantage scans and a scripted-label env
-shared across test modules."""
+"""Seeded random generators, a brute-force successor oracle, the listed
+subgoal universe, a per-node cycle check, a rolled LetterWorld view, a
+zone-by-zone lidar, per-call observation reductions, per-row advantage
+scans and a scripted-label env shared across test modules."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from ltlnav.ltl import (
     Or, Release, Until, eval_bool,
 )
 from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
+from ltlnav.subgoals import Subgoal
 
 
 def random_formula(rng: np.random.Generator, depth: int, names: tuple[str, ...]):
@@ -93,6 +94,19 @@ def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
     """Successors of q under one letter, straight from the guards."""
     return {t.dst for t in aut.transitions
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
+
+
+def reference_universe(targets) -> list[Subgoal]:
+    """Every (reach, avoid-set) pair over the sorted targets, listed in the
+    order sample_subgoal indexes: by reach target, then by the avoid mask
+    over the other targets, first target lowest bit."""
+    universe = []
+    for a in targets:
+        pool = [b for b in targets if b != a]
+        for mask in range(1 << len(pool)):
+            avoid = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+            universe.append(Subgoal(a, avoid))
+    return universe
 
 
 def reference_on_cycle(v: int, adj) -> bool:

@@ -309,6 +309,18 @@ class TestTrain:
         cfg["env"] = {"env": "zonesim", key: value}
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
 
+    @pytest.mark.parametrize("env", [
+        {"env": "letterworld", "letters": ["a"]},
+        {"env": "zonesim", "letters": ["blue"]},
+    ], ids=["letterworld-1", "zonesim-1"])
+    def test_one_target_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch, env):
+        # once its only target is reached, no subgoal is left to train on
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["env"] = env
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                      "letters")
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()
@@ -388,11 +400,22 @@ class TestEval:
         ("eval", ["--seeds", "0"], "need at least one seed"),
         ("eval", ["--horizon-mult", "0"], "horizon_multiplier must be"),
         ("trace", ["--n", "0"], "n_traj must be at least 1"),
+        ("eval", ["--eps-scale", "inf"], "eps_scale must"),
+        ("eval", ["--eps-scale=-inf"], "eps_scale must"),
+        ("eval", ["--eps-scale", "nan"], "eps_scale must"),
+        ("eval", ["--eps-scale", "1e308"], "eps_scale must"),
+        ("trace", ["--eps-scale", "inf"], "eps_scale must"),
     ], ids=["eval-n-0", "eval-n-neg", "eval-seeds-0", "eval-horizon-0",
-            "trace-n-0"])
+            "trace-n-0", "eval-eps-inf", "eval-eps-neg-inf", "eval-eps-nan",
+            "eval-eps-1e308", "trace-eps-inf"])
     def test_degenerate_counts_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, command, flags, message):
         ckpt = train_checkpoint(tmp_path)
+        # a window statistic, as a longer run records, so that eps_scale
+        # scales a timeout instead of the fallback ignoring it
+        saved = json.loads(ckpt.read_text())
+        saved["mu_subgoal"] = 40
+        ckpt.write_text(json.dumps(saved))
         out = tmp_path / "out.json"
         capsys.readouterr()
 

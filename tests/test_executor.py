@@ -423,6 +423,23 @@ class TestMetrics:
         outcome, trace = traces[0][0]
         assert len(trace["labels"]) == 60
 
+    @pytest.mark.parametrize("mu,eps_scale", [
+        (None, float("inf")), (None, float("-inf")), (None, float("nan")),
+        (40, float("inf")), (40, 1e308)])
+    def test_non_finite_timeout_raises_before_any_episode(
+            self, monkeypatch, mu, eps_scale):
+        agent = StandStillAgent()
+        agent.mu_subgoal = mu
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran with a non-finite timeout")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        with pytest.raises(ValueError, match="eps_scale must"):
+            evaluate(["F a"], env_config=grid_config(max_steps=20),
+                     agent_factory=lambda env: agent, n_traj=1, seeds=(0,),
+                     eps_scale=eps_scale)
+
 
 class TestPolicyAgent:
     def small_checkpoint(self):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from gen import (
-    brute_successors, random_automaton, random_formula, small_alphabet,
+    brute_successors, random_automaton, random_formula, reference_universe,
+    small_alphabet,
 )
 from ltlnav import buchi, subgoals
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
 from ltlnav.ltl import TRUE, eval_bool, parse
 from ltlnav.subgoals import (
-    LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, build_universe,
-    check_subgoal, encode_subgoal, extract_subgoals, find_lassos,
-    sample_subgoal,
+    LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, check_subgoal,
+    encode_subgoal, extract_subgoals, find_lassos, sample_subgoal,
 )
 
 
@@ -318,9 +318,23 @@ class TestExtractSubgoals:
 # -- universe -----------------------------------------------------------------
 
 
+def list_sample(universe, rng, label=0):
+    """The list-indexed sampler: up to 64 uniform draws over the listed
+    universe, then one draw over its admissible entries."""
+    for _ in range(64):
+        sub = universe[int(rng.integers(len(universe)))]
+        if sub.reach != label and label not in sub.avoid:
+            return sub
+    admissible = [s for s in universe
+                  if s.reach != label and label not in s.avoid]
+    if not admissible:
+        raise NoValidSubgoal(f"no subgoal admissible for label {label:#x}")
+    return admissible[int(rng.integers(len(admissible)))]
+
+
 class TestUniverse:
     def test_counts_and_order(self):
-        universe = build_universe((1, 2, 4))
+        universe = reference_universe((1, 2, 4))
         # 3 reach targets x subsets of the other two
         assert len(universe) == 3 * 4
         assert len(set(universe)) == len(universe)
@@ -329,19 +343,44 @@ class TestUniverse:
         assert reaches == sorted(reaches)
         for s in universe:
             assert s.reach not in s.avoid
+        rng = np.random.default_rng(21)
+        drawn = {sample_subgoal((1, 2, 4), rng) for _ in range(400)}
+        assert drawn == set(universe)
 
     def test_letterworld_scale(self):
         singles = tuple(1 << i for i in range(12))
-        universe = build_universe(singles)
+        universe = reference_universe(singles)
         assert len(universe) == 12 * (1 << 11)
+        rng, ref = np.random.default_rng(26), np.random.default_rng(26)
+        for label in (0, 1 << 5):
+            for _ in range(500):
+                assert sample_subgoal(singles, rng, label) == \
+                    list_sample(universe, ref, label)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_cap(self):
-        with pytest.raises(UniverseTooLarge):
-            build_universe((1, 2, 4), cap=10)
-
-    def test_rejects_empty_assignment(self):
-        with pytest.raises(ValueError):
-            build_universe((0, 1))
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_draw_for_draw_against_the_list(self, m):
+        # the same subgoal and the same generator state as indexing the
+        # listed universe, for the empty label, each target and a label
+        # outside the targets
+        pick = np.random.default_rng(m)
+        targets = tuple(sorted(
+            int(a) + 1 for a in pick.choice(1023, size=m, replace=False)))
+        outside = min(set(range(1, m + 2)) - set(targets))
+        universe = reference_universe(targets)
+        for label in (0, *targets, outside):
+            rng, ref = (np.random.default_rng(100 + m),
+                        np.random.default_rng(100 + m))
+            for _ in range(300):
+                try:
+                    want = list_sample(universe, ref, label)
+                except NoValidSubgoal:
+                    assert (m, label) == (1, targets[0])
+                    with pytest.raises(NoValidSubgoal):
+                        sample_subgoal(targets, rng, label)
+                    break
+                assert sample_subgoal(targets, rng, label) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # -- encoding -----------------------------------------------------------------
@@ -351,7 +390,7 @@ class TestEncoding:
     def test_round_trip(self):
         ab = small_alphabet(3)
         rng = np.random.default_rng(22)
-        universe = build_universe(tuple(range(1, 8)))
+        universe = reference_universe(tuple(range(1, 8)))
         for _ in range(200):
             sub = universe[int(rng.integers(len(universe)))]
             vec = encode_subgoal(sub, ab)
@@ -387,41 +426,38 @@ class TestEncoding:
 
 class TestSampling:
     def test_respects_current_label(self):
-        universe = build_universe((1, 2, 4))
         rng = np.random.default_rng(23)
         for _ in range(500):
-            sub = sample_subgoal(universe, rng, current_label=2)
+            sub = sample_subgoal((1, 2, 4), rng, current_label=2)
             assert sub.reach != 2
             assert 2 not in sub.avoid
 
     @pytest.mark.parametrize("achievable", [
         (1, 2, 4, 8, 16),                                   # 80 subgoals
-        (1, 2, 4, 8, 3, 5, 6, 9, 10, 12),                   # 5120 subgoals
+        (1, 2, 3, 4, 5, 6, 8, 9, 10, 12),                   # 5120 subgoals
     ])
     def test_empty_label_is_one_plain_draw(self, achievable):
-        # label 0 admits every subgoal of a universe, so each sample is
-        # exactly one rng.integers(n) draw
-        universe = build_universe(achievable)
+        # label 0 admits every subgoal, so each sample is exactly one
+        # rng.integers(n) draw indexing the listed universe
+        universe = reference_universe(achievable)
         rng, ref = np.random.default_rng(25), np.random.default_rng(25)
         for _ in range(2000):
-            assert sample_subgoal(universe, rng) is \
+            assert sample_subgoal(achievable, rng) == \
                 universe[int(ref.integers(len(universe)))]
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_uniform_chi_squared(self):
         from scipy.stats import chisquare
-        universe = build_universe((1, 2, 4))
         rng = np.random.default_rng(24)
-        counts = {s: 0 for s in universe}
+        counts = {s: 0 for s in reference_universe((1, 2, 4))}
         n = 100_000
         for _ in range(n):
-            counts[sample_subgoal(universe, rng)] += 1
+            counts[sample_subgoal((1, 2, 4), rng)] += 1
         stat, p = chisquare(list(counts.values()))
         assert p > 0.01
 
     def test_no_valid_subgoal(self):
         with pytest.raises(NoValidSubgoal):
-            sample_subgoal([], np.random.default_rng(0))
-        universe = [Subgoal(1, frozenset({2})), Subgoal(2, frozenset())]
+            sample_subgoal((), np.random.default_rng(0))
         with pytest.raises(NoValidSubgoal):
-            sample_subgoal(universe, np.random.default_rng(0), current_label=2)
+            sample_subgoal((2,), np.random.default_rng(0), current_label=2)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -733,6 +734,42 @@ class TestSubgoalStepStats:
         trainer.completions.extend([7] * 100)
         assert len(trainer.completions) == 100
         assert trainer.mu_subgoal == 7
+
+
+class TestSubgoalSpace:
+    """The trainer draws from m * 2^(m-1) subgoals without listing them."""
+
+    def test_letterworld_construction_holds_no_subgoal_list(self):
+        # 12 letters give 12 * 2^11 subgoals, about 19 MB as a list
+        tracemalloc.start()
+        try:
+            Trainer(TrainerConfig(), EnvConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_six_colour_overlap_zonesim_trains(self):
+        # 6 colours and their 15 pairs: 21 * 2^20 subgoals
+        env = EnvConfig(env="zonesim", overlap_mode=True, max_steps=25,
+                        letters=("blue", "green", "magenta", "yellow",
+                                 "red", "cyan"))
+        cfg = small_trainer_config(n_per_iter=32, minibatch=32, epochs=1,
+                                   workers=2)
+        trainer = Trainer(cfg, env)
+        assert len(trainer.targets) == 21
+        assert trainer.iteration()["steps"] == 32
+
+    def test_target_count_bounds(self):
+        # 58 targets still index in int64; 59 and one target do not train
+        names = tuple(f"p{i}" for i in range(59))
+        grid = dict(grid_size=8, copies_per_letter=1)
+        cfg = small_trainer_config(workers=1, n_per_iter=64)
+        assert len(Trainer(cfg, EnvConfig(letters=names[:58], **grid))
+                   .targets) == 58
+        for letters in (names, names[:1]):
+            with pytest.raises(ValueError, match="letters must be"):
+                Trainer(cfg, EnvConfig(letters=letters, **grid))
 
 
 def test_atomic_write_text_honours_umask(tmp_path):
