@@ -15,18 +15,21 @@ transition guards are Boolean formulas over the alphabet.
 Each compile runs its stages on one graph of guard ids (`_Graph`): every
 distinct guard is interned once, and its satisfiability, validity and text
 are worked out at most once. The renumbering alone builds a
-BuchiAutomaton, the one the compile returns, which keeps none of those
-facts. No stage evaluates a guard letter by letter: satisfiability and
-validity split on one atom at a time, folding its value through the guard,
-and the bisimulation quotient compares, per successor class, the int truth
-table of the support letters that lead into it. One Tarjan pass (`_sccs`)
-gives the SCCs that liveness, pruning and the universal merge read.
+BuchiAutomaton, the one the compile returns, and hands it the compile's
+decisions about its own guards, so it decides none of them again. No stage
+evaluates a guard letter by letter: satisfiability and validity split on
+one atom at a time, folding its value through the guard, and the
+bisimulation quotient compares, per successor class, the int truth table
+of the support letters that lead into it. A graph builds its adjacency and
+its SCCs (one Tarjan pass, `_sccs`) at most once, and a prune that drops no
+state keeps them, so the prune and the universal merge share one
+adjacency and SCC pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .ltl import (
@@ -105,10 +108,26 @@ def _sat_disjoint(guard: Formula) -> bool:
     Each split folds the atom's value through the guard, so a cube or a
     disjunction of k literals is settled in O(k^2) steps where enumerating
     its letters takes 2^k, and a guard over k atoms never splits into more
-    than 2^k leaves.
+    than 2^k leaves. A conjunction of literals is settled in one walk
+    first: it is satisfiable iff no atom occurs in it with both signs.
     """
     if isinstance(guard, Bool):
         return guard.value
+    signs: dict[str, bool] = {}
+    conjuncts = [guard]
+    while conjuncts:
+        g = conjuncts.pop()
+        if isinstance(g, And):
+            conjuncts += (g.lhs, g.rhs)
+            continue
+        positive = isinstance(g, Atom)
+        if not (positive or isinstance(g, Not) and isinstance(g.arg, Atom)):
+            break   # not a conjunction of literals
+        if signs.setdefault(g.name if positive else g.arg.name,
+                            positive) != positive:
+            return False
+    else:
+        return True
     name = min(atoms(guard), default=None)
     return any(_sat_disjoint(_assign(guard, name, v)) for v in (True, False))
 
@@ -161,22 +180,49 @@ class _Guards:
                 reduce(_or, [self.formulas[j] for j in key]))
         return i
 
+    def learn(self, other: _Guards) -> None:
+        """Take what `other` has decided about this table's guards, and the
+        disjunctions of them it has built, matching guards by formula."""
+        mine = {j: i for i, f in enumerate(self.formulas)
+                if (j := other._ids.get(f)) is not None}
+        for key, j in other._disjunctions.items():
+            if all(k in mine for k in key):
+                i = mine[j] = self.intern(other.formulas[j])
+                self._disjunctions[tuple(mine[k] for k in key)] = i
+        for facts, known in ((self._sat, other._sat),
+                             (self._valid, other._valid),
+                             (self._text, other._text)):
+            facts.update((mine[j], v) for j, v in known.items() if j in mine)
+
 
 @dataclass
 class _Graph:
     """An automaton as the compile stages pass it on: per state, its edges
-    as (guard id, dst) pairs in order, the ids indexing `guards`."""
+    as (guard id, dst) pairs in order, the ids indexing `guards`. The
+    satisfiable adjacency and its SCCs are built on first use; they depend
+    on `out` alone, so a stage that keeps `out` keeps them too."""
 
     guards: _Guards
     initial: int
     accepting: frozenset[int]
     out: list[list[tuple[int, int]]]
+    _adjacency: tuple[tuple[int, ...], ...] | None = None
+    _components: list[list[int]] | None = None
 
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the sorted distinct successors over satisfiable guards."""
-        sat = self.guards.sat
-        return tuple(tuple(sorted({d for i, d in edges if sat(i)}))
-                     for edges in self.out)
+        if self._adjacency is None:
+            sat = self.guards.sat
+            self._adjacency = tuple(
+                tuple(sorted({d for i, d in edges if sat(i)}))
+                for edges in self.out)
+        return self._adjacency
+
+    def sccs(self) -> list[list[int]]:
+        """The SCCs of adj(), each after every component it reaches."""
+        if self._components is None:
+            self._components = list(_sccs(self.adj()))
+        return self._components
 
     def sinks(self) -> frozenset[int]:
         """Accepting states with only self-loops, which cover every letter."""
@@ -215,7 +261,6 @@ class BuchiAutomaton:
         self.accepting = frozenset(accepting)
         self._graph = _Graph(guards, initial, self.accepting, out)
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._edges: tuple[tuple[int, ...], ...] | None = None
         self._classes: StateClasses | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -239,9 +284,7 @@ class BuchiAutomaton:
 
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the sorted distinct successors over satisfiable guards."""
-        if self._edges is None:
-            self._edges = self._graph.adj()
-        return self._edges
+        return self._graph.adj()
 
     # -- state classification --------------------------------------------
 
@@ -363,7 +406,13 @@ def _cycle_nodes(adj: Sequence[Sequence[int]],
     accepting state on a cycle, the criterion behind the nested depth-first
     emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis, 1992).
     """
-    return {w for comp in _sccs(adj, roots)
+    return _cyclic(_sccs(adj, roots), adj)
+
+
+def _cyclic(comps: Iterable[list[int]],
+            adj: Sequence[Sequence[int]]) -> set[int]:
+    """The members of the components that hold a cycle."""
+    return {w for comp in comps
             if len(comp) > 1 or comp[0] in adj[comp[0]] for w in comp}
 
 
@@ -458,10 +507,14 @@ def _prune(g: _Graph) -> _Graph:
     re-tested, since the tableau drops every contradictory node.
     """
     adj = g.adj()
-    good = g.accepting & _cycle_nodes(adj)
+    good = g.accepting & _cyclic(g.sccs(), adj)
     keep = _closure(good, _reverse(adj)) | {g.initial}
-    inside = [[d for d in dsts if d in keep] for dsts in adj]
+    inside = adj if len(keep) == len(adj) else [
+        [d for d in dsts if d in keep] for dsts in adj]
     keep &= _closure((g.initial,), inside)
+    if len(keep) == len(adj):
+        # no state dropped: the edge lists, adjacency and SCCs all stand
+        return replace(g, accepting=good)
     remap = {q: i for i, q in enumerate(sorted(keep))}
     out = [[(i, remap[d]) for i, d in g.out[q] if d in remap] for q in remap]
     accepting = frozenset(remap[q] for q in good if q in remap)
@@ -475,11 +528,12 @@ def _universal_sccs(g: _Graph) -> set[int]:
     word can forever stay inside while routing through q."""
     valid = g.guards.valid
     universal: set[int] = set()
-    for comp in _sccs(g.adj(), g.accepting):
+    for comp in g.sccs():
+        if g.accepting.isdisjoint(comp):
+            continue
         members = set(comp)
-        if not g.accepting.isdisjoint(members) and all(
-                g.out[p] and all(d in members and valid(i) for i, d in g.out[p])
-                for p in comp):
+        if all(g.out[p] and all(d in members and valid(i) for i, d in g.out[p])
+               for p in comp):
             universal |= members
     return universal
 
@@ -534,33 +588,58 @@ def _bisimilar_classes(g: _Graph, support: Sequence[str]) -> list[int]:
     """Each state's class under strong bisimulation (acceptance-respecting),
     numbered in order of first member.
 
-    A state's signature is its class and, per successor class, the mask of
-    support letters that lead into that class: the same information as its
-    successor classes letter by letter, held in one int per class.
+    A state's signature is, per successor block, the mask of support letters
+    that lead into that block: the same information as its successor blocks
+    letter by letter, held in one int per block. Refinement goes by
+    splitters, after Paige & Tarjan (1987): a state is signed again only
+    when a successor has changed block, and only the blocks holding such
+    states are split. The members of a block that were not signed again
+    share the signature the block was last split on, so the block keeps
+    them and splits off each group of re-signed states whose signature
+    differs from it.
     """
-    # letter l sets support[i] iff bit i of l is set
-    n = 1 << len(support)
-    atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
-            for i, name in enumerate(support)}
-    full = (1 << n) - 1
+    # letter l sets support[i] iff bit i of l is set, so support[i]'s table
+    # repeats a run of 2^i clear bits and then 2^i set bits
+    full = (1 << (1 << len(support))) - 1
+    atom = {}
+    for i, name in enumerate(support):
+        run = 1 << i
+        atom[name] = full // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
     masks = {i: _letter_mask(g.guards.formulas[i], atom, full)
              for i in {i for edges in g.out for i, _ in edges}}
-    out = [[(masks[i], d) for i, d in edges] for edges in g.out]
-    cls = [1 if q in g.accepting else 0 for q in range(len(out))]
-    while True:
-        sigs = {}
-        new_cls = [0] * len(out)
-        for q, edges in enumerate(out):
+    out = [[(masks[i], d) for i, d in edges if masks[i]] for edges in g.out]
+    preds: list[set[int]] = [set() for _ in out]
+    for q, edges in enumerate(out):
+        for _, d in edges:
+            preds[d].add(q)
+    block = [1 if q in g.accepting else 0 for q in range(len(out))]
+    size = [len(out) - len(g.accepting), len(g.accepting)]
+    shared: list[frozenset | None] = [None, None]
+    pending = set(range(len(out)))
+    while pending:
+        groups: dict[int, dict[frozenset, list[int]]] = {}
+        for q in pending:
             into: dict[int, int] = {}
-            for mask, d in edges:
-                into[cls[d]] = into.get(cls[d], 0) | mask
-            sig = (cls[q], frozenset(item for item in into.items() if item[1]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_cls[q] = sigs[sig]
-        if new_cls == cls:
-            return cls
-        cls = new_cls
+            for mask, d in out[q]:
+                into[block[d]] = into.get(block[d], 0) | mask
+            groups.setdefault(block[q], {}).setdefault(
+                frozenset(into.items()), []).append(q)
+        pending = set()
+        for b, by_sig in groups.items():
+            if sum(map(len, by_sig.values())) == size[b]:
+                # every member was signed again: the largest group stays
+                shared[b] = max(by_sig, key=lambda sig: len(by_sig[sig]))
+            for sig, qs in by_sig.items():
+                if sig == shared[b]:
+                    continue
+                size[b] -= len(qs)
+                for q in qs:
+                    block[q] = len(size)
+                    pending |= preds[q]
+                size.append(len(qs))
+                shared.append(sig)
+    first: dict[int, int] = {}
+    return [first.setdefault(b, len(first)) for b in block]
 
 
 def _merge_bisimilar(g: _Graph) -> _Graph:
@@ -631,4 +710,6 @@ def _renumber(g: _Graph, alphabet: Alphabet) -> BuchiAutomaton:
         for src, q in enumerate(order)
         for i, d in sorted(g.out[q], key=lambda e: (text(e[0]), remap[e[1]])))
     accepting = frozenset(remap[q] for q in g.accepting if q in remap)
-    return BuchiAutomaton(alphabet, len(order), 0, accepting, transitions)
+    aut = BuchiAutomaton(alphabet, len(order), 0, accepting, transitions)
+    aut._graph.guards.learn(g.guards)
+    return aut

@@ -218,16 +218,20 @@ def sample_subgoal(targets: tuple[int, ...], rng: np.random.Generator,
     satisfies nor violates: one of the m sorted targets to reach, any subset
     of the others to avoid. Draw i of rng.integers(m << (m - 1)) reaches
     targets[i >> (m - 1)] and avoids the others, in order, whose bit is set
-    in the low m - 1 bits of i; a draw the label rules out is drawn again."""
+    in the low m - 1 bits of i; a draw the label rules out is drawn again,
+    and only the accepted draw becomes a Subgoal."""
     m = len(targets)
     if m == 0 or m == 1 and current_label == targets[0]:
         raise NoValidSubgoal(
             f"no subgoal admissible for current label {current_label:#x}")
+    # the label's index among the targets, -1 when it is none of them
+    pos = targets.index(current_label) if current_label in targets else -1
     while True:
         i = int(rng.integers(m << (m - 1)))
         at = i >> (m - 1)
+        # the label is reached, or avoided: bit pos, or pos - 1 past `at`
+        if pos >= 0 and (at == pos or i >> (pos - (pos > at)) & 1):
+            continue
         others = targets[:at] + targets[at + 1:]
-        sub = Subgoal(targets[at], frozenset(
+        return Subgoal(targets[at], frozenset(
             b for k, b in enumerate(others) if i >> k & 1))
-        if sub.reach != current_label and current_label not in sub.avoid:
-            return sub

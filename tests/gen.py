@@ -1,7 +1,8 @@
 """Seeded random generators, a brute-force successor oracle, the listed
-subgoal universe, a per-node cycle check, a rolled LetterWorld view, a
-zone-by-zone lidar, per-call observation reductions, per-row advantage
-scans and a scripted-label env shared across test modules."""
+subgoal universe, a per-node cycle check, round-by-round bisimulation
+classes, a rolled LetterWorld view, a zone-by-zone lidar, per-call
+observation reductions, per-row advantage scans and a scripted-label env
+shared across test modules."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from ltlnav.buchi import BuchiAutomaton, Transition
+from ltlnav.buchi import BuchiAutomaton, Transition, _letter_mask
 from ltlnav.envs import (
     SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
 )
@@ -120,6 +121,31 @@ def reference_on_cycle(v: int, adj) -> bool:
                 seen.add(d)
                 stack.append(d)
     return v in seen
+
+
+def reference_bisimilar_classes(g, support) -> list[int]:
+    """Bisimulation classes of a compile-stage graph by rounds: each round
+    signs every state again with its class and, per successor class, the
+    mask of support letters leading into it, until no class splits.
+    Numbered in order of first member."""
+    n = 1 << len(support)
+    atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
+            for i, name in enumerate(support)}
+    out = [[(_letter_mask(g.guards.formulas[i], atom, (1 << n) - 1), d)
+            for i, d in edges] for edges in g.out]
+    cls = [1 if q in g.accepting else 0 for q in range(len(out))]
+    while True:
+        sigs = {}
+        new_cls = []
+        for q, edges in enumerate(out):
+            into = {}
+            for mask, d in edges:
+                into[cls[d]] = into.get(cls[d], 0) | mask
+            sig = (cls[q], frozenset(item for item in into.items() if item[1]))
+            new_cls.append(sigs.setdefault(sig, len(sigs)))
+        if new_cls == cls:
+            return cls
+        cls = new_cls
 
 
 def reference_view(state: LetterWorldState, g: int) -> np.ndarray:

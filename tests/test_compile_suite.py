@@ -90,15 +90,19 @@ def compiled(spec) -> buchi.BuchiAutomaton:
 
 
 @functools.cache
-def random_automata() -> tuple[buchi.BuchiAutomaton, ...]:
+def random_formulas() -> tuple[tuple[ltl.Formula, ltl.Alphabet], ...]:
     """300 formulas of depth 4 over 1 to 4 propositions, seed 7."""
     rng = np.random.default_rng(7)
     out = []
     for _ in range(300):
         ab = gen.small_alphabet(int(rng.integers(1, 5)))
-        out.append(buchi.compile_formula(
-            gen.random_formula(rng, depth=4, names=ab.names), ab))
+        out.append((gen.random_formula(rng, depth=4, names=ab.names), ab))
     return tuple(out)
+
+
+@functools.cache
+def random_automata() -> tuple[buchi.BuchiAutomaton, ...]:
+    return tuple(buchi.compile_formula(f, ab) for f, ab in random_formulas())
 
 
 def suite_digest(spec) -> str:
@@ -189,6 +193,66 @@ def test_large_automaton_unchanged():
     classes = aut.classify()
     assert classes.live == frozenset(range(144))
     assert classes.accepting_sink == frozenset()
+
+
+def test_compiled_automata_decide_as_rebuilt_ones():
+    """An oracle for the guard decisions a compiled automaton takes over
+    from its compile: rebuilt from its transitions, an automaton decides
+    every guard afresh, and its edges() and classify() are the same, on
+    every SUITE, wide-guard, LARGE and random automaton."""
+    auts = [compiled(spec) for spec in workloads.SUITE]
+    auts += [buchi.compile_formula(ltl.parse(text))
+             for text, _ in (*WIDE_GUARDS.values(), LARGE)]
+    auts += random_automata()
+    for aut in auts:
+        fresh = buchi.BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
+                                     aut.accepting, aut.transitions)
+        assert aut.edges() == fresh.edges()
+        assert aut.classify() == fresh.classify()
+    assert len(auts) == 317
+
+
+def test_compiled_automata_decide_no_guard_again(monkeypatch):
+    """edges() and classify() on a compiled automaton decide no guard: it
+    keeps what its compile decided about its guards and their
+    disjunctions, on every SUITE and wide-guard spec."""
+    auts = [buchi.compile_formula(ltl.parse(text), alphabet)
+            for text, alphabet in GUARD_SPECS]
+    decided = []
+    for name in ("_sat_disjoint", "_tautology"):
+        monkeypatch.setattr(buchi, name, decided.append)
+    for aut in auts:
+        aut.edges()
+        aut.classify()
+    assert decided == []
+
+
+def test_bisimilar_classes_match_rounds(monkeypatch):
+    """Splitter refinement against round-by-round refinement: the same
+    classes on every stage graph of every SUITE spec and of the 300 random
+    formulas, over the support the quotient uses."""
+    checked = []
+
+    def checked_after(stage):
+        def run(*args):
+            g = stage(*args)
+            used = {i for edges in g.out for i, _ in edges}
+            support = sorted(set().union(
+                *(ltl.atoms(g.guards.formulas[i]) for i in used)))
+            assert buchi._bisimilar_classes(g, support) == \
+                gen.reference_bisimilar_classes(g, support)
+            checked.append(len(g.out))
+            return g
+        return run
+
+    for name in ("_degeneralize", "_prune", "_merge_universal_sccs",
+                 "_merge_bisimilar", "_absorb_into_sinks"):
+        monkeypatch.setattr(buchi, name, checked_after(getattr(buchi, name)))
+    for spec in workloads.SUITE:
+        buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    for f, ab in random_formulas():
+        buchi.compile_formula(f, ab)
+    assert len(checked) == 5 * 312 and max(checked) > 200
 
 
 def test_compile_decides_each_guard_once(monkeypatch):

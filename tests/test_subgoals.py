@@ -174,7 +174,11 @@ class TestEdges:
         assert edge_list(aut) == sorted(brute_edges(aut))
 
     def test_built_once_per_automaton(self, monkeypatch):
-        aut = compile_str("G (a -> F b)", small_alphabet(2))
+        # built from transitions, so the automaton decides its own guards; a
+        # compiled one keeps the compile's decisions and decides none
+        c = compile_str("G (a -> F b)", small_alphabet(2))
+        aut = BuchiAutomaton(c.alphabet, c.n_states, c.initial, c.accepting,
+                             c.transitions)
         calls = []
         real = buchi._sat_disjoint
 
