@@ -1,29 +1,25 @@
 """Buchi automata compiled from LTL formulas.
 
-Every formula takes one path: negation normal form, on-the-fly tableau
-expansion into a generalized Buchi automaton (one acceptance set per Until
-subformula, all states when there is none), counting degeneralization to
-one acceptance set, one prune of dead and unreachable states and of
-accepting marks no run can repeat, collapsing of universal components into
-accepting sinks, a bisimulation quotient, guard narrowing toward accepting
-sinks, and a canonical renumbering. Every stage preserves the accepted
-language; structural simplification only makes the automaton smaller.
+`compile_formula` runs every formula through these stages, in order:
 
-States are dense ints, the initial state is 0 after renumbering, and
-transition guards are Boolean formulas over the alphabet.
+1. negation normal form (`ltl.nnf`)
+2. tableau expansion into a generalized automaton, one acceptance set per
+   Until subformula, or all states when there is none (`expand_tableau`)
+3. counting degeneralization to one acceptance set (`_degeneralize`)
+4. one prune of dead and unreachable states and of accepting marks no run
+   can repeat (`_prune`)
+5. universal components collapsed into accepting sinks
+   (`_merge_universal_sccs`)
+6. bisimulation quotient, refined by splitters (`_merge_bisimilar`)
+7. guard narrowing toward accepting sinks (`_absorb_into_sinks`)
+8. canonical renumbering, which builds the one `BuchiAutomaton` the
+   compile returns; initial state 0 (`_renumber`)
 
-Each compile runs its stages on one graph of guard ids (`_Graph`): every
-distinct guard is interned once, and its satisfiability, validity and text
-are worked out at most once. The renumbering alone builds a
-BuchiAutomaton, the one the compile returns, and hands it the compile's
-decisions about its own guards, so it decides none of them again. No stage
-evaluates a guard letter by letter: satisfiability and validity split on
-one atom at a time, folding its value through the guard, and the
-bisimulation quotient compares, per successor class, the int truth table
-of the support letters that lead into it. A graph builds its adjacency and
-its SCCs (one Tarjan pass, `_sccs`) at most once, and a prune that drops no
-state keeps them, so the prune and the universal merge share one
-adjacency and SCC pass.
+Every stage keeps the accepted language. The stages share one graph of
+guard ids (`_Graph`) whose adjacency and SCCs are built at most once.
+`_Guards` interns each distinct guard once and decides its satisfiability
+and validity at most once, by splitting on one atom at a time; the
+returned automaton keeps those decisions and decides no guard again.
 """
 
 from __future__ import annotations

@@ -253,8 +253,8 @@ class ZoneSim:
 
     Actions are (acceleration, steering), each clipped to [-1, 1].  The
     per-color lidar casts k evenly spaced beams from the current heading
-    and reports normalized closeness 1 - d/range (0 when nothing is hit,
-    1 when inside a zone of that color).
+    and reports normalized closeness 1 - d/range: 0 when nothing is hit,
+    and 1 exactly when the agent is inside a zone of that color.
     """
 
     def __init__(self, config: EnvConfig):
@@ -265,11 +265,10 @@ class ZoneSim:
         self.state: ZoneSimState | None = None
         k = config.lidar_beams
         self._beam_offsets = 2 * math.pi * np.arange(k) / k
+        self._bits = 1 << np.arange(self.alphabet.n)
         # Layout arrays of state.zones, built by reset: zone centers (Z, 2),
-        # squared radii (Z,), the (n, Z, 1) mask of each color's zones, and
-        # (center, radius, label bit) per zone.
+        # squared radii (Z,) and the (n, Z, 1) mask of each color's zones.
         self._centers = self._r2 = self._own = None
-        self._disks = ()
 
     def _sample_zones(self, rng: np.random.Generator) -> tuple[Zone, ...]:
         if self.config.fixed_zones:
@@ -294,40 +293,33 @@ class ZoneSim:
     def _placement_ok(self, center, radius, zones) -> bool:
         overlaps = [z for z in zones
                     if math.dist(center, z.center) < radius + z.radius]
-        if not self.config.overlap_mode:
-            return not overlaps
         # Overlaps must form a matching: no zone in two overlapping pairs.
         # A triple-covered point needs three pairwise-overlapping zones, so
         # this keeps every label at size <= 2.
-        if len(overlaps) > 1:
-            return False
-        if overlaps:
-            other = overlaps[0]
-            return not any(
-                z is not other and
-                math.dist(other.center, z.center) < other.radius + z.radius
-                for z in zones)
-        return True
+        if len(overlaps) != 1 or not self.config.overlap_mode:
+            return not overlaps
+        other = overlaps[0]
+        return all(z is other or math.dist(other.center, z.center)
+                   >= other.radius + z.radius for z in zones)
 
     def reset(self, rng: np.random.Generator) -> Observation:
         zones = self._sample_zones(rng)
+        self._centers = np.array([z.center for z in zones])
+        self._r2 = np.array([z.radius * z.radius for z in zones])
+        colors = np.array([z.color for z in zones])
+        self._own = (colors == np.arange(self.alphabet.n)[:, None])[:, :, None]
         half = self.config.arena_half_extent
         if self.config.agent_start:
             pos = np.array(self.config.agent_start, dtype=np.float64)
         else:
             for _ in range(_SPAWN_ATTEMPTS):
                 pos = rng.uniform(-half, half, size=2)
-                if not any(math.dist(pos, z.center) <= z.radius for z in zones):
+                if not self._sense(pos)[2].any():
                     break
             else:
                 raise LayoutInfeasible("no free spot for the agent")
         heading = float(rng.uniform(-math.pi, math.pi))
         self.state = ZoneSimState(pos.astype(np.float64), heading, 0.0, zones)
-        self._centers = np.array([z.center for z in zones])
-        self._r2 = np.array([z.radius * z.radius for z in zones])
-        colors = np.array([z.color for z in zones])
-        self._own = (colors == np.arange(self.alphabet.n)[:, None])[:, :, None]
-        self._disks = tuple((z.center, z.radius, 1 << z.color) for z in zones)
         return self.observe()
 
     def step(self, action):
@@ -349,17 +341,24 @@ class ZoneSim:
         st.position = np.array((x, y))
         st.step_count += 1
         done = st.step_count >= self.config.max_steps
-        return self.observe(), self.label(), done
+        m, m2, held = self._sense(st.position)
+        return self._lidar(m, m2, held), int(held @ self._bits), done
+
+    def _sense(self, pos):
+        """Zone centers minus pos (Z, 2), their squared norms m2 (Z,), and
+        the (n,) mask of colors with a zone that holds pos, m2 <= r2: the
+        one membership rule that label, lidar and spawn check all read."""
+        m = self._centers - pos
+        m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]
+        return m, m2, self._own[:, :, 0] @ (m2 <= self._r2)
 
     def label(self) -> int:
-        pos = self.state.position.tolist()
-        mask = 0
-        for center, radius, bit in self._disks:
-            if math.dist(pos, center) <= radius:
-                mask |= bit
-        return mask
+        return int(self._sense(self.state.position)[2] @ self._bits)
 
     def observe(self) -> Observation:
+        return self._lidar(*self._sense(self.state.position))
+
+    def _lidar(self, m, m2, held) -> Observation:
         """The lidar casts every (zone, beam) pair in one array pass.
 
         The stacked matmuls make the same per-zone dot and gemv calls as a
@@ -371,20 +370,18 @@ class ZoneSim:
         not_ap = np.array([st.speed, math.sin(h), math.cos(h)])
         angles = h + self._beam_offsets
         dirs = np.array((np.cos(angles), np.sin(angles))).T.copy()  # (k, 2)
-        r2 = self._r2
-        m = self._centers - st.position                        # (Z, 2)
-        m2 = (m[:, None, :] @ m[:, :, None])[:, 0, 0]          # (Z,)
         b = (dirs[None] @ m[:, :, None])[:, :, 0]              # (Z, k)
-        disc = b * b - (m2 - r2)[:, None]
+        disc = b * b - (m2 - self._r2)[:, None]
         hit = disc >= 0
         t = np.where(hit, b - np.sqrt(np.where(hit, disc, 0.0)), np.inf)
         t[t < 0] = np.inf
-        t[m2 <= r2] = 0.0                  # the agent is inside the zone
         dist = np.minimum.reduce(np.where(self._own, t, np.inf), axis=1)
-        # dist >= 0, so closeness is at most 1; no hit leaves dist inf,
-        # and 1 - inf clips to 0
+        # no hit leaves dist inf, and 1 - inf clips to 0; a hit at t near 0
+        # rounds to 1.0, which only a held color may read
         ap = 1.0 - dist / SENSOR_RANGE
         np.maximum(ap, 0.0, out=ap)
+        np.minimum(ap, math.nextafter(1.0, 0.0), out=ap)
+        ap[held] = 1.0
         return Observation("lidar", not_ap, ap)
 
 

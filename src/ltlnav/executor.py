@@ -55,8 +55,7 @@ class Outcome:
 
 def timeout_threshold(mu_subgoal: int | None, eps_scale: float,
                       max_steps: int) -> int:
-    # fall back to a quarter of the horizon when no training statistic is
-    # available
+    # with no training statistic, fall back to a quarter of the horizon
     if mu_subgoal is None:
         return max(1, max_steps // 4)
     return max(1, math.ceil((1.0 + eps_scale) * mu_subgoal))
@@ -122,9 +121,15 @@ class PolicyAgent:
         if ckpt.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version "
                              f"{ckpt.get('version')!r}, expected 1")
-        heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()}
-        agent = cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"],
-                    ckpt.get("mu_subgoal"))
+        heads, mu = ckpt["heads"], ckpt.get("mu_subgoal")
+        if not isinstance(heads, dict):
+            raise ValueError(f"checkpoint heads must be an object, got "
+                             f"{type(heads).__name__}")
+        if mu is not None and not (type(mu) is int and mu >= 1):
+            raise ValueError(f"checkpoint mu_subgoal must be null or an "
+                             f"int >= 1, got {mu!r}")
+        heads = {name: head_from_json(d) for name, d in heads.items()}
+        agent = cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"], mu)
         dim = reduced_dim(agent.env_config, agent.fusion)
         for name, (spec, _) in heads.items():
             if spec.in_dim != dim:
@@ -331,7 +336,9 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     """
     if checkpoint is None and agent_factory is None:
         raise ValueError("need a checkpoint or an agent_factory")
-    seeds = tuple(seeds)
+    specs, seeds = tuple(specs), tuple(seeds)
+    if not specs:
+        raise ValueError("need at least one spec")
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if not seeds:

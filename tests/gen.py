@@ -161,7 +161,9 @@ def reference_view(state: LetterWorldState, g: int) -> np.ndarray:
 
 def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:
     """Normalized closeness per beam for one proposition's zones, casting
-    the k beams at one zone at a time."""
+    the k beams at one zone at a time.  Every beam reads exactly 1.0 iff
+    the agent is inside one of the zones (m2 <= r2); any other reading
+    stays below 1.0, even for a hit at t near 0."""
     angles = state.heading + 2 * math.pi * np.arange(k) / k
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     dist = np.full(k, np.inf)
@@ -171,15 +173,15 @@ def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:
         m = np.asarray(z.center) - state.position
         m2 = float(m @ m)
         if m2 <= z.radius * z.radius:
-            dist[:] = 0.0
-            break
+            return np.ones(k)
         b = dirs @ m
         disc = b * b - (m2 - z.radius * z.radius)
         hit = disc >= 0
         t = b[hit] - np.sqrt(disc[hit])
         t[t < 0] = np.inf
         dist[hit] = np.minimum(dist[hit], t)
-    closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0, 1.0)
+    closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0,
+                        math.nextafter(1.0, 0.0))
     return np.where(np.isfinite(dist), closeness, 0.0)
 
 

@@ -354,6 +354,24 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert [r["spec"] for r in payload] == ["F a", "F b"]
 
+    def test_comment_only_spec_file_exits_4_before_any_episode(
+            self, tmp_path, capsys, monkeypatch):
+        ckpt = train_checkpoint(tmp_path)
+        specs = tmp_path / "specs.ltl"
+        specs.write_text("# no formula here\n\n# nor here\n")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran with no spec")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        assert main(["eval", "--spec", str(specs), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "need at least one spec" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         ckpt = train_checkpoint(tmp_path)
         assert main(["eval", "--spec", "F (", "--checkpoint",
@@ -377,6 +395,18 @@ class TestEval:
         (lambda c: c["heads"].pop("lam"), "expected policy, v_r, v_h and lam"),
         (lambda c: c["heads"].update(v_h=c["heads"]["policy"]),
          "stacked heads differ in shape"),
+        (lambda c: c.update(heads=[]), "heads must be an object, got list"),
+        (lambda c: c.update(heads="x"), "heads must be an object, got str"),
+        (lambda c: c.update(mu_subgoal=-3),
+         "mu_subgoal must be null or an int >= 1, got -3"),
+        (lambda c: c.update(mu_subgoal=0),
+         "mu_subgoal must be null or an int >= 1, got 0"),
+        (lambda c: c.update(mu_subgoal=2.5),
+         "mu_subgoal must be null or an int >= 1, got 2.5"),
+        (lambda c: c.update(mu_subgoal="7"),
+         "mu_subgoal must be null or an int >= 1, got '7'"),
+        (lambda c: c.update(mu_subgoal=True),
+         "mu_subgoal must be null or an int >= 1, got True"),
     ])
     def test_bad_checkpoint_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, edit, message):

@@ -439,6 +439,75 @@ class TestLidar:
                     assert (label >> p) & 1 == (obs.ap[p].max() == 1.0)
 
 
+class TestMembership:
+    """The label, the lidar and the spawn check read one inside rule."""
+
+    @staticmethod
+    def assert_label_is_lidar_max(env, label, obs):
+        for p in range(env.alphabet.n):
+            assert (label >> p) & 1 == (obs.ap[p].max() == 1.0), p
+
+    @pytest.mark.parametrize("layout", [
+        (("blue", (0.3, -0.7), 0.4), ("green", (-1.1, 0.9), 0.55),
+         ("yellow", (1.4, 1.2), 0.3)),
+        (("blue", (-0.2, 0.1), 0.5), ("magenta", (0.45, 0.3), 0.4),
+         ("yellow", (-1.8, -1.7), 0.35)),
+    ], ids=["single-zones", "overlapping-pair"])
+    def test_label_bits_match_lidar_on_zone_circles(self, layout):
+        env = ZoneSim(zone_config(overlap_mode=True, fixed_zones=layout,
+                                  agent_start=(2.4, -2.4)))
+        env.reset(np.random.default_rng(0))
+        angles = np.linspace(0.0, 2 * math.pi, 2000, endpoint=False)
+        points = [np.asarray(z.center) + z.radius * np.stack(
+                      (np.cos(angles), np.sin(angles)), axis=1)
+                  for z in env.state.zones]
+        # where the first two circles cross, the agent is on both
+        (x0, y0), r0 = env.state.zones[0].center, env.state.zones[0].radius
+        (x1, y1), r1 = env.state.zones[1].center, env.state.zones[1].radius
+        d = math.dist((x0, y0), (x1, y1))
+        if d < r0 + r1:
+            a = (d * d + r0 * r0 - r1 * r1) / (2 * d)
+            h = math.sqrt(r0 * r0 - a * a)
+            ux, uy = (x1 - x0) / d, (y1 - y0) / d
+            points.append(np.array([
+                (x0 + a * ux - s * h * uy, y0 + a * uy + s * h * ux)
+                for s in (1, -1)]))
+        labels = set()
+        for pos in np.concatenate(points):
+            env.state.position = pos
+            label = env.label()
+            self.assert_label_is_lidar_max(env, label, env.observe())
+            # from rest, a zero action leaves the agent where it is
+            env.state.speed = 0.0
+            obs, stepped, _ = env.step((0.0, 0.0))
+            assert np.array_equal(env.state.position, pos)
+            assert stepped == label
+            self.assert_label_is_lidar_max(env, stepped, obs)
+            labels.add(label)
+        # the circles hold points on both sides of the rule, and an
+        # overlapping pair's circles hold two-color labels
+        assert 0 in labels and len(labels) > 2
+        assert (d < r0 + r1) == any(bin(lb).count("1") == 2 for lb in labels)
+
+    def test_spawns_are_outside_every_zone(self):
+        layout = tuple((color, (sx * 1.25, sy * 1.25), 1.5)
+                       for color, (sx, sy) in zip(
+                           ("blue", "green", "magenta", "yellow"),
+                           ((1, 1), (-1, 1), (-1, -1), (1, -1))))
+        env = ZoneSim(zone_config(fixed_zones=layout))
+        env.reset(np.random.default_rng(0))
+        probes = np.linspace(-2.5, 2.5, 81)
+        covered = 0
+        for x, y in product(probes, probes):
+            env.state.position = np.array((x, y))
+            covered += env.label() != 0
+        assert covered > 0.9 * len(probes) ** 2
+        for seed in range(300):
+            obs = env.reset(np.random.default_rng(seed))
+            assert env.label() == 0
+            assert obs.ap.max() < 1.0
+
+
 def assert_lidar_matches_reference(env, obs):
     k = env.config.lidar_beams
     for p in range(env.alphabet.n):
