@@ -282,13 +282,17 @@ class BuchiAutomaton:
         """Per state, the sorted distinct successors over satisfiable guards."""
         return self._graph.adj()
 
+    def sccs(self) -> list[list[int]]:
+        """The SCCs of edges(), each after every component it reaches."""
+        return self._graph.sccs()
+
     # -- state classification --------------------------------------------
 
     def classify(self) -> StateClasses:
         if self._classes is None:
             adj = self.edges()
-            live = frozenset(_closure(self.accepting & _cycle_nodes(adj),
-                                      _reverse(adj)))
+            seeds = self.accepting & _cyclic(self.sccs(), adj)
+            live = frozenset(_closure(seeds, _reverse(adj)))
             self._classes = StateClasses(live=live,
                                          accepting_sink=self._graph.sinks())
         return self._classes

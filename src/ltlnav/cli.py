@@ -16,6 +16,7 @@ from .buchi import compile_formula
 from .envs import EnvConfig, make_env
 from .executor import evaluate
 from .ltl import Alphabet, ParseError, format_formula, parse
+from .nets import json_object
 from .subgoals import extract_subgoals
 from .trainer import (
     STREAM_EVAL, NonFiniteError, Trainer, TrainerConfig, atomic_write_text,
@@ -133,7 +134,7 @@ def cmd_train(args) -> int:
     unknown = set(cfg) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    trainer_dict = dict(cfg.get("trainer", {}))
+    trainer_dict = dict(json_object(cfg.get("trainer", {}), "trainer"))
     trainer_dict["seed"] = _resolve_seed(args.seed, trainer_dict.get("seed"))
     if args.total_interactions is not None:
         trainer_dict["total_interactions"] = args.total_interactions
@@ -292,7 +293,7 @@ def cmd_trace(args) -> int:
         print(text_out, end="")
     if args.svg:
         # the layout is the first draw from episode 0's stream
-        env = make_env(EnvConfig.from_json(ckpt["env"]))
+        env = make_env(EnvConfig.from_json(ckpt["env"], "checkpoint env"))
         env.reset(stream_rng(seed, STREAM_EVAL, 0))
         atomic_write_text(args.svg,
                           _render_svg(env, episodes[0][1]["positions"]))

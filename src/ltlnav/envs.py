@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ltl import Alphabet
-from .nets import JsonFields
+from .nets import JsonFields, json_object
 
 __all__ = [
     "DT", "MAX_SPEED", "ACCEL", "TURN_RATE", "SENSOR_RANGE",
@@ -137,12 +137,12 @@ class EnvConfig(JsonFields):
                         f"finite positive radius, got {(name, center, r)!r}")
 
     @classmethod
-    def from_json(cls, d: dict) -> "EnvConfig":
-        d = dict(d)
+    def from_json(cls, d: dict, where: str = "env") -> "EnvConfig":
+        d = dict(json_object(d, where))
         # older checkpoints carry an unused layout seed; layouts come from
         # the episode's rng
         d.pop("seed", None)
-        return super().from_json(d)
+        return super().from_json(d, where)
 
 
 def alphabet_for(config: EnvConfig) -> Alphabet:

@@ -16,7 +16,9 @@ import numpy as np
 from .buchi import BuchiAutomaton, compile_formula
 from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
-from .nets import JsonFields, forward, head_from_json, mean_action, unpack
+from .nets import (
+    JsonFields, forward, head_from_json, json_object, mean_action, unpack,
+)
 from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
 from .trainer import STREAM_EVAL, stream_rng
@@ -122,14 +124,14 @@ class PolicyAgent:
             raise ValueError(f"unsupported checkpoint version "
                              f"{ckpt.get('version')!r}, expected 1")
         heads, mu = ckpt["heads"], ckpt.get("mu_subgoal")
-        if not isinstance(heads, dict):
-            raise ValueError(f"checkpoint heads must be an object, got "
-                             f"{type(heads).__name__}")
+        json_object(heads, "checkpoint heads")
         if mu is not None and not (type(mu) is int and mu >= 1):
             raise ValueError(f"checkpoint mu_subgoal must be null or an "
                              f"int >= 1, got {mu!r}")
-        heads = {name: head_from_json(d) for name, d in heads.items()}
-        agent = cls(heads, EnvConfig.from_json(ckpt["env"]), ckpt["fusion"], mu)
+        heads = {name: head_from_json(d, f"checkpoint heads.{name}")
+                 for name, d in heads.items()}
+        env_config = EnvConfig.from_json(ckpt["env"], "checkpoint env")
+        agent = cls(heads, env_config, ckpt["fusion"], mu)
         dim = reduced_dim(agent.env_config, agent.fusion)
         for name, (spec, _) in heads.items():
             if spec.in_dim != dim:
@@ -347,7 +349,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
         raise ValueError(f"horizon_multiplier must be at least 1, got "
                          f"{horizon_multiplier}")
     if env_config is None:
-        env_config = EnvConfig.from_json(checkpoint["env"])
+        env_config = EnvConfig.from_json(checkpoint["env"], "checkpoint env")
     if horizon_multiplier != 1:
         env_config = replace(env_config, max_steps=(
             env_config.max_steps * int(horizon_multiplier)))

@@ -30,24 +30,35 @@ __all__ = [
     "categorical_cdf", "sample_categorical", "categorical_logp",
     "categorical_logp_grad", "sample_gaussian", "gaussian_logp",
     "gaussian_logp_grad", "mean_action", "softmax", "head_to_json",
-    "head_from_json",
+    "head_from_json", "json_object",
 ]
 
 HEADS = ("categorical", "gaussian", "scalar", "nonneg")
 
 
+def json_object(value, where: str) -> dict:
+    """value, once it is a JSON object; a ValueError naming `where`, its
+    place in the document, otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 class JsonFields:
     """Dataclass mixin: the JSON form is the fields in declaration order,
-    with tuples written as lists.  from_json rejects keys that are not
-    fields and leaves normalizing the values to __post_init__, where
-    configs call _check_scalars."""
+    with tuples written as lists.  from_json rejects a value that is not an
+    object, naming it `where` (the class name by default), and keys that
+    are not fields; it leaves normalizing the values to __post_init__,
+    where configs call _check_scalars."""
 
     def to_json(self) -> dict:
         return {f.name: _json_native(getattr(self, f.name))
                 for f in fields(self)}
 
     @classmethod
-    def from_json(cls, d: dict):
+    def from_json(cls, d: dict, where: str | None = None):
+        json_object(d, where or cls.__name__)
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown {cls.__name__} keys {sorted(extra)}")
@@ -365,8 +376,9 @@ def head_to_json(spec: MlpSpec, params: np.ndarray) -> dict:
     return {"spec": spec.to_json(), "params": [float(p) for p in params]}
 
 
-def head_from_json(d: dict) -> tuple[MlpSpec, np.ndarray]:
-    spec = MlpSpec.from_json(d["spec"])
+def head_from_json(d: dict,
+                   where: str = "head") -> tuple[MlpSpec, np.ndarray]:
+    spec = MlpSpec.from_json(json_object(d, where)["spec"], f"{where}.spec")
     params = np.asarray(d["params"], dtype=np.float64)
     if params.size != n_params(spec):
         raise ValueError(f"checkpoint has {params.size} params, spec needs "

@@ -97,18 +97,28 @@ def _second_nodes(aut: BuchiAutomaton, q: int, limit: int) -> set[int]:
 
     Iterative depth-first search over simple paths from q on bitmasks. A
     frame holds the key (v, P, C): the end node v, the mask P of the path
-    and the mask C of the path up to its last accepting node, so
-    (succ[v] & C).bit_count() lassos close at v. A subtree's count depends
-    on its key alone and is memoized on it, so sibling orders that visit
-    one set are counted once; a node with no successor off the path gets
-    no frame, since its lassos all close at it. `seen` counts the distinct
-    lassos counted so far, so the walk raises UniverseTooLarge as soon as
-    more than `limit` lassos exist, never later than _lassos would.
+    and the mask C of the path up to its last accepting node, both cut to
+    v's SCC, so (succ[v] & C).bit_count() lassos close at v. The cut is
+    exact: every path node reaches v, so a path node outside v's SCC is
+    one v cannot reach, and it can neither block a step from v nor close
+    a lasso below it; a simple path never re-enters an SCC it has left. A
+    subtree's count depends on its key alone and is memoized on it, so
+    paths that reach one set of v's SCC by different orders or routes are
+    counted once (Johnson's circuit search works one SCC at a time for the
+    same reason); a node with no successor off the path gets no frame,
+    since its lassos all close at it. `seen` counts the distinct lassos
+    counted so far, so the walk raises UniverseTooLarge as soon as more
+    than `limit` lassos exist, never later than _lassos would.
     """
     adj = aut.edges()
     bit = (1).__lshift__
     succ = [sum(map(bit, dsts)) for dsts in adj]
     acc = sum(map(bit, aut.accepting))
+    local = [0] * aut.n_states
+    for comp in aut.sccs():
+        mask = sum(map(bit, comp))
+        for v in comp:
+            local[v] = mask
     memo: dict[tuple[int, int, int], int] = {}
     upto = 1 << q & acc
     seen = (succ[q] & upto).bit_count()
@@ -120,8 +130,8 @@ def _second_nodes(aut: BuchiAutomaton, q: int, limit: int) -> set[int]:
         for w in children:
             if path >> w & 1:
                 continue
-            on_path = path | 1 << w
-            key = (w, on_path, on_path if acc >> w & 1 else upto)
+            on_path = (path | 1 << w) & local[w]
+            key = (w, on_path, on_path if acc >> w & 1 else upto & local[w])
             n = memo.get(key)
             if n is None:
                 n = (succ[w] & key[2]).bit_count()
@@ -173,7 +183,7 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
         if q >= aut.n_states or q < 0:
             raise ValueError(f"state {q} out of range")
         avoid = frozenset(
-            a for a in achievable if not (aut.step(frozenset({q}), a) & live))
+            a for a in achievable if not aut.succ(q, a) & live)
         # successor states that start some accepting lasso from q
         second = _second_nodes(aut, q, _MAX_LASSOS)
         if not second:

@@ -208,6 +208,16 @@ class TestTrain:
         assert err.startswith("error: config must be a JSON object")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("key,blob", [
+        ("env", "[]"), ("env", '"x"'), ("trainer", "[]"), ("trainer", "3"),
+    ])
+    def test_non_object_section_exit_4(self, tmp_path, capsys, key, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"{key}": {blob}}}')
+        assert main(["train", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an object, got ")
+
     def test_non_int_count_exit_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -397,6 +407,14 @@ class TestEval:
          "stacked heads differ in shape"),
         (lambda c: c.update(heads=[]), "heads must be an object, got list"),
         (lambda c: c.update(heads="x"), "heads must be an object, got str"),
+        (lambda c: c.update(env=[]),
+         "checkpoint env must be an object, got list"),
+        (lambda c: c.update(env="x"),
+         "checkpoint env must be an object, got str"),
+        (lambda c: c["heads"].update(policy=3),
+         "checkpoint heads.policy must be an object, got int"),
+        (lambda c: c["heads"]["lam"].update(spec=None),
+         "checkpoint heads.lam.spec must be an object, got NoneType"),
         (lambda c: c.update(mu_subgoal=-3),
          "mu_subgoal must be null or an int >= 1, got -3"),
         (lambda c: c.update(mu_subgoal=0),

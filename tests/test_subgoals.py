@@ -160,6 +160,34 @@ class TestSecondNodes:
                 checked += 1
         assert checked > 800
 
+    def test_matches_lasso_walk_past_brute_force_sizes(self):
+        # compiled automata of 9 to 60 states, past brute_lassos' reach: the
+        # set is the second nodes of what _lassos yields, and the count
+        # raises exactly when _lassos does, with the same text
+        rng = np.random.default_rng(6)
+        ab = small_alphabet(3)
+        limit = 5000
+        automata = checked = raised = 0
+        while automata < 100:
+            aut = compile_formula(random_formula(rng, 4, ab.names), ab)
+            if not 9 <= aut.n_states <= 60:
+                continue
+            automata += 1
+            for q in range(aut.n_states):
+                try:
+                    expected = {path[1] if len(path) > 1 else path[j]
+                                for path, j in subgoals._lassos(aut, q, limit)}
+                except UniverseTooLarge as err:
+                    expected = str(err)
+                try:
+                    got = subgoals._second_nodes(aut, q, limit)
+                except UniverseTooLarge as err:
+                    got = str(err)
+                assert got == expected, (q, aut.to_json())
+                checked += 1
+                raised += isinstance(expected, str)
+        assert checked > 1000 and raised > 100, (checked, raised)
+
 
 # -- the satisfiable-edge graph ----------------------------------------------
 
