@@ -304,15 +304,17 @@ class BuchiAutomaton:
 
         Product node q * n + i means state q is about to read position i; the
         word is accepted iff a reachable node with an accepting state lies on
-        a cycle.
+        a cycle, the criterion behind the nested depth-first emptiness check
+        (Courcoubetis, Vardi, Wolper & Yannakakis, 1992).
         """
         letters = word.prefix + word.cycle
         n = len(letters)
         nxt = [i + 1 for i in range(n - 1)] + [len(word.prefix)]
         adj = [[d * n + nxt[i] for d in self.succ(q, letters[i])]
                for q in range(self.n_states) for i in range(n)]
+        reached = _closure((self.initial * n,), adj)
         return any(v // n in self.accepting
-                   for v in _cycle_nodes(adj, (self.initial * n,)))
+                   for v in _cyclic(_sccs(adj), adj) & reached)
 
     # -- serialization -----------------------------------------------------
 
@@ -354,17 +356,15 @@ def _closure(seeds: Iterable[int], adj: Sequence[Sequence[int]]) -> set[int]:
     return seen
 
 
-def _sccs(adj: Sequence[Sequence[int]],
-          roots: Iterable[int] | None = None) -> Iterator[list[int]]:
-    """The strongly connected components among the nodes reachable from the
-    roots (from every node when None), each after every component it
+def _sccs(adj: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The strongly connected components, each after every component it
     reaches: one iterative pass of Tarjan's algorithm."""
     done = len(adj) + 1
     num = [0] * len(adj)   # discovery number from 1; done once its component is
     low = [0] * len(adj)   # complete, so that it no longer lowers a low link
     stack: list[int] = []
     count = 0
-    for root in range(len(adj)) if roots is None else roots:
+    for root in range(len(adj)):
         if num[root]:
             continue
         count += 1
@@ -397,18 +397,6 @@ def _sccs(adj: Sequence[Sequence[int]],
                     yield comp
 
 
-def _cycle_nodes(adj: Sequence[Sequence[int]],
-                 roots: Iterable[int] | None = None) -> set[int]:
-    """The nodes that reach themselves in one or more steps, among those
-    reachable from the roots (from every node when None).
-
-    A Buchi automaton accepts some word from a state iff it reaches an
-    accepting state on a cycle, the criterion behind the nested depth-first
-    emptiness check (Courcoubetis, Vardi, Wolper & Yannakakis, 1992).
-    """
-    return _cyclic(_sccs(adj, roots), adj)
-
-
 def _cyclic(comps: Iterable[list[int]],
             adj: Sequence[Sequence[int]]) -> set[int]:
     """The members of the components that hold a cycle."""
@@ -439,23 +427,21 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
         missing = atoms(f) - set(alphabet.names)
         if missing:
             raise ValueError(f"formula atoms {sorted(missing)} not in alphabet")
-    subs, olds, incomings = expand_tableau(nnf(f))
+    subs, olds, succs = expand_tableau(nnf(f))   # state q is tableau node q
     index = {g: i for i, g in enumerate(subs)}
-
-    # states: tableau nodes shifted by one, state 0 is the virtual initial
+    literals = [(i, g) for i, g in enumerate(subs) if is_literal(g)]
     guards = _Guards()
-    out: list[list[tuple[int, int]]] = [[] for _ in range(len(olds) + 1)]
-    for nid, old in enumerate(olds):
-        # ids ascend in format_formula order, so the literals come sorted
-        guard = guards.intern(reduce(
-            _and, (subs[i] for i in sorted(old) if is_literal(subs[i])), TRUE))
-        for src in sorted(incomings[nid]):
-            out[src + 1].append((guard, nid + 1))
+    # ids ascend in format_formula order, so the literals come sorted; the
+    # virtual initial state 0 is no edge's target
+    guard = {q: guards.intern(reduce(
+        _and, (g for i, g in literals if olds[q] >> i & 1), TRUE))
+        for q in range(1, len(olds))}
+    out = [[(guard[d], d) for d in ds] for ds in succs]
     # one acceptance set per Until; a true right-hand side holds at every
     # node even though the closure never stores it
     rhs = {u: index[g.rhs] for u, g in enumerate(subs) if isinstance(g, Until)}
-    acc_sets = [frozenset(nid + 1 for nid, old in enumerate(olds)
-                          if u not in old or r in old or subs[r] == TRUE)
+    acc_sets = [frozenset(q for q in range(1, len(olds)) if not olds[q] >> u & 1
+                          or olds[q] >> r & 1 or subs[r] == TRUE)
                 for u, r in rhs.items()]
     # with no Until every state accepts; with one the counter stays at 0
     graph = _degeneralize(_Graph(guards, 0, frozenset(), out),

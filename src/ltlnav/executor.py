@@ -17,7 +17,8 @@ from .buchi import BuchiAutomaton, compile_formula
 from .envs import EnvConfig, achievable_assignments, alphabet_for, make_env
 from .ltl import Always, Eventually, Formula, eval_bool, is_boolean, parse
 from .nets import (
-    JsonFields, forward, head_from_json, json_object, mean_action, unpack,
+    JsonFields, forward, head_from_json, json_field, json_object, mean_action,
+    unpack,
 )
 from .reduction import FUSIONS, reduce, reduced_dim
 from .subgoals import Subgoal, extract_subgoals
@@ -120,25 +121,27 @@ class PolicyAgent:
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "PolicyAgent":
-        if ckpt.get("version") != 1:
+        if json_object(ckpt, "checkpoint").get("version") != 1:
             raise ValueError(f"unsupported checkpoint version "
                              f"{ckpt.get('version')!r}, expected 1")
-        heads, mu = ckpt["heads"], ckpt.get("mu_subgoal")
-        json_object(heads, "checkpoint heads")
+        heads = json_object(json_field(ckpt, "heads", "checkpoint heads"),
+                            "checkpoint heads")
+        mu = ckpt.get("mu_subgoal")
         if mu is not None and not (type(mu) is int and mu >= 1):
             raise ValueError(f"checkpoint mu_subgoal must be null or an "
                              f"int >= 1, got {mu!r}")
         heads = {name: head_from_json(d, f"checkpoint heads.{name}")
                  for name, d in heads.items()}
-        env_config = EnvConfig.from_json(ckpt["env"], "checkpoint env")
-        agent = cls(heads, env_config, ckpt["fusion"], mu)
+        env_config = EnvConfig.from_json(
+            json_field(ckpt, "env", "checkpoint env"), "checkpoint env")
+        fusion = json_field(ckpt, "fusion", "checkpoint fusion")
+        agent = cls(heads, env_config, fusion, mu)
         dim = reduced_dim(agent.env_config, agent.fusion)
         for name, (spec, _) in heads.items():
             if spec.in_dim != dim:
                 raise ValueError(
                     f"checkpoint head {name!r} takes {spec.in_dim} inputs, "
-                    f"but its env config and {ckpt['fusion']!r} fusion give "
-                    f"{dim}")
+                    f"but its env config and {fusion!r} fusion give {dim}")
         return agent
 
     def _row(self, obs, sub: Subgoal) -> np.ndarray:
@@ -330,14 +333,16 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
              record_traces: bool = False):
     """Run each spec text over seeds x episodes and aggregate outcome rates.
 
-    Agents come from the checkpoint unless agent_factory(env) is given
-    (scripted baselines); the switching timeout comes from the agent's
-    mu_subgoal. Returns a list of EvalReport aligned with specs; with
+    The agent comes from a checkpoint alone, or from agent_factory(env)
+    with env_config (scripted baselines); the switching timeout comes from
+    its mu_subgoal. Returns a list of EvalReport aligned with specs; with
     record_traces, returns (reports, traces) where traces[i] is the
     per-episode (outcome, trace) list for specs[i].
     """
-    if checkpoint is None and agent_factory is None:
-        raise ValueError("need a checkpoint or an agent_factory")
+    if ((checkpoint is None) == (agent_factory is None)
+            or (env_config is None) != (agent_factory is None)):
+        raise ValueError("need a checkpoint alone, or an agent_factory "
+                         "together with an env_config")
     specs, seeds = tuple(specs), tuple(seeds)
     if not specs:
         raise ValueError("need at least one spec")
@@ -348,8 +353,9 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     if horizon_multiplier < 1:
         raise ValueError(f"horizon_multiplier must be at least 1, got "
                          f"{horizon_multiplier}")
-    if env_config is None:
-        env_config = EnvConfig.from_json(checkpoint["env"], "checkpoint env")
+    if checkpoint is not None:
+        agent = PolicyAgent.from_checkpoint(checkpoint)
+        env_config = agent.env_config
     if horizon_multiplier != 1:
         env_config = replace(env_config, max_steps=(
             env_config.max_steps * int(horizon_multiplier)))
@@ -359,10 +365,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     env = make_env(env_config)
     if agent_factory is not None:
         agent = agent_factory(env)
-        mu = getattr(agent, "mu_subgoal", None)
-    else:
-        agent = PolicyAgent.from_checkpoint(checkpoint)
-        mu = agent.mu_subgoal
+    mu = getattr(agent, "mu_subgoal", None)
     if not math.isfinite((1.0 + eps_scale) * (mu or 1)):
         raise ValueError(f"eps_scale must keep the timeout finite: {eps_scale}")
     timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)

@@ -30,7 +30,7 @@ __all__ = [
     "categorical_cdf", "sample_categorical", "categorical_logp",
     "categorical_logp_grad", "sample_gaussian", "gaussian_logp",
     "gaussian_logp_grad", "mean_action", "softmax", "head_to_json",
-    "head_from_json", "json_object",
+    "head_from_json", "json_field", "json_object",
 ]
 
 HEADS = ("categorical", "gaussian", "scalar", "nonneg")
@@ -43,6 +43,14 @@ def json_object(value, where: str) -> dict:
         raise ValueError(f"{where} must be an object, got "
                          f"{type(value).__name__}")
     return value
+
+
+def json_field(d: dict, key: str, where: str):
+    """d[key]; a ValueError naming `where`, the field's place in the
+    document, when d has no such key."""
+    if key not in d:
+        raise ValueError(f"{where} is missing")
+    return d[key]
 
 
 class JsonFields:
@@ -65,9 +73,9 @@ class JsonFields:
         return cls(**d)
 
     def _check_scalars(self) -> None:
-        """Every field annotated int, float or bool holds one.  A bool is
-        an int to Python, never to a config; an int may stand for a float,
-        which must be finite once converted."""
+        """Every field annotated int, float, bool or tuple[int, ...] holds
+        one (a list or tuple of ints for the last).  A bool is never an int
+        to a config; an int may stand for a float, which must be finite."""
         for f in fields(self):
             value = getattr(self, f.name)
             number = (isinstance(value, numbers.Real)
@@ -80,6 +88,9 @@ class JsonFields:
                             "a finite number")
             elif f.type == "bool":
                 ok, kind = isinstance(value, bool), "a bool"
+            elif f.type == "tuple[int, ...]":
+                ok, kind = (isinstance(value, (list, tuple)) and all(
+                    type(v) is int for v in value), "a list of ints")
             else:
                 continue
             if not ok:
@@ -100,6 +111,7 @@ class MlpSpec(JsonFields):
     out_dim: int = 1
 
     def __post_init__(self):
+        self._check_scalars()
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head in ("scalar", "nonneg") and self.out_dim != 1:
@@ -378,8 +390,17 @@ def head_to_json(spec: MlpSpec, params: np.ndarray) -> dict:
 
 def head_from_json(d: dict,
                    where: str = "head") -> tuple[MlpSpec, np.ndarray]:
-    spec = MlpSpec.from_json(json_object(d, where)["spec"], f"{where}.spec")
-    params = np.asarray(d["params"], dtype=np.float64)
+    spec = json_field(json_object(d, where), "spec", f"{where}.spec")
+    spec = MlpSpec.from_json(spec, f"{where}.spec")
+    params = json_field(d, "params", f"{where}.params")
+    # a JSON number loads as an int or a float; a bool is neither here
+    if type(params) is not list or not set(map(type, params)) <= {int, float}:
+        raise ValueError(f"{where}.params must be a flat list of numbers")
+    try:
+        params = np.asarray(params, dtype=np.float64)
+    except OverflowError:   # an int literal past the float range
+        raise ValueError(f"{where}.params holds a number past float "
+                         f"range") from None
     if params.size != n_params(spec):
         raise ValueError(f"checkpoint has {params.size} params, spec needs "
                          f"{n_params(spec)}")

@@ -6,9 +6,9 @@ satisfy (next), and closing a node splits it on each disjunction, Until
 and Release. Nodes are numbered in the order they are first reached, on
 subformula ids numbered in canonical-string order, so the expansion is
 deterministic. Each distinct close entry (new, old, next) is expanded once
-per call, to the tree of (old, next) leaves it reaches; the nodes come
-from replaying those trees in order. buchi.compile_formula reads guards
-and acceptance sets off the nodes.
+per call, to the flat tuple of (old, next) leaves it reaches. Nodes are
+numbered as buchi.compile_formula numbers its states, node 0 the virtual
+initial one; the compile reads guards and acceptance off the old sets.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def _subformulas(f: Formula) -> list[Formula]:
 class _Closer:
     """The close step of one expand_tableau call; a set of subformula ids is
     an int with bit i for id i. Each distinct entry (new, old, next) is
-    expanded once, to the tree of the (old, next) leaves it reaches in
-    order: a leaf, or the list of its branches' trees held by reference,
-    with empty trees (contradictions) left out."""
+    expanded once, to the tuple of the (old, next) leaves it reaches in
+    order: empty for a contradiction, one leaf, or the concatenation of its
+    two branches' tuples."""
 
     def __init__(self, root: Formula):
         self.subs = subs = _subformulas(root)
@@ -65,14 +65,14 @@ class _Closer:
         for i, g in enumerate(subs):
             if kind[i] is _LITERAL and isinstance(g, Not):
                 neg[i], neg[index[g.arg]] = kids[i][0], 1 << i
-        self.memo: dict[tuple[int, int, int], tuple | list] = {}
+        self.memo: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
 
     def leaves(self, new: int, old: int, nxt: int):
         key = (new, old, nxt)
-        tree = self.memo.get(key)
-        if tree is None:
-            tree = self.memo[key] = self.close(new, old, nxt)
-        return tree
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self.close(new, old, nxt)
+        return found
 
     def close(self, new: int, old: int, nxt: int):
         subs, kind, kids, neg = self.subs, self.kind, self.kids, self.neg
@@ -83,13 +83,13 @@ class _Closer:
             k = kind[g]
             if k is Bool:
                 if not subs[g].value:
-                    return []
+                    return ()
                 continue
             if old & bit:
                 continue
             if k is _LITERAL:
                 if old & neg[g]:
-                    return []
+                    return ()
                 old |= bit
                 continue
             if k is And:
@@ -108,45 +108,34 @@ class _Closer:
             # next; Release on both, or rhs with itself next
             now1, now2 = ((lhs, rhs) if k is Or else (rhs, lhs) if k is Until
                           else (lhs | rhs, rhs))
-            a = self.leaves(new | now1 & ~old2, old2, nxt)
-            b = self.leaves(new | now2 & ~old2, old2, nxt if k is Or else nxt | bit)
-            return [a, b] if a and b else a or b
-        return (old, nxt)
+            return (self.leaves(new | now1 & ~old2, old2, nxt)
+                    + self.leaves(new | now2 & ~old2, old2,
+                                  nxt if k is Or else nxt | bit))
+        return ((old, nxt),)
 
 
 def expand_tableau(root: Formula):
     """On-the-fly tableau expansion of an NNF formula.
 
-    Returns (subs, olds, incomings): the root's subformulas in
-    format_formula order, and per node the ids (positions in subs) of its
-    processed formulas and its incoming node ids (with -1 for the virtual
-    initial node). Nodes are unique per (old, next) pair. Each step takes
-    the smallest id, the formula with the smallest canonical string, so
-    construction is fully deterministic. A node's successors are the
-    leaves of the close entry (its next set, {}, {}), registered in order.
+    Returns (subs, olds, succs): the root's subformulas in format_formula
+    order, and per node the bitset of its processed formulas' ids
+    (positions in subs) and its sorted successor ids. Node 0 is the
+    virtual initial node, with old set 0 and the root as its next set;
+    every other node is unique per (old, next) pair. A node's successors
+    are the leaves of the close entry (its next set, {}, {}), numbered in
+    order when first reached; each close step takes the smallest id, so
+    construction is fully deterministic.
     """
     closer = _Closer(root)
     nodes: dict[tuple[int, int], int] = {}
-    olds: list[frozenset[int]] = []
-    nexts: list[int] = []
-    incomings: list[set[int]] = []
-
-    def register(tree, src: int):
-        stack = [tree]
-        while stack:
-            tree = stack.pop()
-            if type(tree) is list:
-                stack += reversed(tree)
-            elif tree in nodes:
-                incomings[nodes[tree]].add(src)
-            else:
-                nodes[tree] = len(olds)
-                olds.append(frozenset(i for i, c in enumerate(bin(tree[0])[:1:-1])
-                                      if c == "1"))
-                nexts.append(tree[1])
-                incomings.append({src})
-
-    register(closer.leaves(closer.root, 0, 0), -1)   # the virtual initial node
-    for nid, nxt in enumerate(nexts):   # grows as nodes are registered
-        register(closer.leaves(nxt, 0, 0), nid)
-    return closer.subs, olds, incomings
+    olds, nexts = [0], [closer.root]
+    succs: list[list[int]] = []
+    for nxt in nexts:   # grows as nodes are registered
+        leaves = closer.leaves(nxt, 0, 0)
+        for leaf in leaves:
+            if leaf not in nodes:
+                nodes[leaf] = len(olds)
+                olds.append(leaf[0])
+                nexts.append(leaf[1])
+        succs.append(sorted({nodes[leaf] for leaf in leaves}))
+    return closer.subs, olds, succs

@@ -171,12 +171,17 @@ class TestAcceptsLasso:
 
 
 class TestCycleNodes:
-    """The one Tarjan pass against a closure from each node's successors."""
+    """The one Tarjan pass, cut to the nodes reachable from some roots as
+    accepts_lasso cuts it, against a closure from each node's successors."""
 
     @staticmethod
     def reference(adj, roots=None):
         nodes = range(len(adj)) if roots is None else buchi._closure(roots, adj)
         return {v for v in nodes if reference_on_cycle(v, adj)}
+
+    @staticmethod
+    def cycle_nodes(adj, roots):
+        return buchi._cyclic(buchi._sccs(adj), adj) & buchi._closure(roots, adj)
 
     def test_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -187,9 +192,9 @@ class TestCycleNodes:
             adj = [tuple(d for d in range(n) if rng.random() < density)
                    for _ in range(n)]
             roots = [int(r) for r in rng.choice(n, size=int(rng.integers(1, 3)))]
-            cyclic = buchi._cycle_nodes(adj)
+            cyclic = buchi._cyclic(buchi._sccs(adj), adj)
             assert cyclic == self.reference(adj)
-            assert buchi._cycle_nodes(adj, roots) == self.reference(adj, roots)
+            assert self.cycle_nodes(adj, roots) == self.reference(adj, roots)
             shapes.add((any(v in adj[v] for v in range(n)),
                         any(not adj[v] for v in range(n)),
                         0 < len(cyclic) < n))
@@ -197,22 +202,27 @@ class TestCycleNodes:
         assert len(shapes) >= 6
 
     def test_accepts_lasso_product_graphs(self, monkeypatch):
-        real = buchi._cycle_nodes
+        real = buchi._sccs
         graphs = []
 
-        def recorded(adj, roots=None):
-            graphs.append((adj, roots))
-            return real(adj, roots)
+        def recorded(adj):
+            graphs.append(adj)
+            return real(adj)
 
-        monkeypatch.setattr(buchi, "_cycle_nodes", recorded)
+        monkeypatch.setattr(buchi, "_sccs", recorded)
         rng = np.random.default_rng(12)
+        roots = []
         for _ in range(60):
             aut = random_automaton(rng, n_states=int(rng.integers(1, 7)))
             for _ in range(5):
-                aut.accepts_lasso(random_lasso(rng, 2))
+                word = random_lasso(rng, 2)
+                aut.accepts_lasso(word)
+                # the product node of the initial state at position 0
+                roots.append((aut.initial * len(word.prefix + word.cycle),))
+        monkeypatch.undo()
         assert len(graphs) == 300
-        for adj, roots in graphs:
-            assert real(adj, roots) == self.reference(adj, roots)
+        for adj, root in zip(graphs, roots):
+            assert self.cycle_nodes(adj, root) == self.reference(adj, root)
 
 
 class TestStructuralProperties:

@@ -67,6 +67,12 @@ def set_params(ckpt, head, value, n):
     ckpt["heads"][head]["params"][3:3 + n] = [value] * n
 
 
+def split_params(ckpt, head):
+    params = ckpt["heads"][head]["params"]
+    half = len(params) // 2
+    ckpt["heads"][head]["params"] = [params[:half], params[half:]]
+
+
 def train_checkpoint(tmp_path):
     cfg = write_train_config(tmp_path)
     ckpt = tmp_path / "ckpt.json"
@@ -268,6 +274,9 @@ class TestTrain:
         ("trainer", "lam_gae", -0.5),
         ("trainer", "total_interactions", 0),
         ("trainer", "total_interactions", -5),
+        ("trainer", "actor_hidden", [True]),
+        ("trainer", "value_hidden", "ab"),
+        ("trainer", "value_hidden", [16.0]),
     ] + [(section, key, value) for section, key in SCALAR_FIELDS
          for value in (math.nan, math.inf, "1")])
     def test_bad_config_type_exit_4_before_any_reset(
@@ -425,6 +434,27 @@ class TestEval:
          "mu_subgoal must be null or an int >= 1, got '7'"),
         (lambda c: c.update(mu_subgoal=True),
          "mu_subgoal must be null or an int >= 1, got True"),
+        (lambda c: c.pop("env"), "checkpoint env is missing"),
+        (lambda c: c.pop("fusion"), "checkpoint fusion is missing"),
+        (lambda c: c.pop("heads"), "checkpoint heads is missing"),
+        (lambda c: c["heads"]["v_h"].pop("spec"),
+         "checkpoint heads.v_h.spec is missing"),
+        (lambda c: c["heads"]["policy"].pop("params"),
+         "checkpoint heads.policy.params is missing"),
+        (lambda c: c["heads"]["policy"].update(params="abc"),
+         "checkpoint heads.policy.params must be a flat list of numbers"),
+        (lambda c: split_params(c, "v_r"),
+         "checkpoint heads.v_r.params must be a flat list of numbers"),
+        (lambda c: set_params(c, "lam", True, 1),
+         "checkpoint heads.lam.params must be a flat list of numbers"),
+        (lambda c: c["heads"]["v_r"]["spec"].update(hidden="ab"),
+         "hidden must be a list of ints, got 'ab'"),
+        (lambda c: c["heads"]["v_r"]["spec"].update(hidden=[True, 8]),
+         "hidden must be a list of ints, got [True, 8]"),
+        (lambda c: c["heads"]["policy"]["spec"].update(in_dim=True),
+         "in_dim must be an int, got True"),
+        (lambda c: c["heads"]["policy"].update(params=[10 ** 400]),
+         "checkpoint heads.policy.params holds a number past float range"),
     ])
     def test_bad_checkpoint_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, edit, message):

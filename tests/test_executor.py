@@ -450,6 +450,24 @@ class TestPolicyAgent:
         trainer.iteration()
         return trainer.checkpoint()
 
+    @pytest.mark.parametrize("given", [
+        ("checkpoint", "env_config"), ("checkpoint", "agent_factory"),
+        ("checkpoint", "agent_factory", "env_config"), ("agent_factory",),
+        ("env_config",), ()], ids=lambda given: "+".join(given) or "nothing")
+    def test_evaluate_takes_one_agent_form(self, monkeypatch, given):
+        """evaluate takes a checkpoint alone, or agent_factory together with
+        env_config; every other combination raises before any episode."""
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        forms = {"checkpoint": self.small_checkpoint,
+                 "env_config": lambda: grid_config(max_steps=20),
+                 "agent_factory": lambda: lambda env: StandStillAgent()}
+        with pytest.raises(ValueError, match="need a checkpoint alone"):
+            evaluate(["F a"], n_traj=1, seeds=(0,),
+                     **{name: forms[name]() for name in given})
+
     def test_round_trip_act_and_score(self):
         ckpt = self.small_checkpoint()
         agent = PolicyAgent.from_checkpoint(ckpt)

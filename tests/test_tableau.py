@@ -120,14 +120,26 @@ def ids(bits: int) -> frozenset[int]:
     return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
+def as_graph(subs, olds, incomings):
+    """The reference's output in expand_tableau's form: old sets as bitsets
+    and incoming sets as sorted successor lists, with the virtual initial
+    node (-1 in incomings) prepended as node 0."""
+    succs = [[] for _ in range(len(olds) + 1)]
+    for nid, srcs in enumerate(incomings):
+        for src in srcs:
+            succs[src + 1].append(nid + 1)
+    return (subs, [0] + [sum(1 << i for i in old) for old in olds],
+            [sorted(ds) for ds in succs])
+
+
 @pytest.mark.parametrize("roots", [random_roots, named_roots],
                          ids=["random", "named"])
 def test_matches_the_unmemoized_expansion(roots):
     """Same subformulas, the same nodes in the same order, and the same
-    incoming sets as the expansion without the close memo."""
+    edges as the expansion without the close memo."""
     for root in roots():
-        assert tableau.expand_tableau(root) == reference_expand_tableau(root), \
-            ltl.format_formula(root)
+        assert tableau.expand_tableau(root) == \
+            as_graph(*reference_expand_tableau(root)), ltl.format_formula(root)
 
 
 def test_each_close_entry_is_expanded_once(monkeypatch):
@@ -172,3 +184,18 @@ def test_no_tableau_memo_outlives_a_call():
     finally:
         tracemalloc.stop()
     assert traced[9] - traced[1] < 16_000, traced
+
+
+def test_expansion_memory_is_bounded_on_wide_conjunctions():
+    """(a0 | b0) & ... & (a11 | b11) closes to 4096 leaves from one entry;
+    each entry keeps one flat tuple of its leaves, so the tracemalloc peak
+    of the expansion stays below 6 MB."""
+    root = ltl.nnf(ltl.parse(" & ".join(f"(a{i} | b{i})" for i in range(12))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tableau.expand_tableau(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
