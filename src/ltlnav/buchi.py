@@ -6,8 +6,8 @@
 2. tableau expansion into a generalized automaton, one acceptance set per
    Until subformula, or all states when there is none (`expand_tableau`)
 3. counting degeneralization to one acceptance set (`_degeneralize`)
-4. one prune of dead and unreachable states and of accepting marks no run
-   can repeat (`_prune`)
+4. one prune of dead states and of accepting marks no run can repeat
+   (`_prune`)
 5. universal components collapsed into accepting sinks
    (`_merge_universal_sccs`)
 6. bisimulation quotient, refined by splitters (`_merge_bisimilar`)
@@ -481,23 +481,25 @@ def _degeneralize(g: _Graph, acc_sets: list[frozenset[int]]) -> _Graph:
 
 def _prune(g: _Graph) -> _Graph:
     """Drop states with no reachable accepting cycle (keeping the initial
-    state) and anything unreachable from the initial state, and unmark
-    accepting states that no run can visit infinitely often.
+    state), and unmark accepting states that no run can visit infinitely
+    often.
 
     A run satisfies the acceptance condition iff it visits some single
     accepting state infinitely often, which requires a cycle through that
     state. Degeneralization marks counter-wrap copies of transient states
     as accepting; dropping those marks keeps the language and lets the
     bisimulation quotient fold the copies away. Liveness stays as it is:
-    its seeds are exactly the accepting states on a cycle. Guards are not
-    re-tested, since the tableau drops every contradictory node.
+    its seeds are exactly the accepting states on a cycle.
+
+    Every kept state stays reachable from the initial state, with no pass
+    to check it: `_degeneralize` builds only the states it reaches, every
+    tableau guard is satisfiable (the tableau drops each node holding a
+    literal and its complement, so `adj()` keeps every edge), and a state
+    on a path to a live state is live itself.
     """
     adj = g.adj()
     good = g.accepting & _cyclic(g.sccs(), adj)
     keep = _closure(good, _reverse(adj)) | {g.initial}
-    inside = adj if len(keep) == len(adj) else [
-        [d for d in dsts if d in keep] for dsts in adj]
-    keep &= _closure((g.initial,), inside)
     if len(keep) == len(adj):
         # no state dropped: the edge lists, adjacency and SCCs all stand
         return replace(g, accepting=good)

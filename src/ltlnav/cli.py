@@ -32,14 +32,21 @@ EXIT_CONFIG = 4
 
 
 def _load_specs(value: str) -> list:
-    """Formulas from an inline string, or one per line of a file."""
-    if os.path.exists(value):
-        with open(value) as fh:
-            lines = [ln.strip() for ln in fh]
-        texts = [ln for ln in lines if ln and not ln.startswith("#")]
-    else:
-        texts = [value]
-    return [(text, parse(text)) for text in texts]
+    """Formulas from an inline string, or one per line of a file; a parse
+    error in a file names the file and the line."""
+    if not os.path.exists(value):
+        return [(value, parse(value))]
+    specs = []
+    with open(value) as fh:
+        for n, line in enumerate(fh, 1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                try:
+                    specs.append((text, parse(text)))
+                except ParseError as err:
+                    err.args = (f"{value}, line {n}: {err}",)
+                    raise
+    return specs
 
 
 def _load_one_spec(args) -> tuple:
@@ -56,6 +63,9 @@ def _resolve_seed(flag_value, config_value=None) -> int:
         return int(flag_value)
     env = os.environ.get("GENZ_SEED")
     if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError(f"GENZ_SEED must be a non-negative int, "
+                             f"got {env!r}")
         return int(env)
     if config_value is not None:
         return config_value             # TrainerConfig checks its type

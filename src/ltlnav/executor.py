@@ -335,9 +335,12 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
 
     The agent comes from a checkpoint alone, or from agent_factory(env)
     with env_config (scripted baselines); the switching timeout comes from
-    its mu_subgoal. Returns a list of EvalReport aligned with specs; with
-    record_traces, returns (reports, traces) where traces[i] is the
-    per-episode (outcome, trace) list for specs[i].
+    its mu_subgoal. The seeds must be non-negative ints. Every spec is
+    compiled before the first episode, and one that does not compile over
+    the env's alphabet raises a ValueError naming it. Returns a list of
+    EvalReport aligned with specs; with record_traces, returns (reports,
+    traces) where traces[i] is the per-episode (outcome, trace) list for
+    specs[i].
     """
     if ((checkpoint is None) == (agent_factory is None)
             or (env_config is None) != (agent_factory is None)):
@@ -350,6 +353,9 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     if not seeds:
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seeds must be non-negative ints, got {seed!r}")
     if horizon_multiplier < 1:
         raise ValueError(f"horizon_multiplier must be at least 1, got "
                          f"{horizon_multiplier}")
@@ -361,6 +367,13 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
             env_config.max_steps * int(horizon_multiplier)))
     alphabet = alphabet_for(env_config)
     achievable = achievable_assignments(env_config)
+    compiled = []
+    for text in specs:
+        formula = parse(text)
+        try:
+            compiled.append((text, formula, compile_formula(formula, alphabet)))
+        except ValueError as err:
+            raise ValueError(f"spec {text!r}: {err}") from None
 
     env = make_env(env_config)
     if agent_factory is not None:
@@ -372,9 +385,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
 
     reports = []
     all_traces = []
-    for text in specs:
-        formula = parse(text)
-        aut = compile_formula(formula, alphabet)
+    for text, formula, aut in compiled:
         cache = _CandidateCache(aut, achievable)
         n_s = n_v = 0
         steps_to = []
@@ -382,7 +393,7 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
         spec_traces = []
         for seed in seeds:
             for ep in range(n_traj):
-                rng = stream_rng(int(seed), STREAM_EVAL, ep)
+                rng = stream_rng(seed, STREAM_EVAL, ep)
                 outcome, trace = run_episode(
                     env, aut, agent, rng=rng, timeout=timeout,
                     switching=switching, cache=cache,

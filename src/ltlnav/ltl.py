@@ -118,13 +118,6 @@ class Alphabet:
         except ValueError:
             raise KeyError(f"proposition {name!r} not in alphabet {self.names}") from None
 
-    def mask(self, *names: str) -> int:
-        """Assignment bitmask with exactly the given propositions true."""
-        out = 0
-        for name in names:
-            out |= 1 << self.index(name)
-        return out
-
     def names_of(self, assignment: int) -> tuple[str, ...]:
         if assignment >> self.n:
             raise ValueError(f"assignment {assignment:#x} has bits outside the alphabet")

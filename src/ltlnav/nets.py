@@ -73,8 +73,9 @@ class JsonFields:
         return cls(**d)
 
     def _check_scalars(self) -> None:
-        """Every field annotated int, float, bool or tuple[int, ...] holds
-        one (a list or tuple of ints for the last).  A bool is never an int
+        """Every field annotated int, float, bool, tuple[int, ...] or
+        tuple[str, ...] holds one (a list or tuple of ints or of strings for
+        the last two; a plain string is no tuple).  A bool is never an int
         to a config; an int may stand for a float, which must be finite."""
         for f in fields(self):
             value = getattr(self, f.name)
@@ -91,6 +92,9 @@ class JsonFields:
             elif f.type == "tuple[int, ...]":
                 ok, kind = (isinstance(value, (list, tuple)) and all(
                     type(v) is int for v in value), "a list of ints")
+            elif f.type == "tuple[str, ...]":
+                ok, kind = (isinstance(value, (list, tuple)) and all(
+                    isinstance(v, str) for v in value), "a list of strings")
             else:
                 continue
             if not ok:

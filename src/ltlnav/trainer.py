@@ -124,6 +124,8 @@ class TrainerConfig(JsonFields):
                      "epochs", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.n_per_iter % self.workers != 0:
             raise ValueError("n_per_iter must be divisible by workers")
         if self.stats_window < MIN_COMPLETIONS:

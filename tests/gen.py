@@ -1,8 +1,8 @@
 """Seeded random generators, a brute-force successor oracle, the listed
 subgoal universe, a per-node cycle check, round-by-round bisimulation
 classes, a rolled LetterWorld view, a zone-by-zone lidar, per-call
-observation reductions, per-row advantage scans and a scripted-label env
-shared across test modules."""
+observation reductions, per-row advantage scans, a scripted-label env and
+the assignment mask of named propositions, shared across test modules."""
 
 from __future__ import annotations
 
@@ -63,6 +63,14 @@ def random_lasso(rng: np.random.Generator, n_props: int,
 
 def small_alphabet(n: int) -> Alphabet:
     return Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))
+
+
+def mask(alphabet: Alphabet, *names: str) -> int:
+    """Assignment bitmask with exactly the given propositions true."""
+    out = 0
+    for name in names:
+        out |= 1 << alphabet.index(name)
+    return out
 
 
 def random_automaton(rng: np.random.Generator, n_states: int = 5,

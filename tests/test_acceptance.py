@@ -125,11 +125,12 @@ def test_criterion_02_subgoal_extraction_fidelity():
     # worked example: reach (a and b) or c while avoiding d and e
     ab = gen.small_alphabet(5)
     aut = compile_str("!(d | e) U ((a & b) | c)", ab)
-    achievable = (ab.mask("a", "b"), ab.mask("c"), ab.mask("d"), ab.mask("e"))
+    achievable = (gen.mask(ab, "a", "b"), gen.mask(ab, "c"), gen.mask(ab, "d"),
+                  gen.mask(ab, "e"))
     got = extract_subgoals(aut, frozenset({0}), frozenset(), achievable)
-    avoid = frozenset({ab.mask("d"), ab.mask("e")})
-    example_ok = got == [(0, Subgoal(ab.mask("a", "b"), avoid)),
-                         (0, Subgoal(ab.mask("c"), avoid))]
+    avoid = frozenset({gen.mask(ab, "d"), gen.mask(ab, "e")})
+    example_ok = got == [(0, Subgoal(gen.mask(ab, "a", "b"), avoid)),
+                         (0, Subgoal(gen.mask(ab, "c"), avoid))]
 
     rng = np.random.default_rng(102)
     sound = 0

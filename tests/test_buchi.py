@@ -6,7 +6,7 @@ import pytest
 
 from gen import (
     brute_successors, random_automaton, random_formula, random_lasso,
-    reference_on_cycle, small_alphabet,
+    mask, reference_on_cycle, small_alphabet,
 )
 from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
@@ -16,8 +16,8 @@ from ltlnav.ltl import (
 )
 
 AB = small_alphabet(2)
-A = AB.mask("a")
-B = AB.mask("b")
+A = mask(AB, "a")
+B = mask(AB, "b")
 
 
 def compile_str(text, alphabet=None):
@@ -64,19 +64,19 @@ class TestCompileShapes:
         edges = {(t.src, format_formula(t.guard), t.dst) for t in aut.transitions}
         assert edges == {(0, "(!a & !b)", 0), (0, "b", 1), (1, "true", 1)}
         # a & !b kills every run
-        assert aut.step(frozenset({0}), aut.alphabet.mask("a")) == frozenset()
-        assert aut.step(frozenset({0}), aut.alphabet.mask("a", "b")) == frozenset({1})
+        assert aut.step(frozenset({0}), mask(aut.alphabet, "a")) == frozenset()
+        assert aut.step(frozenset({0}), mask(aut.alphabet, "a", "b")) == frozenset({1})
 
     def test_infinitely_often_accepting_core(self):
         aut = compile_str("G F a")
         # every edge into an accepting state requires a
         for t in aut.transitions:
             if t.dst in aut.accepting:
-                assert eval_bool(t.guard, aut.alphabet.mask("a"), aut.alphabet)
+                assert eval_bool(t.guard, mask(aut.alphabet, "a"), aut.alphabet)
                 assert not eval_bool(t.guard, 0, aut.alphabet)
         # and reading a from anywhere reaches an accepting state
         for q in range(aut.n_states):
-            succ = aut.step(frozenset({q}), aut.alphabet.mask("a"))
+            succ = aut.step(frozenset({q}), mask(aut.alphabet, "a"))
             assert succ & aut.accepting
         assert aut.classify().accepting_sink == frozenset()
 
@@ -90,7 +90,7 @@ class TestCompileShapes:
         # propositions the rest of the automaton reads
         aut = compile_str(" | ".join(f"F p{i}" for i in range(15)))
         (sink,) = aut.classify().accepting_sink
-        assert aut.accepts_lasso(Lasso((), (aut.alphabet.mask("p14"),)))
+        assert aut.accepts_lasso(Lasso((), (mask(aut.alphabet, "p14"),)))
         assert [(t.guard, t.dst) for t in aut.transitions if t.src == sink] == [(TRUE, sink)]
 
     def test_sink_absorbs_past_ten_propositions(self):
@@ -100,7 +100,7 @@ class TestCompileShapes:
         aut = compile_formula(f, None)
         (sink,) = aut.classify().accepting_sink
         for i in range(11):
-            letter = aut.alphabet.mask(f"p{i}")
+            letter = mask(aut.alphabet, f"p{i}")
             assert aut.step(frozenset({aut.initial}), letter) == {sink}
         rng = np.random.default_rng(11)
         letters = [0] + [1 << i for i in range(11)]
@@ -461,7 +461,7 @@ def letter_set_classes(aut):
     """Bisimulation classes from each state's successor classes, letter by
     letter over the support, numbered in order of first member."""
     support = sorted(set().union(*(atoms(t.guard) for t in aut.transitions)))
-    letters = [aut.alphabet.mask(*(n for i, n in enumerate(support) if combo >> i & 1))
+    letters = [mask(aut.alphabet, *(n for i, n in enumerate(support) if combo >> i & 1))
                for combo in range(1 << len(support))]
     succ = [[brute_successors(aut, q, letter) for letter in letters]
             for q in range(aut.n_states)]

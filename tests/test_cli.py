@@ -277,6 +277,9 @@ class TestTrain:
         ("trainer", "actor_hidden", [True]),
         ("trainer", "value_hidden", "ab"),
         ("trainer", "value_hidden", [16.0]),
+        ("trainer", "seed", -1),
+        ("env", "letters", "blue"),
+        ("env", "letters", [1, 2]),
     ] + [(section, key, value) for section, key in SCALAR_FIELDS
          for value in (math.nan, math.inf, "1")])
     def test_bad_config_type_exit_4_before_any_reset(
@@ -340,6 +343,28 @@ class TestTrain:
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
                                       "letters")
 
+    @pytest.mark.parametrize("flags,seed_env,message", [
+        (["--seed", "-2"], None, "seed must be at least 0, got -2"),
+        ([], "-3", "GENZ_SEED must be a non-negative int, got '-3'"),
+        ([], "abc", "GENZ_SEED must be a non-negative int, got 'abc'"),
+    ], ids=["flag-neg", "env-neg", "env-abc"])
+    def test_bad_seed_exit_4_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, flags, seed_env, message):
+        cfg = write_train_config(tmp_path)
+
+        def no_reset(*args, **kwargs):
+            raise AssertionError("an env was reset under a bad seed")
+
+        monkeypatch.setattr(envs.LetterWorld, "reset", no_reset)
+        monkeypatch.delenv("GENZ_SEED", raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv("GENZ_SEED", seed_env)
+        ckpt = tmp_path / "ckpt.json"
+        assert main(["train", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     *flags]) == 4
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 4
         capsys.readouterr()
@@ -391,11 +416,35 @@ class TestEval:
         assert "need at least one spec" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_spec_outside_the_alphabet_exits_4_before_any_episode(
+            self, tmp_path, capsys, monkeypatch):
+        ckpt = train_checkpoint(tmp_path)
+        specs = tmp_path / "specs.ltl"
+        specs.write_text("F a\nF z\n")
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before every spec compiled")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        assert main(["eval", "--spec", str(specs), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "spec 'F z': formula atoms ['z'] not in alphabet" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         ckpt = train_checkpoint(tmp_path)
         assert main(["eval", "--spec", "F (", "--checkpoint",
                      str(ckpt)]) == 2
         capsys.readouterr()
+        specs = tmp_path / "specs.ltl"
+        specs.write_text("F a\n# a comment\nF (a U\n")
+        assert main(["eval", "--spec", str(specs), "--checkpoint",
+                     str(ckpt)]) == 2
+        assert (f"error: {specs}, line 3: at byte 6: found end of input"
+                in capsys.readouterr().err)
 
     def test_missing_checkpoint_exit_4(self, tmp_path, capsys):
         assert main(["eval", "--spec", "F a", "--checkpoint",
@@ -483,9 +532,10 @@ class TestEval:
         ("eval", ["--eps-scale", "nan"], "eps_scale must"),
         ("eval", ["--eps-scale", "1e308"], "eps_scale must"),
         ("trace", ["--eps-scale", "inf"], "eps_scale must"),
+        ("trace", ["--seed", "-2"], "seeds must be non-negative ints, got -2"),
     ], ids=["eval-n-0", "eval-n-neg", "eval-seeds-0", "eval-horizon-0",
             "trace-n-0", "eval-eps-inf", "eval-eps-neg-inf", "eval-eps-nan",
-            "eval-eps-1e308", "trace-eps-inf"])
+            "eval-eps-1e308", "trace-eps-inf", "trace-seed-neg"])
     def test_degenerate_counts_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, command, flags, message):
         ckpt = train_checkpoint(tmp_path)
@@ -504,6 +554,25 @@ class TestEval:
         assert main([command, "--spec", "F a", "--checkpoint", str(ckpt),
                      "--out", str(out), *flags]) == 4
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,seed_env", [
+        ("eval", "-3"), ("eval", "abc"), ("trace", "-3")])
+    def test_bad_genz_seed_exit_4_before_any_episode(
+            self, tmp_path, capsys, monkeypatch, command, seed_env):
+        ckpt = train_checkpoint(tmp_path)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran under a bad seed")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        monkeypatch.setenv("GENZ_SEED", seed_env)
+        assert main([command, "--spec", "F a", "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 4
+        assert (f"GENZ_SEED must be a non-negative int, got '{seed_env}'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_usage_error_exits_2(self):

@@ -158,6 +158,27 @@ def test_compiled_automata_are_trim(case):
         assert everything - {aut.initial} <= aut.classify().live
 
 
+def test_degeneralized_states_are_reachable(monkeypatch):
+    """What lets `_prune` skip a reachability pass: every state that
+    `_degeneralize` builds is reachable from its initial state over
+    satisfiable guards, on every SUITE spec and the 300 random formulas."""
+    sizes = []
+
+    def checked(*args):
+        g = degeneralize(*args)
+        assert buchi._closure((g.initial,), g.adj()) == set(range(len(g.out)))
+        sizes.append(len(g.out))
+        return g
+
+    degeneralize = buchi._degeneralize
+    monkeypatch.setattr(buchi, "_degeneralize", checked)
+    for spec in workloads.SUITE:
+        buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    for f, ab in random_formulas():
+        buchi.compile_formula(f, ab)
+    assert len(sizes) == 312 and max(sizes) > 200
+
+
 @pytest.mark.parametrize("name", WIDE_GUARDS)
 def test_wide_guard_outputs_unchanged(name):
     text, digest = WIDE_GUARDS[name]

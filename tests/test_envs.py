@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from gen import reference_lidar, reference_view
+from gen import mask, reference_lidar, reference_view
 from ltlnav.envs import (
     ACCEL, DT, MAX_SPEED, SENSOR_RANGE, TURN_RATE,
     EnvConfig, LayoutInfeasible, LetterWorld, ZoneSim,
@@ -315,7 +315,7 @@ class TestZoneSim:
         env = ZoneSim(cfg)
         env.reset(np.random.default_rng(0))
         ab = env.alphabet
-        assert env.label() == ab.mask("blue", "green")
+        assert env.label() == mask(ab, "blue", "green")
 
     def test_overlap_layouts_cap_label_size(self):
         cfg = zone_config(overlap_mode=True, zones_per_color=2,

@@ -440,6 +440,18 @@ class TestMetrics:
                      agent_factory=lambda env: agent, n_traj=1, seeds=(0,),
                      eps_scale=eps_scale)
 
+    @pytest.mark.parametrize("seed", [2.7, True, -1, "0"])
+    def test_seed_that_is_not_a_non_negative_int_raises_before_any_episode(
+            self, monkeypatch, seed):
+        def no_episode(*args, **kwargs):
+            raise AssertionError(f"an episode ran under seed {seed!r}")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        with pytest.raises(ValueError, match="seeds must be non-negative ints"):
+            evaluate(["F a"], env_config=grid_config(max_steps=20),
+                     agent_factory=lambda env: StandStillAgent(), n_traj=1,
+                     seeds=(0, seed))
+
 
 class TestPolicyAgent:
     def small_checkpoint(self):

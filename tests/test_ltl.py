@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gen import random_formula, random_lasso, small_alphabet
+from gen import mask, random_formula, random_lasso, small_alphabet
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Lasso, Next,
     MAX_DEPTH, Not, Or, ParseError, Release, Until,
@@ -11,8 +11,8 @@ from ltlnav.ltl import (
 
 
 AB = small_alphabet(2)
-A = AB.mask("a")
-B = AB.mask("b")
+A = mask(AB, "a")
+B = mask(AB, "b")
 
 
 class TestParse:
@@ -99,7 +99,7 @@ class TestAlphabet:
 
     def test_mask_and_names_round_trip(self):
         ab = small_alphabet(4)
-        m = ab.mask("b", "d")
+        m = mask(ab, "b", "d")
         assert m == 0b1010
         assert ab.names_of(m) == ("b", "d")
         with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ class TestAlphabet:
             assert ab.names_of(bits) == tuple(
                 name for i, name in enumerate(ab.names) if bits >> i & 1
             )
-            assert ab.mask(*ab.names_of(bits)) == bits
+            assert mask(ab, *ab.names_of(bits)) == bits
 
 
 class TestFormatRoundTrip:

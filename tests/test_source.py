@@ -1,8 +1,16 @@
-"""Code in src/ltlnav that nothing in src uses: every module-level function,
-class and constant, and every method, must be referenced somewhere in src
-outside its own definition, so that test-only code lives under tests/."""
+"""Code in src/ltlnav that nothing in src uses, so that test-only code lives
+under tests/.  Names resolve by kind, the way Python resolves them:
+
+- a module-level function, class or constant is used when src reads it as
+  a global name of its own module (the compiler's symbol table decides, so
+  a local variable that shares the name is no use), imports it from its
+  module, or reads it as an attribute of that module;
+- a method is used when src takes it as an attribute (`x.name`).
+
+Either use must lie outside the definition itself."""
 
 import ast
+import symtable
 from pathlib import Path
 
 import ltlnav
@@ -20,48 +28,91 @@ ALLOWED = {
 
 
 def definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, node) per module-level function, class
-    and constant and per method; dunder methods run implicitly, and
-    __all__ is the export list itself."""
+    """(qualified name, bare name, node, is a method) per module-level
+    function, class and constant and per method; dunder methods run
+    implicitly, and __all__ is the export list itself."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and target.id != "__all__":
-                    yield f"{module}.{target.id}", target.id, node
+                    yield f"{module}.{target.id}", target.id, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item, True)
 
 
-def references(node: ast.AST):
-    """Every name that node reads, writes, imports or takes as an
-    attribute; a definition's own name is no reference to it."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
+def global_reads(table: symtable.SymbolTable):
+    """(name, line) per module global that a scope under table reads, the
+    line being the scope's own (0 for the module scope)."""
+    line = 0 if table.get_type() == "module" else table.get_lineno()
+    for sym in table.get_symbols():
+        if sym.is_referenced() and sym.is_global():
+            yield sym.get_name(), line
+    for child in table.get_children():
+        yield from global_reads(child)
+
+
+def source_module(node: ast.ImportFrom) -> str | None:
+    """The ltlnav module a from-import takes names from; "" for the
+    package itself, whose names are modules."""
+    name = node.module or ""
+    if node.level == 1:
+        return name
+    if node.level == 0 and (name == "ltlnav" or name.startswith("ltlnav.")):
+        return name[len("ltlnav."):]
+    return None
+
+
+def uses(module: str, tree: ast.Module, text: str):
+    """(owner, name, line) per use that a module makes, at that line of it:
+    a read of a global of the module owner, through its own global names,
+    an import or a module attribute, or, with owner None, an attribute
+    taken of anything."""
+    for name, line in global_reads(symtable.symtable(text, module, "exec")):
+        yield module, name, line
+    aliases = {}   # local name bound to an ltlnav module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and source_module(node) is not None:
+            source = source_module(node)
+            for alias in node.names:
+                if source:
+                    yield source, alias.name, node.lineno
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield None, node.attr, node.lineno
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                yield aliases[node.value.id], node.attr, node.lineno
+
+
+def unused_definitions(texts: dict[str, str]) -> set[str]:
+    """The qualified names of the definitions that nothing in texts uses,
+    texts mapping each module name to its source."""
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    found: dict[tuple, list[tuple[str, int]]] = {}
+    for reader, tree in trees.items():
+        for owner, name, line in uses(reader, tree, texts[reader]):
+            found.setdefault((owner, name), []).append((reader, line))
+    unused = set()
+    for module, tree in trees.items():
+        for qualified, name, node, method in definitions(module, tree):
+            if not any(reader != module
+                       or not node.lineno <= line <= node.end_lineno
+                       for reader, line in found.get(
+                           (None if method else module, name), ())):
+                unused.add(qualified)
+    return unused
 
 
 def test_every_src_definition_is_used_in_src():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
-    counts = {}
-    for tree in trees.values():
-        for name in references(tree):
-            counts[name] = counts.get(name, 0) + 1
-    unused = set()
-    for module, tree in trees.items():
-        for qualified, name, node in definitions(module, tree):
-            own = sum(1 for ref in references(node) if ref == name)
-            if counts.get(name, 0) - own == 0:
-                unused.add(qualified)
+    texts = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unused = unused_definitions(texts)
     assert unused == ALLOWED, sorted(unused ^ ALLOWED)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gen import (
-    brute_successors, random_automaton, random_formula, reference_universe,
-    small_alphabet,
+    brute_successors, mask, random_automaton, random_formula,
+    reference_universe, small_alphabet,
 )
 from ltlnav import buchi, subgoals
 from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
@@ -233,40 +233,41 @@ class TestExtractSubgoals:
     def test_worked_example_two_subgoals(self):
         ab = small_alphabet(5)
         aut = compile_str("!(d | e) U ((a & b) | c)", ab)
-        achievable = (ab.mask("a", "b"), ab.mask("c"), ab.mask("d"), ab.mask("e"))
+        achievable = (mask(ab, "a", "b"), mask(ab, "c"), mask(ab, "d"),
+                      mask(ab, "e"))
         got = extract_subgoals(aut, frozenset({0}), frozenset(), achievable)
-        avoid = frozenset({ab.mask("d"), ab.mask("e")})
+        avoid = frozenset({mask(ab, "d"), mask(ab, "e")})
         assert got == [
-            (0, Subgoal(ab.mask("a", "b"), avoid)),
-            (0, Subgoal(ab.mask("c"), avoid)),
+            (0, Subgoal(mask(ab, "a", "b"), avoid)),
+            (0, Subgoal(mask(ab, "c"), avoid)),
         ]
 
     def test_eventually_reach_all_avoid_empty(self):
         ab = small_alphabet(2)
         aut = compile_str("F a", ab)
-        achievable = (ab.mask("a"), ab.mask("b"))
+        achievable = (mask(ab, "a"), mask(ab, "b"))
         got = extract_subgoals(aut, frozenset({0}), frozenset(), achievable)
         # b merely stalls on a live state: neither reach nor avoid
-        assert got == [(0, Subgoal(ab.mask("a"), frozenset()))]
+        assert got == [(0, Subgoal(mask(ab, "a"), frozenset()))]
 
     def test_until_reach_and_avoid(self):
         ab = small_alphabet(2)
         aut = compile_str("!a U b", ab)
-        achievable = (ab.mask("a"), ab.mask("b"), ab.mask("a", "b"))
+        achievable = (mask(ab, "a"), mask(ab, "b"), mask(ab, "a", "b"))
         got = extract_subgoals(aut, frozenset({0}), frozenset(), achievable)
-        avoid = frozenset({ab.mask("a")})
+        avoid = frozenset({mask(ab, "a")})
         assert got == [
-            (0, Subgoal(ab.mask("b"), avoid)),
-            (0, Subgoal(ab.mask("a", "b"), avoid)),
+            (0, Subgoal(mask(ab, "b"), avoid)),
+            (0, Subgoal(mask(ab, "a", "b"), avoid)),
         ]
 
     def test_unsat_pairs_filtered(self):
         ab = small_alphabet(2)
         aut = compile_str("F (a | b)", ab)
-        achievable = (ab.mask("a"), ab.mask("b"))
-        unsat = frozenset({(0, ab.mask("a"))})
+        achievable = (mask(ab, "a"), mask(ab, "b"))
+        unsat = frozenset({(0, mask(ab, "a"))})
         got = extract_subgoals(aut, frozenset({0}), unsat, achievable)
-        assert [sub.reach for _, sub in got] == [ab.mask("b")]
+        assert [sub.reach for _, sub in got] == [mask(ab, "b")]
 
     def test_empty_when_no_accepting_lasso(self):
         ab = small_alphabet(2)
@@ -341,7 +342,7 @@ class TestExtractSubgoals:
     def test_deterministic_order(self):
         ab = small_alphabet(2)
         aut = compile_str("F (a | b)", ab)
-        achievable = (ab.mask("a"), ab.mask("b"), ab.mask("a", "b"))
+        achievable = (mask(ab, "a"), mask(ab, "b"), mask(ab, "a", "b"))
         got = extract_subgoals(aut, frozenset({0}), frozenset(), achievable)
         keys = [(sub.reach, tuple(sorted(sub.avoid)), q) for q, sub in got]
         assert keys == sorted(keys)
