@@ -12,14 +12,14 @@
    (`_merge_universal_sccs`)
 6. bisimulation quotient, refined by splitters (`_merge_bisimilar`)
 7. guard narrowing toward accepting sinks (`_absorb_into_sinks`)
-8. canonical renumbering, which builds the one `BuchiAutomaton` the
-   compile returns; initial state 0 (`_renumber`)
+8. canonical renumbering, whose graph the one `BuchiAutomaton` the
+   compile returns adopts; initial state 0 (`_renumber`)
 
 Every stage keeps the accepted language. The stages share one graph of
 guard ids (`_Graph`) whose adjacency and SCCs are built at most once.
 `_Guards` interns each distinct guard once and decides its satisfiability
 and validity at most once, by splitting on one atom at a time; the
-returned automaton keeps those decisions and decides no guard again.
+returned automaton keeps that table, so it decides no guard again.
 """
 
 from __future__ import annotations
@@ -176,20 +176,6 @@ class _Guards:
                 reduce(_or, [self.formulas[j] for j in key]))
         return i
 
-    def learn(self, other: _Guards) -> None:
-        """Take what `other` has decided about this table's guards, and the
-        disjunctions of them it has built, matching guards by formula."""
-        mine = {j: i for i, f in enumerate(self.formulas)
-                if (j := other._ids.get(f)) is not None}
-        for key, j in other._disjunctions.items():
-            if all(k in mine for k in key):
-                i = mine[j] = self.intern(other.formulas[j])
-                self._disjunctions[tuple(mine[k] for k in key)] = i
-        for facts, known in ((self._sat, other._sat),
-                             (self._valid, other._valid),
-                             (self._text, other._text)):
-            facts.update((mine[j], v) for j, v in known.items() if j in mine)
-
 
 @dataclass
 class _Graph:
@@ -238,10 +224,10 @@ class BuchiAutomaton:
             raise ValueError("initial state out of range")
         if not all(0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
-        self.transitions = tuple(transitions)
+        transitions = tuple(transitions)
         guards = _Guards()
         out: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-        for t in self.transitions:
+        for t in transitions:
             if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {t}")
             out[t.src].append((guards.intern(t.guard), t.dst))
@@ -251,11 +237,19 @@ class BuchiAutomaton:
                 raise ValueError(f"guard must be a Boolean formula: {g}")
             if not atoms(g) <= names:
                 raise ValueError(f"guard {g} uses atoms outside the alphabet")
+        self._adopt(alphabet, transitions,
+                    _Graph(guards, initial, frozenset(accepting), out))
+
+    def _adopt(self, alphabet: Alphabet, transitions: tuple[Transition, ...],
+               graph: _Graph) -> None:
+        """Take `graph` as this automaton's; `transitions` lists its edges
+        in the order `to_json` and `to_dot` write them."""
         self.alphabet = alphabet
-        self.n_states = n_states
-        self.initial = initial
-        self.accepting = frozenset(accepting)
-        self._graph = _Graph(guards, initial, self.accepting, out)
+        self.transitions = transitions
+        self.n_states = len(graph.out)
+        self.initial = graph.initial
+        self.accepting = graph.accepting
+        self._graph = graph
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._classes: StateClasses | None = None
 
@@ -692,12 +686,12 @@ def _renumber(g: _Graph, alphabet: Alphabet) -> BuchiAutomaton:
                 seen.add(d)
                 order.append(d)
     remap = {q: i for i, q in enumerate(order)}
+    out = [sorted(((i, remap[d]) for i, d in g.out[q]),
+                  key=lambda e: (text(e[0]), e[1])) for q in order]
     formulas = g.guards.formulas
-    transitions = tuple(
-        Transition(src, formulas[i], remap[d])
-        for src, q in enumerate(order)
-        for i, d in sorted(g.out[q], key=lambda e: (text(e[0]), remap[e[1]])))
+    transitions = tuple(Transition(src, formulas[i], d)
+                        for src, edges in enumerate(out) for i, d in edges)
     accepting = frozenset(remap[q] for q in g.accepting if q in remap)
-    aut = BuchiAutomaton(alphabet, len(order), 0, accepting, transitions)
-    aut._graph.guards.learn(g.guards)
+    aut = BuchiAutomaton.__new__(BuchiAutomaton)
+    aut._adopt(alphabet, transitions, _Graph(g.guards, 0, accepting, out))
     return aut

@@ -72,6 +72,18 @@ def _resolve_seed(flag_value, config_value=None) -> int:
     return 0
 
 
+def _output(name: str, path):
+    """path, checked before any work starts: None (no output), or a
+    non-empty string that is not an existing directory. The error names
+    the flag or config key, `name`."""
+    if path is not None:
+        if not isinstance(path, str) or not path:
+            raise ValueError(f"{name} must be a non-empty path, got {path!r}")
+        if os.path.isdir(path):
+            raise ValueError(f"{name} must not be a directory, got {path!r}")
+    return path
+
+
 def _subgoal_entry(alphabet: Alphabet, q: int, sub) -> dict:
     return {
         "state": q,
@@ -96,6 +108,8 @@ def _compile_spec(args):
 
 
 def cmd_compile(args) -> int:
+    _output("--dot", args.dot)
+    _output("--json", args.json)
     formula, alphabet, aut, achievable = _compile_spec(args)
     subs = extract_subgoals(aut, frozenset({aut.initial}), frozenset(),
                             achievable)
@@ -117,6 +131,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_inspect_subgoals(args) -> int:
+    _output("--out", args.out)
     formula, alphabet, aut, achievable = _compile_spec(args)
     per_state = {}
     for q in sorted(aut.classify().live):
@@ -152,8 +167,10 @@ def cmd_train(args) -> int:
         trainer_dict["workers"] = args.workers
     env_config = EnvConfig.from_json(cfg.get("env", {}))
     trainer_config = TrainerConfig.from_json(trainer_dict)
-    checkpoint_path = args.checkpoint or cfg.get("checkpoint")
-    log_path = args.log or cfg.get("log")
+    # a flag overrides the config key; the error names whichever was read
+    checkpoint_path, log_path = (
+        _output(f"--{key}", flag) if (flag := getattr(args, key)) is not None
+        else _output(key, cfg.get(key)) for key in ("checkpoint", "log"))
     for path in (checkpoint_path, log_path):
         if path:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -174,6 +191,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _output("--out", args.out)
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
     specs = _load_specs(args.spec)
@@ -279,6 +297,8 @@ def _render_svg(env, positions: list) -> str:
 
 
 def cmd_trace(args) -> int:
+    _output("--out", args.out)
+    _output("--svg", args.svg)
     with open(args.checkpoint) as fh:
         ckpt = json.load(fh)
     text, _ = _load_one_spec(args)
@@ -380,8 +400,7 @@ def main(argv=None) -> int:
     except NonFiniteError as err:
         print(f"error: training diverged: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as err:
+    except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -222,7 +222,6 @@ def run_episode(env, aut: BuchiAutomaton, agent, *, rng, timeout: int,
         cache = _CandidateCache(aut, achievable_assignments(env.config))
     cls = aut.classify()
     accepting = frozenset(aut.accepting)
-    max_steps = env.config.max_steps
 
     obs = env.reset(rng)
     states = frozenset({aut.initial})
@@ -233,7 +232,7 @@ def run_episode(env, aut: BuchiAutomaton, agent, *, rng, timeout: int,
     t = steps_on = visits = 0
     pick, done = True, False
 
-    # the pick comes before the horizon check, so a switch caused by the
+    # the pick comes before the done check, so a switch caused by the
     # final step is still logged
     while True:
         if states & cls.accepting_sink:
@@ -249,7 +248,7 @@ def run_episode(env, aut: BuchiAutomaton, agent, *, rng, timeout: int,
                 {"t": t, "state": cur_q, "reach": cur_sub.reach,
                  "avoid": sorted(cur_sub.avoid)})
             steps_on = 0
-        if done or t == max_steps:
+        if done:
             return Outcome(OTHER, t, accepting_visits=visits), trace
 
         obs, label, done = env.step(agent.act(obs, cur_sub))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ltlnav
-from ltlnav import envs, executor
+from ltlnav import cli, envs, executor
 from ltlnav.buchi import compile_formula
 from ltlnav.cli import _render_svg, main
 from ltlnav.envs import EnvConfig, make_env
@@ -626,6 +626,70 @@ class TestTrace:
         assert main(argv) == 0
         capsys.readouterr()
         assert svg.read_bytes() == first
+
+
+class TestOutputPaths:
+    """An output path that is empty, not a string, or an existing directory
+    exits 4 before any env reset, episode or compile, and the error names
+    its flag or config key."""
+
+    @staticmethod
+    def forbid(monkeypatch, *targets):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started under a bad output path")
+
+        for obj, name in targets:
+            monkeypatch.setattr(obj, name, no_work)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("checkpoint", None, "checkpoint must not be a directory"),
+        ("log", None, "log must not be a directory"),
+        ("checkpoint", 3, "checkpoint must be a non-empty path, got 3"),
+        ("log", ["x"], "log must be a non-empty path, got ['x']"),
+        ("checkpoint", "", "checkpoint must be a non-empty path, got ''"),
+    ], ids=["checkpoint-dir", "log-dir", "checkpoint-int", "log-list",
+            "checkpoint-empty"])
+    def test_train_config_key(self, tmp_path, capsys, monkeypatch, key, value,
+                              message):
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg[key] = str(tmp_path) if value is None else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        self.forbid(monkeypatch, (envs.LetterWorld, "reset"))
+        assert main(["train", "--config", str(path)]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
+    def test_train_flag(self, tmp_path, capsys, monkeypatch, flag):
+        cfg = write_train_config(tmp_path)
+        self.forbid(monkeypatch, (envs.LetterWorld, "reset"))
+        assert main(["train", "--config", str(cfg), flag, str(tmp_path)]) == 4
+        assert f"{flag} must not be a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("eval", "--out"), ("trace", "--out"), ("trace", "--svg")])
+    def test_episode_commands(self, tmp_path, capsys, monkeypatch, command,
+                              flag):
+        ckpt = train_checkpoint(tmp_path)
+        capsys.readouterr()
+        self.forbid(monkeypatch, (executor, "run_episode"))
+        argv = [command, "--spec", "F a", "--checkpoint", str(ckpt), "--n", "1"]
+        assert main([*argv, flag, str(tmp_path)]) == 4
+        assert f"{flag} must not be a directory" in capsys.readouterr().err
+        assert main([*argv, flag, ""]) == 4
+        assert (f"{flag} must be a non-empty path, got ''"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("compile", "--dot"), ("compile", "--json"),
+        ("inspect-subgoals", "--out")])
+    def test_compile_commands(self, tmp_path, capsys, monkeypatch, command,
+                              flag):
+        self.forbid(monkeypatch, (cli, "compile_formula"))
+        assert main([command, "F a", flag, str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert f"{flag} must not be a directory" in captured.err
+        assert captured.out == ""
 
 
 class TestSvg:

@@ -330,20 +330,39 @@ def test_compile_formats_each_guard_once(monkeypatch):
 def test_one_automaton_per_compile(monkeypatch):
     """The compile stages pass one graph of guard ids along, and only the
     last builds a BuchiAutomaton: one per compile, on every SUITE and
-    wide-guard spec."""
+    wide-guard spec. Every automaton, compiled or built from transitions,
+    ends in `_adopt`, so it counts them all."""
     built = []
-    real = buchi.BuchiAutomaton.__init__
+    real = buchi.BuchiAutomaton._adopt
 
     def counted(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(buchi.BuchiAutomaton, "__init__", counted)
+    monkeypatch.setattr(buchi.BuchiAutomaton, "_adopt", counted)
     for text, alphabet in GUARD_SPECS:
         built.clear()
         aut = buchi.compile_formula(ltl.parse(text), alphabet)
         assert len(built) == 1, (text, len(built))
         assert built[0] is aut
+
+
+def test_one_guard_table_per_compile(monkeypatch):
+    """A compile interns its guards in one _Guards table, and the automaton
+    it returns keeps that table: on every SUITE, wide-guard and LARGE spec."""
+    tables = []
+
+    class Counted(buchi._Guards):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(buchi, "_Guards", Counted)
+    for text, alphabet in GUARD_SPECS + [(LARGE[0], None)]:
+        tables.clear()
+        aut = buchi.compile_formula(ltl.parse(text), alphabet)
+        assert len(tables) == 1, (text, len(tables))
+        assert aut._graph.guards is tables[0]
 
 
 def test_no_guard_memo_outlives_a_compile():
