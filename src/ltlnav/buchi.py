@@ -251,6 +251,7 @@ class BuchiAutomaton:
         self.accepting = graph.accepting
         self._graph = graph
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
+        self._lasso_table: tuple | None = None   # built by subgoals
         self._classes: StateClasses | None = None
 
     # -- basic queries ---------------------------------------------------

@@ -101,7 +101,7 @@ def _compile_spec(args):
     every single proposition counts as achievable."""
     _, formula = _load_one_spec(args)
     props = (Alphabet(tuple(p.strip() for p in args.props.split(",")))
-             if args.props else None)
+             if args.props is not None else None)
     aut = compile_formula(formula, props)
     alphabet = aut.alphabet
     return formula, alphabet, aut, tuple(1 << i for i in range(alphabet.n))

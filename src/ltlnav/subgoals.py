@@ -102,58 +102,68 @@ def _second_nodes(aut: BuchiAutomaton, q: int, limit: int) -> set[int]:
     exact: every path node reaches v, so a path node outside v's SCC is
     one v cannot reach, and it can neither block a step from v nor close
     a lasso below it; a simple path never re-enters an SCC it has left. A
-    subtree's count depends on its key alone and is memoized on it, so
-    paths that reach one set of v's SCC by different orders or routes are
-    counted once (Johnson's circuit search works one SCC at a time for the
-    same reason); a node with no successor off the path gets no frame,
-    since its lassos all close at it. `seen` counts the distinct lassos
-    counted so far, so the walk raises UniverseTooLarge as soon as more
-    than `limit` lassos exist, never later than _lassos would.
+    frame also holds succ[v] & ~P, the successors it has not tried, and
+    takes them lowest bit first, the order of edges(). A subtree's count
+    depends on its key alone, not on q, and is memoized on it in a table
+    that aut keeps for every later call, so paths that reach one set of
+    v's SCC by different orders, routes or roots are counted once
+    (Johnson's circuit search works one SCC at a time for the same
+    reason); a node with no successor off the path gets no frame, since
+    its lassos all close at it. An entry is written only when its frame
+    finishes, so a walk that raises leaves no partial count. `seen` counts
+    the distinct lassos counted so far and only grows to their total, so
+    the walk raises UniverseTooLarge exactly when more than `limit`
+    lassos exist, never later than _lassos would.
     """
-    adj = aut.edges()
-    bit = (1).__lshift__
-    succ = [sum(map(bit, dsts)) for dsts in adj]
-    acc = sum(map(bit, aut.accepting))
-    local = [0] * aut.n_states
-    for comp in aut.sccs():
-        mask = sum(map(bit, comp))
-        for v in comp:
-            local[v] = mask
-    memo: dict[tuple[int, int, int], int] = {}
+    table = aut._lasso_table
+    if table is None:
+        bit = (1).__lshift__
+        local = [0] * aut.n_states
+        for comp in aut.sccs():
+            mask = sum(map(bit, comp))
+            for v in comp:
+                local[v] = mask
+        table = aut._lasso_table = (
+            [sum(map(bit, dsts)) for dsts in aut.edges()],
+            sum(map(bit, aut.accepting)), local, {})
+    succ, acc, local, memo = table
     upto = 1 << q & acc
     seen = (succ[q] & upto).bit_count()
     second = {q} if seen else set()
-    stack = [[(q, 1 << q, upto), iter(adj[q]), seen]]   # [key, children, count]
+    # [key, successors not yet tried, count]
+    stack = [[(q, 1 << q, upto), succ[q] & ~(1 << q), seen]]
     while seen <= limit:
         frame = stack[-1]
-        (_, path, upto), children, _ = frame
-        for w in children:
-            if path >> w & 1:
-                continue
-            on_path = (path | 1 << w) & local[w]
-            key = (w, on_path, on_path if acc >> w & 1 else upto & local[w])
+        rest = frame[1]
+        if rest:
+            low = rest & -rest
+            frame[1] = rest ^ low
+            w = low.bit_length() - 1
+            _, path, upto = frame[0]
+            on_path = (path | low) & local[w]
+            key = (w, on_path, on_path if acc & low else upto & local[w])
             n = memo.get(key)
             if n is None:
                 n = (succ[w] & key[2]).bit_count()
-                if succ[w] & ~on_path:
-                    stack.append([key, iter(adj[w]), n])
+                rest = succ[w] & ~on_path
+                if rest:
+                    stack.append([key, rest, n])
                     seen += n
-                    break
+                    continue
             # a counted subtree: memoized, or w alone
             frame[2] += n
             seen += n
-            if n and frame is stack[0]:
-                second.add(w)
-            break
-        else:
-            stack.pop()
-            if not stack:
-                return second
-            key, _, n = frame
-            memo[key] = n
-            stack[-1][2] += n
             if n and len(stack) == 1:
-                second.add(key[0])
+                second.add(w)
+            continue
+        stack.pop()
+        if not stack:
+            return second
+        key, _, n = frame
+        memo[key] = n
+        stack[-1][2] += n
+        if n and len(stack) == 1:
+            second.add(key[0])
     raise UniverseTooLarge(f"more than {limit} lassos from state {q}")
 
 

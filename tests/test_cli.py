@@ -130,6 +130,14 @@ class TestCompile:
         summary = json.loads(capsys.readouterr().out)
         assert summary["props"] == ["z", "a"]
 
+    @pytest.mark.parametrize("command", ["compile", "inspect-subgoals"])
+    @pytest.mark.parametrize("props", ["", " ", "a,,b"])
+    def test_empty_props_name_exit_4(self, command, props, capsys):
+        # an empty order names one empty proposition, like a blank entry;
+        # it does not fall back to the default alphabet
+        assert main([command, "F a", "--props", props]) == 4
+        assert "bad proposition name ''" in capsys.readouterr().err
+
 
 class TestInspectSubgoals:
     def test_per_state_listing(self, capsys):

@@ -89,6 +89,10 @@ def compiled(spec) -> buchi.BuchiAutomaton:
     return buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
 
 
+def suite_spec(name: str):
+    return next(s for s in workloads.SUITE if s.name == name)
+
+
 @functools.cache
 def random_formulas() -> tuple[tuple[ltl.Formula, ltl.Alphabet], ...]:
     """300 formulas of depth 4 over 1 to 4 propositions, seed 7."""
@@ -387,9 +391,10 @@ def test_no_guard_memo_outlives_a_compile():
 def test_extraction_memory_is_bounded_on_too_many_lassos():
     """The lasso count memo of one extraction stays small on the spec that
     passes the 100,000-lasso limit: the walk stops at the limit, and
-    sibling orders share one entry. It peaked at 1.8 MB when written."""
-    spec = next(s for s in workloads.SUITE if s.name == "too-many-lassos")
-    aut = compiled(spec)
+    sibling orders share one entry. It peaked at 1.8 MB when written. The
+    automaton is compiled here, so no earlier walk has filled its memo."""
+    spec = suite_spec("too-many-lassos")
+    aut = buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
     aut.classify()
     tracemalloc.start()
     try:
@@ -403,13 +408,13 @@ def test_extraction_memory_is_bounded_on_too_many_lassos():
     assert peak < 3_000_000, peak
 
 
-def test_no_extraction_memo_outlives_a_call():
+def test_no_extraction_memo_outlives_its_automaton():
     """Extracting from renamed copies of the two extraction-heavy specs,
-    pass after pass, keeps nothing from earlier passes alive: the lasso
-    count memo goes when extraction returns. Each pass extracts at every
-    live state of response and at state 0 of too-many-lassos, which
-    raises. The automata are compiled before tracing starts, and each pass
-    drops its own."""
+    pass after pass, keeps nothing from earlier passes alive: an
+    automaton's lasso count memo goes with the automaton. Each pass
+    extracts at every live state of response and at state 0 of
+    too-many-lassos, which raises. The automata are compiled before
+    tracing starts, and each pass drops its own."""
     specs = [s for s in workloads.SUITE
              if s.name in ("response", "too-many-lassos")]
     passes = []
@@ -471,3 +476,114 @@ def test_lasso_count_memory_is_bounded_past_the_first_scc(q, expected):
         tracemalloc.stop()
     assert got == expected
     assert peak < 1_000_000, peak
+
+
+def second_nodes_or_error(aut, q: int, limit: int):
+    """_second_nodes(aut, q, limit), or the text of what it raises."""
+    try:
+        return subgoals._second_nodes(aut, q, limit)
+    except subgoals.UniverseTooLarge as err:
+        return str(err)
+
+
+ABC = ltl.Alphabet(("a", "b", "c"))
+
+
+@functools.cache
+def mid_sized_formulas() -> tuple[ltl.Formula, ...]:
+    """The formulas of test_subgoals.py's
+    test_matches_lasso_walk_past_brute_force_sizes: the first 100 of depth
+    4 over a, b, c drawn with seed 6 whose automata have 9 to 60 states."""
+    rng = np.random.default_rng(6)
+    out = []
+    while len(out) < 100:
+        f = gen.random_formula(rng, 4, ABC.names)
+        if 9 <= buchi.compile_formula(f, ABC).n_states <= 60:
+            out.append(f)
+    return tuple(out)
+
+
+def rebuilt(aut: buchi.BuchiAutomaton) -> buchi.BuchiAutomaton:
+    """A fresh automaton with aut's transitions, which shares no memo."""
+    return buchi.BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
+                                aut.accepting, aut.transitions)
+
+
+@pytest.mark.parametrize("case", [
+    "response-next", "too-many-lassos", "many-routes", "mid-sized"])
+def test_second_nodes_do_not_depend_on_call_history(case):
+    """The lasso count memo that an automaton keeps across calls is exact
+    for every root: walking every live state in ascending, descending and
+    shuffled order, each order on a freshly compiled automaton, gives at
+    each state what a fresh automaton gives for that state alone, raises
+    and their texts included."""
+    if case == "mid-sized":
+        # the limit of test_matches_lasso_walk_past_brute_force_sizes
+        cases = [(f, ABC, 5000) for f in mid_sized_formulas()]
+    elif case == "many-routes":
+        cases = [(ltl.parse(MANY_ROUTES), ABC, subgoals._MAX_LASSOS)]
+    else:
+        spec = suite_spec(case)
+        cases = [(ltl.parse(spec.text), spec.alphabet, subgoals._MAX_LASSOS)]
+    rng = np.random.default_rng(31)
+    raised = 0
+    for formula, alphabet, limit in cases:
+        aut = buchi.compile_formula(formula, alphabet)
+        live = sorted(aut.classify().live)
+        expected = {q: second_nodes_or_error(rebuilt(aut), q, limit)
+                    for q in live}
+        raised += sum(isinstance(got, str) for got in expected.values())
+        for order in (live, live[::-1], rng.permutation(live).tolist()):
+            aut = buchi.compile_formula(formula, alphabet)
+            got = {q: second_nodes_or_error(aut, q, limit) for q in order}
+            assert got == expected, (case, order)
+    assert raised == {"response-next": 0, "too-many-lassos": 10,
+                      "many-routes": 30, "mid-sized": 171}[case]
+
+
+def test_lasso_count_memo_lives_and_dies_with_its_automaton():
+    """The walk at every live state of MANY_ROUTES leaves its automaton
+    holding under 1 MB (0.32 MB when written), and dropping the automaton
+    frees it all."""
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        aut = buchi.compile_formula(ltl.parse(MANY_ROUTES), ABC)
+        live = sorted(aut.classify().live)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for q in live:
+            second_nodes_or_error(aut, q, subgoals._MAX_LASSOS)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        del aut
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 151
+    assert held < 1_000_000, held
+    assert left < 16_000, left
+
+
+def test_second_inspect_loop_counts_nothing_again():
+    """Extraction at every live state of response-next, as inspect-subgoals
+    runs it, fills the automaton's memo once: a second loop over the same
+    automaton adds no entry and returns the same lists. The memo's size
+    after one loop is pinned, so a change that stops sharing counts across
+    roots, or keys them differently, shows here."""
+    spec = suite_spec("response-next")
+    aut = buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+    achievable = workloads.achievable_for(spec.alphabet)
+
+    def inspect() -> list:
+        return [subgoals.extract_subgoals(aut, frozenset({q}), frozenset(),
+                                          achievable)
+                for q in sorted(aut.classify().live)]
+
+    first = inspect()
+    memo = aut._lasso_table[3]
+    assert len(memo) == 4300
+    assert inspect() == first
+    assert len(memo) == 4300
