@@ -85,61 +85,27 @@ def _or(a: Formula, b: Formula) -> Formula:
     return Or(a, b)
 
 
-def _assign(g: Formula, name: str | None, value: bool) -> Formula:
-    """g with the atom `name` (none when None) set to `value`, constants
-    folded away."""
-    if isinstance(g, Atom):
-        return Bool(value) if g.name == name else g
-    if isinstance(g, Bool):
-        return g
-    if isinstance(g, Not):
-        return _not(_assign(g.arg, name, value))
-    fold = _and if isinstance(g, And) else _or
-    return fold(_assign(g.lhs, name, value), _assign(g.rhs, name, value))
-
-
-def _sat_disjoint(guard: Formula) -> bool:
-    """Satisfiability by splitting on one atom at a time.
-
-    Each split folds the atom's value through the guard, so a cube or a
-    disjunction of k literals is settled in O(k^2) steps where enumerating
-    its letters takes 2^k, and a guard over k atoms never splits into more
-    than 2^k leaves. A conjunction of literals is settled in one walk
-    first: it is satisfiable iff no atom occurs in it with both signs.
-    """
-    if isinstance(guard, Bool):
-        return guard.value
-    signs: dict[str, bool] = {}
-    conjuncts = [guard]
-    while conjuncts:
-        g = conjuncts.pop()
-        if isinstance(g, And):
-            conjuncts += (g.lhs, g.rhs)
-            continue
-        positive = isinstance(g, Atom)
-        if not (positive or isinstance(g, Not) and isinstance(g.arg, Atom)):
-            break   # not a conjunction of literals
-        if signs.setdefault(g.name if positive else g.arg.name,
-                            positive) != positive:
-            return False
-    else:
-        return True
-    name = min(atoms(guard), default=None)
-    return any(_sat_disjoint(_assign(guard, name, v)) for v in (True, False))
-
-
 class _Guards:
     """The distinct guards of one compile, or of one automaton, as int ids
-    in first-use order. Each guard's satisfiability, validity and text are
-    worked out at most once, and each text-ordered disjunction built once."""
+    in first-use order, each with its text and its node in one reduced
+    ordered BDD (Bryant 1986), both worked out at most once; each
+    text-ordered disjunction is built once.
+
+    Node 0 is false, node 1 is true, and any other node n is `_bdd[n]`, a
+    (name, low, high) triple: the atom it tests, and its value with that
+    atom false and true. Atoms are ordered by name, and the unique table
+    makes equal functions equal nodes, so a guard is satisfiable iff its
+    node is not 0 and valid iff it is 1."""
 
     def __init__(self):
         self.formulas: list[Formula] = []
         self._ids: dict[Formula, int] = {}
-        self._sat: dict[int, bool] = {}
-        self._valid: dict[int, bool] = {}
+        self._nodes: dict[int, int] = {}
         self._text: dict[int, str] = {}
         self._disjunctions: dict[tuple[int, ...], int] = {}
+        self._bdd: list[tuple[str, int, int]] = [("", 0, 0), ("", 1, 1)]
+        self._unique: dict[tuple[str, int, int], int] = {}
+        self._applied: dict[tuple[type, int, int], int] = {}
 
     def intern(self, g: Formula) -> int:
         i = self._ids.get(g)
@@ -148,17 +114,67 @@ class _Guards:
             self.formulas.append(g)
         return i
 
+    def node(self, i: int) -> int:
+        """The BDD node of guard i."""
+        n = self._nodes.get(i)
+        if n is None:
+            n = self._nodes[i] = self._build(self.formulas[i])
+        return n
+
     def sat(self, i: int) -> bool:
-        ok = self._sat.get(i)
-        if ok is None:
-            ok = self._sat[i] = _sat_disjoint(self.formulas[i])
-        return ok
+        return self.node(i) != 0
 
     def valid(self, i: int) -> bool:
-        ok = self._valid.get(i)
-        if ok is None:
-            ok = self._valid[i] = _tautology(self.formulas[i])
-        return ok
+        if len(atoms(self.formulas[i])) > 14:
+            return False   # the old validity cap, kept for byte-identity
+        return self.node(i) == 1
+
+    def _build(self, g: Formula) -> int:
+        if isinstance(g, Bool):
+            return int(g.value)
+        if isinstance(g, Atom):
+            return self._mk(g.name, 0, 1)
+        if isinstance(g, Not):
+            return self.apply(Not, self._build(g.arg))
+        return self.apply(type(g), self._build(g.lhs), self._build(g.rhs))
+
+    def _mk(self, name: str, low: int, high: int) -> int:
+        if low == high:
+            return low
+        key = (name, low, high)
+        n = self._unique.get(key)
+        if n is None:
+            n = self._unique[key] = len(self._bdd)
+            self._bdd.append(key)
+        return n
+
+    def apply(self, op: type, u: int, v: int = 0) -> int:
+        """The node of `u op v` for op And or Or, or of `not u` for op Not."""
+        if op is Not:
+            if u < 2:
+                return 1 - u
+        else:
+            if u > v:
+                u, v = v, u
+            if u < 2:   # u is a constant: And keeps v only when u is true
+                return (v if u else 0) if op is And else (1 if u else v)
+            if u == v:
+                return u
+        key = (op, u, v)
+        n = self._applied.get(key)
+        if n is None:
+            a, a0, a1 = self._bdd[u]
+            if op is Not:
+                n = self._mk(a, self.apply(Not, a0), self.apply(Not, a1))
+            else:
+                b, b0, b1 = self._bdd[v]
+                if a < b:
+                    b0 = b1 = v
+                elif b < a:
+                    a, a0, a1 = b, u, u
+                n = self._mk(a, self.apply(op, a0, b0), self.apply(op, a1, b1))
+            self._applied[key] = n
+        return n
 
     def text(self, i: int) -> str:
         """format_formula of the guard, the key guards are sorted by."""
@@ -407,13 +423,6 @@ def _reverse(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return radj
 
 
-def _tautology(guard: Formula) -> bool:
-    """Validity: the guard's negation is unsatisfiable."""
-    if len(atoms(guard)) > 14:
-        return False  # give up; treated as non-tautology, which is safe
-    return not _sat_disjoint(_not(guard))
-
-
 def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutomaton:
     """Compile a formula into a pruned, simplified Buchi automaton."""
     if alphabet is None:
@@ -554,43 +563,22 @@ def _merge_universal_sccs(g: _Graph) -> _Graph:
     return _Graph(g.guards, initial, accepting, out)
 
 
-def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
-    """g's truth table: bit l is its value on letter l, given each atom's
-    table and the table `full` of every letter."""
-    if isinstance(g, Bool):
-        return full if g.value else 0
-    if isinstance(g, Atom):
-        return atom[g.name]
-    if isinstance(g, Not):
-        return full ^ _letter_mask(g.arg, atom, full)
-    lhs, rhs = _letter_mask(g.lhs, atom, full), _letter_mask(g.rhs, atom, full)
-    return lhs & rhs if isinstance(g, And) else lhs | rhs
-
-
-def _bisimilar_classes(g: _Graph, support: Sequence[str]) -> list[int]:
+def _bisimilar_classes(g: _Graph) -> list[int]:
     """Each state's class under strong bisimulation (acceptance-respecting),
     numbered in order of first member.
 
-    A state's signature is, per successor block, the mask of support letters
-    that lead into that block: the same information as its successor blocks
-    letter by letter, held in one int per block. Refinement goes by
-    splitters, after Paige & Tarjan (1987): a state is signed again only
-    when a successor has changed block, and only the blocks holding such
-    states are split. The members of a block that were not signed again
-    share the signature the block was last split on, so the block keeps
-    them and splits off each group of re-signed states whose signature
-    differs from it.
+    A state's signature is, per successor block, the BDD node of the
+    disjunction of the guards that lead into that block: the same
+    information as its successor blocks letter by letter, held in one node
+    per block. Refinement goes by splitters, after Paige & Tarjan (1987): a
+    state is signed again only when a successor has changed block, and only
+    the blocks holding such states are split. The members of a block that
+    were not signed again share the signature the block was last split on,
+    so the block keeps them and splits off each group of re-signed states
+    whose signature differs from it.
     """
-    # letter l sets support[i] iff bit i of l is set, so support[i]'s table
-    # repeats a run of 2^i clear bits and then 2^i set bits
-    full = (1 << (1 << len(support))) - 1
-    atom = {}
-    for i, name in enumerate(support):
-        run = 1 << i
-        atom[name] = full // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
-    masks = {i: _letter_mask(g.guards.formulas[i], atom, full)
-             for i in {i for edges in g.out for i, _ in edges}}
-    out = [[(masks[i], d) for i, d in edges if masks[i]] for edges in g.out]
+    node, apply = g.guards.node, g.guards.apply
+    out = [[(node(i), d) for i, d in edges if node(i)] for edges in g.out]
     preds: list[set[int]] = [set() for _ in out]
     for q, edges in enumerate(out):
         for _, d in edges:
@@ -603,8 +591,8 @@ def _bisimilar_classes(g: _Graph, support: Sequence[str]) -> list[int]:
         groups: dict[int, dict[frozenset, list[int]]] = {}
         for q in pending:
             into: dict[int, int] = {}
-            for mask, d in out[q]:
-                into[block[d]] = into.get(block[d], 0) | mask
+            for n, d in out[q]:
+                into[block[d]] = apply(Or, into.get(block[d], 0), n)
             groups.setdefault(block[q], {}).setdefault(
                 frozenset(into.items()), []).append(q)
         pending = set()
@@ -631,7 +619,7 @@ def _merge_bisimilar(g: _Graph) -> _Graph:
     support = sorted(set().union(*(atoms(g.guards.formulas[i]) for i in used)))
     if len(support) > 10:
         return g
-    cls = _bisimilar_classes(g, support)
+    cls = _bisimilar_classes(g)
     first: dict[int, int] = {}
     for q, c in enumerate(cls):
         first.setdefault(c, q)   # classes ascend in order of first member

@@ -10,13 +10,13 @@ import math
 
 import numpy as np
 
-from ltlnav.buchi import BuchiAutomaton, Transition, _letter_mask
+from ltlnav.buchi import BuchiAutomaton, Transition
 from ltlnav.envs import (
     SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
 )
 from ltlnav.ltl import (
-    TRUE, FALSE, Alphabet, And, Atom, Eventually, Always, Lasso, Next, Not,
-    Or, Release, Until, eval_bool,
+    TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Formula,
+    Lasso, Next, Not, Or, Release, Until, eval_bool,
 )
 from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
 from ltlnav.subgoals import Subgoal
@@ -129,6 +129,19 @@ def reference_on_cycle(v: int, adj) -> bool:
                 seen.add(d)
                 stack.append(d)
     return v in seen
+
+
+def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
+    """g's truth table: bit l is its value on letter l, given each atom's
+    table and the table `full` of every letter."""
+    if isinstance(g, Bool):
+        return full if g.value else 0
+    if isinstance(g, Atom):
+        return atom[g.name]
+    if isinstance(g, Not):
+        return full ^ _letter_mask(g.arg, atom, full)
+    lhs, rhs = _letter_mask(g.lhs, atom, full), _letter_mask(g.rhs, atom, full)
+    return lhs & rhs if isinstance(g, And) else lhs | rhs
 
 
 def reference_bisimilar_classes(g, support) -> list[int]:

@@ -484,22 +484,29 @@ class TestGuardDecisions:
     def test_sat_and_tautology_match_enumeration(self):
         rng = np.random.default_rng(5)
         seen = {True: 0, False: 0}
+        guards = buchi._Guards()   # one BDD for every guard drawn
         for _ in range(600):
             ab = small_alphabet(int(rng.integers(1, 9)))
             g = random_guard(rng, int(rng.integers(1, 7)), ab.names)
             values = [eval_bool(g, letter, ab) for letter in range(1 << ab.n)]
-            assert buchi._sat_disjoint(g) == any(values), format_formula(g)
-            assert buchi._tautology(g) == all(values), format_formula(g)
+            i = guards.intern(g)
+            assert guards.sat(i) == any(values), format_formula(g)
+            assert guards.valid(i) == all(values), format_formula(g)
             seen[any(values) and not all(values)] += 1
         assert min(seen.values()) > 50   # both kinds of guard were drawn
 
     def test_wide_cube_and_disjunction(self):
         cube = reduce(buchi._and, [Atom(f"p{i}") for i in range(40)])
         wide = reduce(buchi._or, [Atom(f"p{i}") for i in range(40)])
-        assert buchi._sat_disjoint(cube)
-        assert not buchi._sat_disjoint(buchi._and(cube, Not(Atom("p39"))))
-        assert buchi._sat_disjoint(buchi._not(wide))
-        assert not buchi._sat_disjoint(buchi._and(buchi._not(wide), Atom("p7")))
+        guards = buchi._Guards()
+
+        def sat(g):
+            return guards.sat(guards.intern(g))
+
+        assert sat(cube)
+        assert not sat(buchi._and(cube, Not(Atom("p39"))))
+        assert sat(buchi._not(wide))
+        assert not sat(buchi._and(buchi._not(wide), Atom("p7")))
 
     def test_bisimulation_masks_match_letter_sets(self):
         rng = np.random.default_rng(9)
@@ -517,7 +524,7 @@ class TestGuardDecisions:
                     transitions.append(Transition(src, guard, int(dst)))
             accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
             aut = BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
-            cls = buchi._bisimilar_classes(aut._graph, ab.names)
+            cls = buchi._bisimilar_classes(aut._graph)
             assert cls == letter_set_classes(aut)
             merged += len(set(cls)) < n_states
         assert merged > 20   # the quotient was not always trivial

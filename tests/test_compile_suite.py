@@ -243,13 +243,13 @@ def test_compiled_automata_decide_no_guard_again(monkeypatch):
     disjunctions, on every SUITE and wide-guard spec."""
     auts = [buchi.compile_formula(ltl.parse(text), alphabet)
             for text, alphabet in GUARD_SPECS]
-    decided = []
-    for name in ("_sat_disjoint", "_tautology"):
-        monkeypatch.setattr(buchi, name, decided.append)
+    built = []
+    monkeypatch.setattr(buchi._Guards, "_build",
+                        lambda self, guard: built.append(guard))
     for aut in auts:
         aut.edges()
         aut.classify()
-    assert decided == []
+    assert built == []
 
 
 def test_bisimilar_classes_match_rounds(monkeypatch):
@@ -264,7 +264,7 @@ def test_bisimilar_classes_match_rounds(monkeypatch):
             used = {i for edges in g.out for i, _ in edges}
             support = sorted(set().union(
                 *(ltl.atoms(g.guards.formulas[i]) for i in used)))
-            assert buchi._bisimilar_classes(g, support) == \
+            assert buchi._bisimilar_classes(g) == \
                 gen.reference_bisimilar_classes(g, support)
             checked.append(len(g.out))
             return g
@@ -281,32 +281,30 @@ def test_bisimilar_classes_match_rounds(monkeypatch):
 
 
 def test_compile_decides_each_guard_once(monkeypatch):
-    """A compile decides the satisfiability and the validity of each
-    distinct guard at most once, on every SUITE and wide-guard spec. Only
-    outermost calls count: a decision recurses on smaller guards."""
-    decided = []
+    """A compile builds the BDD node of each distinct guard at most once,
+    on every SUITE and wide-guard spec, and decides its satisfiability and
+    validity from that node. Only outermost builds count: a build recurses
+    on smaller guards."""
+    built = []
     depth = [0]
+    real = buchi._Guards._build
 
-    def counted(kind, real):
-        def decide(guard):
-            if not depth[0]:
-                decided.append((kind, guard))
-            depth[0] += 1
-            try:
-                return real(guard)
-            finally:
-                depth[0] -= 1
-        return decide
+    def counted(self, guard):
+        if not depth[0]:
+            built.append(guard)
+        depth[0] += 1
+        try:
+            return real(self, guard)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(buchi, "_sat_disjoint",
-                        counted("sat", buchi._sat_disjoint))
-    monkeypatch.setattr(buchi, "_tautology", counted("valid", buchi._tautology))
+    monkeypatch.setattr(buchi._Guards, "_build", counted)
     for text, alphabet in GUARD_SPECS:
-        decided.clear()
+        built.clear()
         buchi.compile_formula(ltl.parse(text), alphabet)
-        assert decided, text
-        again = [(kind, ltl.format_formula(g))
-                 for (kind, g), n in Counter(decided).items() if n > 1]
+        assert built, text
+        again = [ltl.format_formula(g)
+                 for g, n in Counter(built).items() if n > 1]
         assert again == [], text
 
 

@@ -208,13 +208,13 @@ class TestEdges:
         aut = BuchiAutomaton(c.alphabet, c.n_states, c.initial, c.accepting,
                              c.transitions)
         calls = []
-        real = buchi._sat_disjoint
+        real = buchi._Guards._build
 
-        def counted(guard):
+        def counted(guards, guard):
             calls.append(guard)
-            return real(guard)
+            return real(guards, guard)
 
-        monkeypatch.setattr(buchi, "_sat_disjoint", counted)
+        monkeypatch.setattr(buchi._Guards, "_build", counted)
         first = aut.edges()
         built = len(calls)
         assert built > 0
