@@ -17,9 +17,10 @@
 
 Every stage keeps the accepted language. The stages share one graph of
 guard ids (`_Graph`) whose adjacency and SCCs are built at most once.
-`_Guards` interns each distinct guard once and decides its satisfiability
-and validity at most once, by splitting on one atom at a time; the
-returned automaton keeps that table, so it decides no guard again.
+`_Guards` interns each distinct guard once and builds its node in one
+reduced ordered BDD at most once; satisfiability, validity and the
+quotient's signatures are read off the nodes, over any number of names.
+The returned automaton keeps that table, so it decides no guard again.
 """
 
 from __future__ import annotations
@@ -125,8 +126,6 @@ class _Guards:
         return self.node(i) != 0
 
     def valid(self, i: int) -> bool:
-        if len(atoms(self.formulas[i])) > 14:
-            return False   # the old validity cap, kept for byte-identity
         return self.node(i) == 1
 
     def _build(self, g: Formula) -> int:
@@ -614,11 +613,7 @@ def _bisimilar_classes(g: _Graph) -> list[int]:
 
 
 def _merge_bisimilar(g: _Graph) -> _Graph:
-    """Quotient by strong bisimulation; skipped above 10 support names."""
-    used = {i for edges in g.out for i, _ in edges}
-    support = sorted(set().union(*(atoms(g.guards.formulas[i]) for i in used)))
-    if len(support) > 10:
-        return g
+    """Quotient by strong bisimulation."""
     cls = _bisimilar_classes(g)
     first: dict[int, int] = {}
     for q, c in enumerate(cls):

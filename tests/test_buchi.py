@@ -507,6 +507,9 @@ class TestGuardDecisions:
         assert not sat(buchi._and(cube, Not(Atom("p39"))))
         assert sat(buchi._not(wide))
         assert not sat(buchi._and(buchi._not(wide), Atom("p7")))
+        # validity past the 14 names it was once capped at
+        assert guards.valid(guards.intern(buchi._or(wide, Not(Atom("p39")))))
+        assert not guards.valid(guards.intern(wide))
 
     def test_bisimulation_masks_match_letter_sets(self):
         rng = np.random.default_rng(9)

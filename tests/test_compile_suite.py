@@ -53,22 +53,22 @@ _CUBE = " & ".join(f"p{i}" for i in range(16))
 _WIDE = " | ".join(f"p{i}" for i in range(30))
 # Specs with 16-literal cube or 30-literal disjunction guards, compiled over
 # their default alphabets: (text, sha256 of to_json), recorded with the code
-# of the commit before the one that decides guards by splitting on atoms.
-# That code took seconds on the cube specs, deciding each guard letter by
-# letter.
+# of the commit that decides every guard on BDDs with no cap on the number
+# of names, so that validity and the bisimulation quotient reach them too.
+# The digests before it pinned larger automata: 3, 5, 3 and 64 states.
 WIDE_GUARDS = {
     "gf-cube-16": (
         f"G F ({_CUBE})",
-        "58fe6f987102744abac963a53f5b4f3d5a5d781c0de9749fd10de5b35b88ae18"),
+        "6058eebcdc88478c253c839680feefc23e6f7605ee1730af2f889e50ef0fc294"),
     "response-cube-16": (
         f"G (p0 -> F ({_CUBE}))",
-        "5292f1281b03c2a8c988f30ae550c07958d0b9ca2be84b44301900e0aa16567f"),
+        "34cd3ecd5faf86d3b99d620cdc69bd2c74350d1dfa27eeb5050deb7394fce413"),
     "f-or-30": (
         f"F ({_WIDE})",
-        "9942d99a09c36f761720661cde8b980ee26d1445afdc0d493248bb1970439611"),
+        "6aa7cde78d823136235f5da830c2fb7141c5cfc00c19db0f8c8192be771c49ad"),
     "response-or-30": (
         f"G (a -> F ({_WIDE}))",
-        "43df964f587cc7587e34ecdd4dbc04b2bd12c48ec06f909192fe2e856f7e4097"),
+        "511ffc2db8116bdef29ee781bd55150ac6945ef33064bb44789fe954ac36f12d"),
 }
 
 # A random formula over 4 names that compiles to 144 states and 2131
@@ -189,6 +189,19 @@ def test_wide_guard_outputs_unchanged(name):
     aut = buchi.compile_formula(ltl.parse(text))
     blob = json.dumps(aut.to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def disjunction_family(k: int) -> str:
+    return " | ".join(f"F p{i}" for i in range(k))
+
+
+@pytest.mark.parametrize("k", range(8, 21))
+def test_disjunction_family_states(k):
+    """F p0 | ... | F pk-1 compiles to k + 2 states: the initial one, one
+    waiting state per name and the accepting sink. The quotient reaches
+    every width, with no cap on the number of names."""
+    assert buchi.compile_formula(ltl.parse(disjunction_family(k))).n_states \
+        == k + 2
 
 
 def test_compile_evaluates_no_guard_letter_by_letter(monkeypatch):
