@@ -14,7 +14,8 @@ initial one; the compile reads guards and acceptance off the old sets.
 from __future__ import annotations
 
 from .ltl import (
-    And, Atom, Bool, Formula, Next, Not, Or, Release, Until, format_formula,
+    FALSE, And, Atom, Bool, Formula, Next, Not, Or, Release, Until,
+    format_formula,
 )
 
 __all__ = ["expand_tableau", "is_literal"]
@@ -52,7 +53,10 @@ class _Closer:
     an int with bit i for id i. Each distinct entry (new, old, next) is
     expanded once, to the tuple of the (old, next) leaves it reaches in
     order: empty for a contradiction, one leaf, or the concatenation of its
-    two branches' tuples."""
+    two branches' tuples. An entry whose new set holds false reaches no
+    leaf and is never expanded: false sorts after every parenthesized
+    subformula, so `G x`, which is `false R x`, would otherwise carry it
+    through every other Release of a conjunction before it closes."""
 
     def __init__(self, root: Formula):
         self.subs = subs = _subformulas(root)
@@ -65,9 +69,12 @@ class _Closer:
         for i, g in enumerate(subs):
             if kind[i] is _LITERAL and isinstance(g, Not):
                 neg[i], neg[index[g.arg]] = kids[i][0], 1 << i
+        self.false = 1 << index[FALSE] if FALSE in index else 0
         self.memo: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
 
     def leaves(self, new: int, old: int, nxt: int):
+        if new & self.false:
+            return ()
         key = (new, old, nxt)
         found = self.memo.get(key)
         if found is None:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton, Transition
 from ltlnav.envs import (
     SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
@@ -167,6 +168,34 @@ def reference_bisimilar_classes(g, support) -> list[int]:
         if new_cls == cls:
             return cls
         cls = new_cls
+
+
+def accept_a_common_word(a: BuchiAutomaton, b: BuchiAutomaton) -> bool:
+    """Do a and b accept some word in common? Their product pairs each edge
+    of a with each edge of b whose guard conjunction is satisfiable, which
+    one BDD `and` in a shared guard table decides, so no letter is listed.
+    The product accepts a word iff a reachable SCC with a cycle holds a
+    state accepting in a and one accepting in b. Exact for any width.
+    """
+    guards = buchi._Guards()
+    nodes = [[guards.node(guards.intern(f)) for f in aut._graph.guards.formulas]
+             for aut in (a, b)]
+    index = {(a.initial, b.initial): 0}
+    order = [(a.initial, b.initial)]
+    adj = []
+    for p, q in order:   # grows as product states are reached
+        succ = set()
+        for i, d in a._graph.out[p]:
+            for j, e in b._graph.out[q]:
+                if guards.apply(And, nodes[0][i], nodes[1][j]):
+                    succ.add(index.setdefault((d, e), len(order)))
+                    if len(index) > len(order):
+                        order.append((d, e))
+        adj.append(sorted(succ))
+    return any(any(order[v][0] in a.accepting for v in comp)
+               and any(order[v][1] in b.accepting for v in comp)
+               for comp in buchi._sccs(adj)
+               if len(comp) > 1 or comp[0] in adj[comp[0]])
 
 
 def reference_view(state: LetterWorldState, g: int) -> np.ndarray:

@@ -265,12 +265,11 @@ def test_compiled_automata_decide_no_guard_again(monkeypatch):
     assert built == []
 
 
-def test_bisimilar_classes_match_rounds(monkeypatch):
-    """Splitter refinement against round-by-round refinement: the same
-    classes on every stage graph of every SUITE spec and of the 300 random
-    formulas, over the support the quotient uses."""
-    checked = []
-
+def check_bisimilar_classes_after_stages(monkeypatch, checked: list):
+    """Make each compile stage check the classes of the graph it returns:
+    splitter refinement against round-by-round refinement over the truth
+    tables of the graph's support letters. `checked` gets each graph's
+    size."""
     def checked_after(stage):
         def run(*args):
             g = stage(*args)
@@ -286,11 +285,48 @@ def test_bisimilar_classes_match_rounds(monkeypatch):
     for name in ("_degeneralize", "_prune", "_merge_universal_sccs",
                  "_merge_bisimilar", "_absorb_into_sinks"):
         monkeypatch.setattr(buchi, name, checked_after(getattr(buchi, name)))
+
+
+def test_bisimilar_classes_match_rounds(monkeypatch):
+    """Splitter refinement against round-by-round refinement: the same
+    classes on every stage graph of every SUITE spec and of the 300 random
+    formulas, over the support the quotient uses."""
+    checked = []
+    check_bisimilar_classes_after_stages(monkeypatch, checked)
     for spec in workloads.SUITE:
         buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
     for f, ab in random_formulas():
         buchi.compile_formula(f, ab)
     assert len(checked) == 5 * 312 and max(checked) > 200
+
+
+def test_bisimilar_classes_match_rounds_past_ten_names(monkeypatch):
+    """The same check on every stage graph of F p0 | ... | F pk-1 for k =
+    11 to 13, whose 2^k-letter truth tables the quotient no longer needs."""
+    checked = []
+    check_bisimilar_classes_after_stages(monkeypatch, checked)
+    for k in range(11, 14):
+        buchi.compile_formula(ltl.parse(disjunction_family(k)))
+    assert len(checked) == 5 * 3
+
+
+def test_no_word_is_accepted_for_a_formula_and_its_negation():
+    """The exact over-acceptance oracle: the automata of f and of !f accept
+    no word in common, on the wide-guard specs, F p0 | ... | F pk-1 for k
+    = 8 to 20, and the 300 random formulas. The products pair edges, not
+    letters, so the 30-name specs are checked exactly. As a control, an
+    automaton with an accepting cycle shares a word with itself."""
+    cases = [(ltl.parse(text), None) for text, _ in WIDE_GUARDS.values()]
+    cases += [(ltl.parse(disjunction_family(k)), None) for k in range(8, 21)]
+    cases += random_formulas()
+    shared = [f for f, alphabet in cases
+              if gen.accept_a_common_word(
+                  buchi.compile_formula(f, alphabet),
+                  buchi.compile_formula(ltl.Not(f), alphabet))]
+    assert shared == []
+    live = [aut for aut in random_automata() if aut.classify().live]
+    assert all(gen.accept_a_common_word(aut, aut) for aut in live)
+    assert len(cases) == 317 and len(live) > 150
 
 
 def test_compile_decides_each_guard_once(monkeypatch):
