@@ -1,6 +1,7 @@
 """Seeded random generators, a brute-force successor oracle, the listed
 subgoal universe, a per-node cycle check, round-by-round bisimulation
-classes, a rolled LetterWorld view, a zone-by-zone lidar, per-call
+classes over guard truth tables, a product check for a word two automata
+both accept, a rolled LetterWorld view, a zone-by-zone lidar, per-call
 observation reductions, per-row advantage scans, a scripted-label env and
 the assignment mask of named propositions, shared across test modules."""
 
