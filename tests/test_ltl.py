@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,63 @@ from ltlnav.ltl import (
 AB = small_alphabet(2)
 A = mask(AB, "a")
 B = mask(AB, "b")
+
+# sha256 over the outcome of parsing the strings of `random_spec_texts`:
+# the formatted formula, or the ParseError's offset, expected set and
+# found token. Recorded with the code of the commit before the one that
+# writes the operator syntax down as one table.
+PARSE_DIGEST = "bf42524b6b938f4a96bfa18b05923ee226333c18fe384a68d90d4ca23bd98e69"
+
+_NAMES = ("a", "b", "p0", "Up", "_x", "Fa", "trues")
+_TOKENS = (_NAMES + ("F", "G", "X", "U", "R", "true", "false")
+           + ("!", "&", "|", "->", "(", ")", "-", ">"))
+_JUNK = ("+", "\u00e9", "\f", "\v", "9")
+_SEPARATORS = ("", " ", " ", "  ", "\t", "\n", "\r")
+
+
+def _pick(rng, options: tuple):
+    return options[int(rng.integers(len(options)))]
+
+
+def _piece(rng) -> str:
+    """A random token, or one time in ten a character no token starts with."""
+    return _pick(rng, _JUNK if rng.random() < 0.1 else _TOKENS)
+
+
+def _phrase(rng, depth: int) -> list:
+    """Pieces of a grammatical spec with at most `depth` levels."""
+    kind = int(rng.integers(6)) if depth > 0 else 0
+    if kind == 0:
+        return [_pick(rng, _NAMES[:5] + ("true", "false"))]
+    if kind == 1:
+        return [_pick(rng, ("!", "X", "F", "G"))] + _phrase(rng, depth - 1)
+    if kind == 2:
+        return ["("] + _phrase(rng, depth - 1) + [")"]
+    return (_phrase(rng, depth - 1) + [_pick(rng, ("->", "|", "&", "U", "R"))]
+            + _phrase(rng, depth - 1))
+
+
+def random_spec_texts(seed: int, n: int):
+    """n seeded strings: half grammatical specs with up to two pieces
+    deleted, inserted or replaced, half runs of random pieces, each piece
+    after random whitespace or none."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if rng.random() < 0.5:
+            pieces = _phrase(rng, int(rng.integers(1, 6)))
+            for _ in range(int(rng.integers(3))):
+                i = int(rng.integers(len(pieces) + 1))
+                edit = int(rng.integers(3))
+                if edit == 0 and i < len(pieces):
+                    del pieces[i]
+                elif edit == 1 or i == len(pieces):
+                    pieces.insert(i, _piece(rng))
+                else:
+                    pieces[i] = _piece(rng)
+        else:
+            pieces = [_piece(rng) for _ in range(int(rng.integers(1, 16)))]
+        yield "".join(_pick(rng, _SEPARATORS) + piece
+                      for piece in pieces + [""])
 
 
 class TestParse:
@@ -55,9 +115,8 @@ class TestParse:
         assert "')'" in e.value.expected
 
     def test_error_offset_trailing_junk(self):
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(ParseError):
             parse("a b")
-        assert e.value.offset == 2
 
     def test_error_bad_character(self):
         with pytest.raises(ParseError) as e:
@@ -79,6 +138,32 @@ class TestParse:
         with pytest.raises(ParseError) as e:
             parse(spec(MAX_DEPTH - 49))
         assert e.value.offset == spec(MAX_DEPTH - 49).rindex("&")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a + b", "at byte 2: found '+', expected one of: atom, operator"),
+        ("a b", "at byte 2: found 'b', expected one of: '&', '->', 'R', 'U', '|', end of input"),
+        ("a &", "at byte 3: found end of input, expected one of: '!', '(', 'F', 'G', 'X', 'false', 'true', atom"),
+        ("(a | b", "at byte 6: found end of input, expected one of: ')'"),
+        ("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), "at byte 100: found '(', expected one of: at most 100 levels of nesting"),
+    ], ids=["bad-character", "trailing-token", "missing-operand",
+            "unclosed-paren", "nesting-bound"])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+
+    def test_parse_outcomes_unchanged(self):
+        digest = hashlib.sha256()
+        parsed = 0
+        for text in random_spec_texts(seed=33, n=20_000):
+            try:
+                outcome = format_formula(parse(text))
+                parsed += 1
+            except ParseError as err:
+                outcome = [err.offset, list(err.expected), err.found]
+            digest.update(json.dumps([text, outcome]).encode())
+        assert 2_000 < parsed < 18_000
+        assert digest.hexdigest() == PARSE_DIGEST
 
     def test_reserved_atom_names_are_operators(self):
         # a lone operator letter cannot be an atom
