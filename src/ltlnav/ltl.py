@@ -19,8 +19,6 @@ __all__ = [
     "eval_lasso", "eval_bool", "is_boolean",
 ]
 
-# Single capitals are temporal operators; `true`/`false` are constants.
-RESERVED_NAMES = frozenset({"F", "G", "X", "U", "R", "true", "false"})
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -88,7 +86,23 @@ class Release(Formula):
 TRUE = Bool(True)
 FALSE = Bool(False)
 
-_UNARY = (Not, Next, Eventually, Always)
+# The concrete syntax, written once: the constants, the prefix operators,
+# which bind tightest, and the binary operators by binding level, loosest
+# first, each level right associative or not. `a -> b` is sugar for
+# `!a | b`, so format_formula never writes `->`.
+_CONSTANTS = {"true": True, "false": False}
+_PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+_BINARY = ((True, {"->": Or}), (False, {"|": Or}), (False, {"&": And}),
+           (True, {"U": Until, "R": Release}))
+_INFIX = {op: node for _, ops in _BINARY for op, node in ops.items()}
+# Each text of the syntax is its own token kind; its words are reserved.
+_KINDS = {*_CONSTANTS, *_PREFIX, *_INFIX, "(", ")"}
+RESERVED_NAMES = frozenset(w for w in _KINDS if _NAME_RE.fullmatch(w))
+_UNARY = tuple(_PREFIX.values())
+# format_formula's text per operator node; a letter takes a space after it.
+_WRITTEN = {node: f"{op} " if op in RESERVED_NAMES else op
+            for op, node in _PREFIX.items()}
+_WRITTEN |= {node: op for op, node in _INFIX.items() if op != "->"}
 
 
 @dataclass(frozen=True)
@@ -148,34 +162,26 @@ class ParseError(ValueError):
         super().__init__(f"at byte {offset}: found {found}, expected one of: {exp}")
 
 
-_SYMBOLS = (("->", "IMPLIES"), ("!", "NOT"), ("&", "AND"), ("|", "OR"),
-            ("(", "LPAREN"), (")", "RPAREN"))
-_OP_TOKENS = {"F": "F", "G": "G", "X": "X", "U": "U", "R": "R",
-              "true": "TRUE", "false": "FALSE"}
+# One token after any whitespace: a symbol or a name (group 1), else any
+# other character (group 2); nothing at the end of the text. Reverse order
+# tries each symbol before its prefixes.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:(%s|%s)|(.)|\Z)" % ("|".join(
+    map(re.escape, sorted(_KINDS - RESERVED_NAMES, reverse=True))),
+    _NAME_RE.pattern), re.S)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, END last; a name that is not in
+    _KINDS is of kind NAME."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((kind, sym, i))
-                i += len(sym)
-                break
-        else:
-            m = _NAME_RE.match(text, i)
-            if not m:
-                raise ParseError(text, i, ("atom", "operator"), repr(ch))
-            word = m.group(0)
-            tokens.append((_OP_TOKENS.get(word, "NAME"), word, i))
-            i = m.end()
-    tokens.append(("END", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        word, bad = m.groups()
+        if bad is not None:
+            raise ParseError(text, m.start(2), ("atom", "operator"), repr(bad))
+        if word is None:
+            break
+        tokens.append((word if word in _KINDS else "NAME", word, m.start(1)))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -186,7 +192,8 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent over: implies > or > and > until/release > unary > atom.
+    """Recursive descent over the binding levels of _BINARY, loosest first,
+    then prefix operators, then atoms and parentheses.
 
     Each rule returns its formula and height, in levels as MAX_DEPTH counts
     them; `depth` is the number of levels known to enclose the current token.
@@ -220,75 +227,59 @@ class _Parser:
                              repr(tok[1]))
         return height
 
-    def nested(self, rule, tok: tuple[str, str, int]):
-        """rule() one level deeper, below the token that opens the level."""
+    def nested(self, tok: tuple[str, str, int], rule, *args):
+        """rule(*args) one level deeper, below the token that opens the
+        level."""
         self.check(1, tok)
         self.depth += 1
         try:
-            return rule()
+            return rule(*args)
         finally:
             self.depth -= 1
 
     def parse(self) -> Formula:
-        f, _ = self.implies()
+        f, _ = self.binary(0)
         if self.peek()[0] != "END":
-            self.fail(("'&'", "'|'", "'->'", "'U'", "'R'", "end of input"))
+            self.fail((*(f"'{op}'" for op in _INFIX), "end of input"))
         return f
 
-    def implies(self) -> tuple[Formula, int]:
-        lhs, h = self.disjunction()
-        if self.peek()[0] == "IMPLIES":
+    def binary(self, level: int) -> tuple[Formula, int]:
+        """The operators of binding level `level` over operands of the
+        levels below it; a right associative operator parses its right side
+        one level deeper, and `->` counts the Not around its left side."""
+        right, ops = _BINARY[level]
+        last = level + 1 == len(_BINARY)
+        f, h = self.unary() if last else self.binary(level + 1)
+        while self.peek()[0] in ops:
             tok = self.take()
-            rhs, rh = self.nested(self.implies, tok)
-            return Or(Not(lhs), rhs), self.check(1 + max(h + 1, rh), tok)
-        return lhs, h
-
-    def disjunction(self) -> tuple[Formula, int]:
-        f, h = self.conjunction()
-        while self.peek()[0] == "OR":
-            tok = self.take()
-            rhs, rh = self.conjunction()
-            f, h = Or(f, rhs), self.check(1 + max(h, rh), tok)
+            if right:
+                rhs, rh = self.nested(tok, self.binary, level)
+            else:
+                rhs, rh = self.unary() if last else self.binary(level + 1)
+            if tok[0] == "->":
+                f, h = Not(f), h + 1
+            f, h = ops[tok[0]](f, rhs), self.check(1 + max(h, rh), tok)
         return f, h
-
-    def conjunction(self) -> tuple[Formula, int]:
-        f, h = self.until()
-        while self.peek()[0] == "AND":
-            tok = self.take()
-            rhs, rh = self.until()
-            f, h = And(f, rhs), self.check(1 + max(h, rh), tok)
-        return f, h
-
-    def until(self) -> tuple[Formula, int]:
-        lhs, h = self.unary()
-        kind = self.peek()[0]
-        if kind in ("U", "R"):
-            tok = self.take()
-            rhs, rh = self.nested(self.until, tok)  # right associative
-            op = Until if kind == "U" else Release
-            return op(lhs, rhs), self.check(1 + max(h, rh), tok)
-        return lhs, h
 
     def unary(self) -> tuple[Formula, int]:
         kind = self.peek()[0]
-        if kind in ("NOT", "F", "G", "X"):
-            arg, h = self.nested(self.unary, self.take())
-            op = {"NOT": Not, "F": Eventually, "G": Always, "X": Next}[kind]
-            return op(arg), h + 1
+        if kind in _PREFIX:
+            arg, h = self.nested(self.take(), self.unary)
+            return _PREFIX[kind](arg), h + 1
         return self.atom()
 
     def atom(self) -> tuple[Formula, int]:
         kind, value, _ = self.peek()
-        if kind in ("NAME", "TRUE", "FALSE"):
+        if kind == "NAME" or kind in _CONSTANTS:
             self.take()
-            return (Atom(value) if kind == "NAME" else Bool(kind == "TRUE")), 0
-        if kind == "LPAREN":
-            f, h = self.nested(self.implies, self.take())
-            if self.peek()[0] != "RPAREN":
+            return (Atom(value) if kind == "NAME" else Bool(_CONSTANTS[kind])), 0
+        if kind == "(":
+            f, h = self.nested(self.take(), self.binary, 0)
+            if self.peek()[0] != ")":
                 self.fail(("')'",))
             self.take()
             return f, h + 1
-        self.fail(("atom", "'true'", "'false'", "'!'", "'F'", "'G'", "'X'", "'('"))
+        self.fail(("atom", "'('", *(f"'{w}'" for w in (*_CONSTANTS, *_PREFIX))))
 
 
 def parse(text: str) -> Formula:
@@ -302,16 +293,9 @@ def format_formula(f: Formula) -> str:
         return "true" if f.value else "false"
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return "!" + format_formula(f.arg)
-    if isinstance(f, Next):
-        return "X " + format_formula(f.arg)
-    if isinstance(f, Eventually):
-        return "F " + format_formula(f.arg)
-    if isinstance(f, Always):
-        return "G " + format_formula(f.arg)
-    ops = {And: "&", Or: "|", Until: "U", Release: "R"}
-    op = ops[type(f)]
+    op = _WRITTEN[type(f)]
+    if isinstance(f, _UNARY):
+        return op + format_formula(f.arg)
     return f"({format_formula(f.lhs)} {op} {format_formula(f.rhs)})"
 
 
