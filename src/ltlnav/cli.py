@@ -2,7 +2,7 @@
 evaluate, and trace episodes.
 
 Exit codes: 0 ok, 2 formula parse error, 3 numeric divergence during
-training, 4 config or I/O error.
+training, 4 config or I/O error, or memory ran out.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ EXIT_CONFIG = 4
 
 def _load_specs(value: str) -> list:
     """Formulas from an inline string, or one per line of a file; a parse
-    error in a file names the file and the line."""
+    error in a file names the file, the line and the byte in that line."""
     if not os.path.exists(value):
         return [(value, parse(value))]
     specs = []
@@ -44,8 +44,11 @@ def _load_specs(value: str) -> list:
                 try:
                     specs.append((text, parse(text)))
                 except ParseError as err:
-                    err.args = (f"{value}, line {n}: {err}",)
-                    raise
+                    lead = len(line) - len(line.lstrip())
+                    moved = ParseError(line, lead + err.offset, err.expected,
+                                       err.found)
+                    moved.args = (f"{value}, line {n}: {moved}",)
+                    raise moved from None
     return specs
 
 
@@ -402,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (OSError, KeyError, TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -201,6 +201,21 @@ class TestTrain:
         assert env_run != base          # env var overrides the config seed
         assert flag_run == base         # explicit flag beats the env var
 
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        # passes every config check; the stub raises where collecting this
+        # many steps would run out of memory, so nothing is allocated
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["trainer"]["n_per_iter"] = 10_000_000_000_000_000_000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+
+        def out_of_memory(self, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.Trainer, "run", out_of_memory)
+        assert main(["train", "--config", str(path)]) == 4
+        assert capsys.readouterr().err == "error: ran out of memory\n"
+
     def test_unknown_config_key_exit_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"env": {}, "optimizer": "sgd"}))
@@ -452,6 +467,16 @@ class TestEval:
         assert main(["eval", "--spec", str(specs), "--checkpoint",
                      str(ckpt)]) == 2
         assert (f"error: {specs}, line 3: at byte 6: found end of input"
+                in capsys.readouterr().err)
+
+    def test_spec_file_parse_error_names_the_byte_of_its_line(
+            self, tmp_path, capsys):
+        ckpt = train_checkpoint(tmp_path)
+        specs = tmp_path / "specs.ltl"
+        specs.write_text("F a\n    a &\n")
+        assert main(["eval", "--spec", str(specs), "--checkpoint",
+                     str(ckpt)]) == 2
+        assert (f"error: {specs}, line 2: at byte 7: found end of input"
                 in capsys.readouterr().err)
 
     def test_missing_checkpoint_exit_4(self, tmp_path, capsys):
