@@ -509,7 +509,6 @@ class Trainer:
             "version": 1,
             "env": self.env_config.to_json(),
             "fusion": self.config.fusion,
-            "gamma": self.config.gamma,
             "heads": {name: head_to_json(h.spec, h.params)
                       for name, h in self.heads.items()},
             "mu_subgoal": self.mu_subgoal,
