@@ -1,7 +1,8 @@
 """Seeded random generators, a brute-force successor oracle, the listed
 subgoal universe, a per-node cycle check, round-by-round bisimulation
 classes over guard truth tables, a product check for a word two automata
-both accept, a rolled LetterWorld view, a zone-by-zone lidar, per-call
+both accept, random Kripke structures and the states of one that a graph
+covers, a rolled LetterWorld view, a zone-by-zone lidar, per-call
 observation reductions, per-row advantage scans, a scripted-label env and
 the assignment mask of named propositions, shared across test modules."""
 
@@ -197,6 +198,58 @@ def accept_a_common_word(a: BuchiAutomaton, b: BuchiAutomaton) -> bool:
                and any(order[v][1] in b.accepting for v in comp)
                for comp in buchi._sccs(adj)
                if len(comp) > 1 or comp[0] in adj[comp[0]])
+
+
+def random_kripke(rng: np.random.Generator, n_states: int, n_letters: int,
+                  max_succ: int = 3) -> tuple[list[int], list[list[int]]]:
+    """A random Kripke structure: per state its letter and one to max_succ
+    successors, so every state has an infinite path."""
+    labels = [int(x) for x in rng.integers(0, n_letters, size=n_states)]
+    succ = [sorted({int(x) for x in rng.integers(
+        0, n_states, size=int(rng.integers(1, max_succ + 1)))})
+        for _ in range(n_states)]
+    return labels, succ
+
+
+def kripke_cover(g, acc_sets, alphabet: Alphabet, kripke) -> frozenset[int]:
+    """The states of the Kripke structure from which some path spells a
+    word that the compile-stage graph g accepts, where a run is accepting
+    iff it visits every set in acc_sets infinitely often (one set for a
+    Buchi graph). Product node (s, q) means that q is about to read s's
+    letter; s is covered iff (s, g.initial) reaches a product SCC with a
+    cycle that meets every acceptance set.
+
+    Stages that keep the language cover the same states, and the covers of
+    f and of !f together hold every state: the half of Spot's ltlcross
+    that catches lost words (Duret-Lutz, ATVA 2013)."""
+    labels, ksucc = kripke
+    n = 1 << alphabet.n
+    atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
+            for i, name in enumerate(alphabet.names)}
+    tables = [_letter_mask(f, atom, (1 << n) - 1) for f in g.guards.formulas]
+    index: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+    for s in range(len(labels)):
+        index.setdefault((s, g.initial), len(order))
+        if len(index) > len(order):
+            order.append((s, g.initial))
+    adj = []
+    for s, q in order:   # grows as product states are reached
+        succ = set()
+        for i, d in g.out[q]:
+            if tables[i] >> labels[s] & 1:
+                for t in ksucc[s]:
+                    succ.add(index.setdefault((t, d), len(order)))
+                    if len(index) > len(order):
+                        order.append((t, d))
+        adj.append(sorted(succ))
+    good = [v for comp in buchi._sccs(adj)
+            if (len(comp) > 1 or comp[0] in adj[comp[0]])
+            and all(any(order[v][1] in acc for v in comp) for acc in acc_sets)
+            for v in comp]
+    covered = buchi._closure(good, buchi._reverse(adj))
+    return frozenset(s for s in range(len(labels))
+                     if index[(s, g.initial)] in covered)
 
 
 def reference_view(state: LetterWorldState, g: int) -> np.ndarray:

@@ -233,6 +233,39 @@ def test_large_automaton_unchanged():
     assert classes.accepting_sink == frozenset()
 
 
+def until_chain(n: int) -> str:
+    return " U ".join(["a"] * n)
+
+
+@pytest.mark.parametrize("text,sizes", [
+    (LARGE[0], (1175, 1175, 3567, 144)),
+    (until_chain(20), (211, 211, 1353, 2)),
+], ids=["large", "until-chain-20"])
+def test_stage_sizes(monkeypatch, text, sizes):
+    """The state counts a compile passes through: the tableau's, the graph
+    `_degeneralize` reads and the one it returns, and the automaton's. A
+    change that lets an intermediate grow shows here, even when the
+    automaton stays the same."""
+    got = []
+
+    def tableau(f):
+        subs, olds, succs = expand_tableau(f)
+        got.append(len(olds))
+        return subs, olds, succs
+
+    def degeneralize(g, acc_sets):
+        got.append(len(g.out))
+        g = real_degeneralize(g, acc_sets)
+        got.append(len(g.out))
+        return g
+
+    expand_tableau, real_degeneralize = buchi.expand_tableau, buchi._degeneralize
+    monkeypatch.setattr(buchi, "expand_tableau", tableau)
+    monkeypatch.setattr(buchi, "_degeneralize", degeneralize)
+    got.append(buchi.compile_formula(ltl.parse(text)).n_states)
+    assert tuple(got) == sizes
+
+
 def test_compiled_automata_decide_as_rebuilt_ones():
     """An oracle for the guard decisions a compiled automaton takes over
     from its compile: rebuilt from its transitions, an automaton decides
@@ -327,6 +360,59 @@ def test_no_word_is_accepted_for_a_formula_and_its_negation():
     live = [aut for aut in random_automata() if aut.classify().live]
     assert all(gen.accept_a_common_word(aut, aut) for aut in live)
     assert len(cases) == 317 and len(live) > 150
+
+
+BUCHI_STAGES = ("_degeneralize", "_prune", "_merge_universal_sccs",
+                "_merge_bisimilar", "_absorb_into_sinks")
+
+
+def stage_graphs(monkeypatch, f, alphabet) -> list:
+    """(graph, acceptance sets) per stage of f's compile, in order: the
+    generalized graph that `_degeneralize` reads, each Buchi stage's output
+    and the final automaton's graph."""
+    graphs = []
+
+    def recorded(name, stage):
+        def run(*args):
+            if name == "_degeneralize":
+                graphs.append(args)
+            g = stage(*args)
+            graphs.append((g, [g.accepting]))
+            return g
+        return run
+
+    with monkeypatch.context() as m:
+        for name in BUCHI_STAGES:
+            m.setattr(buchi, name, recorded(name, getattr(buchi, name)))
+        aut = buchi.compile_formula(f, alphabet)
+    return graphs + [(aut._graph, [aut.accepting])]
+
+
+def test_every_stage_covers_the_same_kripke_states(monkeypatch):
+    """The cover oracle for lost words, with the product check for extra
+    ones: on 3 random 12-state Kripke structures per formula, every stage
+    graph of f, the generalized one included, covers the same states, and
+    the covers of f and !f together hold every state; and no Buchi stage
+    graph of f or !f shares a word with the final automaton of the other.
+    On the 300 random formulas."""
+    rng = np.random.default_rng(21)
+    n_stages = []
+    for f, ab in random_formulas():
+        kripkes = [gen.random_kripke(rng, 12, 1 << ab.n) for _ in range(3)]
+        both = [stage_graphs(monkeypatch, g, ab) for g in (f, ltl.Not(f))]
+        for k in kripkes:
+            covers = [{gen.kripke_cover(g, acc, ab, k) for g, acc in graphs}
+                      for graphs in both]
+            assert [len(c) for c in covers] == [1, 1], ltl.format_formula(f)
+            assert covers[0].pop() | covers[1].pop() == set(range(12)), \
+                ltl.format_formula(f)
+        for graphs, other in zip(both, both[::-1]):
+            final = buchi._renumber(other[-1][0], ab)
+            assert not any(gen.accept_a_common_word(
+                buchi._renumber(g, ab), final) for g, _ in graphs[1:-1]), \
+                ltl.format_formula(f)
+        n_stages.append(len(both[0]))
+    assert n_stages == [1 + len(BUCHI_STAGES) + 1] * 300
 
 
 def test_compile_decides_each_guard_once(monkeypatch):
