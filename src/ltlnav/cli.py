@@ -15,7 +15,7 @@ import sys
 from .buchi import compile_formula
 from .envs import EnvConfig, make_env
 from .executor import evaluate
-from .ltl import Alphabet, ParseError, format_formula, parse
+from .ltl import WHITESPACE, Alphabet, ParseError, format_formula, parse
 from .nets import json_object
 from .subgoals import extract_subgoals
 from .trainer import (
@@ -32,19 +32,20 @@ EXIT_CONFIG = 4
 
 
 def _load_specs(value: str) -> list:
-    """Formulas from an inline string, or one per line of a file; a parse
-    error in a file names the file, the line and the byte in that line."""
+    """Formulas from an inline string, or one per line of a file, stripped
+    of the whitespace the tokenizer skips; a parse error in a file names
+    the file, the line and the byte in that line."""
     if not os.path.exists(value):
         return [(value, parse(value))]
     specs = []
     with open(value) as fh:
         for n, line in enumerate(fh, 1):
-            text = line.strip()
+            text = line.strip(WHITESPACE)
             if text and not text.startswith("#"):
                 try:
                     specs.append((text, parse(text)))
                 except ParseError as err:
-                    lead = len(line) - len(line.lstrip())
+                    lead = len(line) - len(line.lstrip(WHITESPACE))
                     moved = ParseError(line, lead + err.offset, err.expected,
                                        err.found)
                     moved.args = (f"{value}, line {n}: {moved}",)

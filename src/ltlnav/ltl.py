@@ -14,7 +14,7 @@ from dataclasses import dataclass
 __all__ = [
     "Formula", "Bool", "Atom", "Not", "And", "Or", "Next", "Eventually",
     "Always", "Until", "Release", "TRUE", "FALSE",
-    "Alphabet", "Lasso", "ParseError", "MAX_DEPTH",
+    "Alphabet", "Lasso", "ParseError", "MAX_DEPTH", "WHITESPACE",
     "parse", "format_formula", "nnf", "atoms", "alphabet_of",
     "eval_lasso", "eval_bool", "is_boolean",
 ]
@@ -162,10 +162,13 @@ class ParseError(ValueError):
         super().__init__(f"at byte {offset}: found {found}, expected one of: {exp}")
 
 
+# The characters the tokenizer skips between tokens.
+WHITESPACE = " \t\r\n"
+
 # One token after any whitespace: a symbol or a name (group 1), else any
 # other character (group 2); nothing at the end of the text. Reverse order
 # tries each symbol before its prefixes.
-_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:(%s|%s)|(.)|\Z)" % ("|".join(
+_TOKEN_RE = re.compile(r"[%s]*(?:(%s|%s)|(.)|\Z)" % (WHITESPACE, "|".join(
     map(re.escape, sorted(_KINDS - RESERVED_NAMES, reverse=True))),
     _NAME_RE.pattern), re.S)
 

@@ -125,6 +125,20 @@ class TestCompile:
         assert main(["compile", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["formula"] == "F a"
 
+    @pytest.mark.parametrize("spec", ["\fa & b", "\u00a0a &"],
+                             ids=["form-feed", "no-break-space"])
+    def test_spec_file_line_fails_where_inline_text_does(
+            self, spec, tmp_path, capsys):
+        # a file line is stripped of the tokenizer's whitespace only
+        assert main(["compile", spec]) == 2
+        inline = capsys.readouterr().err
+        assert inline.startswith("error: at byte 0: found ")
+        path = tmp_path / "spec.ltl"
+        path.write_text(f"{spec}\n", encoding="utf-8")
+        assert main(["compile", str(path)]) == 2
+        assert capsys.readouterr().err == inline.replace(
+            "error: ", f"error: {path}, line 1: ", 1)
+
     def test_props_flag_orders_alphabet(self, capsys):
         assert main(["compile", "F a", "--props", "z,a"]) == 0
         summary = json.loads(capsys.readouterr().out)
