@@ -5,18 +5,22 @@
 1. negation normal form (`ltl.nnf`)
 2. tableau expansion into a generalized automaton, one acceptance set per
    Until subformula, or all states when there is none (`expand_tableau`)
-3. counting degeneralization to one acceptance set (`_degeneralize`)
-4. one prune of dead states and of accepting marks no run can repeat
+3. bisimulation quotient of the generalized automaton that respects every
+   acceptance set (`_merge_generalized`)
+4. counting degeneralization to one acceptance set (`_degeneralize`)
+5. one prune of dead states and of accepting marks no run can repeat
    (`_prune`)
-5. universal components collapsed into accepting sinks
+6. universal components collapsed into accepting sinks
    (`_merge_universal_sccs`)
-6. bisimulation quotient, refined by splitters (`_merge_bisimilar`)
-7. guard narrowing toward accepting sinks (`_absorb_into_sinks`)
-8. canonical renumbering, whose graph the one `BuchiAutomaton` the
+7. bisimulation quotient that respects acceptance (`_merge_bisimilar`)
+8. guard narrowing toward accepting sinks (`_absorb_into_sinks`)
+9. canonical renumbering, whose graph the one `BuchiAutomaton` the
    compile returns adopts; initial state 0 (`_renumber`)
 
-Every stage keeps the accepted language. The stages share one graph of
-guard ids (`_Graph`) whose adjacency and SCCs are built at most once.
+Every stage keeps the accepted language. Both quotients refine by
+splitters (`_bisimilar_classes`) from their own initial blocks. The stages
+share one graph of guard ids (`_Graph`) whose adjacency and SCCs are built
+at most once.
 `_Guards` interns each distinct guard once and builds its node in one
 reduced ordered BDD at most once; satisfiability, validity and the
 quotient's signatures are read off the nodes, over any number of names.
@@ -25,7 +29,7 @@ The returned automaton keeps that table, so it decides no guard again.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -430,7 +434,17 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
         missing = atoms(f) - set(alphabet.names)
         if missing:
             raise ValueError(f"formula atoms {sorted(missing)} not in alphabet")
-    subs, olds, succs = expand_tableau(nnf(f))   # state q is tableau node q
+    graph, acc_sets = _merge_generalized(*_tableau_graph(nnf(f)))
+    graph = _degeneralize(graph, acc_sets)
+    graph = _merge_bisimilar(_merge_universal_sccs(_prune(graph)))
+    return _renumber(_absorb_into_sinks(graph), alphabet)
+
+
+def _tableau_graph(f: Formula) -> tuple[_Graph, list[frozenset[int]]]:
+    """The tableau of an NNF formula as a generalized automaton, with its
+    acceptance sets. State q is tableau node q; the tableau's tables go
+    when it returns."""
+    subs, olds, succs = expand_tableau(f)
     index = {g: i for i, g in enumerate(subs)}
     literals = [(i, g) for i, g in enumerate(subs) if is_literal(g)]
     guards = _Guards()
@@ -447,10 +461,8 @@ def compile_formula(f: Formula, alphabet: Alphabet | None = None) -> BuchiAutoma
                           or olds[q] >> r & 1 or subs[r] == TRUE)
                 for u, r in rhs.items()]
     # with no Until every state accepts; with one the counter stays at 0
-    graph = _degeneralize(_Graph(guards, 0, frozenset(), out),
-                          acc_sets or [frozenset(range(len(out)))])
-    graph = _merge_bisimilar(_merge_universal_sccs(_prune(graph)))
-    return _renumber(_absorb_into_sinks(graph), alphabet)
+    return (_Graph(guards, 0, frozenset(), out),
+            acc_sets or [frozenset(range(len(out)))])
 
 
 def _degeneralize(g: _Graph, acc_sets: list[frozenset[int]]) -> _Graph:
@@ -562,9 +574,9 @@ def _merge_universal_sccs(g: _Graph) -> _Graph:
     return _Graph(g.guards, initial, accepting, out)
 
 
-def _bisimilar_classes(g: _Graph) -> list[int]:
-    """Each state's class under strong bisimulation (acceptance-respecting),
-    numbered in order of first member.
+def _bisimilar_classes(g: _Graph, marks: Sequence[Hashable]) -> list[int]:
+    """Each state's class under strong bisimulation, refined from the
+    initial blocks of equal `marks`, numbered in order of first member.
 
     A state's signature is, per successor block, the BDD node of the
     disjunction of the guards that lead into that block: the same
@@ -576,22 +588,29 @@ def _bisimilar_classes(g: _Graph) -> list[int]:
     so the block keeps them and splits off each group of re-signed states
     whose signature differs from it.
     """
-    node, apply = g.guards.node, g.guards.apply
-    out = [[(node(i), d) for i, d in edges if node(i)] for edges in g.out]
-    preds: list[set[int]] = [set() for _ in out]
+    node, apply, out = g.guards.node, g.guards.apply, g.out
+    # the graph's own edge lists and a predecessor list per state, not a
+    # copy and sets: run on the tableau, this sets the compile's peak memory
+    preds: list[list[int]] = [[] for _ in out]
     for q, edges in enumerate(out):
-        for _, d in edges:
-            preds[d].add(q)
-    block = [1 if q in g.accepting else 0 for q in range(len(out))]
-    size = [len(out) - len(g.accepting), len(g.accepting)]
-    shared: list[frozenset | None] = [None, None]
+        for i, d in edges:
+            if node(i):
+                preds[d].append(q)
+    ids: dict[Hashable, int] = {}
+    block = [ids.setdefault(m, len(ids)) for m in marks]
+    size = [0] * len(ids)
+    for b in block:
+        size[b] += 1
+    shared: list[frozenset | None] = [None] * len(ids)
     pending = set(range(len(out)))
     while pending:
         groups: dict[int, dict[frozenset, list[int]]] = {}
         for q in pending:
             into: dict[int, int] = {}
-            for n, d in out[q]:
-                into[block[d]] = apply(Or, into.get(block[d], 0), n)
+            for i, d in out[q]:
+                n = node(i)
+                if n:
+                    into[block[d]] = apply(Or, into.get(block[d], 0), n)
             groups.setdefault(block[q], {}).setdefault(
                 frozenset(into.items()), []).append(q)
         pending = set()
@@ -605,26 +624,46 @@ def _bisimilar_classes(g: _Graph) -> list[int]:
                 size[b] -= len(qs)
                 for q in qs:
                     block[q] = len(size)
-                    pending |= preds[q]
+                    pending.update(preds[q])
                 size.append(len(qs))
                 shared.append(sig)
     first: dict[int, int] = {}
     return [first.setdefault(b, len(first)) for b in block]
 
 
-def _merge_bisimilar(g: _Graph) -> _Graph:
-    """Quotient by strong bisimulation."""
-    cls = _bisimilar_classes(g)
+def _quotient(g: _Graph, marks: Sequence[Hashable]) -> tuple[_Graph, list[int]]:
+    """The quotient of g by bisimulation refined from `marks`, and each
+    state's class; g itself when no two states merge."""
+    cls = _bisimilar_classes(g, marks)
     first: dict[int, int] = {}
     for q, c in enumerate(cls):
         first.setdefault(c, q)   # classes ascend in order of first member
     if len(first) == len(cls):
-        return g
+        return g, cls
     # a class keeps its smallest member's edges, each once
     out = [list(dict.fromkeys((i, cls[d]) for i, d in g.out[q]))
            for q in first.values()]
     accepting = frozenset(cls[q] for q in g.accepting)
-    return _Graph(g.guards, cls[g.initial], accepting, out)
+    return _Graph(g.guards, cls[g.initial], accepting, out), cls
+
+
+def _merge_generalized(g: _Graph, acc_sets: list[frozenset[int]]
+                       ) -> tuple[_Graph, list[frozenset[int]]]:
+    """Quotient the generalized automaton by strong bisimulation that
+    respects each acceptance set, and map the sets to classes, so that
+    `_degeneralize` copies each class once per counter level instead of
+    each tableau node (Etessami & Holzmann, CONCUR 2000)."""
+    marks = [0] * len(g.out)
+    for k, acc in enumerate(acc_sets):
+        for q in acc:
+            marks[q] |= 1 << k
+    g, cls = _quotient(g, marks)
+    return g, [frozenset(cls[q] for q in acc) for acc in acc_sets]
+
+
+def _merge_bisimilar(g: _Graph) -> _Graph:
+    """Quotient by strong bisimulation (acceptance-respecting)."""
+    return _quotient(g, [q in g.accepting for q in range(len(g.out))])[0]
 
 
 def _absorb_into_sinks(g: _Graph) -> _Graph:

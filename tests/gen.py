@@ -147,17 +147,19 @@ def _letter_mask(g: Formula, atom: dict[str, int], full: int) -> int:
     return lhs & rhs if isinstance(g, And) else lhs | rhs
 
 
-def reference_bisimilar_classes(g, support) -> list[int]:
-    """Bisimulation classes of a compile-stage graph by rounds: each round
-    signs every state again with its class and, per successor class, the
-    mask of support letters leading into it, until no class splits.
-    Numbered in order of first member."""
+def reference_bisimilar_classes(g, support, marks) -> list[int]:
+    """Bisimulation classes of a compile-stage graph by rounds, from the
+    initial classes of equal `marks`: each round signs every state again
+    with its class and, per successor class, the mask of support letters
+    leading into it, until no class splits. Numbered in order of first
+    member."""
     n = 1 << len(support)
     atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
             for i, name in enumerate(support)}
     out = [[(_letter_mask(g.guards.formulas[i], atom, (1 << n) - 1), d)
             for i, d in edges] for edges in g.out]
-    cls = [1 if q in g.accepting else 0 for q in range(len(out))]
+    first = {}
+    cls = [first.setdefault(m, len(first)) for m in marks]
     while True:
         sigs = {}
         new_cls = []

@@ -2,7 +2,7 @@
 perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
 the subgoals extracted at every live state; one sha256 over the automata
 and state classes of 300 seeded random formulas; the automata of four
-specs with wide cube or disjunction guards; and a 144-state automaton.
+specs with wide cube or disjunction guards; and a 141-state automaton.
 
 A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
 change that alters the output on purpose updates DIGESTS and says so in
@@ -30,7 +30,9 @@ workloads = importlib.util.module_from_spec(_SPEC)
 sys.modules[_SPEC.name] = workloads     # dataclasses look their module up
 _SPEC.loader.exec_module(workloads)
 
-# recorded with the code of the commit before the one that added this test
+# recorded with the code of the commit before the one that added this test,
+# except persistence (3 -> 2 states) and too-many-lassos (23 -> 21 states),
+# re-recorded with the commit that quotients the generalized automaton
 DIGESTS = {
     "sequence-2": "f776e07cb4fc699d1a591501d060201fd714bfc0736da81af3b60f7eb8eca146",
     "sequence-3": "9edf928f13b8ecc99d6273baf384c2247091d1b1eeca1a69361428ae18e2f1aa",
@@ -40,13 +42,14 @@ DIGESTS = {
     "gf-4": "eee3df2078b2756913e4718c11aabeab90b9f8384bba08805ae6ec8becba10f9",
     "response": "12a4df23c10327f27c6cb9c74b06048e149b7bee4633ccf53f8feddbac5f7811",
     "response-next": "c723e98d0f58d3f93e165c81a0b27192680bffd538ba858ddccd8ffa3eefd25b",
-    "persistence": "e4f0ca9ffdc65dbe5931c0dcded46bf070aabf3bb392d87c807bac9091100bb0",
+    "persistence": "08beb4dd60a226265279cb57f9ec68af088042cce8173b2319e15ccef006aa30",
     "nested-c07": "65823766c1c279d72c4649aafffdc8a83e2ccce9fde2b05149f93bf12c74f7e3",
     "zone-c08": "888cdc9e6edccbbeeb5007e47dcf6d094b319f49ccd4cb0ec9dabdae381b28f0",
-    "too-many-lassos": "7f46e72e5ba8ca92944787f54a89d29e673de1ada4d717ff9793653f10b705d7",
+    "too-many-lassos": "1a64f40531e1336ecf988dbec72796f9e7589bd1711d989f2c82c1b063ac2b27",
 }
-# recorded with the code of the commit before the one that added it
-RANDOM_DIGEST = "bf3b1c5367b434b072c3b9ee77585e9219b578b8e5fdb1c20005050481b209b2"
+# re-recorded with the commit that quotients the generalized automaton: the
+# 300 automata went 1781 -> 1409 states
+RANDOM_DIGEST = "15c3b33e7ba1e3bb23671e32caad28223b16ecfa4d22826d09c4a50497e022e2"
 
 
 _CUBE = " & ".join(f"p{i}" for i in range(16))
@@ -71,13 +74,18 @@ WIDE_GUARDS = {
         "511ffc2db8116bdef29ee781bd55150ac6945ef33064bb44789fe954ac36f12d"),
 }
 
-# A random formula over 4 names that compiles to 144 states and 2131
+# A random formula over 4 names that compiles to 141 states and 2117
 # transitions, all of them live and none an accepting sink: (text, sha256
-# of to_json), recorded with the code of the commit before the one that
-# expands each tableau next set once.
+# of to_json), recorded with the code of the commit that quotients the
+# generalized automaton before degeneralizing. It pinned 144 states and
+# 2131 transitions before it.
 LARGE = ("((G (F c U (true U true)) R (a U X (true U d))) U X F G b)",
-         "7eab4d95a6e250c00c74f97fe0d194f246a0bb51bbec7d5941eaea7d310ccbd8")
+         "0a1c00d481e4f73a8067373474830dacb6cc2c62f1162645e44dc0a176abc568")
 
+
+# the compile stages that read and return a Buchi graph, in order
+BUCHI_STAGES = ("_degeneralize", "_prune", "_merge_universal_sccs",
+                "_merge_bisimilar", "_absorb_into_sinks")
 
 # the specs whose compiles the guard memo tests count
 GUARD_SPECS = ([(text, None) for text, _ in WIDE_GUARDS.values()]
@@ -165,7 +173,8 @@ def test_compiled_automata_are_trim(case):
 def test_degeneralized_states_are_reachable(monkeypatch):
     """What lets `_prune` skip a reachability pass: every state that
     `_degeneralize` builds is reachable from its initial state over
-    satisfiable guards, on every SUITE spec and the 300 random formulas."""
+    satisfiable guards, on every SUITE spec, the 300 random formulas and
+    the Until chain at n = 20."""
     sizes = []
 
     def checked(*args):
@@ -180,7 +189,8 @@ def test_degeneralized_states_are_reachable(monkeypatch):
         buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
     for f, ab in random_formulas():
         buchi.compile_formula(f, ab)
-    assert len(sizes) == 312 and max(sizes) > 200
+    buchi.compile_formula(ltl.parse(until_chain(20)))
+    assert len(sizes) == 313 and max(sizes) > 200
 
 
 @pytest.mark.parametrize("name", WIDE_GUARDS)
@@ -225,11 +235,11 @@ def test_compile_evaluates_no_guard_letter_by_letter(monkeypatch):
 def test_large_automaton_unchanged():
     text, digest = LARGE
     aut = buchi.compile_formula(ltl.parse(text))
-    assert (aut.n_states, len(aut.transitions)) == (144, 2131)
+    assert (aut.n_states, len(aut.transitions)) == (141, 2117)
     blob = json.dumps(aut.to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
     classes = aut.classify()
-    assert classes.live == frozenset(range(144))
+    assert classes.live == frozenset(range(141))
     assert classes.accepting_sink == frozenset()
 
 
@@ -238,8 +248,8 @@ def until_chain(n: int) -> str:
 
 
 @pytest.mark.parametrize("text,sizes", [
-    (LARGE[0], (1175, 1175, 3567, 144)),
-    (until_chain(20), (211, 211, 1353, 2)),
+    (LARGE[0], (1175, 230, 702, 141)),
+    (until_chain(20), (211, 21, 210, 2)),
 ], ids=["large", "until-chain-20"])
 def test_stage_sizes(monkeypatch, text, sizes):
     """The state counts a compile passes through: the tableau's, the graph
@@ -259,7 +269,8 @@ def test_stage_sizes(monkeypatch, text, sizes):
         got.append(len(g.out))
         return g
 
-    expand_tableau, real_degeneralize = buchi.expand_tableau, buchi._degeneralize
+    expand_tableau = buchi.expand_tableau
+    real_degeneralize = buchi._degeneralize
     monkeypatch.setattr(buchi, "expand_tableau", tableau)
     monkeypatch.setattr(buchi, "_degeneralize", degeneralize)
     got.append(buchi.compile_formula(ltl.parse(text)).n_states)
@@ -299,48 +310,63 @@ def test_compiled_automata_decide_no_guard_again(monkeypatch):
 
 
 def check_bisimilar_classes_after_stages(monkeypatch, checked: list):
-    """Make each compile stage check the classes of the graph it returns:
-    splitter refinement against round-by-round refinement over the truth
-    tables of the graph's support letters. `checked` gets each graph's
-    size."""
+    """Make each compile stage check the classes of the graph it returns,
+    and the generalized quotient those of the graph it reads: splitter
+    refinement against round-by-round refinement over the truth tables of
+    the graph's support letters, from the same initial blocks. `checked`
+    gets each graph's size."""
+    def check(g, marks):
+        used = {i for edges in g.out for i, _ in edges}
+        support = sorted(set().union(
+            *(ltl.atoms(g.guards.formulas[i]) for i in used)))
+        assert buchi._bisimilar_classes(g, marks) == \
+            gen.reference_bisimilar_classes(g, support, marks)
+        checked.append(len(g.out))
+
     def checked_after(stage):
         def run(*args):
             g = stage(*args)
-            used = {i for edges in g.out for i, _ in edges}
-            support = sorted(set().union(
-                *(ltl.atoms(g.guards.formulas[i]) for i in used)))
-            assert buchi._bisimilar_classes(g) == \
-                gen.reference_bisimilar_classes(g, support)
-            checked.append(len(g.out))
+            check(g, [q in g.accepting for q in range(len(g.out))])
             return g
         return run
 
-    for name in ("_degeneralize", "_prune", "_merge_universal_sccs",
-                 "_merge_bisimilar", "_absorb_into_sinks"):
+    def merge_generalized(g, acc_sets):
+        # blocks by the tuple of memberships, not by the bitmask the
+        # compile keys them on
+        check(g, [tuple(q in acc for acc in acc_sets)
+                  for q in range(len(g.out))])
+        return real_merge_generalized(g, acc_sets)
+
+    real_merge_generalized = buchi._merge_generalized
+    monkeypatch.setattr(buchi, "_merge_generalized", merge_generalized)
+    for name in BUCHI_STAGES:
         monkeypatch.setattr(buchi, name, checked_after(getattr(buchi, name)))
 
 
 def test_bisimilar_classes_match_rounds(monkeypatch):
     """Splitter refinement against round-by-round refinement: the same
-    classes on every stage graph of every SUITE spec and of the 300 random
-    formulas, over the support the quotient uses."""
+    classes on the generalized graph and every stage graph of every SUITE
+    spec, of the 300 random formulas and of the Until chain at n = 20, over
+    the support the quotient uses."""
     checked = []
     check_bisimilar_classes_after_stages(monkeypatch, checked)
     for spec in workloads.SUITE:
         buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
     for f, ab in random_formulas():
         buchi.compile_formula(f, ab)
-    assert len(checked) == 5 * 312 and max(checked) > 200
+    buchi.compile_formula(ltl.parse(until_chain(20)))
+    assert len(checked) == 6 * 313 and max(checked) > 200
 
 
 def test_bisimilar_classes_match_rounds_past_ten_names(monkeypatch):
-    """The same check on every stage graph of F p0 | ... | F pk-1 for k =
-    11 to 13, whose 2^k-letter truth tables the quotient no longer needs."""
+    """The same check on the generalized graph and every stage graph of F
+    p0 | ... | F pk-1 for k = 11 to 13, whose 2^k-letter truth tables the
+    quotient no longer needs."""
     checked = []
     check_bisimilar_classes_after_stages(monkeypatch, checked)
     for k in range(11, 14):
         buchi.compile_formula(ltl.parse(disjunction_family(k)))
-    assert len(checked) == 5 * 3
+    assert len(checked) == 6 * 3
 
 
 def test_no_word_is_accepted_for_a_formula_and_its_negation():
@@ -362,27 +388,24 @@ def test_no_word_is_accepted_for_a_formula_and_its_negation():
     assert len(cases) == 317 and len(live) > 150
 
 
-BUCHI_STAGES = ("_degeneralize", "_prune", "_merge_universal_sccs",
-                "_merge_bisimilar", "_absorb_into_sinks")
-
-
 def stage_graphs(monkeypatch, f, alphabet) -> list:
     """(graph, acceptance sets) per stage of f's compile, in order: the
-    generalized graph that `_degeneralize` reads, each Buchi stage's output
+    tableau's generalized graph and its quotient, each Buchi stage's output
     and the final automaton's graph."""
     graphs = []
 
     def recorded(name, stage):
         def run(*args):
-            if name == "_degeneralize":
-                graphs.append(args)
-            g = stage(*args)
-            graphs.append((g, [g.accepting]))
-            return g
+            out = stage(*args)
+            if name == "_merge_generalized":
+                graphs.extend([args, out])
+            else:
+                graphs.append((out, [out.accepting]))
+            return out
         return run
 
     with monkeypatch.context() as m:
-        for name in BUCHI_STAGES:
+        for name in ("_merge_generalized", *BUCHI_STAGES):
             m.setattr(buchi, name, recorded(name, getattr(buchi, name)))
         aut = buchi.compile_formula(f, alphabet)
     return graphs + [(aut._graph, [aut.accepting])]
@@ -391,7 +414,7 @@ def stage_graphs(monkeypatch, f, alphabet) -> list:
 def test_every_stage_covers_the_same_kripke_states(monkeypatch):
     """The cover oracle for lost words, with the product check for extra
     ones: on 3 random 12-state Kripke structures per formula, every stage
-    graph of f, the generalized one included, covers the same states, and
+    graph of f, the two generalized ones included, covers the same states, and
     the covers of f and !f together hold every state; and no Buchi stage
     graph of f or !f shares a word with the final automaton of the other.
     On the 300 random formulas."""
@@ -409,10 +432,10 @@ def test_every_stage_covers_the_same_kripke_states(monkeypatch):
         for graphs, other in zip(both, both[::-1]):
             final = buchi._renumber(other[-1][0], ab)
             assert not any(gen.accept_a_common_word(
-                buchi._renumber(g, ab), final) for g, _ in graphs[1:-1]), \
+                buchi._renumber(g, ab), final) for g, _ in graphs[2:-1]), \
                 ltl.format_formula(f)
         n_stages.append(len(both[0]))
-    assert n_stages == [1 + len(BUCHI_STAGES) + 1] * 300
+    assert n_stages == [2 + len(BUCHI_STAGES) + 1] * 300
 
 
 def test_compile_decides_each_guard_once(monkeypatch):
@@ -578,39 +601,6 @@ def test_no_extraction_memo_outlives_its_automaton():
     assert traced[9] - traced[1] < 16_000, traced
 
 
-# formula 34 of 300 depth-4 random formulas over a, b, c drawn with seed 11:
-# 151 states, whose lasso paths reach the later SCCs' nodes by many routes
-MANY_ROUTES = ("(((true U (false R a)) | X (c | c)) & "
-               "(((b | a) U (c U a)) R ((true U a) U c)))")
-
-
-@pytest.mark.parametrize("q,expected", [
-    (0, "more than 100000 lassos from state 0"),
-    (2, {1, 3, 6, 8, 9, 10, 17, 18}),
-])
-def test_lasso_count_memory_is_bounded_past_the_first_scc(q, expected):
-    """The lasso count memo keys a path by its nodes in the current SCC
-    only, so paths that reach one node of a later SCC by different routes
-    share an entry. With the whole path in the key, state 0 peaked at
-    33 MB on its way to the limit and state 2 at 19 MB; now both stay
-    under 0.1 MB."""
-    aut = buchi.compile_formula(ltl.parse(MANY_ROUTES),
-                                ltl.Alphabet(("a", "b", "c")))
-    assert aut.n_states == 151
-    aut.classify()
-    tracemalloc.start()
-    try:
-        try:
-            got = subgoals._second_nodes(aut, q, 100_000)
-        except subgoals.UniverseTooLarge as err:
-            got = str(err)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == expected
-    assert peak < 1_000_000, peak
-
-
 def second_nodes_or_error(aut, q: int, limit: int):
     """_second_nodes(aut, q, limit), or the text of what it raises."""
     try:
@@ -620,6 +610,41 @@ def second_nodes_or_error(aut, q: int, limit: int):
 
 
 ABC = ltl.Alphabet(("a", "b", "c"))
+
+
+# formula 120 of 400 depth-4 random formulas over a, b, c drawn with seed 11:
+# 220 states in 54 SCCs, whose lasso paths reach the later SCCs' nodes by
+# many routes
+MANY_ROUTES = ("((((a U b) | (a R b)) U ((b U b) R (a U b))) U "
+               "(false R F (c R c)))")
+
+
+@pytest.mark.parametrize("q,expected", [
+    (0, "more than 100000 lassos from state 0"),
+    (16, {41, 42, 47, 48}),
+])
+def test_lasso_count_memory_is_bounded_past_the_first_scc(q, expected):
+    """The lasso count memo keys a path by its nodes in the current SCC
+    only, so paths that reach one node of a later SCC by different routes
+    share an entry: state 0 on its way to the limit and state 16 over its
+    26,320 lassos each peak under 0.2 MB. The expected outcomes are those
+    of listing the lassos with find_lassos."""
+    aut = buchi.compile_formula(ltl.parse(MANY_ROUTES), ABC)
+    assert aut.n_states == 220
+    aut.classify()
+    tracemalloc.start()
+    try:
+        got = second_nodes_or_error(aut, q, subgoals._MAX_LASSOS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    try:
+        listed = {lp.path[1] if len(lp.path) > 1 else q
+                  for lp in subgoals.find_lassos(aut, q)}
+    except subgoals.UniverseTooLarge as err:
+        listed = str(err)
+    assert got == listed == expected
+    assert peak < 1_000_000, peak
 
 
 @functools.cache
@@ -671,13 +696,13 @@ def test_second_nodes_do_not_depend_on_call_history(case):
             got = {q: second_nodes_or_error(aut, q, limit) for q in order}
             assert got == expected, (case, order)
     assert raised == {"response-next": 0, "too-many-lassos": 10,
-                      "many-routes": 30, "mid-sized": 171}[case]
+                      "many-routes": 180, "mid-sized": 211}[case]
 
 
 def test_lasso_count_memo_lives_and_dies_with_its_automaton():
     """The walk at every live state of MANY_ROUTES leaves its automaton
-    holding under 1 MB (0.32 MB when written), and dropping the automaton
-    frees it all."""
+    holding under 1 MB (0.49 MB for its 220 states when pinned), and
+    dropping the automaton frees it all."""
     tracemalloc.start()
     try:
         gc.collect()
@@ -695,7 +720,7 @@ def test_lasso_count_memo_lives_and_dies_with_its_automaton():
         left = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert len(live) == 151
+    assert len(live) == 220
     assert held < 1_000_000, held
     assert left < 16_000, left
 
