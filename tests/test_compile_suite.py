@@ -23,6 +23,7 @@ import pytest
 
 import gen
 from ltlnav import buchi, ltl, subgoals
+from test_buchi import STAGES
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -82,10 +83,6 @@ WIDE_GUARDS = {
 LARGE = ("((G (F c U (true U true)) R (a U X (true U d))) U X F G b)",
          "0a1c00d481e4f73a8067373474830dacb6cc2c62f1162645e44dc0a176abc568")
 
-
-# the compile stages that read and return a Buchi graph, in order
-BUCHI_STAGES = ("_degeneralize", "_prune", "_merge_universal_sccs",
-                "_merge_bisimilar", "_absorb_into_sinks")
 
 # the specs whose compiles the guard memo tests count
 GUARD_SPECS = ([(text, None) for text, _ in WIDE_GUARDS.values()]
@@ -339,7 +336,7 @@ def check_bisimilar_classes_after_stages(monkeypatch, checked: list):
 
     real_merge_generalized = buchi._merge_generalized
     monkeypatch.setattr(buchi, "_merge_generalized", merge_generalized)
-    for name in BUCHI_STAGES:
+    for name in STAGES:
         monkeypatch.setattr(buchi, name, checked_after(getattr(buchi, name)))
 
 
@@ -405,7 +402,7 @@ def stage_graphs(monkeypatch, f, alphabet) -> list:
         return run
 
     with monkeypatch.context() as m:
-        for name in ("_merge_generalized", *BUCHI_STAGES):
+        for name in ("_merge_generalized", *STAGES):
             m.setattr(buchi, name, recorded(name, getattr(buchi, name)))
         aut = buchi.compile_formula(f, alphabet)
     return graphs + [(aut._graph, [aut.accepting])]
@@ -413,11 +410,11 @@ def stage_graphs(monkeypatch, f, alphabet) -> list:
 
 def test_every_stage_covers_the_same_kripke_states(monkeypatch):
     """The cover oracle for lost words, with the product check for extra
-    ones: on 3 random 12-state Kripke structures per formula, every stage
-    graph of f, the two generalized ones included, covers the same states, and
-    the covers of f and !f together hold every state; and no Buchi stage
-    graph of f or !f shares a word with the final automaton of the other.
-    On the 300 random formulas."""
+    ones, on the 300 random formulas: on 3 random 12-state Kripke
+    structures per formula, every stage graph of f, the two generalized
+    ones included, covers the same states, and the covers of f and !f
+    together hold every state; and no Buchi stage graph of f or !f shares
+    a word with the final automaton of the other."""
     rng = np.random.default_rng(21)
     n_stages = []
     for f, ab in random_formulas():
@@ -435,7 +432,7 @@ def test_every_stage_covers_the_same_kripke_states(monkeypatch):
                 buchi._renumber(g, ab), final) for g, _ in graphs[2:-1]), \
                 ltl.format_formula(f)
         n_stages.append(len(both[0]))
-    assert n_stages == [2 + len(BUCHI_STAGES) + 1] * 300
+    assert n_stages == [2 + len(STAGES) + 1] * 300
 
 
 def test_compile_decides_each_guard_once(monkeypatch):
