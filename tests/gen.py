@@ -229,12 +229,8 @@ def kripke_cover(g, acc_sets, alphabet: Alphabet, kripke) -> frozenset[int]:
     atom = {name: sum(1 << l for l in range(n) if l >> i & 1)
             for i, name in enumerate(alphabet.names)}
     tables = [_letter_mask(f, atom, (1 << n) - 1) for f in g.guards.formulas]
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for s in range(len(labels)):
-        index.setdefault((s, g.initial), len(order))
-        if len(index) > len(order):
-            order.append((s, g.initial))
+    order = [(s, g.initial) for s in range(len(labels))]   # node s: (s, q0)
+    index = {v: i for i, v in enumerate(order)}
     adj = []
     for s, q in order:   # grows as product states are reached
         succ = set()
@@ -250,8 +246,7 @@ def kripke_cover(g, acc_sets, alphabet: Alphabet, kripke) -> frozenset[int]:
             and all(any(order[v][1] in acc for v in comp) for acc in acc_sets)
             for v in comp]
     covered = buchi._closure(good, buchi._reverse(adj))
-    return frozenset(s for s in range(len(labels))
-                     if index[(s, g.initial)] in covered)
+    return frozenset(s for s in range(len(labels)) if s in covered)
 
 
 def reference_view(state: LetterWorldState, g: int) -> np.ndarray:
