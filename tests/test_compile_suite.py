@@ -2,7 +2,8 @@
 perfbench/workloads.py:SUITE, the sha256 of its compiled automaton and of
 the subgoals extracted at every live state; one sha256 over the automata
 and state classes of 300 seeded random formulas; the automata of four
-specs with wide cube or disjunction guards; and a 141-state automaton.
+specs with wide cube or disjunction guards; a 141-state automaton; and
+the to_dot output of every SUITE and wide-guard spec.
 
 A refactor of ltl, buchi or subgoals must leave these digests unchanged. A
 change that alters the output on purpose updates DIGESTS and says so in
@@ -196,6 +197,39 @@ def test_wide_guard_outputs_unchanged(name):
     aut = buchi.compile_formula(ltl.parse(text))
     blob = json.dumps(aut.to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# sha256 of to_dot() for every SUITE and WIDE_GUARDS spec, recorded with the
+# code of the commit before the automaton kept one edge list, so that the
+# dot writer's edge order is pinned as closely as to_json's
+DOT_DIGESTS = {
+    "sequence-2": "0d506b8fb9333262cab59f742c44597e8d389383bfe0efc7b87b1ed94506f8b1",
+    "sequence-3": "5ab6772af88b8053ace68252048bc469ae80776da30daf2b4c130a94e7023a5e",
+    "sequence-4": "da9a5655bb52643a8a762c80c2a2c064db37308c5a24ab4312547be7d5d41f2b",
+    "sequence-5": "55174dfcba8905413ab6de0a7e4b7f0a63baabb6b5540dbf6e5627014c0b8710",
+    "gf-3": "1b60ee8a4859f94d1390f0ef1e9985ea56d98fa6d9a0b2ac9051041ece2a8bed",
+    "gf-4": "529f62f03d537b9e8fe790420eda6812bef0ee517dcba9bb8b48af7b9e208724",
+    "response": "3d8862d1284f765e89857eae45113485df89a2b399b2fd2dcb37c22abbe31472",
+    "response-next": "2d99e95e2d5848e1145a62e07ad6ab4ace92ecd1baa3f8da4d3451f9145e5dd2",
+    "persistence": "22a951dab5710dd9c70147a22f6595a5a23fba75ed305e5c54e40628d0edd5b4",
+    "nested-c07": "8edc3fc48016f5bf0c15e8781b9e4d0bbbb7b14e9559d5b4c701730065203cd0",
+    "zone-c08": "f54a2e199ec6700debb03fb6e999d7070d4e967b1741e874ae997bc0db1c2e3c",
+    "too-many-lassos": "43d744a9395b45835ccb6613c213725a77902b6aed9adeba3e539c9bf8634282",
+    "gf-cube-16": "85327aba074c1770f7438afc62c0aeae13a46f2046ab618cdb8c8ed2b265877f",
+    "response-cube-16": "f25131fd285874e7877e3c923a78d1c8c0f82119aff2ca5db7d36e1d91552f30",
+    "f-or-30": "ba6bb5c030f2761da37fa74ee74a5ea6207f728da70557eff9b51c62bc415501",
+    "response-or-30": "1bb467b561326f838aa9c22b2ece9c36e30f448f9cbcd05b2606cb0ecd46eab3",
+}
+
+
+@pytest.mark.parametrize("name", DOT_DIGESTS)
+def test_dot_output_unchanged(name):
+    if name in WIDE_GUARDS:
+        aut = buchi.compile_formula(ltl.parse(WIDE_GUARDS[name][0]))
+    else:
+        aut = compiled(suite_spec(name))
+    digest = hashlib.sha256(aut.to_dot().encode()).hexdigest()
+    assert digest == DOT_DIGESTS[name]
 
 
 def disjunction_family(k: int) -> str:
