@@ -22,9 +22,12 @@ splitters (`_bisimilar_classes`) from their own initial blocks. The stages
 share one graph of guard ids (`_Graph`) whose adjacency and SCCs are built
 at most once.
 `_Guards` interns each distinct guard once and builds its node in one
-reduced ordered BDD at most once; satisfiability, validity and the
-quotient's signatures are read off the nodes, over any number of names.
-The returned automaton keeps that table, so it decides no guard again.
+reduced ordered BDD at most once; satisfiability, validity, whether a set
+of guards covers every letter and the quotient's signatures are read off
+the nodes, over any number of names.
+The returned automaton keeps that table and the last stage's edge lists,
+its only ones. Its `succ` still evaluates each guard leaving a state on a
+letter with `eval_bool`, once per (state, letter).
 """
 
 from __future__ import annotations
@@ -93,21 +96,20 @@ def _or(a: Formula, b: Formula) -> Formula:
 class _Guards:
     """The distinct guards of one compile, or of one automaton, as int ids
     in first-use order, each with its text and its node in one reduced
-    ordered BDD (Bryant 1986), both worked out at most once; each
-    text-ordered disjunction is built once.
+    ordered BDD (Bryant 1986), both worked out at most once.
 
     Node 0 is false, node 1 is true, and any other node n is `_bdd[n]`, a
     (name, low, high) triple: the atom it tests, and its value with that
     atom false and true. Atoms are ordered by name, and the unique table
     makes equal functions equal nodes, so a guard is satisfiable iff its
-    node is not 0 and valid iff it is 1."""
+    node is not 0 and valid iff it is 1, and a set of guards covers every
+    letter iff the Or of their nodes is 1."""
 
     def __init__(self):
         self.formulas: list[Formula] = []
         self._ids: dict[Formula, int] = {}
         self._nodes: dict[int, int] = {}
         self._text: dict[int, str] = {}
-        self._disjunctions: dict[tuple[int, ...], int] = {}
         self._bdd: list[tuple[str, int, int]] = [("", 0, 0), ("", 1, 1)]
         self._unique: dict[tuple[str, int, int], int] = {}
         self._applied: dict[tuple[type, int, int], int] = {}
@@ -131,6 +133,10 @@ class _Guards:
 
     def valid(self, i: int) -> bool:
         return self.node(i) == 1
+
+    def covers(self, ids: Iterable[int]) -> bool:
+        """Does every letter satisfy one of the guards? False for none."""
+        return reduce(lambda u, i: self.apply(Or, u, self.node(i)), ids, 0) == 1
 
     def _build(self, g: Formula) -> int:
         if isinstance(g, Bool):
@@ -186,15 +192,6 @@ class _Guards:
             s = self._text[i] = format_formula(self.formulas[i])
         return s
 
-    def disjunction(self, ids: Iterable[int]) -> int:
-        """The id of the guards' disjunction, taken in text order."""
-        key = tuple(sorted(ids, key=self.text))
-        i = self._disjunctions.get(key)
-        if i is None:
-            i = self._disjunctions[key] = self.intern(
-                reduce(_or, [self.formulas[j] for j in key]))
-        return i
-
 
 @dataclass
 class _Graph:
@@ -227,23 +224,24 @@ class _Graph:
 
     def sinks(self) -> frozenset[int]:
         """Accepting states with only self-loops, which cover every letter."""
-        valid, disjunction = self.guards.valid, self.guards.disjunction
+        covers = self.guards.covers
         return frozenset(
             q for q in self.accepting
-            if self.out[q] and all(d == q for _, d in self.out[q])
-            and valid(disjunction(i for i, _ in self.out[q])))
+            if all(d == q for _, d in self.out[q])
+            and covers(i for i, _ in self.out[q]))
 
 
 class BuchiAutomaton:
     """Nondeterministic Buchi automaton over assignment letters."""
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
-                 accepting: frozenset[int], transitions: tuple[Transition, ...]):
+                 accepting: frozenset[int], transitions: Iterable[Transition]):
+        """An automaton from its transitions. Its `transitions` lists them
+        by source state, each state's in the order given here."""
         if not (0 <= initial < n_states):
             raise ValueError("initial state out of range")
         if not all(0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
-        transitions = tuple(transitions)
         guards = _Guards()
         out: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
         for t in transitions:
@@ -256,15 +254,11 @@ class BuchiAutomaton:
                 raise ValueError(f"guard must be a Boolean formula: {g}")
             if not atoms(g) <= names:
                 raise ValueError(f"guard {g} uses atoms outside the alphabet")
-        self._adopt(alphabet, transitions,
-                    _Graph(guards, initial, frozenset(accepting), out))
+        self._adopt(alphabet, _Graph(guards, initial, frozenset(accepting), out))
 
-    def _adopt(self, alphabet: Alphabet, transitions: tuple[Transition, ...],
-               graph: _Graph) -> None:
-        """Take `graph` as this automaton's; `transitions` lists its edges
-        in the order `to_json` and `to_dot` write them."""
+    def _adopt(self, alphabet: Alphabet, graph: _Graph) -> None:
+        """Take `graph` as this automaton's, and its edges as its only ones."""
         self.alphabet = alphabet
-        self.transitions = transitions
         self.n_states = len(graph.out)
         self.initial = graph.initial
         self.accepting = graph.accepting
@@ -272,6 +266,14 @@ class BuchiAutomaton:
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._lasso_table: tuple | None = None   # built by subgoals
         self._classes: StateClasses | None = None
+
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The edges by source state, in the order `to_json` and `to_dot`
+        write them."""
+        formulas = self._graph.guards.formulas
+        return tuple(Transition(q, formulas[i], d)
+                     for q, edges in enumerate(self._graph.out) for i, d in edges)
 
     # -- basic queries ---------------------------------------------------
 
@@ -548,7 +550,6 @@ def _merge_universal_sccs(g: _Graph) -> _Graph:
     counter cycles instead of a single looping state; merging them back
     restores an explicit accepting sink without changing the language.
     """
-    valid = g.guards.valid
     universal = _universal_sccs(g)
     if not universal:
         return g
@@ -558,10 +559,8 @@ def _merge_universal_sccs(g: _Graph) -> _Graph:
     while changed:
         changed = False
         for q, edges in enumerate(g.out):
-            if q in universal:
-                continue
-            into = [i for i, d in edges if d in universal]
-            if into and valid(g.guards.disjunction(into)):
+            if q not in universal and g.guards.covers(
+                    i for i, d in edges if d in universal):
                 universal.add(q)
                 changed = True
     rep = min(universal)
@@ -684,7 +683,8 @@ def _absorb_into_sinks(g: _Graph) -> _Graph:
         if q in sinks or not into:
             out.append(edges)
             continue
-        blocker = _not(guards.formulas[guards.disjunction(into)])
+        blocker = _not(reduce(_or, [guards.formulas[i]
+                                    for i in sorted(into, key=guards.text)]))
         narrowed = []
         for i, d in edges:
             if d not in sinks:
@@ -702,19 +702,15 @@ def _renumber(g: _Graph, alphabet: Alphabet) -> BuchiAutomaton:
     and then by successor."""
     text = g.guards.text
     order = [g.initial]
-    seen = {g.initial}
+    remap = {g.initial: 0}
     for q in order:   # grows as states are discovered
         for _, d in sorted(g.out[q], key=lambda e: (text(e[0]), e[1])):
-            if d not in seen:
-                seen.add(d)
+            if d not in remap:
+                remap[d] = len(order)
                 order.append(d)
-    remap = {q: i for i, q in enumerate(order)}
     out = [sorted(((i, remap[d]) for i, d in g.out[q]),
                   key=lambda e: (text(e[0]), e[1])) for q in order]
-    formulas = g.guards.formulas
-    transitions = tuple(Transition(src, formulas[i], d)
-                        for src, edges in enumerate(out) for i, d in edges)
     accepting = frozenset(remap[q] for q in g.accepting if q in remap)
     aut = BuchiAutomaton.__new__(BuchiAutomaton)
-    aut._adopt(alphabet, transitions, _Graph(g.guards, 0, accepting, out))
+    aut._adopt(alphabet, _Graph(g.guards, 0, accepting, out))
     return aut
