@@ -34,8 +34,9 @@ EXIT_CONFIG = 4
 def _load_specs(value: str) -> list:
     """Formulas from an inline string, or one per line of a file, stripped
     of the whitespace the tokenizer skips; a parse error in a file names
-    the file, the line and the byte in that line."""
-    if not os.path.exists(value):
+    the file, the line and the byte in that line. Only a regular file is
+    read, so a directory named like the formula leaves it inline."""
+    if not os.path.isfile(value):
         return [(value, parse(value))]
     specs = []
     with open(value) as fh:

@@ -378,8 +378,10 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     if agent_factory is not None:
         agent = agent_factory(env)
     mu = getattr(agent, "mu_subgoal", None)
-    if not math.isfinite((1.0 + eps_scale) * (mu or 1)):
-        raise ValueError(f"eps_scale must keep the timeout finite: {eps_scale}")
+    # (1 + eps_scale) * mu must be a finite, positive number of steps
+    if not (eps_scale > -1 and math.isfinite((1.0 + eps_scale) * (mu or 1))):
+        raise ValueError(
+            f"eps_scale must keep the timeout finite and positive: {eps_scale}")
     timeout = timeout_threshold(mu, eps_scale, env_config.max_steps)
 
     reports = []

@@ -125,6 +125,14 @@ class TestCompile:
         assert main(["compile", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["formula"] == "F a"
 
+    def test_directory_named_like_the_spec_stays_inline(
+            self, tmp_path, capsys, monkeypatch):
+        # only a regular file is read as a spec file
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["compile", "a"]) == 0
+        assert json.loads(capsys.readouterr().out)["formula"] == "a"
+
     @pytest.mark.parametrize("spec", ["\fa & b", "\u00a0a &"],
                              ids=["form-feed", "no-break-space"])
     def test_spec_file_line_fails_where_inline_text_does(
@@ -578,11 +586,15 @@ class TestEval:
         ("eval", ["--eps-scale=-inf"], "eps_scale must"),
         ("eval", ["--eps-scale", "nan"], "eps_scale must"),
         ("eval", ["--eps-scale", "1e308"], "eps_scale must"),
+        ("eval", ["--eps-scale=-1"], "eps_scale must"),
+        ("eval", ["--eps-scale=-2"], "eps_scale must"),
         ("trace", ["--eps-scale", "inf"], "eps_scale must"),
+        ("trace", ["--eps-scale=-1"], "eps_scale must"),
         ("trace", ["--seed", "-2"], "seeds must be non-negative ints, got -2"),
     ], ids=["eval-n-0", "eval-n-neg", "eval-seeds-0", "eval-horizon-0",
             "trace-n-0", "eval-eps-inf", "eval-eps-neg-inf", "eval-eps-nan",
-            "eval-eps-1e308", "trace-eps-inf", "trace-seed-neg"])
+            "eval-eps-1e308", "eval-eps-neg-1", "eval-eps-neg-2",
+            "trace-eps-inf", "trace-eps-neg-1", "trace-seed-neg"])
     def test_degenerate_counts_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, command, flags, message):
         ckpt = train_checkpoint(tmp_path)

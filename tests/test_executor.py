@@ -425,14 +425,15 @@ class TestMetrics:
 
     @pytest.mark.parametrize("mu,eps_scale", [
         (None, float("inf")), (None, float("-inf")), (None, float("nan")),
-        (40, float("inf")), (40, 1e308)])
+        (40, float("inf")), (40, 1e308), (None, -1.0), (40, -1.0),
+        (40, -2.0)])
     def test_non_finite_timeout_raises_before_any_episode(
             self, monkeypatch, mu, eps_scale):
         agent = StandStillAgent()
         agent.mu_subgoal = mu
 
         def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran with a non-finite timeout")
+            raise AssertionError("an episode ran with a degenerate timeout")
 
         monkeypatch.setattr(executor, "run_episode", no_episode)
         with pytest.raises(ValueError, match="eps_scale must"):
