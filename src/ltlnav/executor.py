@@ -334,7 +334,8 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
 
     The agent comes from a checkpoint alone, or from agent_factory(env)
     with env_config (scripted baselines); the switching timeout comes from
-    its mu_subgoal. The seeds must be non-negative ints. Every spec is
+    its mu_subgoal, and eps_scale must be above -1 and keep (1 + eps_scale)
+    times it finite. The seeds must be non-negative ints. Every spec is
     compiled before the first episode, and one that does not compile over
     the env's alphabet raises a ValueError naming it. Returns a list of
     EvalReport aligned with specs; with record_traces, returns (reports,
@@ -378,7 +379,6 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     if agent_factory is not None:
         agent = agent_factory(env)
     mu = getattr(agent, "mu_subgoal", None)
-    # (1 + eps_scale) * mu must be a finite, positive number of steps
     if not (eps_scale > -1 and math.isfinite((1.0 + eps_scale) * (mu or 1))):
         raise ValueError(
             f"eps_scale must keep the timeout finite and positive: {eps_scale}")

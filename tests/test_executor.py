@@ -433,7 +433,7 @@ class TestMetrics:
         agent.mu_subgoal = mu
 
         def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran with a degenerate timeout")
+            raise AssertionError("an episode ran with a non-finite timeout")
 
         monkeypatch.setattr(executor, "run_episode", no_episode)
         with pytest.raises(ValueError, match="eps_scale must"):
