@@ -586,13 +586,13 @@ class TestSerialization:
         # ungrouped input comes back grouped by source, each source's
         # transitions in the order given, duplicates kept; to_json agrees
         a, b = parse("a"), parse("b")
-        given = [Transition(2, a, 0), Transition(0, b, 1), Transition(2, TRUE, 2),
-                 Transition(1, a, 1), Transition(0, Not(a), 0),
-                 Transition(2, a, 0), Transition(0, TRUE, 2)]
+        given = [Transition(2, a, 0), Transition(0, b, 1),
+                 Transition(2, TRUE, 2), Transition(1, a, 1),
+                 Transition(0, Not(a), 0), Transition(2, a, 0),
+                 Transition(0, TRUE, 2)]
         aut = BuchiAutomaton(AB, 3, 0, frozenset({2}), given)
         expected = tuple(t for q in range(3) for t in given if t.src == q)
         assert aut.transitions == expected
-        assert [t.src for t in aut.transitions] == [0, 0, 0, 1, 2, 2, 2]
         assert aut.to_json()["transitions"] == [
             {"src": t.src, "guard": format_formula(t.guard), "dst": t.dst}
             for t in expected]
