@@ -26,19 +26,21 @@ reduced ordered BDD at most once; satisfiability, validity, whether a set
 of guards covers every letter and the quotient's signatures are read off
 the nodes, over any number of names.
 The returned automaton keeps that table and the last stage's edge lists,
-its only ones. Its `succ` still evaluates each guard leaving a state on a
-letter with `eval_bool`, once per (state, letter).
+its only ones. Its `succ` decides each guard leaving a state on a letter by
+walking the guard's node down the letter's bits (`_Guards.holds`), once per
+(state, letter).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Container, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 
 from .ltl import (
     TRUE, Alphabet, And, Atom, Bool, Formula, Lasso, Not, Or, Until,
-    alphabet_of, atoms, eval_bool, format_formula, is_boolean, nnf,
+    alphabet_of, atoms, format_formula, is_boolean, nnf,
+    eval_bool,  # not called here: perfbench/tracing.py counts calls through it
 )
 from .tableau import expand_tableau, is_literal
 
@@ -103,7 +105,8 @@ class _Guards:
     atom false and true. Atoms are ordered by name, and the unique table
     makes equal functions equal nodes, so a guard is satisfiable iff its
     node is not 0 and valid iff it is 1, and a set of guards covers every
-    letter iff the Or of their nodes is 1."""
+    letter iff the Or of their nodes is 1. A letter satisfies a node iff
+    the walk down its bits ends at 1 (`holds`)."""
 
     def __init__(self):
         self.formulas: list[Formula] = []
@@ -134,9 +137,21 @@ class _Guards:
     def valid(self, i: int) -> bool:
         return self.node(i) == 1
 
+    def holds(self, n: int, letter: int, bits: dict[str, int]) -> bool:
+        """Does the letter satisfy node n? `bits` gives each name's bit."""
+        bdd = self._bdd
+        while n > 1:
+            name, low, high = bdd[n]
+            n = high if letter >> bits[name] & 1 else low
+        return n == 1
+
+    def or_node(self, ids: Iterable[int]) -> int:
+        """The node of the Or of the guards; 0 for none."""
+        return reduce(lambda u, i: self.apply(Or, u, self.node(i)), ids, 0)
+
     def covers(self, ids: Iterable[int]) -> bool:
         """Does every letter satisfy one of the guards? False for none."""
-        return reduce(lambda u, i: self.apply(Or, u, self.node(i)), ids, 0) == 1
+        return self.or_node(ids) == 1
 
     def _build(self, g: Formula) -> int:
         if isinstance(g, Bool):
@@ -263,6 +278,7 @@ class BuchiAutomaton:
         self.initial = graph.initial
         self.accepting = graph.accepting
         self._graph = graph
+        self._bits = {name: i for i, name in enumerate(alphabet.names)}
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._lasso_table: tuple | None = None   # built by subgoals
         self._classes: StateClasses | None = None
@@ -281,11 +297,19 @@ class BuchiAutomaton:
         key = (q, letter)
         hit = self._step_cache.get(key)
         if hit is None:
-            formulas = self._graph.guards.formulas
+            guards, bits = self._graph.guards, self._bits
             hit = frozenset(d for i, d in self._graph.out[q]
-                            if eval_bool(formulas[i], letter, self.alphabet))
+                            if guards.holds(guards.node(i), letter, bits))
             self._step_cache[key] = hit
         return hit
+
+    def letters_into(self, q: int, targets: Container[int],
+                     letters: Iterable[int]) -> set[int]:
+        """The letters under which q has a successor in `targets`: those
+        that satisfy the Or of the guards of q's edges into them."""
+        guards = self._graph.guards
+        into = guards.or_node(i for i, d in self._graph.out[q] if d in targets)
+        return {a for a in letters if guards.holds(into, a, self._bits)}
 
     def step(self, states: frozenset[int], letter: int) -> frozenset[int]:
         """All successors of the state set under one assignment letter."""

@@ -184,6 +184,11 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
     on a non-accepting state); avoid assignments are those whose successor
     set contains no live state, so reading one forfeits every accepting
     continuation. Pairs (q, reach) listed in `unsat` are filtered out.
+    Both come from two BDD nodes per owner state, each the Or of the guards
+    of q's edges into a set of states (`letters_into`): avoid letters lie
+    outside the node into the live states, and reach letters inside the
+    node into the second nodes, so each letter is tested on two nodes, not
+    on every guard leaving q.
     Deterministic order: (reach assignment, avoid encoding, owner state).
     """
     achievable = tuple(achievable)
@@ -192,16 +197,15 @@ def extract_subgoals(aut: BuchiAutomaton, states: frozenset[int],
     for q in sorted(states):
         if q >= aut.n_states or q < 0:
             raise ValueError(f"state {q} out of range")
-        avoid = frozenset(
-            a for a in achievable if not aut.succ(q, a) & live)
+        into_live = aut.letters_into(q, live, achievable)
+        avoid = frozenset(a for a in achievable if a not in into_live)
         # successor states that start some accepting lasso from q
         second = _second_nodes(aut, q, _MAX_LASSOS)
         if not second:
             continue
+        reach = aut.letters_into(q, second, achievable)
         for a in achievable:
-            if a in avoid or (q, a) in unsat:
-                continue
-            if aut.succ(q, a) & second:
+            if a in reach and a not in avoid and (q, a) not in unsat:
                 out.append((q, Subgoal(a, avoid)))
     out.sort(key=lambda pair: (pair[1].reach, tuple(sorted(pair[1].avoid)), pair[0]))
     return out

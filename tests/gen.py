@@ -102,9 +102,14 @@ def random_automaton(rng: np.random.Generator, n_states: int = 5,
     return BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
 
 
-def brute_successors(aut: BuchiAutomaton, q: int, letter: int) -> set[int]:
-    """Successors of q under one letter, straight from the guards."""
-    return {t.dst for t in aut.transitions
+def brute_successors(aut: BuchiAutomaton, q: int, letter: int,
+                     transitions=None) -> set[int]:
+    """Successors of q under one letter, straight from the guards, by
+    eval_bool over aut.transitions; pass that listing as `transitions` to
+    list it once for many calls."""
+    if transitions is None:
+        transitions = aut.transitions
+    return {t.dst for t in transitions
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
 
 

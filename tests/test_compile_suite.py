@@ -246,21 +246,100 @@ def test_disjunction_family_states(k):
 
 
 def test_compile_evaluates_no_guard_letter_by_letter(monkeypatch):
-    """Compiling decides every guard question symbolically: no eval_bool
-    call on the wide-guard specs or on any SUITE spec."""
+    """Compiling, extracting subgoals and stepping decide every guard on its
+    BDD node: no eval_bool call, through ltl or through the name buchi
+    imports, while the wide-guard specs compile and every SUITE spec
+    compiles, extracts at each live state and steps on every letter."""
     calls = []
-    real = buchi.eval_bool
+    for module in (ltl, buchi):
+        def counted(*args, real=getattr(module, "eval_bool")):
+            calls.append(args)
+            return real(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(buchi, "eval_bool", counted)
+        monkeypatch.setattr(module, "eval_bool", counted)
     for text, _ in WIDE_GUARDS.values():
         buchi.compile_formula(ltl.parse(text))
+    extracted = 0
     for spec in workloads.SUITE:
-        buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+        aut = buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+        achievable = workloads.achievable_for(spec.alphabet)
+        for q in sorted(aut.classify().live):
+            try:
+                extracted += len(subgoals.extract_subgoals(
+                    aut, frozenset({q}), frozenset(), achievable))
+            except subgoals.UniverseTooLarge:
+                pass   # raised by the lasso walk, after the avoid letters
+        states = frozenset(range(aut.n_states))
+        for letter in range(1 << aut.alphabet.n):
+            aut.step(states, letter)
     assert calls == []
+    assert extracted > 0
+
+
+def checked_letters(n: int) -> list[int]:
+    """Every letter over n <= 8 names. Past that, the letters that decide
+    a cube or a disjunction of literals (none, all, each name alone and
+    each name left out) and 256 more drawn with seed 5."""
+    if n <= 8:
+        return list(range(1 << n))
+    full = (1 << n) - 1
+    rng = np.random.default_rng(5)
+    return sorted({0, full, *(1 << i for i in range(n)),
+                   *(full ^ 1 << i for i in range(n)),
+                   *(int(x) for x in rng.integers(0, 1 << n, size=256))})
+
+
+@functools.cache
+def abc_formulas() -> tuple[ltl.Formula, ...]:
+    """300 formulas of depth 4 over a, b, c, seed 11."""
+    rng = np.random.default_rng(11)
+    return tuple(gen.random_formula(rng, 4, ABC.names) for _ in range(300))
+
+
+@pytest.mark.parametrize("case", [
+    "suite", "wide-guards", "large", "random-formulas", "random-automata"])
+def test_succ_matches_brute_successors(case):
+    """succ, which walks each guard's BDD node down the letter's bits,
+    against eval_bool over the transitions at every (state, letter), on
+    compiled automata and on automata built from transitions, which keep
+    a guard table of their own; and step on sets of two or more states
+    against the union of the oracle over the set."""
+    if case == "suite":
+        auts = [buchi.compile_formula(ltl.parse(spec.text), spec.alphabet)
+                for spec in workloads.SUITE]
+    elif case == "wide-guards":
+        auts = [buchi.compile_formula(ltl.parse(text))
+                for text, _ in WIDE_GUARDS.values()]
+    elif case == "large":
+        auts = [buchi.compile_formula(ltl.parse(LARGE[0]))]
+    elif case == "random-formulas":
+        auts = [buchi.compile_formula(f, ABC) for f in abc_formulas()]
+    else:
+        rng = np.random.default_rng(13)
+        auts = [gen.random_automaton(rng, int(rng.integers(1, 9)),
+                                     int(rng.integers(1, 4)))
+                for _ in range(300)]
+    rng = np.random.default_rng(17)
+    pairs = sets = 0
+    for aut in auts:
+        transitions = aut.transitions
+        letters = checked_letters(aut.alphabet.n)
+        brute = {(q, a): gen.brute_successors(aut, q, a, transitions)
+                 for q in range(aut.n_states) for a in letters}
+        for (q, a), want in brute.items():
+            assert aut.succ(q, a) == want, (q, a)
+        pairs += len(brute)
+        if aut.n_states < 2:
+            continue
+        for a in letters:
+            for states in (range(aut.n_states), rng.choice(
+                    aut.n_states, size=int(rng.integers(2, aut.n_states + 1)),
+                    replace=False)):
+                states = frozenset(int(q) for q in states)
+                assert aut.step(states, a) == set().union(
+                    *(brute[q, a] for q in states))
+                sets += 1
+    assert pairs > 0 and sets > 0
 
 
 def test_large_automaton_unchanged():
