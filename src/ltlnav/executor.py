@@ -90,7 +90,8 @@ class PolicyAgent:
     Actions come from the mean of the policy head; candidate scores are
     V_r(s) - lambda(s) * V_h(s) on the subgoal-reduced observation.  The
     heads are unpacked once, with v_r, v_h and lam stacked so one forward
-    pass scores a candidate.
+    pass over the candidates' rows, stacked as (C, 1, D), scores every
+    candidate of a pick, bit for bit as one pass per candidate would.
 
     Each (observation, subgoal) row is reduced once per step: the agent
     keeps the rows of the observation it last saw, holding that object by
@@ -159,10 +160,12 @@ class PolicyAgent:
         spec, layers = self._policy
         return mean_action(spec, forward(spec, layers, self._row(obs, sub)))[0]
 
-    def score(self, obs, sub: Subgoal) -> float:
+    def score(self, obs, subs: list[Subgoal]) -> list[float]:
+        """V_r - lambda * V_h of each subgoal in subs, in order."""
         specs, layers = self._values
-        v_r, v_h, lam = forward(specs, layers, self._row(obs, sub))[:, 0].tolist()
-        return v_r - lam * v_h
+        rows = np.concatenate([self._row(obs, sub) for sub in subs])
+        out = forward(specs, layers, rows.reshape(len(subs), 1, -1))
+        return [v_r - lam * v_h for v_r, v_h, lam in zip(*out.tolist())]
 
 
 # -- subgoal selection and the episode loop ------------------------------------
@@ -170,17 +173,20 @@ class PolicyAgent:
 
 def select_subgoal(candidates: list[tuple[int, Subgoal]], agent, obs):
     """Best-scoring candidate; the first maximum wins, so ties fall back to
-    the deterministic candidate ordering.  A lone candidate is taken
-    unscored, since no score could change the pick.  A score that is not
-    finite raises ValueError."""
+    the deterministic candidate ordering.  The agent scores every candidate
+    of a pick in one call, agent.score(obs, subgoals), which returns one
+    score per subgoal in order.  A lone candidate is taken unscored, since
+    no score could change the pick.  A score that is not finite raises
+    ValueError."""
     if not candidates:
         raise ValueError("candidates must be nonempty")
     if len(candidates) == 1:
         return candidates[0]
+    scores = agent.score(obs, [sub for _, sub in candidates])
     best = None
     best_score = -math.inf
-    for q, sub in candidates:
-        s = float(agent.score(obs, sub))
+    for (q, sub), s in zip(candidates, scores, strict=True):
+        s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"candidate (state {q}, {sub}) scored {s}")
         if s > best_score:
@@ -335,7 +341,8 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     The agent comes from a checkpoint alone, or from agent_factory(env)
     with env_config (scripted baselines); the switching timeout comes from
     its mu_subgoal, and eps_scale must be above -1 and keep (1 + eps_scale)
-    times it finite. The seeds must be non-negative ints. Every spec is
+    times it finite. n_traj and horizon_multiplier must be ints of at least
+    1 (a bool is no count), and the seeds non-negative ints. Every spec is
     compiled before the first episode, and one that does not compile over
     the env's alphabet raises a ValueError naming it. Returns a list of
     EvalReport aligned with specs; with record_traces, returns (reports,
@@ -349,22 +356,23 @@ def evaluate(specs, checkpoint: dict | None = None, *, n_traj: int = 100,
     specs, seeds = tuple(specs), tuple(seeds)
     if not specs:
         raise ValueError("need at least one spec")
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    for name, count in (("n_traj", n_traj),
+                        ("horizon_multiplier", horizon_multiplier)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"{name} must be an int, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if not seeds:
         raise ValueError("need at least one seed")
     for seed in seeds:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seeds must be non-negative ints, got {seed!r}")
-    if horizon_multiplier < 1:
-        raise ValueError(f"horizon_multiplier must be at least 1, got "
-                         f"{horizon_multiplier}")
     if checkpoint is not None:
         agent = PolicyAgent.from_checkpoint(checkpoint)
         env_config = agent.env_config
     if horizon_multiplier != 1:
         env_config = replace(env_config, max_steps=(
-            env_config.max_steps * int(horizon_multiplier)))
+            env_config.max_steps * horizon_multiplier))
     alphabet = alphabet_for(env_config)
     achievable = achievable_assignments(env_config)
     compiled = []

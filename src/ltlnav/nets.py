@@ -9,7 +9,8 @@ cover the policy (categorical or diagonal gaussian), the two value
 functions (scalar), and the nonnegative multiplier (softplus scalar).
 Callers that run fixed weights many times unpack them into per-layer
 views once, and may stack same-shaped value heads so that one pass
-evaluates all of them.  Backward passes are hand-rolled reverse mode over
+evaluates all of them on a stack of single rows, bit for bit as one pass
+per head and row would.  Backward passes are hand-rolled reverse mode over
 the activations the forward pass recorded, checked against finite
 differences in the tests.
 """
@@ -185,10 +186,11 @@ def unpack(spec, params):
 
     With spec a tuple of MlpSpecs of one shape and params their flat
     vectors in that order, scalar and nonneg heads stack on a leading head
-    axis, copied: wts[l] (K, in, out), bs[l] (K, 1, out).  Each stacked
-    weight keeps the memory layout of its own head's view, so a stacked
-    forward makes the same per-head BLAS calls, and gives the same bits,
-    as running the heads one by one."""
+    axis, copied, with a row axis after it: wts[l] (K, 1, in, out), bs[l]
+    (K, 1, 1, out).  Each stacked weight keeps the memory layout of its own
+    head's view, so a stacked forward over C rows makes, for each (head,
+    row) pair, the BLAS call of that head on that row alone, and gives the
+    same bits as the K x C single-row passes."""
     if isinstance(spec, MlpSpec):
         return _unpack(spec, params)
     if len({s.dims for s in spec}) != 1:
@@ -197,9 +199,9 @@ def unpack(spec, params):
     if any(s.head not in ("scalar", "nonneg") for s in spec):
         raise ValueError("only scalar and nonneg heads stack")
     wts, bs, _ = zip(*(_unpack(s, p) for s, p in zip(spec, params)))
-    return ([np.stack([wt.T for wt in layer]).swapaxes(-1, -2)
+    return ([np.stack([wt.T for wt in layer]).swapaxes(-1, -2)[:, None]
              for layer in zip(*wts)],
-            [np.stack(layer)[:, None, :] for layer in zip(*bs)], None)
+            [np.stack(layer)[:, None, None, :] for layer in zip(*bs)], None)
 
 
 def _softplus(z):
@@ -218,22 +220,24 @@ def forward_tape(spec, params, x):
 
     params is the flat vector or what unpack made of it; x is cast to
     its dtype, in which the whole pass runs.  For heads stacked by
-    unpack, spec is their tuple of MlpSpecs and the output has one row
-    per head, each through its own head's transform."""
+    unpack, spec is their tuple of MlpSpecs, x holds C rows as (C, 1,
+    in_dim), each its own one-row batch, and the output is (K, C): one
+    row per head, each through its own head's transform."""
     stacked = not isinstance(spec, MlpSpec)
     in_dim = spec[0].in_dim if stacked else spec.in_dim
     wts, bs, log_std = (_unpack(spec, params)
                         if isinstance(params, np.ndarray) else params)
     x = np.asarray(x, dtype=wts[0].dtype)
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise ValueError(f"input shape {x.shape} is not (rows, in_dim "
-                         f"{in_dim})")
+    row = (1, in_dim) if stacked else (in_dim,)
+    if x.shape[1:] != row:
+        raise ValueError(f"input shape {x.shape} is not (rows, "
+                         f"{'1, ' if stacked else ''}in_dim {in_dim})")
     hs = [x]
     for wt, b in zip(wts[:-1], bs[:-1]):
         hs.append(np.tanh(hs[-1] @ wt + b))
     z = hs[-1] @ wts[-1] + bs[-1]
     if stacked:
-        out = z[..., 0].copy()
+        out = z[..., 0, 0].copy()
         for k, s in enumerate(spec):
             if s.head == "nonneg":
                 out[k] = _softplus(out[k])
@@ -249,8 +253,8 @@ def forward_tape(spec, params, x):
 def forward(spec, params, x):
     """Head output for a (B, in_dim) batch: categorical -> logits (B, n);
     gaussian -> (mean (B, n), log_std (n,)); scalar -> (B,); nonneg ->
-    softplus values (B,); K stacked heads -> (K, B).  A single input is
-    the batch x[None] of one row."""
+    softplus values (B,); K stacked heads on (C, 1, in_dim) rows -> (K,
+    C).  A single input is the batch x[None] of one row."""
     return forward_tape(spec, params, x)[0]
 
 

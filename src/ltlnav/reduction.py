@@ -8,8 +8,9 @@ across the propositions of one assignment, max across the assignments of
 the avoid set, so the fused beam tracks the nearest avoid region).  Each
 subgoal's fusion is planned once and memoized, after one range check
 (subgoals.check_subgoal): an (n+1)-entry value table per letter for grids,
-a proposition mask per assignment for lidar.  The "raw" fusion skips this
-and appends the subgoal bitvector instead.
+so a grid row is one gather from it, and a proposition mask per assignment
+for lidar.  The "raw" fusion skips this and appends the subgoal bitvector
+instead.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ def reduce_lidar(obs: Observation, sub: Subgoal) -> np.ndarray:
 def reduce(obs: Observation, sub: Subgoal, fusion: str,
            alphabet: Alphabet) -> np.ndarray:
     """Policy input for one observation under one subgoal.  Any fusion but
-    "raw" reduces by the observation's kind."""
+    "raw" reduces by the observation's kind.  A grid observation has no
+    not_ap entries, so its row is reduce_grid's cell values alone,
+    flattened."""
     if fusion != "raw":
         if obs.kind == "grid":
-            return np.concatenate([obs.not_ap,
-                                   reduce_grid(obs, sub, alphabet.n).ravel()])
+            return reduce_grid(obs, sub, alphabet.n).ravel()
         return reduce_lidar(obs, sub)
     flat = np.concatenate([obs.not_ap, obs.ap.ravel().astype(np.float64)])
     return np.concatenate([flat, encode_subgoal(sub, alphabet)])

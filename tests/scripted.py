@@ -52,8 +52,9 @@ class ScriptedGridAgent:
                 return action
         return ranked[0][1]
 
-    def score(self, obs, sub: Subgoal) -> float:
-        return -float(self._distance(self.env.state.agent, sub))
+    def score(self, obs, subs: list[Subgoal]) -> list[float]:
+        return [-float(self._distance(self.env.state.agent, sub))
+                for sub in subs]
 
 
 class ScriptedZoneAgent:
@@ -113,6 +114,7 @@ class ScriptedZoneAgent:
         accel = -1.0 if (abs(diff) > 1.2 or brake) else 1.0
         return np.array([accel, turn])
 
-    def score(self, obs, sub: Subgoal) -> float:
-        return -float(np.linalg.norm(self._target(sub) -
-                                     self.env.state.position))
+    def score(self, obs, subs: list[Subgoal]) -> list[float]:
+        return [-float(np.linalg.norm(self._target(sub) -
+                                      self.env.state.position))
+                for sub in subs]

@@ -314,8 +314,8 @@ class _InertAgent:
     def act(self, obs, sub):
         return 0
 
-    def score(self, obs, sub):
-        return 0.0
+    def score(self, obs, subs):
+        return [0.0] * len(subs)
 
 
 def test_criterion_10_metric_identities_and_agreement():
@@ -377,5 +377,5 @@ class _RandomWalker:
     def act(self, obs, sub):
         return int(self.rng.integers(4))
 
-    def score(self, obs, sub):
-        return float(self.rng.random())
+    def score(self, obs, subs):
+        return [float(self.rng.random()) for _ in subs]

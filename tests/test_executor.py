@@ -9,7 +9,9 @@ import pytest
 import gen
 from ltlnav import executor
 from ltlnav.buchi import compile_formula
-from ltlnav.envs import EnvConfig, alphabet_for, make_env
+from ltlnav.envs import (
+    EnvConfig, achievable_assignments, alphabet_for, make_env,
+)
 from ltlnav.executor import (
     OTHER, SATISFIED, SUCCESS, UNDETERMINED, VIOLATED, VIOLATION,
     EvalReport, Outcome, PolicyAgent, accepting_run_count,
@@ -55,8 +57,8 @@ class StandStillAgent:
         self.flip = not self.flip
         return 0 if self.flip else 1
 
-    def score(self, obs, sub):
-        return 0.0
+    def score(self, obs, subs):
+        return [0.0] * len(subs)
 
 
 class ForcedTargetAgent:
@@ -67,8 +69,8 @@ class ForcedTargetAgent:
     def act(self, obs, sub):
         return self.inner.act(obs, self.sub)
 
-    def score(self, obs, sub):
-        return 0.0
+    def score(self, obs, subs):
+        return [0.0] * len(subs)
 
 
 class TableAgent:
@@ -78,8 +80,8 @@ class TableAgent:
     def act(self, obs, sub):
         return 0
 
-    def score(self, obs, sub):
-        return self.scores[sub]
+    def score(self, obs, subs):
+        return [self.scores[sub] for sub in subs]
 
 
 class RandomAgent:
@@ -90,8 +92,8 @@ class RandomAgent:
     def act(self, obs, sub):
         return int(self.rng.integers(self.n))
 
-    def score(self, obs, sub):
-        return float(self.rng.random())
+    def score(self, obs, subs):
+        return [float(self.rng.random()) for _ in subs]
 
 
 class TestOutcomeAndTimeout:
@@ -126,6 +128,14 @@ class TestSelectSubgoal:
         agent = TableAgent({s1: 1.0, s2: 1.0})
         for _ in range(5):
             assert select_subgoal([(0, s1), (0, s2)], agent, None) == (0, s1)
+        s = [Subgoal(1 << i, frozenset()) for i in range(4)]
+        cands = [(0, sub) for sub in s]
+        for scores, want in (([1.0, 1.0, 1.0, 1.0], 0),
+                             ([0.0, 2.0, 2.0, 1.0], 1),
+                             ([-1.0, -3.0, -2.0, -1.0], 0),
+                             ([0.0, 0.0, 0.0, 5.0], 3)):
+            agent = TableAgent(dict(zip(s, scores)))
+            assert select_subgoal(cands, agent, None) == cands[want]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -141,9 +151,27 @@ class TestSelectSubgoal:
         with pytest.raises(ValueError):
             select_subgoal([], TableAgent({}), None)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_one_score_call_per_contested_pick(self, n):
+        # every candidate of a pick is scored in one call, in candidate
+        # order; a lone candidate is not scored at all
+        subs = [Subgoal(1 << i, frozenset()) for i in range(n)]
+        calls = []
+
+        class Counting(TableAgent):
+            def score(self, obs, subs):
+                calls.append(list(subs))
+                return super().score(obs, subs)
+
+        agent = Counting({s: float(i % 3) for i, s in enumerate(subs)})
+        cands = [(i, s) for i, s in enumerate(subs)]
+        best = select_subgoal(cands, agent, None)
+        assert calls == ([] if n == 1 else [subs])
+        assert best == cands[min(n - 1, 2)]
+
     def test_lone_candidate_is_not_scored(self):
         class Unscorable:
-            def score(self, obs, sub):
+            def score(self, obs, subs):
                 raise AssertionError("a lone candidate was scored")
 
         sub = Subgoal(1, frozenset({2}))
@@ -441,6 +469,30 @@ class TestMetrics:
                      agent_factory=lambda env: agent, n_traj=1, seeds=(0,),
                      eps_scale=eps_scale)
 
+    @pytest.mark.parametrize("name,count,match", [
+        ("n_traj", True, "n_traj must be an int, got True"),
+        ("n_traj", 2.5, "n_traj must be an int, got 2.5"),
+        ("n_traj", 1.0, "n_traj must be an int, got 1.0"),
+        ("n_traj", 0, "n_traj must be at least 1, got 0"),
+        ("horizon_multiplier", True, "horizon_multiplier must be an int, "
+                                     "got True"),
+        ("horizon_multiplier", 2.5, "horizon_multiplier must be an int, "
+                                    "got 2.5"),
+        ("horizon_multiplier", 0, "horizon_multiplier must be at least 1"),
+    ])
+    def test_count_that_is_not_an_int_raises_before_any_episode(
+            self, monkeypatch, name, count, match):
+        # True used to run one episode and report "n": true, and a
+        # horizon_multiplier of 2.5 ran as 2
+        def no_episode(*args, **kwargs):
+            raise AssertionError(f"an episode ran under {name}={count!r}")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        with pytest.raises(ValueError, match=match):
+            evaluate(["F a"], env_config=grid_config(max_steps=20),
+                     agent_factory=lambda env: StandStillAgent(), seeds=(0,),
+                     **{"n_traj": 1, name: count})
+
     @pytest.mark.parametrize("seed", [2.7, True, -1, "0"])
     def test_seed_that_is_not_a_non_negative_int_raises_before_any_episode(
             self, monkeypatch, seed):
@@ -489,7 +541,8 @@ class TestPolicyAgent:
         sub = Subgoal(1, frozenset({2}))
         a = agent.act(obs, sub)
         assert a in (0, 1, 2, 3)
-        assert np.isfinite(agent.score(obs, sub))
+        (score,) = agent.score(obs, [sub])
+        assert np.isfinite(score)
         assert agent.act(obs, sub) == a
 
     @pytest.mark.parametrize("fusion", ["reduced", "raw"])
@@ -525,8 +578,8 @@ class TestPolicyAgent:
                     assert np.array_equal(got, want)
                     if world == "zonesim":
                         assert got.dtype == want.dtype
-                    assert (agent.score(obs, sub)
-                            == out["v_r"][0] - out["lam"][0] * out["v_h"][0])
+                    assert (agent.score(obs, [sub])
+                            == [out["v_r"][0] - out["lam"][0] * out["v_h"][0]])
                 action = (int(rng.integers(4)) if world == "letterworld"
                           else rng.uniform(-1, 1, size=2))
                 obs = env.step(action)[0]
@@ -548,10 +601,11 @@ class TestPolicyAgent:
 
         monkeypatch.setattr(executor, "reduce", counting_reduce)
         for name in ("act", "score"):
-            def asking(obs, sub, method=getattr(agent, name), name=name):
+            def asking(obs, arg, method=getattr(agent, name), name=name):
                 kept.append(obs)    # no id is reused within the episode
-                asked.append((name, id(obs), sub))
-                return method(obs, sub)
+                subs = arg if name == "score" else [arg]
+                asked.extend((name, id(obs), sub) for sub in subs)
+                return method(obs, arg)
             monkeypatch.setattr(agent, name, asking)
         timeout = timeout_threshold(agent.mu_subgoal, 0.5,
                                     agent.env_config.max_steps)
@@ -565,6 +619,43 @@ class TestPolicyAgent:
         assert sum(name == "score" for name, _, _ in asked) >= 2
         assert len(asked) > len(rows)
         assert outcome.steps == len(trace["labels"]) > 1
+
+    @pytest.mark.parametrize("rows", ["grid", "random"])
+    def test_stacked_score_equals_single_row_scores(self, monkeypatch, rows):
+        # one score call over C candidates gives, bit for bit, the score of
+        # each candidate's row run alone through each value head, on the
+        # pinned desk checkpoint: rows reduced from random grid views, and
+        # random real rows in place of the reduced ones
+        ckpt = json.loads(PINNED_DESK.read_text())
+        agent = PolicyAgent.from_checkpoint(ckpt)
+        heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()
+                 if name != "policy"}
+        dim = heads["v_r"][0].in_dim
+        rng = np.random.default_rng(29 if rows == "grid" else 31)
+        if rows == "random":
+            table = {}
+            monkeypatch.setattr(agent, "_row", lambda obs, sub: table[sub])
+        checked = 0
+        for c in range(1, 6):
+            for _ in range(150):
+                obs = grid_obs(rng.integers(-1, 4, size=(5, 5)))
+                subs = list({random_subgoal(rng, agent.alphabet.n): None
+                             for _ in range(c)})
+                if rows == "random":
+                    table = {sub: rng.standard_normal((1, dim))
+                             for sub in subs}
+                want = []
+                for sub in subs:
+                    x = (table[sub] if rows == "random" else
+                         reduce(obs, sub, agent.fusion, agent.alphabet)[None])
+                    v_r, v_h, lam = (forward(*heads[name], x)[0]
+                                     for name in ("v_r", "v_h", "lam"))
+                    want.append(v_r - lam * v_h)
+                got = agent.score(obs, subs)
+                assert type(got) is list and len(got) == len(subs)
+                assert got == want
+                checked += len(subs)
+        assert checked > 2000
 
     def test_new_observation_never_gets_a_stale_row(self):
         ckpt = json.loads(PINNED_DESK.read_text())
@@ -584,11 +675,40 @@ class TestPolicyAgent:
                    if name != "policy"}
             want = mean_action(heads["policy"][0],
                                forward(*heads["policy"], x))[0]
-            assert agent.score(obs, sub) == (out["v_r"]
-                                             - out["lam"] * out["v_h"])
+            assert agent.score(obs, [sub]) == [out["v_r"]
+                                               - out["lam"] * out["v_h"]]
             assert agent.act(obs, sub) == want
             del obs
         assert len(rows) > 30
+
+    def test_one_score_call_per_contested_pick_in_a_desk_episode(self):
+        agent = PolicyAgent.from_checkpoint(
+            json.loads(PINNED_DESK.read_text()))
+        env = make_env(agent.env_config)
+        asked, picks = [], []
+        score = agent.score
+
+        def counting_score(obs, subs):
+            asked.append(list(subs))
+            return score(obs, subs)
+
+        agent.score = counting_score
+        timeout = timeout_threshold(agent.mu_subgoal, 0.5,
+                                    agent.env_config.max_steps)
+        for spec in SEQ2_SPECS + [NESTED_SPEC]:
+            aut = compile_formula(parse(spec), agent.alphabet)
+            cache = executor._CandidateCache(
+                aut, achievable_assignments(agent.env_config))
+            get = cache.get
+            cache.get = lambda *args: picks.append(get(*args)) or picks[-1]
+            for ep in range(10):
+                run_episode(env, aut, agent, timeout=timeout, cache=cache,
+                            rng=stream_rng(0, STREAM_EVAL, ep))
+        contested = [[sub for _, sub in cand] for cand in picks
+                     if len(cand) > 1]
+        assert asked == contested
+        assert len(contested) >= 20
+        assert len(picks) > len(contested)
 
     def test_evaluate_with_checkpoint_runs(self):
         ckpt = self.small_checkpoint()

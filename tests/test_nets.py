@@ -162,24 +162,33 @@ class TestForward:
                               else ((want,), (got,)))):
                 assert np.array_equal(a, b)
 
-    def test_stacked_heads_match_each_head(self):
-        # one row per head, each through its own output transform, equal
-        # bit for bit to running the heads one by one, single or batched
-        # (a single row and a batch row may differ: gemv against gemm)
+    @pytest.mark.parametrize("dims", [(5, (7, 6)), (25, (64, 64))])
+    def test_stacked_heads_match_each_head_on_each_row(self, dims):
+        # C rows stacked as (C, 1, in_dim) through K stacked heads: entry
+        # (k, c) equals head k run alone on row c as a one-row batch, bit
+        # for bit, each through its own output transform (a row of a plain
+        # (C, in_dim) batch may differ: gemm against one row's call)
         rng = np.random.default_rng(10)
-        specs = tuple(MlpSpec(5, (7, 6), head)
-                      for head in ("scalar", "nonneg", "scalar"))
+        specs = tuple(MlpSpec(dims[0], dims[1], head)
+                      for head in ("scalar", "scalar", "nonneg"))
         params = [rng.standard_normal(n_params(s)) for s in specs]
         layers = unpack(specs, params)
-        xs = rng.standard_normal((8, 5))
-        batch = forward(specs, layers, xs)
-        assert batch.shape == (3, 8)
-        for k, (s, p) in enumerate(zip(specs, params)):
-            assert np.array_equal(batch[k], forward(s, p, xs))
-            for x in xs[:, None]:
-                single = forward(specs, layers, x)
-                assert single.shape == (3, 1)
-                assert np.array_equal(single[k], forward(s, p, x))
+        for c in range(1, 6):
+            for xs in (rng.standard_normal((c, 1, dims[0])),
+                       rng.integers(-1, 2, (c, 1, dims[0])).astype(float)):
+                stacked = forward(specs, layers, xs)
+                assert stacked.shape == (3, c)
+                for k, (s, p) in enumerate(zip(specs, params)):
+                    assert np.array_equal(
+                        stacked[k], [forward(s, p, x)[0] for x in xs])
+
+    def test_stacked_heads_take_rows_as_one_row_batches(self):
+        specs = (MlpSpec(5, (7,), "scalar"),) * 2
+        layers = unpack(specs, [np.zeros(n_params(specs[0]))] * 2)
+        for x in (np.ones((3, 5)), np.ones((3, 2, 5)), np.ones((3, 1, 4)),
+                  np.ones(5)):
+            with pytest.raises(ValueError, match="rows, 1, in_dim 5"):
+                forward(specs, layers, x)
 
     def test_only_same_shaped_value_heads_stack(self):
         a = MlpSpec(5, (7,), "scalar")
