@@ -699,8 +699,11 @@ class TestPolicyAgent:
             aut = compile_formula(parse(spec), agent.alphabet)
             cache = executor._CandidateCache(
                 aut, achievable_assignments(agent.env_config))
-            get = cache.get
-            cache.get = lambda *args: picks.append(get(*args)) or picks[-1]
+            def logged_get(*args, get=cache.get):
+                picks.append(get(*args))
+                return picks[-1]
+
+            cache.get = logged_get
             for ep in range(10):
                 run_episode(env, aut, agent, timeout=timeout, cache=cache,
                             rng=stream_rng(0, STREAM_EVAL, ep))
