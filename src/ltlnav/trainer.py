@@ -11,6 +11,10 @@ maximum future h.  The policy ascends a clipped surrogate minus a
 state-dependent multiplier times the constraint term; the multiplier head
 descends the same term, growing where violations persist and decaying to
 zero where they do not.
+
+Collection is step-major: row t*W + i of every rollout array is worker
+i's step t, written in place into arrays allocated before the first env
+step.
 """
 
 from __future__ import annotations
@@ -361,54 +365,72 @@ class Trainer:
         worker.steps_on_sub = 0
 
     def collect(self, n: int) -> Rollout:
+        """n transitions, n / W steps of each of the W workers, step-major:
+        row t*W + i is worker i's step t.  Every array of the Rollout is
+        allocated before the first env step, so a size that cannot be
+        allocated fails before any stepping, and each row is written in
+        place as its step is taken.  A step's policy forward reads the
+        (W, D) block of obs rows it has just written."""
         w_count = len(self.workers)
         if n % w_count:
             raise ValueError("collection size must be divisible by workers")
         pol = self.heads["policy"]
         categorical = pol.spec.head == "categorical"
-        steps = []   # one tuple per transition: Rollout's fields but logp
-        logps = []   # one array of W log-probs per step
-        for _ in range(n // w_count):
-            vecs = np.stack([w.vec for w in self.workers])
-            out = forward(pol.spec, pol.params, vecs)
+        obs = np.empty((n, pol.spec.in_dim))
+        next_obs = np.empty((n, pol.spec.in_dim))
+        actions = (np.empty(n, dtype=np.int64) if categorical
+                   else np.empty((n, pol.spec.out_dim)))
+        logp = np.empty(n)
+        rewards = np.empty(n)
+        costs = np.empty(n)
+        terminal = np.empty(n, dtype=bool)
+        boundary = np.empty(n, dtype=bool)
+        for at in range(0, n, w_count):
+            block = slice(at, at + w_count)
+            for i, worker in enumerate(self.workers):
+                obs[at + i] = worker.vec
+            out = forward(pol.spec, pol.params, obs[block])
             # one softmax and CDF for all rows; each row's uniform is still
             # drawn in the worker loop, because sample_subgoal draws from
             # the same generator between them
             if categorical:
                 cdfs = categorical_cdf(out).tolist()
-            row_actions = []
             for i, worker in enumerate(self.workers):
+                row = at + i
                 if categorical:
                     action = sample_categorical(cdfs[i], self.rollout_rng)
                 else:
                     action = sample_gaussian(out[0][i], out[1],
                                              self.rollout_rng)
-                row_actions.append(action)
+                actions[row] = action
                 obs2, label, done = worker.env.step(action)
                 r, h = signals(label, worker.sub)
                 worker.steps_on_sub += 1
-                terminal = h > 0
-                boundary = terminal or done
+                violated = h > 0
+                ended = violated or done
                 if r:
                     self.completions.append(worker.steps_on_sub)
-                    if not boundary:
+                    if not ended:
                         # the next step already pursues the new subgoal
                         worker.sub = sample_subgoal(
                             self.targets, self.rollout_rng,
                             current_label=label)
                         worker.steps_on_sub = 0
                 next_vec = self._reduce(obs2, worker.sub)
-                steps.append((vecs[i], next_vec, action, float(r), float(h),
-                              terminal, boundary))
-                if boundary:
+                next_obs[row] = next_vec
+                rewards[row] = r
+                costs[row] = h
+                terminal[row] = violated
+                boundary[row] = ended
+                if ended:
                     self._reset_worker(worker)
                 else:
                     worker.vec = next_vec
-            logps.append(categorical_logp(out, row_actions) if categorical
-                         else gaussian_logp(*out, np.stack(row_actions)))
+            logp[block] = (categorical_logp(out, actions[block]) if categorical
+                           else gaussian_logp(*out, actions[block]))
         self.interactions += n
-        obs, next_obs, actions, *rest = map(np.asarray, zip(*steps))
-        return Rollout(obs, next_obs, actions, np.concatenate(logps), *rest)
+        return Rollout(obs, next_obs, actions, logp, rewards, costs,
+                       terminal, boundary)
 
     def _advantages(self, roll: Rollout) -> dict:
         cfg = self.config

@@ -2,9 +2,10 @@
 subgoal universe, a per-node cycle check, round-by-round bisimulation
 classes over guard truth tables, a product check for a word two automata
 both accept, random Kripke structures and the states of one that a graph
-covers, a rolled LetterWorld view, a zone-by-zone lidar, per-call
-observation reductions, per-row advantage scans, a scripted-label env and
-the assignment mask of named propositions, shared across test modules."""
+covers, a rolled LetterWorld view, a zone-by-zone lidar, a
+tuple-per-transition rollout collection, per-call observation
+reductions, per-row advantage scans, a scripted-label env and the
+assignment mask of named propositions, shared across test modules."""
 
 from __future__ import annotations
 
@@ -21,8 +22,13 @@ from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Formula,
     Lasso, Next, Not, Or, Release, Until, eval_bool,
 )
+from ltlnav.nets import (
+    categorical_cdf, categorical_logp, forward, gaussian_logp,
+    sample_categorical, sample_gaussian,
+)
 from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
-from ltlnav.subgoals import Subgoal
+from ltlnav.subgoals import Subgoal, sample_subgoal
+from ltlnav.trainer import Rollout, signals
 
 
 def random_formula(rng: np.random.Generator, depth: int, names: tuple[str, ...]):
@@ -289,6 +295,55 @@ def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:
     closeness = np.clip(1.0 - dist / SENSOR_RANGE, 0.0,
                         math.nextafter(1.0, 0.0))
     return np.where(np.isfinite(dist), closeness, 0.0)
+
+
+def reference_collect(trainer, n: int):
+    """Trainer.collect as one tuple per transition: each step stacks the
+    workers' current rows, and the Rollout is zipped from the tuples at
+    the end.  It draws, steps, reduces and resets in the same order, so
+    from the same trainer state it leaves the same state behind."""
+    workers = trainer.workers
+    pol = trainer.heads["policy"]
+    categorical = pol.spec.head == "categorical"
+    steps = []   # one tuple per transition: Rollout's fields but logp
+    logps = []   # one array of W log-probs per step
+    for _ in range(n // len(workers)):
+        vecs = np.stack([w.vec for w in workers])
+        out = forward(pol.spec, pol.params, vecs)
+        if categorical:
+            cdfs = categorical_cdf(out).tolist()
+        row_actions = []
+        for i, worker in enumerate(workers):
+            if categorical:
+                action = sample_categorical(cdfs[i], trainer.rollout_rng)
+            else:
+                action = sample_gaussian(out[0][i], out[1],
+                                         trainer.rollout_rng)
+            row_actions.append(action)
+            obs2, label, done = worker.env.step(action)
+            r, h = signals(label, worker.sub)
+            worker.steps_on_sub += 1
+            terminal = h > 0
+            boundary = terminal or done
+            if r:
+                trainer.completions.append(worker.steps_on_sub)
+                if not boundary:
+                    worker.sub = sample_subgoal(
+                        trainer.targets, trainer.rollout_rng,
+                        current_label=label)
+                    worker.steps_on_sub = 0
+            next_vec = trainer._reduce(obs2, worker.sub)
+            steps.append((vecs[i], next_vec, action, float(r), float(h),
+                          terminal, boundary))
+            if boundary:
+                trainer._reset_worker(worker)
+            else:
+                worker.vec = next_vec
+        logps.append(categorical_logp(out, row_actions) if categorical
+                     else gaussian_logp(*out, np.stack(row_actions)))
+    trainer.interactions += n
+    obs, next_obs, actions, *rest = map(np.asarray, zip(*steps))
+    return Rollout(obs, next_obs, actions, np.concatenate(logps), *rest)
 
 
 def reference_reduce_grid(obs: Observation, sub) -> np.ndarray:

@@ -224,19 +224,26 @@ class TestTrain:
         assert flag_run == base         # explicit flag beats the env var
 
     def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
-        # passes every config check; the stub raises where collecting this
-        # many steps would run out of memory, so nothing is allocated
+        # passes every config check; collect allocates the rollout before
+        # its first env step, and 2^44 rows are more than the address space
+        # holds, so the allocation raises MemoryError at once and nothing
+        # is allocated
         cfg = json.loads(write_train_config(tmp_path).read_text())
-        cfg["trainer"]["n_per_iter"] = 10_000_000_000_000_000_000
+        cfg["trainer"].update(n_per_iter=2**44, workers=16)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(cfg))
+        steps = []
 
-        def out_of_memory(self, **kwargs):
-            raise MemoryError
+        def counting_step(self, action):
+            # a step here would start an iteration that never ends, so the
+            # first one stops the run
+            steps.append(action)
+            raise AssertionError("an env step ran before the allocation")
 
-        monkeypatch.setattr(cli.Trainer, "run", out_of_memory)
+        monkeypatch.setattr(envs.LetterWorld, "step", counting_step)
         assert main(["train", "--config", str(path)]) == 4
         assert capsys.readouterr().err == "error: ran out of memory\n"
+        assert steps == []
 
     def test_unknown_config_key_exit_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

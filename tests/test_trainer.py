@@ -477,6 +477,77 @@ class TestCollect:
                     terminal=np.array([False]), boundary=np.array([False]))
 
 
+# the desk LetterWorld and the default overlap-mode ZoneSim, as the train
+# workloads of the benchmark and the acceptance tests run them (test_acceptance
+# imports this module, so its DESK_ constants cannot be imported here)
+DESK_ENV = EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
+                     copies_per_letter=2, max_steps=75)
+DESK_TRAINER = TrainerConfig(gamma=0.94, total_interactions=2_000_000,
+                             n_per_iter=4096, minibatch=256, epochs=10,
+                             workers=16, seed=0)
+ZONE_ENV = EnvConfig(env="zonesim", overlap_mode=True)
+
+
+class TestCollectMatchesReference:
+    """collect writes each transition into the Rollout's arrays in place;
+    gen.reference_collect builds one tuple per transition and zips them.
+    From twin trainers, both must give the same bits and leave the same
+    state behind, collect after collect."""
+
+    @staticmethod
+    def state(trainer):
+        return {
+            "workers": [(w.vec.dtype, w.vec.tobytes(), w.sub, w.steps_on_sub,
+                         w.env_rng.bit_generator.state)
+                        for w in trainer.workers],
+            "completions": list(trainer.completions),
+            "interactions": trainer.interactions,
+            "rollout_rng": trainer.rollout_rng.bit_generator.state,
+        }
+
+    @pytest.mark.parametrize("cfg, env_config, n", [
+        (DESK_TRAINER, DESK_ENV, 4096),
+        (DESK_TRAINER, ZONE_ENV, 4096),
+        (small_trainer_config(workers=1), small_env_config(), 256),
+        (small_trainer_config(fusion="raw"), small_env_config(), 256),
+    ], ids=["desk-letterworld", "overlap-zonesim", "one-worker", "raw"])
+    def test_bitwise_equal_to_tuple_per_transition(self, cfg, env_config, n):
+        trainer, twin = Trainer(cfg, env_config), Trainer(cfg, env_config)
+        resampled = 0
+        for _ in range(3):
+            roll = trainer.collect(n)
+            want = gen.reference_collect(twin, n)
+            for f in fields(Rollout):
+                got, exp = getattr(roll, f.name), getattr(want, f.name)
+                assert got.dtype == exp.dtype, f.name
+                assert got.shape == exp.shape, f.name
+                assert got.tobytes() == exp.tobytes(), f.name
+            assert self.state(trainer) == self.state(twin)
+            resampled += int((roll.rewards.astype(bool)
+                              & ~roll.boundary).sum())
+        # the runs cover resets and resamples before a boundary
+        assert roll.boundary.any() and resampled
+
+    @pytest.mark.parametrize("env_config", [DESK_ENV, ZONE_ENV],
+                             ids=["desk-letterworld", "overlap-zonesim"])
+    def test_collect_peaks_near_its_rollout(self, env_config):
+        # the arrays are allocated once and written in place, so the peak
+        # is the rollout itself plus per-step scratch; a tuple per
+        # transition, zipped at the end, peaks at about three times that
+        trainer = Trainer(DESK_TRAINER, env_config)
+        # one step of each worker first, so that one-time set-up is not
+        # counted: np.unique's first call imports numpy.ma, about 0.5 MB
+        trainer.collect(DESK_TRAINER.workers)
+        tracemalloc.start()
+        try:
+            roll = trainer.collect(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(roll, f.name).nbytes for f in fields(Rollout))
+        assert peak <= 1.5 * size, (peak, size)
+
+
 class TestTrainer:
     def test_one_iteration_and_checkpoint_round_trip(self, tmp_path):
         cfg = small_trainer_config(total_interactions=256, n_per_iter=256)
