@@ -39,21 +39,12 @@ from functools import reduce
 
 from .ltl import (
     TRUE, Alphabet, And, Atom, Bool, Formula, Lasso, Not, Or, Until,
-    alphabet_of, atoms, format_formula, is_boolean, nnf,
+    alphabet_of, atoms, format_formula, nnf,
     eval_bool,  # not called here: perfbench/tracing.py counts calls through it
 )
 from .tableau import expand_tableau, is_literal
 
-__all__ = [
-    "Transition", "StateClasses", "BuchiAutomaton", "compile_formula",
-]
-
-
-@dataclass(frozen=True)
-class Transition:
-    src: int
-    guard: Formula
-    dst: int
+__all__ = ["StateClasses", "BuchiAutomaton", "compile_formula"]
 
 
 @dataclass(frozen=True)
@@ -249,29 +240,7 @@ class _Graph:
 class BuchiAutomaton:
     """Nondeterministic Buchi automaton over assignment letters."""
 
-    def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
-                 accepting: frozenset[int], transitions: Iterable[Transition]):
-        """An automaton from its transitions. Its `transitions` lists them
-        by source state, each state's in the order given here."""
-        if not (0 <= initial < n_states):
-            raise ValueError("initial state out of range")
-        if not all(0 <= q < n_states for q in accepting):
-            raise ValueError("accepting state out of range")
-        guards = _Guards()
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-        for t in transitions:
-            if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
-                raise ValueError(f"transition endpoint out of range: {t}")
-            out[t.src].append((guards.intern(t.guard), t.dst))
-        names = set(alphabet.names)
-        for g in guards.formulas:
-            if not is_boolean(g):
-                raise ValueError(f"guard must be a Boolean formula: {g}")
-            if not atoms(g) <= names:
-                raise ValueError(f"guard {g} uses atoms outside the alphabet")
-        self._adopt(alphabet, _Graph(guards, initial, frozenset(accepting), out))
-
-    def _adopt(self, alphabet: Alphabet, graph: _Graph) -> None:
+    def __init__(self, alphabet: Alphabet, graph: _Graph):
         """Take `graph` as this automaton's, and its edges as its only ones."""
         self.alphabet = alphabet
         self.n_states = len(graph.out)
@@ -282,14 +251,6 @@ class BuchiAutomaton:
         self._step_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._lasso_table: tuple | None = None   # built by subgoals
         self._classes: StateClasses | None = None
-
-    @property
-    def transitions(self) -> tuple[Transition, ...]:
-        """The edges by source state, in the order `to_json` and `to_dot`
-        write them."""
-        formulas = self._graph.guards.formulas
-        return tuple(Transition(q, formulas[i], d)
-                     for q, edges in enumerate(self._graph.out) for i, d in edges)
 
     # -- basic queries ---------------------------------------------------
 
@@ -359,14 +320,15 @@ class BuchiAutomaton:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        text = self._graph.guards.text
         return {
             "alphabet": list(self.alphabet.names),
             "states": list(range(self.n_states)),
             "initial": self.initial,
             "accepting": sorted(self.accepting),
             "transitions": [
-                {"src": t.src, "guard": format_formula(t.guard), "dst": t.dst}
-                for t in self.transitions
+                {"src": q, "guard": text(i), "dst": d}
+                for q, edges in enumerate(self._graph.out) for i, d in edges
             ],
         }
 
@@ -377,9 +339,11 @@ class BuchiAutomaton:
         for q in range(self.n_states):
             shape = "doublecircle" if q in self.accepting else "circle"
             lines.append(f"  q{q} [shape={shape}];")
-        for t in self.transitions:
-            label = format_formula(t.guard).replace('"', '\\"')
-            lines.append(f'  q{t.src} -> q{t.dst} [label="{label}"];')
+        text = self._graph.guards.text
+        for q, edges in enumerate(self._graph.out):
+            for i, d in edges:
+                label = text(i).replace('"', '\\"')
+                lines.append(f'  q{q} -> q{d} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -735,6 +699,4 @@ def _renumber(g: _Graph, alphabet: Alphabet) -> BuchiAutomaton:
     out = [sorted(((i, remap[d]) for i, d in g.out[q]),
                   key=lambda e: (text(e[0]), e[1])) for q in order]
     accepting = frozenset(remap[q] for q in g.accepting if q in remap)
-    aut = BuchiAutomaton.__new__(BuchiAutomaton)
-    aut._adopt(alphabet, _Graph(g.guards, 0, accepting, out))
-    return aut
+    return BuchiAutomaton(alphabet, _Graph(g.guards, 0, accepting, out))

@@ -319,6 +319,11 @@ class Trainer:
             raise ValueError(f"letters must be 2 to 58 achievable assignments "
                              f"for training, got {len(self.targets)}")
         dim = reduced_dim(env_config, config.fusion)
+        # collect's widest arrays are (n_per_iter, dim) floats; past this
+        # numpy cannot even work out their size
+        if config.n_per_iter * dim * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"n_per_iter {config.n_per_iter} is too large: "
+                             f"its rollout of {dim}-float rows cannot be sized")
         init_rng = stream_rng(config.seed, STREAM_POLICY_INIT)
         if env_config.env == "letterworld":
             policy_spec = MlpSpec(dim, config.actor_hidden, "categorical", 4)

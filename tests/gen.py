@@ -1,26 +1,34 @@
-"""Seeded random generators, a brute-force successor oracle, the listed
-subgoal universe, a per-node cycle check, round-by-round bisimulation
-classes over guard truth tables, a product check for a word two automata
-both accept, random Kripke structures and the states of one that a graph
-covers, a rolled LetterWorld view, a zone-by-zone lidar, a
-tuple-per-transition rollout collection, per-call observation
-reductions, per-row advantage scans, a scripted-label env and the
-assignment mask of named propositions, shared across test modules."""
+"""The desk settings, the benchmark's workloads module, an automaton
+built from its transitions and its edges listed back, seeded random
+generators, a brute-force successor oracle, the listed subgoal universe,
+a per-node cycle check, round-by-round bisimulation classes over guard
+truth tables, a product check for a word two automata both accept,
+random Kripke structures and the states of one that a graph covers, a
+rolled LetterWorld view, a zone-by-zone lidar, a tuple-per-transition
+rollout collection, per-call observation reductions, per-row advantage
+scans, a scripted-label env and the assignment mask of named
+propositions, shared across test modules."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+from collections.abc import Iterable
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ltlnav import buchi
-from ltlnav.buchi import BuchiAutomaton, Transition
+from ltlnav.buchi import BuchiAutomaton
 from ltlnav.envs import (
     SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
 )
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Formula,
-    Lasso, Next, Not, Or, Release, Until, eval_bool,
+    Lasso, Next, Not, Or, Release, Until, atoms, eval_bool, is_boolean,
 )
 from ltlnav.nets import (
     categorical_cdf, categorical_logp, forward, gaussian_logp,
@@ -28,7 +36,71 @@ from ltlnav.nets import (
 )
 from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
 from ltlnav.subgoals import Subgoal, sample_subgoal
-from ltlnav.trainer import Rollout, signals
+from ltlnav.trainer import Rollout, TrainerConfig, signals
+
+# the desk LetterWorld and its trainer settings, and the default
+# overlap-mode ZoneSim, as the train workloads of the benchmark and the
+# acceptance tests run them
+DESK_ENV = EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
+                     copies_per_letter=2, max_steps=75)
+DESK_TRAINER = TrainerConfig(gamma=0.94, total_interactions=2_000_000,
+                             n_per_iter=4096, minibatch=256, epochs=10,
+                             workers=16, seed=0)
+ZONE_ENV = EnvConfig(env="zonesim", overlap_mode=True)
+
+
+@functools.cache
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path and only read, once per
+    process."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class Transition:
+    src: int
+    guard: Formula
+    dst: int
+
+
+def automaton(alphabet: Alphabet, n_states: int, initial: int,
+              accepting: Iterable[int],
+              transitions: Iterable[Transition]) -> BuchiAutomaton:
+    """An automaton from its transitions, which `transitions(aut)` lists
+    back by source state, each state's in the order given here. Its
+    guards are interned and checked in a table of their own."""
+    if not (0 <= initial < n_states):
+        raise ValueError("initial state out of range")
+    accepting = frozenset(accepting)
+    if not all(0 <= q < n_states for q in accepting):
+        raise ValueError("accepting state out of range")
+    guards = buchi._Guards()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
+    for t in transitions:
+        if not (0 <= t.src < n_states and 0 <= t.dst < n_states):
+            raise ValueError(f"transition endpoint out of range: {t}")
+        out[t.src].append((guards.intern(t.guard), t.dst))
+    names = set(alphabet.names)
+    for g in guards.formulas:
+        if not is_boolean(g):
+            raise ValueError(f"guard must be a Boolean formula: {g}")
+        if not atoms(g) <= names:
+            raise ValueError(f"guard {g} uses atoms outside the alphabet")
+    return BuchiAutomaton(alphabet,
+                          buchi._Graph(guards, initial, accepting, out))
+
+
+def transitions(aut: BuchiAutomaton) -> tuple[Transition, ...]:
+    """The automaton's edges by source state, in the order `to_json` and
+    `to_dot` write them."""
+    formulas = aut._graph.guards.formulas
+    return tuple(Transition(q, formulas[i], d)
+                 for q, edges in enumerate(aut._graph.out) for i, d in edges)
 
 
 def random_formula(rng: np.random.Generator, depth: int, names: tuple[str, ...]):
@@ -88,7 +160,7 @@ def random_automaton(rng: np.random.Generator, n_states: int = 5,
     probability edge_prob under a random conjunction of literals, and a
     random subset of the states accepts."""
     ab = small_alphabet(n_props)
-    transitions = []
+    edges = []
     for src in range(n_states):
         for dst in range(n_states):
             if rng.random() < edge_prob:
@@ -102,20 +174,20 @@ def random_automaton(rng: np.random.Generator, n_states: int = 5,
                 guard = TRUE
                 for lit in lits:
                     guard = And(guard, lit) if guard is not TRUE else lit
-                transitions.append(Transition(src, guard, dst))
+                edges.append(Transition(src, guard, dst))
     n_acc = int(rng.integers(0, n_states + 1))
     accepting = frozenset(int(x) for x in rng.choice(n_states, size=n_acc, replace=False))
-    return BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
+    return automaton(ab, n_states, 0, accepting, edges)
 
 
 def brute_successors(aut: BuchiAutomaton, q: int, letter: int,
-                     transitions=None) -> set[int]:
+                     edges=None) -> set[int]:
     """Successors of q under one letter, straight from the guards, by
-    eval_bool over aut.transitions; pass that listing as `transitions` to
-    list it once for many calls."""
-    if transitions is None:
-        transitions = aut.transitions
-    return {t.dst for t in transitions
+    eval_bool over transitions(aut); pass that listing as `edges` to list
+    it once for many calls."""
+    if edges is None:
+        edges = transitions(aut)
+    return {t.dst for t in edges
             if t.src == q and eval_bool(t.guard, letter, aut.alphabet)}
 
 

@@ -38,16 +38,10 @@ from ltlnav.nets import backward, forward_tape, n_params
 from ltlnav.reduction import reduce, reduced_dim
 from ltlnav.subgoals import Subgoal, UniverseTooLarge, extract_subgoals
 from ltlnav.trainer import (
-    Trainer, TrainerConfig, episode_cost_togo, gae_reward, stream_rng,
+    Trainer, episode_cost_togo, gae_reward, stream_rng,
 )
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / ".artifacts"
-
-DESK_ENV = EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
-                     copies_per_letter=2, max_steps=75)
-DESK_TRAINER = TrainerConfig(gamma=0.94, total_interactions=2_000_000,
-                             n_per_iter=4096, minibatch=256, epochs=10,
-                             workers=16, seed=0)
 
 SEQ2_SPECS = [
     "(!b) U (a & ((!c) U d))",
@@ -78,8 +72,8 @@ def _desk_key() -> str:
     sources = hashlib.sha256()
     for module in (envs, reduction, subgoals, nets, trainer):
         sources.update(Path(module.__file__).read_bytes())
-    blob = json.dumps({"env": DESK_ENV.to_json(),
-                       "trainer": DESK_TRAINER.to_json(),
+    blob = json.dumps({"env": gen.DESK_ENV.to_json(),
+                       "trainer": gen.DESK_TRAINER.to_json(),
                        "sources": sources.hexdigest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -90,7 +84,7 @@ def ensure_desk_checkpoint() -> dict:
     if not path.exists():
         print("\ntraining desk-scale checkpoint (one-time, cached under "
               f"{ARTIFACTS})...")
-        Trainer(DESK_TRAINER, DESK_ENV).run(
+        Trainer(gen.DESK_TRAINER, gen.DESK_ENV).run(
             log_path=str(ARTIFACTS / f"desk-{_desk_key()}.log.jsonl"),
             checkpoint_path=str(path))
     return json.loads(path.read_text())
@@ -320,7 +314,7 @@ class _InertAgent:
 
 def test_criterion_10_metric_identities_and_agreement():
     # identity over evaluated reports
-    reports = evaluate(["F a", "G (F a)"], env_config=DESK_ENV,
+    reports = evaluate(["F a", "G (F a)"], env_config=gen.DESK_ENV,
                        agent_factory=ScriptedGridAgent, n_traj=4,
                        seeds=(0, 1))
     identity_ok = all(

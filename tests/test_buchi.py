@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gen import (
-    brute_successors, random_automaton, random_formula, random_lasso,
-    mask, reference_on_cycle, small_alphabet,
+    Transition, automaton, brute_successors, random_automaton,
+    random_formula, random_lasso, mask, reference_on_cycle, small_alphabet,
+    transitions,
 )
 from ltlnav import buchi
-from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
+from ltlnav.buchi import BuchiAutomaton, compile_formula
 from ltlnav.ltl import (
     FALSE, TRUE, Alphabet, And, Atom, Lasso, Not, Or, atoms, eval_bool,
     eval_lasso, format_formula, parse,
@@ -51,7 +52,7 @@ class TestCompileShapes:
         assert aut.n_states == 2
         assert aut.initial == 0
         assert aut.accepting == frozenset({1})
-        edges = {(t.src, format_formula(t.guard), t.dst) for t in aut.transitions}
+        edges = {(t.src, format_formula(t.guard), t.dst) for t in transitions(aut)}
         assert edges == {(0, "!a", 0), (0, "a", 1), (1, "true", 1)}
         classes = aut.classify()
         assert classes.live == frozenset({0, 1})
@@ -61,7 +62,7 @@ class TestCompileShapes:
     def test_until_with_avoid(self):
         aut = compile_str("!a U b")
         assert aut.n_states == 2
-        edges = {(t.src, format_formula(t.guard), t.dst) for t in aut.transitions}
+        edges = {(t.src, format_formula(t.guard), t.dst) for t in transitions(aut)}
         assert edges == {(0, "(!a & !b)", 0), (0, "b", 1), (1, "true", 1)}
         # a & !b kills every run
         assert aut.step(frozenset({0}), mask(aut.alphabet, "a")) == frozenset()
@@ -70,7 +71,7 @@ class TestCompileShapes:
     def test_infinitely_often_accepting_core(self):
         aut = compile_str("G F a")
         # every edge into an accepting state requires a
-        for t in aut.transitions:
+        for t in transitions(aut):
             if t.dst in aut.accepting:
                 assert eval_bool(t.guard, mask(aut.alphabet, "a"), aut.alphabet)
                 assert not eval_bool(t.guard, 0, aut.alphabet)
@@ -91,7 +92,7 @@ class TestCompileShapes:
         aut = compile_str(" | ".join(f"F p{i}" for i in range(15)))
         (sink,) = aut.classify().accepting_sink
         assert aut.accepts_lasso(Lasso((), (mask(aut.alphabet, "p14"),)))
-        assert [(t.guard, t.dst) for t in aut.transitions if t.src == sink] == [(TRUE, sink)]
+        assert [(t.guard, t.dst) for t in transitions(aut) if t.src == sink] == [(TRUE, sink)]
 
     def test_sink_absorbs_past_ten_propositions(self):
         # guard narrowing checks each narrowed guard over its own atoms, so
@@ -233,18 +234,18 @@ class TestStructuralProperties:
             f = random_formula(rng, depth=3, names=names)
             aut = compile_formula(f, AB)
             # re-add a dead state by hand; language must not change
-            dead = BuchiAutomaton(
+            dead = automaton(
                 aut.alphabet, aut.n_states + 1, aut.initial, aut.accepting,
-                aut.transitions + (Transition(aut.initial, TRUE, aut.n_states),))
+                transitions(aut) + (Transition(aut.initial, TRUE, aut.n_states),))
             for _ in range(20):
                 w = random_lasso(rng, 2)
                 assert aut.accepts_lasso(w) == dead.accepts_lasso(w)
 
     def test_dead_state_is_trap(self):
         aut = compile_str("F a")
-        dead = BuchiAutomaton(
+        dead = automaton(
             aut.alphabet, aut.n_states + 1, aut.initial, aut.accepting,
-            aut.transitions + (Transition(0, Not(parse("a")), 2),))
+            transitions(aut) + (Transition(0, Not(parse("a")), 2),))
         classes = dead.classify()
         assert classes.live == frozenset({0, 1})
         assert 2 not in classes.live
@@ -254,7 +255,7 @@ class TestStructuralProperties:
         # Everything 0 reaches has only true edges, yet 1 never returns to
         # 0, so merging {0, 1} into one accepting sink would accept !a words
         a = parse("a")
-        aut = BuchiAutomaton(AB, 3, 2, frozenset({0}), (
+        aut = automaton(AB, 3, 2, frozenset({0}), (
             Transition(0, TRUE, 0), Transition(0, TRUE, 1),
             Transition(1, TRUE, 1), Transition(2, a, 0),
             Transition(2, Not(a), 1)))
@@ -269,7 +270,8 @@ class TestStructuralProperties:
             f = random_formula(rng, depth=3, names=names)
             aut = compile_formula(f, AB)
             assert aut.initial == 0
-            srcs = {t.src for t in aut.transitions} | {t.dst for t in aut.transitions}
+            edges = transitions(aut)
+            srcs = {t.src for t in edges} | {t.dst for t in edges}
             assert srcs <= set(range(aut.n_states))
 
     def test_guards_use_alphabet_atoms_only(self):
@@ -279,7 +281,7 @@ class TestStructuralProperties:
         for _ in range(60):
             f = random_formula(rng, depth=3, names=names)
             aut = compile_formula(f, ab)
-            for t in aut.transitions:
+            for t in transitions(aut):
                 assert atoms(t.guard) <= set(names)
 
     def test_alphabet_mismatch_raises(self):
@@ -460,7 +462,7 @@ def random_guard(rng, depth, names):
 def letter_set_classes(aut):
     """Bisimulation classes from each state's successor classes, letter by
     letter over the support, numbered in order of first member."""
-    support = sorted(set().union(*(atoms(t.guard) for t in aut.transitions)))
+    support = sorted(set().union(*(atoms(t.guard) for t in transitions(aut))))
     letters = [mask(aut.alphabet, *(n for i, n in enumerate(support) if combo >> i & 1))
                for combo in range(1 << len(support))]
     succ = [[brute_successors(aut, q, letter) for letter in letters]
@@ -519,14 +521,14 @@ class TestGuardDecisions:
             ab = small_alphabet(n_props)
             n_states = int(rng.integers(1, 8))
             pool = [random_guard(rng, 3, ab.names) for _ in range(3)]
-            transitions = []
+            edges = []
             for src in range(n_states):
                 k = int(rng.integers(0, min(n_states, 2) + 1))
                 for dst in rng.choice(n_states, size=k, replace=False):
                     guard = pool[int(rng.integers(len(pool)))]
-                    transitions.append(Transition(src, guard, int(dst)))
+                    edges.append(Transition(src, guard, int(dst)))
             accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
-            aut = BuchiAutomaton(ab, n_states, 0, accepting, tuple(transitions))
+            aut = automaton(ab, n_states, 0, accepting, edges)
             cls = buchi._bisimilar_classes(
                 aut._graph, [q in accepting for q in range(n_states)])
             assert cls == letter_set_classes(aut)
@@ -538,7 +540,7 @@ def automaton_from_json(data):
     """Rebuild an automaton from to_json's output: the JSON must name dense
     states, and every guard's text must parse back to the same guard."""
     assert data["states"] == list(range(len(data["states"])))
-    return BuchiAutomaton(
+    return automaton(
         Alphabet(tuple(data["alphabet"])), len(data["states"]),
         data["initial"], frozenset(data["accepting"]),
         tuple(Transition(t["src"], parse(t["guard"]), t["dst"])
@@ -556,22 +558,22 @@ class TestSerialization:
             assert back.n_states == aut.n_states
             assert back.initial == aut.initial
             assert back.accepting == aut.accepting
-            assert [(t.src, format_formula(t.guard), t.dst) for t in back.transitions] == \
-                   [(t.src, format_formula(t.guard), t.dst) for t in aut.transitions]
+            assert [(t.src, format_formula(t.guard), t.dst) for t in transitions(back)] == \
+                   [(t.src, format_formula(t.guard), t.dst) for t in transitions(aut)]
             for _ in range(10):
                 w = random_lasso(rng, 2)
                 assert back.accepts_lasso(w) == aut.accepts_lasso(w)
 
     def test_json_validation(self):
-        # the constructor rejects states outside 0..n_states-1
+        # the builder rejects states outside 0..n_states-1
         aut = compile_str("F a")
+        edges = transitions(aut)
         for q in (7, -1):
             with pytest.raises(ValueError, match="accepting"):
-                BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                               frozenset({q}), aut.transitions)
+                automaton(aut.alphabet, aut.n_states, aut.initial,
+                          frozenset({q}), edges)
             with pytest.raises(ValueError, match="initial"):
-                BuchiAutomaton(aut.alphabet, aut.n_states, q, aut.accepting,
-                               aut.transitions)
+                automaton(aut.alphabet, aut.n_states, q, aut.accepting, edges)
         # and transitions between such states, over Boolean guards on the
         # alphabet's atoms
         bad = {"transition endpoint out of range": Transition(0, TRUE, 2),
@@ -579,8 +581,8 @@ class TestSerialization:
                "uses atoms outside the alphabet": Transition(0, parse("b"), 1)}
         for message, t in bad.items():
             with pytest.raises(ValueError, match=message):
-                BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                               aut.accepting, aut.transitions + (t,))
+                automaton(aut.alphabet, aut.n_states, aut.initial,
+                          aut.accepting, edges + (t,))
 
     def test_transitions_listed_by_source_state(self):
         # ungrouped input comes back grouped by source, each source's
@@ -590,20 +592,19 @@ class TestSerialization:
                  Transition(2, TRUE, 2), Transition(1, a, 1),
                  Transition(0, Not(a), 0), Transition(2, a, 0),
                  Transition(0, TRUE, 2)]
-        aut = BuchiAutomaton(AB, 3, 0, frozenset({2}), given)
+        aut = automaton(AB, 3, 0, frozenset({2}), given)
         expected = tuple(t for q in range(3) for t in given if t.src == q)
-        assert aut.transitions == expected
+        assert transitions(aut) == expected
         assert aut.to_json()["transitions"] == [
             {"src": t.src, "guard": format_formula(t.guard), "dst": t.dst}
             for t in expected]
         # a second automaton built from the listing lists it unchanged
-        again = BuchiAutomaton(AB, 3, 0, frozenset({2}), aut.transitions)
-        assert again.transitions == expected
+        again = automaton(AB, 3, 0, frozenset({2}), transitions(aut))
+        assert transitions(again) == expected
         assert again.to_dot() == aut.to_dot()
         # the listing is read off the one edge store, not kept beside it
         assert "transitions" not in vars(aut)
-        with pytest.raises(AttributeError):
-            aut.transitions = expected
+        assert not hasattr(BuchiAutomaton, "transitions")
 
     def test_dot_golden(self):
         dot = compile_str("F a").to_dot()

@@ -223,13 +223,12 @@ class TestTrain:
         assert env_run != base          # env var overrides the config seed
         assert flag_run == base         # explicit flag beats the env var
 
-    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
-        # passes every config check; collect allocates the rollout before
-        # its first env step, and 2^44 rows are more than the address space
-        # holds, so the allocation raises MemoryError at once and nothing
-        # is allocated
+    @staticmethod
+    def train_huge(tmp_path, monkeypatch, n_per_iter):
+        """Exit code of a train run with n_per_iter rows over 16 workers,
+        and the env steps it took."""
         cfg = json.loads(write_train_config(tmp_path).read_text())
-        cfg["trainer"].update(n_per_iter=2**44, workers=16)
+        cfg["trainer"].update(n_per_iter=n_per_iter, workers=16)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(cfg))
         steps = []
@@ -241,9 +240,23 @@ class TestTrain:
             raise AssertionError("an env step ran before the allocation")
 
         monkeypatch.setattr(envs.LetterWorld, "step", counting_step)
-        assert main(["train", "--config", str(path)]) == 4
+        return main(["train", "--config", str(path)]), steps
+
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch):
+        # passes every config check; collect allocates the rollout before
+        # its first env step, and 2^44 rows are more than the address space
+        # holds, so the allocation raises MemoryError at once and nothing
+        # is allocated
+        assert self.train_huge(tmp_path, monkeypatch, 2**44) == (4, [])
         assert capsys.readouterr().err == "error: ran out of memory\n"
-        assert steps == []
+
+    def test_unsizable_rollout_names_n_per_iter(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 2^60 rows of D floats are more bytes than numpy can count, so the
+        # trainer rejects the config before it builds an env
+        assert self.train_huge(tmp_path, monkeypatch, 2**60) == (4, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_per_iter") and "sized" in err
 
     def test_unknown_config_key_exit_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,12 +12,9 @@ CHANGES.md."""
 import functools
 import gc
 import hashlib
-import importlib.util
 import json
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +23,7 @@ import gen
 from ltlnav import buchi, ltl, subgoals
 from test_buchi import STAGES
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = workloads     # dataclasses look their module up
-_SPEC.loader.exec_module(workloads)
+workloads = gen.perfbench_workloads()
 
 # recorded with the code of the commit before the one that added this test,
 # except persistence (3 -> 2 states) and too-many-lassos (23 -> 21 states),
@@ -163,7 +156,8 @@ def test_compiled_automata_are_trim(case):
             else random_automata())
     for aut in auts:
         everything = set(range(aut.n_states))
-        assert all(satisfiable(t.guard, aut.alphabet) for t in aut.transitions)
+        assert all(satisfiable(t.guard, aut.alphabet)
+                   for t in gen.transitions(aut))
         assert buchi._closure((aut.initial,), aut.edges()) == everything
         assert everything - {aut.initial} <= aut.classify().live
 
@@ -322,9 +316,9 @@ def test_succ_matches_brute_successors(case):
     rng = np.random.default_rng(17)
     pairs = sets = 0
     for aut in auts:
-        transitions = aut.transitions
+        edges = gen.transitions(aut)
         letters = checked_letters(aut.alphabet.n)
-        brute = {(q, a): gen.brute_successors(aut, q, a, transitions)
+        brute = {(q, a): gen.brute_successors(aut, q, a, edges)
                  for q in range(aut.n_states) for a in letters}
         for (q, a), want in brute.items():
             assert aut.succ(q, a) == want, (q, a)
@@ -345,7 +339,7 @@ def test_succ_matches_brute_successors(case):
 def test_large_automaton_unchanged():
     text, digest = LARGE
     aut = buchi.compile_formula(ltl.parse(text))
-    assert (aut.n_states, len(aut.transitions)) == (141, 2117)
+    assert (aut.n_states, len(gen.transitions(aut))) == (141, 2117)
     blob = json.dumps(aut.to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
     classes = aut.classify()
@@ -397,8 +391,7 @@ def test_compiled_automata_decide_as_rebuilt_ones():
              for text, _ in (*WIDE_GUARDS.values(), LARGE)]
     auts += random_automata()
     for aut in auts:
-        fresh = buchi.BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                                     aut.accepting, aut.transitions)
+        fresh = rebuilt(aut)
         assert aut.edges() == fresh.edges()
         assert aut.classify() == fresh.classify()
     assert len(auts) == 317
@@ -600,16 +593,17 @@ def test_compile_formats_each_guard_once(monkeypatch):
 def test_one_automaton_per_compile(monkeypatch):
     """The compile stages pass one graph of guard ids along, and only the
     last builds a BuchiAutomaton: one per compile, on every SUITE and
-    wide-guard spec. Every automaton, compiled or built from transitions,
-    ends in `_adopt`, so it counts them all."""
+    wide-guard spec. Every automaton, compiled or built from transitions
+    by `gen.automaton`, ends in `BuchiAutomaton.__init__`, so it counts
+    them all."""
     built = []
-    real = buchi.BuchiAutomaton._adopt
+    real = buchi.BuchiAutomaton.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
 
-    monkeypatch.setattr(buchi.BuchiAutomaton, "_adopt", counted)
+    monkeypatch.setattr(buchi.BuchiAutomaton, "__init__", counted)
     for text, alphabet in GUARD_SPECS:
         built.clear()
         aut = buchi.compile_formula(ltl.parse(text), alphabet)
@@ -773,8 +767,8 @@ def mid_sized_formulas() -> tuple[ltl.Formula, ...]:
 
 def rebuilt(aut: buchi.BuchiAutomaton) -> buchi.BuchiAutomaton:
     """A fresh automaton with aut's transitions, which shares no memo."""
-    return buchi.BuchiAutomaton(aut.alphabet, aut.n_states, aut.initial,
-                                aut.accepting, aut.transitions)
+    return gen.automaton(aut.alphabet, aut.n_states, aut.initial,
+                         aut.accepting, gen.transitions(aut))
 
 
 @pytest.mark.parametrize("case", [

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gen import (
-    brute_successors, mask, random_automaton, random_formula,
-    reference_universe, small_alphabet,
+    Transition, automaton, brute_successors, mask, random_automaton,
+    random_formula, reference_universe, small_alphabet, transitions,
 )
 from ltlnav import buchi, subgoals
-from ltlnav.buchi import BuchiAutomaton, Transition, compile_formula
+from ltlnav.buchi import compile_formula
 from ltlnav.ltl import TRUE, eval_bool, parse
 from ltlnav.subgoals import (
     LassoPath, NoValidSubgoal, Subgoal, UniverseTooLarge, check_subgoal,
@@ -27,7 +27,7 @@ def brute_edges(aut):
     """Edge relation computed directly from guards over all letters."""
     n_letters = 1 << aut.alphabet.n
     edges = set()
-    for t in aut.transitions:
+    for t in transitions(aut):
         for letter in range(n_letters):
             if eval_bool(t.guard, letter, aut.alphabet):
                 edges.add((t.src, t.dst))
@@ -205,8 +205,8 @@ class TestEdges:
         # built from transitions, so the automaton decides its own guards; a
         # compiled one keeps the compile's decisions and decides none
         c = compile_str("G (a -> F b)", small_alphabet(2))
-        aut = BuchiAutomaton(c.alphabet, c.n_states, c.initial, c.accepting,
-                             c.transitions)
+        aut = automaton(c.alphabet, c.n_states, c.initial, c.accepting,
+                        transitions(c))
         calls = []
         real = buchi._Guards._build
 
@@ -332,9 +332,8 @@ class TestExtractSubgoals:
         # one lasso through 3000 states: a walk that recursed per node
         # would pass Python's recursion limit
         n = 3000
-        aut = BuchiAutomaton(small_alphabet(1), n, 0, frozenset({0}),
-                             tuple(Transition(q, TRUE, (q + 1) % n)
-                                   for q in range(n)))
+        aut = automaton(small_alphabet(1), n, 0, frozenset({0}),
+                        (Transition(q, TRUE, (q + 1) % n) for q in range(n)))
         for q in (0, n - 1):
             assert extract_subgoals(aut, frozenset({q}), frozenset(), (1,)) \
                 == [(q, Subgoal(1, frozenset()))]

@@ -477,15 +477,15 @@ class TestCollect:
                     terminal=np.array([False]), boundary=np.array([False]))
 
 
-# the desk LetterWorld and the default overlap-mode ZoneSim, as the train
-# workloads of the benchmark and the acceptance tests run them (test_acceptance
-# imports this module, so its DESK_ constants cannot be imported here)
-DESK_ENV = EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
-                     copies_per_letter=2, max_steps=75)
-DESK_TRAINER = TrainerConfig(gamma=0.94, total_interactions=2_000_000,
-                             n_per_iter=4096, minibatch=256, epochs=10,
-                             workers=16, seed=0)
-ZONE_ENV = EnvConfig(env="zonesim", overlap_mode=True)
+def test_desk_settings_match_the_benchmark():
+    # perfbench/workloads.py writes the desk settings out once more, so
+    # that the benchmark runs without the tests; a change to one copy
+    # that misses the other fails here
+    workloads = gen.perfbench_workloads()
+    assert workloads.DESK_ENV == gen.DESK_ENV
+    assert workloads.ZONE_ENV == gen.ZONE_ENV
+    desk = workloads.TrainWorkload(workloads.DESK_ENV, 0, tiny=False)
+    assert desk.config == gen.DESK_TRAINER
 
 
 class TestCollectMatchesReference:
@@ -506,8 +506,8 @@ class TestCollectMatchesReference:
         }
 
     @pytest.mark.parametrize("cfg, env_config, n", [
-        (DESK_TRAINER, DESK_ENV, 4096),
-        (DESK_TRAINER, ZONE_ENV, 4096),
+        (gen.DESK_TRAINER, gen.DESK_ENV, 4096),
+        (gen.DESK_TRAINER, gen.ZONE_ENV, 4096),
         (small_trainer_config(workers=1), small_env_config(), 256),
         (small_trainer_config(fusion="raw"), small_env_config(), 256),
     ], ids=["desk-letterworld", "overlap-zonesim", "one-worker", "raw"])
@@ -528,16 +528,16 @@ class TestCollectMatchesReference:
         # the runs cover resets and resamples before a boundary
         assert roll.boundary.any() and resampled
 
-    @pytest.mark.parametrize("env_config", [DESK_ENV, ZONE_ENV],
+    @pytest.mark.parametrize("env_config", [gen.DESK_ENV, gen.ZONE_ENV],
                              ids=["desk-letterworld", "overlap-zonesim"])
     def test_collect_peaks_near_its_rollout(self, env_config):
         # the arrays are allocated once and written in place, so the peak
         # is the rollout itself plus per-step scratch; a tuple per
         # transition, zipped at the end, peaks at about three times that
-        trainer = Trainer(DESK_TRAINER, env_config)
+        trainer = Trainer(gen.DESK_TRAINER, env_config)
         # one step of each worker first, so that one-time set-up is not
         # counted: np.unique's first call imports numpy.ma, about 0.5 MB
-        trainer.collect(DESK_TRAINER.workers)
+        trainer.collect(gen.DESK_TRAINER.workers)
         tracemalloc.start()
         try:
             roll = trainer.collect(4096)
