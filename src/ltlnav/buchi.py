@@ -228,6 +228,12 @@ class _Graph:
             self._components = list(_sccs(self.adj()))
         return self._components
 
+    def live(self) -> tuple[frozenset[int], set[int]]:
+        """(seeds, live): accepting states on a cycle, those reaching one."""
+        adj = self.adj()
+        seeds = self.accepting & _cyclic(self.sccs(), adj)
+        return seeds, _closure(seeds, _reverse(adj))
+
     def sinks(self) -> frozenset[int]:
         """Accepting states with only self-loops, which cover every letter."""
         covers = self.guards.covers
@@ -291,11 +297,9 @@ class BuchiAutomaton:
 
     def classify(self) -> StateClasses:
         if self._classes is None:
-            adj = self.edges()
-            seeds = self.accepting & _cyclic(self.sccs(), adj)
-            live = frozenset(_closure(seeds, _reverse(adj)))
-            self._classes = StateClasses(live=live,
-                                         accepting_sink=self._graph.sinks())
+            self._classes = StateClasses(
+                live=frozenset(self._graph.live()[1]),
+                accepting_sink=self._graph.sinks())
         return self._classes
 
     # -- lasso acceptance --------------------------------------------------
@@ -494,7 +498,7 @@ def _prune(g: _Graph) -> _Graph:
     state. Degeneralization marks counter-wrap copies of transient states
     as accepting; dropping those marks keeps the language and lets the
     bisimulation quotient fold the copies away. Liveness stays as it is:
-    its seeds are exactly the accepting states on a cycle.
+    `live()` seeds it with exactly the accepting states on a cycle.
 
     Every kept state stays reachable from the initial state, with no pass
     to check it: `_degeneralize` builds only the states it reaches, every
@@ -502,10 +506,9 @@ def _prune(g: _Graph) -> _Graph:
     literal and its complement, so `adj()` keeps every edge), and a state
     on a path to a live state is live itself.
     """
-    adj = g.adj()
-    good = g.accepting & _cyclic(g.sccs(), adj)
-    keep = _closure(good, _reverse(adj)) | {g.initial}
-    if len(keep) == len(adj):
+    good, live = g.live()
+    keep = live | {g.initial}
+    if len(keep) == len(g.out):
         # no state dropped: the edge lists, adjacency and SCCs all stand
         return replace(g, accepting=good)
     remap = {q: i for i, q in enumerate(sorted(keep))}

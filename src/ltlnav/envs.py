@@ -228,11 +228,14 @@ class LetterWorld:
         return self.observe()
 
     def step(self, action: int):
-        if not 0 <= int(action) < 4:
-            raise ValueError(f"action must be in 0..3, got {action}")
+        """One move; action is a Python or numpy int in 0..3, not a bool."""
+        if (isinstance(action, bool)
+                or not isinstance(action, (int, np.integer))
+                or not 0 <= action < 4):
+            raise ValueError(f"action must be an int in 0..3, got {action!r}")
         st = self.state
         g = self.config.grid_size
-        dr, dc = self._MOVES[int(action)]
+        dr, dc = self._MOVES[action]
         st.agent = ((st.agent[0] + dr) % g, (st.agent[1] + dc) % g)
         st.step_count += 1
         done = st.step_count >= self.config.max_steps

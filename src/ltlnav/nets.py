@@ -151,38 +151,24 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int,
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal weights, zero biases; policy output layer scaled down so
     initial action distributions are near-uniform; log_std starts at -0.5."""
-    dims = spec.dims
-    chunks = []
-    last = len(dims) - 2
-    for li, (i, o) in enumerate(zip(dims, dims[1:])):
-        if li == last and spec.head in ("categorical", "gaussian"):
-            gain = 0.01
-        else:
-            gain = 1.0
-        chunks.append(_orthogonal(rng, o, i, gain).ravel())
-        chunks.append(np.zeros(o))
-    if spec.head == "gaussian":
-        chunks.append(np.full(spec.out_dim, -0.5))
-    return np.concatenate(chunks)
-
-
-def _unpack(spec: MlpSpec, params: np.ndarray):
-    dims = spec.dims
-    wts, bs, at = [], [], 0
-    for i, o in zip(dims, dims[1:]):
-        wts.append(params[at:at + o * i].reshape(o, i).T)
-        at += o * i
-        bs.append(params[at:at + o])
-        at += o
-    log_std = params[at:at + spec.out_dim] if spec.head == "gaussian" else None
-    return wts, bs, log_std
+    params = np.zeros(n_params(spec))
+    wts, _, log_std = unpack(spec, params)
+    for li, wt in enumerate(wts):
+        policy_out = (li == len(wts) - 1
+                      and spec.head in ("categorical", "gaussian"))
+        wt.T[...] = _orthogonal(rng, *wt.T.shape, 0.01 if policy_out else 1.0)
+    if log_std is not None:
+        log_std[...] = -0.5
+    return params
 
 
 def unpack(spec, params):
     """Flat params split into layers once, for forward to run many times:
     (wts, bs, log_std) of views, with wts[l] layer l's weight matrix
     transposed, (in, out), bs[l] its bias (out,) and log_std the gaussian
-    head's (out_dim,), else None.
+    head's (out_dim,), else None.  These views are the one statement of
+    the flat layout, which init_params and backward write through: per
+    layer, the (out, in) weights row-major, then the bias; then log_std.
 
     With spec a tuple of MlpSpecs of one shape and params their flat
     vectors in that order, scalar and nonneg heads stack on a leading head
@@ -192,13 +178,22 @@ def unpack(spec, params):
     row) pair, the BLAS call of that head on that row alone, and gives the
     same bits as the K x C single-row passes."""
     if isinstance(spec, MlpSpec):
-        return _unpack(spec, params)
+        dims = spec.dims
+        wts, bs, at = [], [], 0
+        for i, o in zip(dims, dims[1:]):
+            wts.append(params[at:at + o * i].reshape(o, i).T)
+            at += o * i
+            bs.append(params[at:at + o])
+            at += o
+        log_std = (params[at:at + spec.out_dim]
+                   if spec.head == "gaussian" else None)
+        return wts, bs, log_std
     if len({s.dims for s in spec}) != 1:
         raise ValueError("stacked heads differ in shape: "
                          f"{[s.dims for s in spec]}")
     if any(s.head not in ("scalar", "nonneg") for s in spec):
         raise ValueError("only scalar and nonneg heads stack")
-    wts, bs, _ = zip(*(_unpack(s, p) for s, p in zip(spec, params)))
+    wts, bs, _ = zip(*(unpack(s, p) for s, p in zip(spec, params)))
     return ([np.stack([wt.T for wt in layer]).swapaxes(-1, -2)[:, None]
              for layer in zip(*wts)],
             [np.stack(layer)[:, None, None, :] for layer in zip(*bs)], None)
@@ -225,7 +220,7 @@ def forward_tape(spec, params, x):
     row per head, each through its own head's transform."""
     stacked = not isinstance(spec, MlpSpec)
     in_dim = spec[0].in_dim if stacked else spec.in_dim
-    wts, bs, log_std = (_unpack(spec, params)
+    wts, bs, log_std = (unpack(spec, params)
                         if isinstance(params, np.ndarray) else params)
     x = np.asarray(x, dtype=wts[0].dtype)
     row = (1, in_dim) if stacked else (in_dim,)
@@ -269,29 +264,25 @@ def backward(spec: MlpSpec, tape, d_out) -> np.ndarray:
     """
     wts, hs, z = tape
     dtype = wts[0].dtype
+    grad = np.empty(n_params(spec), dtype=dtype)
+    g_wts, g_bs, g_log_std = unpack(spec, grad)
     if spec.head == "categorical":
         dz = np.asarray(d_out, dtype=dtype)
     elif spec.head == "gaussian":
         d_mean, d_log_std = d_out
         dz = np.asarray(d_mean, dtype=dtype)
-        d_log_std = np.asarray(d_log_std, dtype=dtype).reshape(
-            -1, spec.out_dim).sum(axis=0)
+        np.asarray(d_log_std, dtype=dtype).reshape(
+            -1, spec.out_dim).sum(axis=0, out=g_log_std)
     else:
         dv = np.asarray(d_out, dtype=dtype)
         dz = (dv * _sigmoid(z[:, 0]))[:, None] if spec.head == "nonneg" \
             else dv[:, None]
-    grads = []
     for li in range(len(wts) - 1, -1, -1):
-        grads.append((dz.T @ hs[li], dz.sum(axis=0)))
+        np.matmul(dz.T, hs[li], out=g_wts[li].T)
+        dz.sum(axis=0, out=g_bs[li])
         if li > 0:
             dz = (dz @ wts[li].T) * (1.0 - hs[li] * hs[li])
-    flat = []
-    for dw, db in reversed(grads):
-        flat.append(dw.ravel())
-        flat.append(db)
-    if spec.head == "gaussian":
-        flat.append(d_log_std)
-    return np.concatenate(flat)
+    return grad
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import fields
 from itertools import combinations, product
@@ -186,6 +187,30 @@ class TestLetterWorld:
         env = LetterWorld(grid_config(agent_start=(2, 3)))
         env.reset(np.random.default_rng(0))
         assert env.state.agent == (2, 3)
+
+    @pytest.mark.parametrize("action", [
+        1.5, True, False, np.float64(3.9), np.bool_(True), "2", None, -1, 4,
+        np.int64(4),
+    ], ids=["float", "true", "false", "np-float", "np-bool", "str", "none",
+            "negative", "four", "np-four"])
+    def test_non_int_or_out_of_range_action_raises(self, action):
+        env = LetterWorld(grid_config())
+        env.reset(np.random.default_rng(6))
+        before = (env.state.agent, env.state.step_count)
+        with pytest.raises(ValueError, match="must be an int in 0..3, got "
+                           + re.escape(repr(action))):
+            env.step(action)
+        assert (env.state.agent, env.state.step_count) == before
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_python_and_numpy_ints_move_alike(self, kind):
+        trails = []
+        for convert in (int, kind):
+            env = LetterWorld(grid_config())
+            env.reset(np.random.default_rng(7))
+            trails.append([env.step(convert(a))[1:] + (env.state.agent,)
+                           for a in (0, 1, 2, 3, 3, 1)])
+        assert trails[0] == trails[1]
 
 
 class TestViewMatchesReference:

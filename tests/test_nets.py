@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -226,6 +227,77 @@ class TestBackward:
                     1e-6, np.maximum(np.abs(got), np.abs(want)))
                 worst = max(worst, float(rel.max()))
         assert worst < 1e-4
+
+
+# each head kind at the desk's shapes: reduced LetterWorld rows (25 wide)
+# through the trainer's default hidden widths, and the overlap-mode ZoneSim
+# rows (35 wide) for the gaussian policy
+LAYOUT_SPECS = {
+    "categorical": MlpSpec(25, (64, 64, 64), "categorical", 4),
+    "gaussian": MlpSpec(35, (64, 64, 64), "gaussian", 2),
+    "scalar": MlpSpec(25, (64, 64), "scalar"),
+    "nonneg": MlpSpec(25, (64, 64), "nonneg"),
+}
+INIT_DIGESTS = {
+    "categorical":
+        "0d09fde3775a58d85de49cb782be69af35758cc357d26af0e0e577d4e37584d6",
+    "gaussian":
+        "15c9f3516d2f02b2fb2137e86959c5ca39a9df08d4737edb7212066bdfe8ac8e",
+    "scalar":
+        "debeaeb010d9b7ace4fc274efd029a2c200e391ce00c7e59e7da5437df81f460",
+    "nonneg":
+        "debeaeb010d9b7ace4fc274efd029a2c200e391ce00c7e59e7da5437df81f460",
+}
+BACKWARD_DIGESTS = {
+    ("categorical", "float32"):
+        "ee6b1f163f9a5e2ea85e0293d81d8936aab5b20b328f64f006356ba2ca87cf82",
+    ("categorical", "float64"):
+        "0dadfb7df0a28137fd060caf4471067346a0abb21df92b10ab23d45f8ce856a4",
+    ("gaussian", "float32"):
+        "b0c082864cd71de438df4ceb6b85597a8435df8a84ec493ec8ce6d0b5a0b2d69",
+    ("gaussian", "float64"):
+        "9b9dc907a35e45e92128d6c568b61e35d70fc7241637ddc14d03af9939c2474c",
+    ("scalar", "float32"):
+        "27d462cc1d08d34bf4edfa77560474c6b3af9a397d67c9ee50400a872729b569",
+    ("scalar", "float64"):
+        "e3d8f8318005f6292762e7c038edeac85ef70160663d46e0aeccca64e37c91a2",
+    ("nonneg", "float32"):
+        "1339e671cfed5c02f8a7846b6301a52c135afc27d57683791d7339ccab8f853e",
+    ("nonneg", "float64"):
+        "56ae9cd1542fb9ac64d5b2b12eb51556c3928b9dc72c38ad15f2be4e74d25979",
+}
+
+
+class TestLayoutPins:
+    """The bytes of the flat parameter layout, which checkpoints store as
+    is: seeded init_params and backward on fixed inputs.  A change to the
+    layout, the draw order or a gradient's arithmetic changes a digest."""
+
+    @pytest.mark.parametrize("head", sorted(INIT_DIGESTS))
+    def test_init_params_bytes(self, head):
+        params = init_params(LAYOUT_SPECS[head], np.random.default_rng(0))
+        assert params.dtype == np.float64
+        assert hashlib.sha256(params.tobytes()).hexdigest() \
+            == INIT_DIGESTS[head]
+
+    @pytest.mark.parametrize("head, dtype", sorted(BACKWARD_DIGESTS))
+    def test_backward_bytes(self, head, dtype):
+        spec = LAYOUT_SPECS[head]
+        rng = np.random.default_rng(19)
+        params = rng.standard_normal(n_params(spec)) * 0.3
+        x = rng.standard_normal((7, spec.in_dim))
+        if head == "gaussian":
+            d_out = (rng.standard_normal((7, spec.out_dim)),
+                     rng.standard_normal((7, spec.out_dim)))
+        elif head == "categorical":
+            d_out = rng.standard_normal((7, spec.out_dim))
+        else:
+            d_out = rng.standard_normal(7)
+        _, tape = forward_tape(spec, params.astype(dtype), x)
+        grad = backward(spec, tape, d_out)
+        assert grad.dtype == dtype and grad.shape == params.shape
+        assert hashlib.sha256(grad.tobytes()).hexdigest() \
+            == BACKWARD_DIGESTS[head, dtype]
 
 
 class TestAdam:

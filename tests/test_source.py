@@ -7,7 +7,9 @@ under tests/.  Names resolve by kind, the way Python resolves them:
   module, or reads it as an attribute of that module;
 - a method is used when src takes it as an attribute (`x.name`).
 
-Either use must lie outside the definition itself."""
+Either use must lie outside the definition itself, and outside every
+definition found unused, repeated to a fixpoint: code that only unused code
+uses is unused too."""
 
 import ast
 import symtable
@@ -24,6 +26,13 @@ ALLOWED = {
     "executor.classify_trace_oracle",
     "ltl.eval_lasso",
     "subgoals.find_lassos",
+    # reached only through the entries above; they leave src with the
+    # exact subgoal search and the test oracles (ROADMAP items 2 and 10)
+    "executor.SATISFIED",
+    "executor.UNDETERMINED",
+    "executor.VIOLATED",
+    "subgoals.LassoPath",
+    "subgoals._lassos",
 }
 
 
@@ -95,21 +104,45 @@ def uses(module: str, tree: ast.Module, text: str):
 
 def unused_definitions(texts: dict[str, str]) -> set[str]:
     """The qualified names of the definitions that nothing in texts uses,
-    texts mapping each module name to its source."""
+    texts mapping each module name to its source.  A use inside an unused
+    definition does not count, so the scan repeats until no more are
+    found."""
     trees = {module: ast.parse(text) for module, text in texts.items()}
     found: dict[tuple, list[tuple[str, int]]] = {}
     for reader, tree in trees.items():
         for owner, name, line in uses(reader, tree, texts[reader]):
             found.setdefault((owner, name), []).append((reader, line))
-    unused = set()
-    for module, tree in trees.items():
-        for qualified, name, node, method in definitions(module, tree):
-            if not any(reader != module
-                       or not node.lineno <= line <= node.end_lineno
-                       for reader, line in found.get(
-                           (None if method else module, name), ())):
-                unused.add(qualified)
-    return unused
+    defs = [(module, *d) for module, tree in trees.items()
+            for d in definitions(module, tree)]
+    unused: set[str] = set()
+    while True:
+        dead = [(module, node) for module, qualified, _, node, _ in defs
+                if qualified in unused]
+        now = {qualified for module, qualified, name, node, method in defs
+               if all(inside([(module, node), *dead], reader, line)
+                      for reader, line in found.get(
+                          (None if method else module, name), ()))}
+        if now == unused:
+            return unused
+        unused = now
+
+
+def inside(spans, reader: str, line: int) -> bool:
+    """Does line `line` of module `reader` lie in one of the (module,
+    node) spans?"""
+    return any(reader == module and node.lineno <= line <= node.end_lineno
+               for module, node in spans)
+
+
+def test_uses_inside_unused_code_do_not_count():
+    texts = {
+        "a": "def helper():\n    return 1\n\n\n"
+             "def oracle():\n    return helper()\n\n\n"
+             "def run():\n    return step()\n\n\n"
+             "def step():\n    return 2\n",
+        "b": "from .a import run\n\nrun()\n",
+    }
+    assert unused_definitions(texts) == {"a.helper", "a.oracle"}
 
 
 def test_every_src_definition_is_used_in_src():

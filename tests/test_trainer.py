@@ -330,8 +330,9 @@ class TestLoss:
 
     def test_one_forward_pass_per_head(self, monkeypatch):
         # backward reads the activations of loss's own forward pass, so each
-        # head's parameters are unpacked once; its gradient still goes
-        # through the module-global backward
+        # head's parameters are unpacked once, and its gradient once, for
+        # backward to write through; the gradient still goes through the
+        # module-global backward
         import ltlnav.nets
         import ltlnav.trainer
         calls = {"unpack": 0, "backward": 0}
@@ -345,12 +346,12 @@ class TestLoss:
         rng = np.random.default_rng(8)
         heads = make_heads(rng)
         batch = batch_with_ratio_one(heads, rng, n=5)
-        monkeypatch.setattr(ltlnav.nets, "_unpack",
-                            counting("unpack", ltlnav.nets._unpack))
+        monkeypatch.setattr(ltlnav.nets, "unpack",
+                            counting("unpack", ltlnav.nets.unpack))
         monkeypatch.setattr(ltlnav.trainer, "backward",
                             counting("backward", ltlnav.trainer.backward))
         _, grads = loss(heads, batch, clip_eps=0.2, gamma=0.9)
-        assert calls == {"unpack": 4, "backward": 4}
+        assert calls == {"unpack": 8, "backward": 4}
         assert set(grads) == set(heads)
 
     def test_gradients_match_finite_differences(self):
