@@ -4,7 +4,12 @@ Parameters live in one flat float64 vector per network so optimizer state
 and checkpoints stay trivial.  Forward and backward passes run in the
 dtype of the weights they are given, so float64 callers keep every bit
 while the trainer runs its minibatch passes on float32 copies of the
-float64 parameters.  Hidden layers use tanh; four output heads
+float64 parameters.  Rows of a batch are independent, but the BLAS kernel
+may round a row differently in a batch of another size; the trainer's
+float64 value passes run in blocks of minibatch rows, which keep the bits
+of one pass over all rows at the desk and benchmark shapes (blocks of a
+multiple of 4 rows, at least 20, with OpenBLAS's SkylakeX kernel).
+Hidden layers use tanh; four output heads
 cover the policy (categorical or diagonal gaussian), the two value
 functions (scalar), and the nonnegative multiplier (softplus scalar).
 Callers that run fixed weights many times unpack them into per-layer

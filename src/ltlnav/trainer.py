@@ -14,7 +14,9 @@ zero where they do not.
 
 Collection is step-major: row t*W + i of every rollout array is worker
 i's step t, written in place into arrays allocated before the first env
-step.
+step.  The value passes behind the advantages run in blocks of minibatch
+rows, the block the update works in, so no step of an iteration holds
+hidden activations for more than a minibatch of rows.
 """
 
 from __future__ import annotations
@@ -153,9 +155,9 @@ class Rollout:
     boundary: np.ndarray     # (N,) bool: episode ended here for any reason
 
     def __post_init__(self):
-        if not set(np.unique(self.rewards)) <= {0.0, 1.0}:
+        if not ((self.rewards == 0) | (self.rewards == 1)).all():
             raise ValueError("rewards must be 0/1")
-        if not set(np.unique(self.costs)) <= {-1.0, 1.0}:
+        if not ((self.costs == -1) | (self.costs == 1)).all():
             raise ValueError("costs must be -1/+1")
         if (self.terminal & ~self.boundary).any():
             raise ValueError("terminal steps must be episode boundaries")
@@ -319,7 +321,8 @@ class Trainer:
             raise ValueError(f"letters must be 2 to 58 achievable assignments "
                              f"for training, got {len(self.targets)}")
         dim = reduced_dim(env_config, config.fusion)
-        # collect's widest arrays are (n_per_iter, dim) floats; past this
+        # an iteration's widest arrays are collect's (n_per_iter, dim)
+        # floats, since the value passes run in minibatch blocks; past this
         # numpy cannot even work out their size
         if config.n_per_iter * dim * 8 > np.iinfo(np.intp).max:
             raise ValueError(f"n_per_iter {config.n_per_iter} is too large: "
@@ -437,20 +440,33 @@ class Trainer:
         return Rollout(obs, next_obs, actions, logp, rewards, costs,
                        terminal, boundary)
 
+    def _values(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """A value head's (n,) outputs on n rows, one forward pass per
+        block of minibatch rows; the `nets` docstring says which blocks
+        give the bits of one pass over all rows."""
+        head = self.heads[name]
+        step = self.config.minibatch
+        out = np.empty(len(rows))
+        for at in range(0, len(rows), step):
+            out[at:at + step] = forward(head.spec, head.params,
+                                        rows[at:at + step])
+        return out
+
     def _advantages(self, roll: Rollout) -> dict:
+        """The update's batch: reward and safety advantages, returns and
+        cost-to-go from one backward scan per worker, over value passes
+        that run in blocks of minibatch rows (`_values`)."""
         cfg = self.config
-        vr = self.heads["v_r"]
-        vh = self.heads["v_h"]
         # collect writes row t*W + i for worker i's step t, so the scans run
         # down the columns of the (steps, workers) view, one per worker
         cols = lambda a: a.reshape(-1, len(self.workers))
         ends = cols(roll.terminal), cols(roll.boundary)
-        v = forward(vr.spec, vr.params, roll.obs)
-        v_next = forward(vr.spec, vr.params, roll.next_obs)
+        v = self._values("v_r", roll.obs)
+        v_next = self._values("v_r", roll.next_obs)
         adv_r, ret = gae_reward(cols(roll.rewards), cols(v), cols(v_next),
                                 *ends, cfg.gamma, cfg.lam_gae)
-        vh_now = forward(vh.spec, vh.params, roll.obs)
-        vh_next = forward(vh.spec, vh.params, roll.next_obs)
+        vh_now = self._values("v_h", roll.obs)
+        vh_next = self._values("v_h", roll.next_obs)
         adv_h, cost_togo = gae_cost(cols(roll.costs), cols(vh_now),
                                     cols(vh_next), *ends, cfg.gamma,
                                     cfg.lam_gae)

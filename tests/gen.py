@@ -6,8 +6,9 @@ truth tables, a product check for a word two automata both accept,
 random Kripke structures and the states of one that a graph covers, a
 rolled LetterWorld view, a zone-by-zone lidar, a tuple-per-transition
 rollout collection, per-call observation reductions, per-row advantage
-scans, a scripted-label env and the assignment mask of named
-propositions, shared across test modules."""
+scans, advantages over full-rollout value passes, a scripted-label env
+and the assignment mask of named propositions, shared across test
+modules."""
 
 from __future__ import annotations
 
@@ -36,7 +37,9 @@ from ltlnav.nets import (
 )
 from ltlnav.reduction import V_AVOID, V_NEUTRAL, V_REACH
 from ltlnav.subgoals import Subgoal, sample_subgoal
-from ltlnav.trainer import Rollout, TrainerConfig, signals
+from ltlnav.trainer import (
+    Rollout, TrainerConfig, gae_cost, gae_reward, signals,
+)
 
 # the desk LetterWorld and its trainer settings, and the default
 # overlap-mode ZoneSim, as the train workloads of the benchmark and the
@@ -488,6 +491,37 @@ def reference_gae_cost(costs, v_h, v_h_next, terminal, boundary, gamma,
     delta = (1 - gamma) * costs + gamma * v_eff - v_h
     return (reference_gae_scan(delta, boundary, gamma, lam_gae),
             reference_cost_togo(costs, boundary))
+
+
+def reference_advantages(trainer, roll: Rollout) -> dict:
+    """Trainer._advantages with one value pass per head and input over all
+    of the rollout's rows, not one per block of minibatch rows."""
+    cfg = trainer.config
+    vr = trainer.heads["v_r"]
+    vh = trainer.heads["v_h"]
+    # collect writes row t*W + i for worker i's step t, so the scans run
+    # down the columns of the (steps, workers) view, one per worker
+    cols = lambda a: a.reshape(-1, len(trainer.workers))
+    ends = cols(roll.terminal), cols(roll.boundary)
+    v = forward(vr.spec, vr.params, roll.obs)
+    v_next = forward(vr.spec, vr.params, roll.next_obs)
+    adv_r, ret = gae_reward(cols(roll.rewards), cols(v), cols(v_next),
+                            *ends, cfg.gamma, cfg.lam_gae)
+    vh_now = forward(vh.spec, vh.params, roll.obs)
+    vh_next = forward(vh.spec, vh.params, roll.next_obs)
+    adv_h, cost_togo = gae_cost(cols(roll.costs), cols(vh_now),
+                                cols(vh_next), *ends, cfg.gamma,
+                                cfg.lam_gae)
+    adv_r, ret, adv_h, cost_togo = (
+        a.ravel() for a in (adv_r, ret, adv_h, cost_togo))
+    # Only reward advantages are normalized; the safety term keeps its
+    # natural scale so the multiplier balance stays meaningful.
+    std = float(adv_r.std())
+    if std > 1e-8:
+        adv_r = (adv_r - adv_r.mean()) / std
+    return {"obs": roll.obs, "actions": roll.actions, "logp": roll.logp,
+            "adv_r": adv_r, "adv_h": adv_h, "cost_togo": cost_togo,
+            "ret": ret}
 
 
 class ScriptEnv:

@@ -3,7 +3,7 @@ import math
 import os
 import stat
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -470,12 +470,21 @@ class TestCollect:
         assert float(batch["adv_r"].std()) == pytest.approx(1.0, abs=1e-6)
         assert set(np.unique(batch["cost_togo"])) <= {-1.0, 1.0}
 
-    def test_rollout_validation(self):
-        with pytest.raises(ValueError):
-            Rollout(obs=np.zeros((1, 2)), next_obs=np.zeros((1, 2)),
-                    actions=np.zeros(1), logp=np.zeros(1),
-                    rewards=np.array([0.5]), costs=np.array([-1.0]),
-                    terminal=np.array([False]), boundary=np.array([False]))
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
+    def test_rollout_validation(self, bad):
+        def rollout(reward, cost):
+            return Rollout(obs=np.zeros((2, 2)), next_obs=np.zeros((2, 2)),
+                           actions=np.zeros(2), logp=np.zeros(2),
+                           rewards=np.array([1.0, reward]),
+                           costs=np.array([1.0, cost]),
+                           terminal=np.array([False, False]),
+                           boundary=np.array([False, False]))
+
+        rollout(0.0, -1.0)
+        with pytest.raises(ValueError, match="^rewards must be 0/1$"):
+            rollout(bad, -1.0)
+        with pytest.raises(ValueError, match="^costs must be -1/\\+1$"):
+            rollout(0.0, bad)
 
 
 def test_desk_settings_match_the_benchmark():
@@ -536,8 +545,10 @@ class TestCollectMatchesReference:
         # is the rollout itself plus per-step scratch; a tuple per
         # transition, zipped at the end, peaks at about three times that
         trainer = Trainer(gen.DESK_TRAINER, env_config)
-        # one step of each worker first, so that one-time set-up is not
-        # counted: np.unique's first call imports numpy.ma, about 0.5 MB
+        # one step of each worker first, so that a first call's one-time
+        # set-up, such as a lazy import, is not counted; the Rollout check
+        # itself imports nothing (np.unique's first call imports numpy.ma,
+        # about 1.2 MB, which a cold collect would count)
         trainer.collect(gen.DESK_TRAINER.workers)
         tracemalloc.start()
         try:
@@ -547,6 +558,63 @@ class TestCollectMatchesReference:
             tracemalloc.stop()
         size = sum(getattr(roll, f.name).nbytes for f in fields(Rollout))
         assert peak <= 1.5 * size, (peak, size)
+
+
+class TestAdvantagesMatchReference:
+    """_advantages runs its value passes in blocks of minibatch rows;
+    gen.reference_advantages runs one pass per head and input over all of
+    the rollout's rows.  Twin trainers, one iterating on each, must build
+    the same batch iteration after iteration, and the blocks must keep
+    the pass's working memory a fraction of the rollout's own."""
+
+    @pytest.mark.parametrize("cfg, env_config", [
+        (gen.DESK_TRAINER, gen.DESK_ENV),
+        (gen.DESK_TRAINER, gen.ZONE_ENV),
+        (replace(gen.DESK_TRAINER, n_per_iter=256, minibatch=64, epochs=2),
+         gen.DESK_ENV),
+        (replace(gen.DESK_TRAINER, n_per_iter=256, minibatch=64, epochs=2),
+         gen.ZONE_ENV),
+    ], ids=["desk-letterworld", "overlap-zonesim", "tiny-letterworld",
+            "tiny-zonesim"])
+    def test_bitwise_equal_to_full_rollout_passes(self, cfg, env_config):
+        trainer, twin = Trainer(cfg, env_config), Trainer(cfg, env_config)
+        got, want = [], []
+
+        def keep(kept, batch):
+            kept.append(dict(batch))    # the iteration swaps in float32 obs
+            return batch
+
+        trainer._advantages = lambda roll: keep(
+            got, Trainer._advantages(trainer, roll))
+        twin._advantages = lambda roll: keep(
+            want, gen.reference_advantages(twin, roll))
+        for _ in range(3):
+            trainer.iteration()
+            twin.iteration()
+            assert got[-1].keys() == want[-1].keys()
+            for key, exp in want[-1].items():
+                assert got[-1][key].dtype == exp.dtype, key
+                assert got[-1][key].shape == exp.shape, key
+                assert got[-1][key].tobytes() == exp.tobytes(), key
+        assert len(got) == len(want) == 3
+
+    @pytest.mark.parametrize("env_config", [gen.DESK_ENV, gen.ZONE_ENV],
+                             ids=["desk-letterworld", "overlap-zonesim"])
+    def test_advantages_peak_is_a_fraction_of_its_rollout(self, env_config):
+        # one pass over all 4096 rows holds (4096, 64) float64 activations
+        # per layer, several times the rollout; a block holds 256 rows
+        trainer = Trainer(gen.DESK_TRAINER, env_config)
+        trainer.iteration()
+        roll = trainer.collect(gen.DESK_TRAINER.n_per_iter)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            trainer._advantages(roll)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(roll, f.name).nbytes for f in fields(Rollout))
+        assert peak <= 0.5 * size, (peak, size)
 
 
 class TestTrainer:
