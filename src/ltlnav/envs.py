@@ -69,9 +69,6 @@ class EnvConfig(JsonFields):
     max_steps: int = 0                   # 0 selects the per-env default
     overlap_mode: bool = False
     arena_half_extent: float = 2.5
-    # Test/scenario hooks: pin the layout instead of sampling it.
-    fixed_zones: tuple[tuple[str, tuple[float, float], float], ...] = ()
-    agent_start: tuple[float, float] = ()
 
     def __post_init__(self):
         self._check_scalars()
@@ -86,11 +83,6 @@ class EnvConfig(JsonFields):
                 self, "max_steps", 75 if self.env == "letterworld" else 1000)
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        object.__setattr__(self, "fixed_zones", tuple(
-            (name, (float(x), float(y)), float(r))
-            for name, (x, y), r in self.fixed_zones))
-        object.__setattr__(
-            self, "agent_start", tuple(float(v) for v in self.agent_start))
         if self.env == "letterworld":
             if self.grid_size < 1:
                 raise ValueError("grid_size must be >= 1")
@@ -99,49 +91,31 @@ class EnvConfig(JsonFields):
                 raise ValueError("copies_per_letter must be >= 1")
             if len(self.letters) * self.copies_per_letter > cells - 1:
                 raise ValueError("too many letter placements for the grid")
-            # a LetterWorld start names a grid cell: reject fractions rather
-            # than let reset truncate them
-            if self.agent_start and not (
-                    len(self.agent_start) == 2
-                    and all(v.is_integer() and 0 <= v < self.grid_size
-                            for v in self.agent_start)):
-                raise ValueError(f"agent_start {self.agent_start!r} is not a "
-                                 f"cell of the {self.grid_size}x"
-                                 f"{self.grid_size} grid")
         else:
             if self.lidar_beams < 4:
                 raise ValueError("lidar_beams must be >= 4")
             if self.zone_radius <= 0:
                 raise ValueError("zone_radius must be positive")
-            if self.zones_per_color < 1 and not self.fixed_zones:
+            if self.zones_per_color < 1:
                 raise ValueError("zones_per_color must be >= 1")
             # NaN fails every comparison, so these also reject NaN
             half = self.arena_half_extent
-            if not self.fixed_zones and not self.zone_radius < half:
+            if not math.isfinite(2.0 * half):
+                raise ValueError(f"arena_half_extent must be small enough "
+                                 f"for a finite arena width, got {half}")
+            if not self.zone_radius < half:
                 raise LayoutInfeasible(
                     f"zone_radius must be below arena_half_extent ({half}) "
                     f"for a sampled zone to fit, got {self.zone_radius}")
-            if self.agent_start and not (
-                    len(self.agent_start) == 2
-                    and all(abs(v) <= half for v in self.agent_start)):
-                raise ValueError(f"agent_start must be two finite numbers "
-                                 f"inside the arena [-{half}, {half}]^2, "
-                                 f"got {self.agent_start!r}")
-            for name, center, r in self.fixed_zones:
-                if not (name in self.letters
-                        and all(map(math.isfinite, center))
-                        and 0 < r < math.inf):
-                    raise ValueError(
-                        f"fixed_zones must be (color, center, radius) with "
-                        f"a color in {self.letters}, a finite center and a "
-                        f"finite positive radius, got {(name, center, r)!r}")
 
     @classmethod
     def from_json(cls, d: dict, where: str = "env") -> "EnvConfig":
         d = dict(json_object(d, where))
-        # older checkpoints carry an unused layout seed; layouts come from
-        # the episode's rng
+        # older checkpoints carry an unused layout seed or empty layout pins
         d.pop("seed", None)
+        for key in ("fixed_zones", "agent_start"):
+            if d.get(key) == []:
+                del d[key]
         return super().from_json(d, where)
 
 
@@ -210,16 +184,12 @@ class LetterWorld:
         need = len(self.config.letters) * self.config.copies_per_letter
         placement = {cells[int(order[i])]: i % self.alphabet.n
                      for i in range(need)}
-        if self.config.agent_start:
-            agent = (int(self.config.agent_start[0]),
-                     int(self.config.agent_start[1]))
+        for _ in range(_SPAWN_ATTEMPTS):
+            agent = cells[int(rng.integers(len(cells)))]
+            if agent not in placement:
+                break
         else:
-            for _ in range(_SPAWN_ATTEMPTS):
-                agent = cells[int(rng.integers(len(cells)))]
-                if agent not in placement:
-                    break
-            else:
-                raise LayoutInfeasible("no empty cell found for the agent")
+            raise LayoutInfeasible("no empty cell found for the agent")
         self.state = LetterWorldState(agent, placement)
         grid = np.full((g, g), -1, dtype=np.int64)
         for (r, c), p in placement.items():
@@ -274,9 +244,6 @@ class ZoneSim:
         self._centers = self._r2 = self._own = None
 
     def _sample_zones(self, rng: np.random.Generator) -> tuple[Zone, ...]:
-        if self.config.fixed_zones:
-            return tuple(Zone(self.alphabet.index(name), center, radius)
-                         for name, center, radius in self.config.fixed_zones)
         half = self.config.arena_half_extent
         r = self.config.zone_radius
         lo, hi = -(half - r), half - r
@@ -311,19 +278,18 @@ class ZoneSim:
         self._r2 = np.array([z.radius * z.radius for z in zones])
         colors = np.array([z.color for z in zones])
         self._own = (colors == np.arange(self.alphabet.n)[:, None])[:, :, None]
-        half = self.config.arena_half_extent
-        if self.config.agent_start:
-            pos = np.array(self.config.agent_start, dtype=np.float64)
-        else:
-            for _ in range(_SPAWN_ATTEMPTS):
-                pos = rng.uniform(-half, half, size=2)
-                if not self._sense(pos)[2].any():
-                    break
-            else:
-                raise LayoutInfeasible("no free spot for the agent")
+        pos = self._spawn(rng)
         heading = float(rng.uniform(-math.pi, math.pi))
         self.state = ZoneSimState(pos.astype(np.float64), heading, 0.0, zones)
         return self.observe()
+
+    def _spawn(self, rng: np.random.Generator) -> np.ndarray:
+        half = self.config.arena_half_extent
+        for _ in range(_SPAWN_ATTEMPTS):
+            pos = rng.uniform(-half, half, size=2)
+            if not self._sense(pos)[2].any():
+                return pos
+        raise LayoutInfeasible("no free spot for the agent")
 
     def step(self, action):
         """One tick in Python floats.  Each clip is min(max(x, lo), hi),

@@ -9,6 +9,7 @@ unsatisfiable so it is not offered again within the episode.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,15 +123,18 @@ class PolicyAgent:
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict) -> "PolicyAgent":
-        if json_object(ckpt, "checkpoint").get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version "
-                             f"{ckpt.get('version')!r}, expected 1")
+        version = json_object(ckpt, "checkpoint").get("version")
+        if type(version) is not int or version != 1:    # True == 1
+            raise ValueError(f"unsupported checkpoint version {version!r}, "
+                             f"expected 1")
         heads = json_object(json_field(ckpt, "heads", "checkpoint heads"),
                             "checkpoint heads")
         mu = ckpt.get("mu_subgoal")
         if mu is not None and not (type(mu) is int and mu >= 1):
             raise ValueError(f"checkpoint mu_subgoal must be null or an "
                              f"int >= 1, got {mu!r}")
+        if mu is not None and mu > sys.float_info.max:
+            raise ValueError("checkpoint mu_subgoal is past float range")
         heads = {name: head_from_json(d, f"checkpoint heads.{name}")
                  for name, d in heads.items()}
         env_config = EnvConfig.from_json(

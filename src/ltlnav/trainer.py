@@ -134,11 +134,11 @@ class TrainerConfig(JsonFields):
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.n_per_iter % self.workers != 0:
             raise ValueError("n_per_iter must be divisible by workers")
-        if self.stats_window < MIN_COMPLETIONS:
+        if not MIN_COMPLETIONS <= self.stats_window <= np.iinfo(np.intp).max:
             # a shorter window never reports mu_subgoal, and evaluation
             # would silently fall back to its default switching timeout
-            raise ValueError(
-                f"stats_window must be at least {MIN_COMPLETIONS}")
+            raise ValueError(f"stats_window must be at least {MIN_COMPLETIONS} "
+                             f"and fit a deque, got {self.stats_window}")
         object.__setattr__(self, "actor_hidden", tuple(self.actor_hidden))
         object.__setattr__(self, "value_hidden", tuple(self.value_hidden))
 

@@ -1,14 +1,15 @@
-"""The desk settings, the benchmark's workloads module, an automaton
-built from its transitions and its edges listed back, seeded random
-generators, a brute-force successor oracle, the listed subgoal universe,
-a per-node cycle check, round-by-round bisimulation classes over guard
-truth tables, a product check for a word two automata both accept,
-random Kripke structures and the states of one that a graph covers, a
-rolled LetterWorld view, a zone-by-zone lidar, a tuple-per-transition
-rollout collection, per-call observation reductions, per-row advantage
-scans, advantages over full-rollout value passes, a scripted-label env
-and the assignment mask of named propositions, shared across test
-modules."""
+"""The desk settings and checkpoint, the benchmark's workloads module, an
+automaton built from its transitions and its edges listed back, seeded
+random generators, a brute-force successor oracle, the listed subgoal
+universe, a per-node cycle check, round-by-round bisimulation classes
+over guard truth tables, a product check for a word two automata both
+accept, random Kripke structures and the states of one that a graph
+covers, a rolled LetterWorld view, criterion 08's zone layout and a pin
+that places a layout on one ZoneSim, a zone-by-zone lidar, a
+tuple-per-transition rollout collection, per-call observation
+reductions, per-row advantage scans, advantages over full-rollout value
+passes, a scripted-label env and the assignment mask of named
+propositions, shared across test modules."""
 
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ import numpy as np
 from ltlnav import buchi
 from ltlnav.buchi import BuchiAutomaton
 from ltlnav.envs import (
-    SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, ZoneSimState,
+    SENSOR_RANGE, EnvConfig, LetterWorldState, Observation, Zone,
+    ZoneSimState,
 )
 from ltlnav.ltl import (
     TRUE, FALSE, Alphabet, And, Atom, Bool, Eventually, Always, Formula,
@@ -50,6 +52,10 @@ DESK_TRAINER = TrainerConfig(gamma=0.94, total_interactions=2_000_000,
                              n_per_iter=4096, minibatch=256, epochs=10,
                              workers=16, seed=0)
 ZONE_ENV = EnvConfig(env="zonesim", overlap_mode=True)
+
+# the desk checkpoint the benchmark pins; tests only read it
+PINNED_DESK = (Path(__file__).resolve().parents[1] / "perfbench"
+               / "desk.ckpt.json")
 
 
 @functools.cache
@@ -344,6 +350,31 @@ def reference_view(state: LetterWorldState, g: int) -> np.ndarray:
     center = g // 2
     ar, ac = state.agent
     return np.roll(grid, (center - ar, center - ac), axis=(0, 1))
+
+
+# criterion 08's hand-placed layout, for an agent that starts at the
+# origin: the blue and green zones are 0.9 apart with radius 0.4, so no
+# point is in both and the subgoal blue & green is unreachable, while
+# magenta lies 2 below the start
+SWITCH_ENV = EnvConfig(env="zonesim", overlap_mode=True, max_steps=400)
+SWITCH_ZONES = (("blue", (-0.45, 1.2), 0.4),
+                ("green", (0.45, 1.2), 0.4),
+                ("magenta", (0.0, -2.0), 0.4),
+                ("yellow", (2.0, 0.5), 0.4))
+
+
+def pin(env, zones=None, start=None):
+    """Pin one ZoneSim's layout: zones as (color, center, radius) replace
+    the sampled zones, and start the sampled spawn. A pinned part draws
+    nothing from the reset's rng and the heading is still drawn, so every
+    other draw is the one an unpinned reset makes. Returns env."""
+    if zones is not None:
+        layout = tuple(Zone(env.alphabet.index(name), (float(x), float(y)),
+                            float(r)) for name, (x, y), r in zones)
+        env._sample_zones = lambda rng: layout
+    if start is not None:
+        env._spawn = lambda rng: np.array(start, dtype=np.float64)
+    return env
 
 
 def reference_lidar(state: ZoneSimState, prop: int, k: int) -> np.ndarray:

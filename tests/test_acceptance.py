@@ -50,14 +50,12 @@ SEQ2_SPECS = [
 ]
 NESTED_SPEC = "(!a) U (b & ((!c) U (d & ((!b) U c))))"
 
-ZONE_CONFIG = EnvConfig(
-    env="zonesim", overlap_mode=True, max_steps=400,
-    fixed_zones=(("blue", (-0.45, 1.2), 0.4),
-                 ("green", (0.45, 1.2), 0.4),
-                 ("magenta", (0.0, -2.0), 0.4),
-                 ("yellow", (2.0, 0.5), 0.4)),
-    agent_start=(0.0, 0.0))
 ZONE_SPEC = "(!yellow) U ((blue & green) | magenta)"
+
+
+def switch_agent(env):
+    """The scripted zone agent on criterion 08's layout, pinned on env."""
+    return ScriptedZoneAgent(gen.pin(env, gen.SWITCH_ZONES, (0.0, 0.0)))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -258,15 +256,38 @@ def test_criterion_07_zero_shot_nesting(desk_checkpoint):
 
 
 def test_criterion_08_unsatisfiable_subgoal_switching():
-    on = evaluate([ZONE_SPEC], env_config=ZONE_CONFIG,
-                  agent_factory=ScriptedZoneAgent, n_traj=20,
+    on = evaluate([ZONE_SPEC], env_config=gen.SWITCH_ENV,
+                  agent_factory=switch_agent, n_traj=20,
                   seeds=(0, 1, 2, 3, 4))[0]
-    off = evaluate([ZONE_SPEC], env_config=ZONE_CONFIG,
-                   agent_factory=ScriptedZoneAgent, n_traj=20,
+    off = evaluate([ZONE_SPEC], env_config=gen.SWITCH_ENV,
+                   agent_factory=switch_agent, n_traj=20,
                    seeds=(0, 1, 2, 3, 4), switching=False)[0]
     _report(8, on.eta_s >= 0.8 and off.eta_s <= 0.1,
             f"switching on eta_s {on.eta_s:.2f}, switching off "
             f"eta_s {off.eta_s:.2f}")
+
+
+# sha256 over criterion 08's 200 episodes (switching on, then off): each
+# report's JSON, then every outcome and its trace's labels, switches and
+# positions
+SWITCH_DIGEST = (
+    "ee8298735073cbabec578a4039f9b86ea6e32f098633bf3b20bd24ad3fb364c4")
+
+
+def test_criterion_08_episodes_are_pinned():
+    h = hashlib.sha256()
+    for switching in (True, False):
+        reports, traces = evaluate(
+            [ZONE_SPEC], env_config=gen.SWITCH_ENV,
+            agent_factory=switch_agent, n_traj=20,
+            seeds=(0, 1, 2, 3, 4), switching=switching, record_traces=True)
+        h.update(json.dumps(reports[0].to_json()).encode())
+        for outcome, trace in traces[0]:
+            h.update(json.dumps(
+                [outcome.status, outcome.steps, outcome.accepting_visits,
+                 trace["labels"], trace["switches"], trace["positions"]],
+                default=int).encode())
+    assert h.hexdigest() == SWITCH_DIGEST
 
 
 def test_criterion_09_observation_reduction_equivariance():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -7,16 +8,18 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gen
 import ltlnav
 from ltlnav import cli, envs, executor
+from ltlnav import trainer as trainer_module
 from ltlnav.buchi import compile_formula
 from ltlnav.cli import _render_svg, main
 from ltlnav.envs import EnvConfig, make_env
 from ltlnav.ltl import MAX_DEPTH, Alphabet, parse
 from ltlnav.trainer import STREAM_EVAL, TrainerConfig, stream_rng
-from test_acceptance import ZONE_CONFIG
 from test_trainer import zone_checkpoint
 
 F_A_DOT = """\
@@ -312,7 +315,6 @@ class TestTrain:
     @pytest.mark.parametrize("env", [
         {"env": "letterworld", "grid_size": -7},
         {"env": "zonesim", "arena_half_extent": 0.3},   # no room for a zone
-        {"env": "letterworld", "agent_start": [1.7, -0.5]},  # not a cell
     ])
     def test_bad_env_config_exit_4(self, tmp_path, capsys, env):
         cfg = json.loads(write_train_config(tmp_path).read_text())
@@ -377,23 +379,15 @@ class TestTrain:
         assert f"{key} must be" in capsys.readouterr().err
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("key,value", [
-        ("agent_start", [math.nan, 0.0]),
-        ("agent_start", [0.0, math.inf]),
-        ("agent_start", [1.0]),
-        ("agent_start", [1.0, 2.0, 3.0]),
-        ("agent_start", [2.6, 0.0]),         # outside the 2.5 arena
-        ("fixed_zones", [["blue", [0.0, 1.0], math.nan]]),
-        ("fixed_zones", [["blue", [0.0, 1.0], -1.0]]),
-        ("fixed_zones", [["blue", [0.0, 1.0], 0.0]]),
-        ("fixed_zones", [["blue", [0.0, 1.0], math.inf]]),
-        ("fixed_zones", [["blue", [math.nan, 1.0], 0.4]]),
-        ("fixed_zones", [["purple", [0.0, 1.0], 0.4]]),
-    ])
-    def test_bad_zone_layout_exit_4_before_any_reset(
-            self, tmp_path, capsys, monkeypatch, key, value):
+    @pytest.mark.parametrize("section,key,value", [
+        ("env", "arena_half_extent", 1e308),    # the arena's width overflows
+        ("trainer", "stats_window", 10 ** 400),  # past what a deque holds
+    ], ids=["arena-width", "stats-window"])
+    def test_huge_value_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
         cfg = json.loads(write_train_config(tmp_path).read_text())
-        cfg["env"] = {"env": "zonesim", key: value}
+        cfg["env"] = {"env": "zonesim"}
+        cfg[section][key] = value
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
 
     @pytest.mark.parametrize("env", [
@@ -579,6 +573,10 @@ class TestEval:
          "in_dim must be an int, got True"),
         (lambda c: c["heads"]["policy"].update(params=[10 ** 400]),
          "checkpoint heads.policy.params holds a number past float range"),
+        (lambda c: c.update(version=True),
+         "unsupported checkpoint version True"),
+        (lambda c: c.update(mu_subgoal=10 ** 400),
+         "checkpoint mu_subgoal is past float range"),
     ])
     def test_bad_checkpoint_exit_4_before_any_episode(
             self, tmp_path, capsys, monkeypatch, edit, message):
@@ -595,6 +593,33 @@ class TestEval:
         assert main(["eval", "--spec", "F a", "--checkpoint", str(ckpt),
                      "--n", "1", "--seeds", "1"]) == 4
         assert message in capsys.readouterr().err
+
+    def test_checkpoint_with_empty_layout_pins(
+            self, tmp_path, capsys, monkeypatch):
+        # checkpoints written while EnvConfig had the layout pins
+        # fixed_zones and agent_start list both empty: they evaluate as
+        # they would without them, and a pinned start is refused
+        ckpt = train_checkpoint(tmp_path)
+        argv = ["eval", "--spec", "F a", "--checkpoint", str(ckpt),
+                "--n", "3", "--seeds", "2"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        saved = json.loads(ckpt.read_text())
+        saved["env"].update(fixed_zones=[], agent_start=[])
+        ckpt.write_text(json.dumps(saved))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran on a pinned start")
+
+        monkeypatch.setattr(executor, "run_episode", no_episode)
+        saved["env"]["agent_start"] = [1, 2]
+        ckpt.write_text(json.dumps(saved))
+        assert main(argv) == 4
+        assert ("unknown EnvConfig keys ['agent_start']"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,flags,message", [
         ("eval", ["--n", "0"], "n_traj must be at least 1"),
@@ -774,18 +799,20 @@ class TestOutputPaths:
 class TestSvg:
     # the SVG is pure string formatting of a seeded layout and a fixed path,
     # so its digest is the same on every machine
-    @pytest.mark.parametrize("config,path,digest", [
+    @pytest.mark.parametrize("config,pinned,path,digest", [
         (EnvConfig(env="letterworld", grid_size=5, letters=tuple("abcd"),
-                   copies_per_letter=2),
+                   copies_per_letter=2), False,
          # wraps around both torus edges, so the path splits in three
          [(2, 3), (2, 4), (2, 0), (1, 0), (0, 0), (4, 0), (4, 1)],
          "6c0097d45cb774f85ff462abf6ccafb89d1b5a1e8c11211e270c4d3dad127fd3"),
-        (ZONE_CONFIG,
+        (gen.SWITCH_ENV, True,
          [(0.0, 0.0), (0.1, 0.25), (-0.2, 0.6), (-0.45, 1.1)],
          "931c596de6846001352cce55748c05b45d9a4b7a2d86a02bbea0de7e748e1e62"),
     ], ids=["letterworld", "zonesim"])
-    def test_render_svg_bytes_pinned(self, config, path, digest):
+    def test_render_svg_bytes_pinned(self, config, pinned, path, digest):
         env = make_env(config)
+        if pinned:
+            gen.pin(env, gen.SWITCH_ZONES, (0.0, 0.0))
         env.reset(stream_rng(0, STREAM_EVAL, 0))
         svg = _render_svg(env, path)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
@@ -805,3 +832,118 @@ def test_entry_points_import_only_stdlib_and_numpy():
     foreign = {m for m in added if m.split(".")[0] not in
                sys.stdlib_module_names | {"numpy", "ltlnav"}}
     assert not foreign, sorted(foreign)
+
+
+# -- fuzz gate ------------------------------------------------------------------
+
+# mutants per input: the desk checkpoint and two default train configs
+FUZZ_RUNS = 120
+
+# the values a mutated field takes, besides its deletion
+FUZZ_VALUES = (None, True, False, -1, 0, 2.5, 1e308, math.nan, "", "x", [],
+               {}, [1], {"a": 1}, 10 ** 400)
+
+# fields a mutant may set to null, which stands for no value, and fields
+# nothing reads, which take any value: the checkpoint's gamma and its
+# env's legacy seed
+NULLABLE = {("mu_subgoal",), ("trainer", "seed")}
+UNREAD = {("gamma",), ("env", "seed")}
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def fuzz_slots(node, path=()):
+    """Every key under node, and for each list a slot that stands for any
+    one of its elements, once per element up to 8: the long params lists
+    weigh more than a field, but do not swamp the other fields."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from fuzz_slots(value, path + (key,))
+    elif isinstance(node, list):
+        yield from [path + (None,)] * min(len(node), 8)
+
+
+def fuzz_mutant(rng, text, slots):
+    """A copy of the JSON text with one field deleted or set to one of
+    FUZZ_VALUES; the field's path and new value; and whether the value's
+    JSON type is one the field does not take."""
+    blob = json.loads(text)
+    path = slots[int(rng.integers(len(slots)))]
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if last is None:
+        last = int(rng.integers(len(parent)))
+    draw = int(rng.integers(len(FUZZ_VALUES) + 1))
+    if draw == len(FUZZ_VALUES):
+        del parent[last]
+        return json.dumps(blob), (path, "deleted"), False
+    value = FUZZ_VALUES[draw]
+    retyped = (json_type(parent[last]) != json_type(value)
+               and path not in UNREAD
+               and not (value is None and path in NULLABLE))
+    parent[last] = value
+    return json.dumps(blob), (path, value), retyped
+
+
+def test_fuzzed_configs_and_checkpoints_exit_0_or_4_before_any_reset(
+        tmp_path, capsys, monkeypatch):
+    """Single-field mutants of the desk checkpoint through `eval` and of
+    both worlds' default train configs through `train`, with training
+    stubbed. None may raise out of main; each exits 0, or 4 before any
+    env reset, and a field set to a value of another JSON type exits 4.
+    The one exit 4 allowed after a reset is a LayoutInfeasible that reset
+    itself raises: a ZoneSim layout that passes the config checks but
+    cannot be placed."""
+    rng = np.random.default_rng(15)
+    resets = []                 # per reset: whether it raised LayoutInfeasible
+    for cls in (envs.LetterWorld, envs.ZoneSim):
+        def counted(self, env_rng, reset=cls.reset):
+            resets.append(False)
+            try:
+                return reset(self, env_rng)
+            except envs.LayoutInfeasible:
+                resets[-1] = True
+                raise
+        monkeypatch.setattr(cls, "reset", counted)
+    monkeypatch.setattr(trainer_module.Trainer, "run", lambda self, **kw: {
+        "iterations": 0, "mu_subgoal": None, "log": []})
+    monkeypatch.delenv("GENZ_SEED", raising=False)
+    path = tmp_path / "fuzzed.json"
+    cases = [(gen.PINNED_DESK.read_text(),
+              ["eval", "--spec", "F a", "--checkpoint", str(path),
+               "--n", "1", "--seeds", "1"])]
+    for world in ("letterworld", "zonesim"):
+        base = {"env": EnvConfig(env=world).to_json(),
+                "trainer": TrainerConfig().to_json()}
+        cases.append((json.dumps(base), ["train", "--config", str(path)]))
+    tally = collections.Counter()
+    failed, infeasible = [], []
+    for text, argv in cases:
+        slots = list(fuzz_slots(json.loads(text)))
+        for _ in range(FUZZ_RUNS):
+            mutant, what, retyped = fuzz_mutant(rng, text, slots)
+            path.write_text(mutant)
+            resets.clear()
+            try:
+                code = main(argv)
+            except Exception as err:    # the gate's subject: none may escape
+                failed.append((argv[0], what, repr(err)))
+                continue
+            err = capsys.readouterr().err
+            if code == 4 and resets and resets[-1]:
+                infeasible.append(what)
+            elif (code not in (0, 4) or (code == 4 and resets)
+                    or (code == 0 and retyped)):
+                failed.append((argv[0], what, code, err))
+            tally[argv[0], code] += 1
+    print(dict(tally), "layouts infeasible only at reset:", infeasible)
+    assert not failed, failed

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from gen import mask, reference_lidar, reference_view
+from gen import mask, pin, reference_lidar, reference_view
 from ltlnav.envs import (
     ACCEL, DT, MAX_SPEED, SENSOR_RANGE, TURN_RATE,
     EnvConfig, LayoutInfeasible, LetterWorld, ZoneSim,
@@ -42,13 +42,10 @@ class TestConfig:
         away = dict(grid_size=5, letters=("blue", "green"),
                     copies_per_letter=3, zones_per_color=1, zone_radius=0.7,
                     lidar_beams=8, max_steps=40, overlap_mode=True,
-                    arena_half_extent=3.0,
-                    fixed_zones=(("blue", (0.0, 1.0), 0.4),),
-                    agent_start=(0.5, -0.5))
-        # a LetterWorld start must name a cell of its grid
+                    arena_half_extent=3.0)
         for c in (grid_config(grid_size=5, letters=tuple("abcd")),
                   grid_config(zone_radius=0.7),
-                  grid_config(**dict(away, agent_start=(1, 4))),
+                  grid_config(**away),
                   zone_config(**away)):
             blob = c.to_json()
             assert list(blob) == [f.name for f in fields(EnvConfig)]
@@ -62,6 +59,20 @@ class TestConfig:
         c = EnvConfig.from_json(legacy)
         assert c == grid_config()
         assert "seed" not in c.to_json()
+
+    def test_empty_layout_pins_dropped(self):
+        # checkpoints written while EnvConfig had the layout pins
+        # fixed_zones and agent_start list both empty, and still load
+        for base in (grid_config(), zone_config(overlap_mode=True)):
+            legacy = dict(base.to_json(), fixed_zones=[], agent_start=[])
+            assert EnvConfig.from_json(legacy) == base
+        # a pinned layout has no field to go to
+        for key, value in (("fixed_zones", [["blue", [0.0, 1.0], 0.4]]),
+                           ("agent_start", [0.0, 0.0])):
+            blob = dict(zone_config().to_json(), **{key: value})
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown EnvConfig keys ['{key}']")):
+                EnvConfig.from_json(blob)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -85,23 +96,14 @@ class TestConfig:
                 for bad in (2.5, 16.0, True, "7", None):
                     with pytest.raises(ValueError, match=name):
                         EnvConfig(env=env, **{name: bad})
-        # a LetterWorld start is a cell of the grid: no fraction (which
-        # reset would truncate), no value off the grid, two coordinates
-        for bad in ((1.7, -0.5), (1.5, 2), (2, 0.25), (-1, 0), (0, 7),
-                    (math.nan, 0), (math.inf, 0), (3,), (1, 2, 3)):
-            with pytest.raises(ValueError, match="agent_start"):
-                grid_config(agent_start=bad)
-        assert grid_config(agent_start=(6.0, 0)).agent_start == (6.0, 0.0)
 
     def test_sampled_zones_must_fit_the_arena(self):
         # a sampled zone's center lies within half - radius of the origin,
-        # so a radius of at least half leaves no room; pinned zones need none
+        # so a radius of at least half leaves no room
         for half in (0.3, 0.4):
             with pytest.raises(LayoutInfeasible, match="zone_radius"):
                 zone_config(arena_half_extent=half)
         assert zone_config(arena_half_extent=0.41).zone_radius == 0.4
-        zone_config(arena_half_extent=0.3,
-                    fixed_zones=(("blue", (0.0, 0.0), 0.4),))
 
     def test_achievable_assignments(self):
         assert achievable_assignments(grid_config()) == tuple(
@@ -182,11 +184,6 @@ class TestLetterWorld:
         env.reset(np.random.default_rng(0))
         flags = [env.step(0)[2] for _ in range(4)]
         assert flags == [False, False, False, True]
-
-    def test_fixed_agent_start(self):
-        env = LetterWorld(grid_config(agent_start=(2, 3)))
-        env.reset(np.random.default_rng(0))
-        assert env.state.agent == (2, 3)
 
     @pytest.mark.parametrize("action", [
         1.5, True, False, np.float64(3.9), np.bool_(True), "2", None, -1, 4,
@@ -283,7 +280,7 @@ class TestZoneSim:
         assert np.array_equal(env.state.position, before)
 
     def test_kinematics(self):
-        env = ZoneSim(zone_config(agent_start=(0.0, 0.0)))
+        env = pin(ZoneSim(zone_config()), start=(0.0, 0.0))
         env.reset(np.random.default_rng(2))
         env.state.heading = 0.0
         for _ in range(30):
@@ -299,7 +296,7 @@ class TestZoneSim:
         assert env.state.position[1] == pytest.approx(0.0)
 
     def test_wall_clamp(self):
-        env = ZoneSim(zone_config(agent_start=(2.4, 0.0)))
+        env = pin(ZoneSim(zone_config()), start=(2.4, 0.0))
         env.reset(np.random.default_rng(3))
         env.state.heading = 0.0
         for _ in range(50):
@@ -332,12 +329,10 @@ class TestZoneSim:
             assert -math.pi <= env.state.heading <= math.pi
 
     def test_overlap_label(self):
-        cfg = zone_config(
-            overlap_mode=True,
-            fixed_zones=(("blue", (0.0, 0.0), 0.4), ("green", (0.5, 0.0), 0.4),
-                         ("magenta", (2.0, 2.0), 0.4), ("yellow", (-2.0, 2.0), 0.4)),
-            agent_start=(0.25, 0.0))
-        env = ZoneSim(cfg)
+        env = pin(ZoneSim(zone_config(overlap_mode=True)),
+                  (("blue", (0.0, 0.0), 0.4), ("green", (0.5, 0.0), 0.4),
+                   ("magenta", (2.0, 2.0), 0.4), ("yellow", (-2.0, 2.0), 0.4)),
+                  (0.25, 0.0))
         env.reset(np.random.default_rng(0))
         ab = env.alphabet
         assert env.label() == mask(ab, "blue", "green")
@@ -389,24 +384,21 @@ class TestZoneSim:
 
 class TestLidar:
     def test_inside_zone_all_ones(self):
-        cfg = zone_config(fixed_zones=(("blue", (0.0, 0.0), 0.4),),
-                          agent_start=(0.1, 0.1))
-        env = ZoneSim(cfg)
+        env = pin(ZoneSim(zone_config()), (("blue", (0.0, 0.0), 0.4),),
+                  (0.1, 0.1))
         env.reset(np.random.default_rng(0))
         assert np.array_equal(env.observe().ap[0], np.ones(16))
 
     def test_absent_color_all_zeros(self):
-        cfg = zone_config(fixed_zones=(("blue", (0.0, 0.0), 0.4),),
-                          agent_start=(2.0, 2.0))
-        env = ZoneSim(cfg)
+        env = pin(ZoneSim(zone_config()), (("blue", (0.0, 0.0), 0.4),),
+                  (2.0, 2.0))
         env.reset(np.random.default_rng(0))
         assert np.array_equal(env.observe().ap[1], np.zeros(16))
 
     def test_dead_ahead_closed_form(self):
         for d in (0.3, 1.0, 2.0):
-            cfg = zone_config(fixed_zones=(("blue", (d + 0.4, 0.0), 0.4),),
-                              agent_start=(0.0, 0.0))
-            env = ZoneSim(cfg)
+            env = pin(ZoneSim(zone_config()),
+                      (("blue", (d + 0.4, 0.0), 0.4),), (0.0, 0.0))
             env.reset(np.random.default_rng(0))
             env.state.heading = 0.0
             beam0 = env.observe().ap[0, 0]
@@ -438,9 +430,8 @@ class TestLidar:
                     assert got[i] == pytest.approx(want, abs=2e-3)
 
     def test_monotone_while_approaching(self):
-        cfg = zone_config(fixed_zones=(("blue", (2.0, 0.0), 0.4),),
-                          agent_start=(-2.0, 0.0))
-        env = ZoneSim(cfg)
+        env = pin(ZoneSim(zone_config()), (("blue", (2.0, 0.0), 0.4),),
+                  (-2.0, 0.0))
         env.reset(np.random.default_rng(0))
         env.state.heading = 0.0
         prev = env.observe().ap[0, 0]
@@ -479,8 +470,8 @@ class TestMembership:
          ("yellow", (-1.8, -1.7), 0.35)),
     ], ids=["single-zones", "overlapping-pair"])
     def test_label_bits_match_lidar_on_zone_circles(self, layout):
-        env = ZoneSim(zone_config(overlap_mode=True, fixed_zones=layout,
-                                  agent_start=(2.4, -2.4)))
+        env = pin(ZoneSim(zone_config(overlap_mode=True)), layout,
+                  (2.4, -2.4))
         env.reset(np.random.default_rng(0))
         angles = np.linspace(0.0, 2 * math.pi, 2000, endpoint=False)
         points = [np.asarray(z.center) + z.radius * np.stack(
@@ -519,7 +510,7 @@ class TestMembership:
                        for color, (sx, sy) in zip(
                            ("blue", "green", "magenta", "yellow"),
                            ((1, 1), (-1, 1), (-1, -1), (1, -1))))
-        env = ZoneSim(zone_config(fixed_zones=layout))
+        env = pin(ZoneSim(zone_config()), layout)
         env.reset(np.random.default_rng(0))
         probes = np.linspace(-2.5, 2.5, 81)
         covered = 0
@@ -571,15 +562,13 @@ class TestLidarMatchesReference:
     ], ids=["single-zone", "start-inside", "overlapping-colors",
             "two-of-one-color"])
     def test_fixed_layouts(self, layout, start):
-        env = ZoneSim(zone_config(fixed_zones=layout, agent_start=start,
-                                  lidar_beams=8))
+        env = pin(ZoneSim(zone_config(lidar_beams=8)), layout, start)
         run_against_reference(env, seeds=range(4), steps=40)
 
     def test_inside_and_overlapping_rows(self):
-        env = ZoneSim(zone_config(
-            fixed_zones=(("blue", (0.0, 0.0), 0.5),
-                         ("yellow", (0.4, 0.0), 0.5)),
-            agent_start=(0.2, 0.0)))
+        env = pin(ZoneSim(zone_config()),
+                  (("blue", (0.0, 0.0), 0.5), ("yellow", (0.4, 0.0), 0.5)),
+                  (0.2, 0.0))
         obs = env.reset(np.random.default_rng(0))
         assert env.label() == 0b1001
         assert np.array_equal(obs.ap[0], np.ones(16))

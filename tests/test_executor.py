@@ -1,7 +1,6 @@
 import collections
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +22,9 @@ from ltlnav.nets import forward, head_from_json, mean_action
 from ltlnav.reduction import reduce
 from ltlnav.subgoals import Subgoal, UniverseTooLarge
 from ltlnav.trainer import STREAM_EVAL, Trainer, TrainerConfig, stream_rng
-from scripted import ScriptedGridAgent, ScriptedZoneAgent
-from test_acceptance import NESTED_SPEC, SEQ2_SPECS
+from scripted import ScriptedGridAgent
+from test_acceptance import NESTED_SPEC, SEQ2_SPECS, switch_agent
 from test_reduction import grid_obs, random_subgoal
-
-
-# the checkpoint perfbench pins for eval-zeroshot; this module only reads it
-PINNED_DESK = (Path(__file__).resolve().parent.parent / "perfbench"
-               / "desk.ckpt.json")
 
 
 def grid_config(**kw):
@@ -295,38 +289,29 @@ class TestRunEpisode:
 
 
 class TestZoneSwitching:
-    def zone_config(self):
-        return EnvConfig(
-            env="zonesim", overlap_mode=True, max_steps=400,
-            fixed_zones=(("blue", (-0.45, 1.2), 0.4),
-                         ("green", (0.45, 1.2), 0.4),
-                         ("magenta", (0.0, -2.0), 0.4),
-                         ("yellow", (2.0, 0.5), 0.4)),
-            agent_start=(0.0, 0.0))
-
     def test_switching_escapes_unreachable_pair(self):
-        config = self.zone_config()
+        config = gen.SWITCH_ENV
         spec = "(!yellow) U ((blue & green) | magenta)"
         reports = evaluate([spec], env_config=config,
-                           agent_factory=ScriptedZoneAgent,
+                           agent_factory=switch_agent,
                            n_traj=3, seeds=(0, 1))
         assert reports[0].eta_s == 1.0
         assert reports[0].eta_v == 0.0
 
     def test_no_switching_gets_stuck(self):
-        config = self.zone_config()
+        config = gen.SWITCH_ENV
         spec = "(!yellow) U ((blue & green) | magenta)"
         reports = evaluate([spec], env_config=config,
-                           agent_factory=ScriptedZoneAgent,
+                           agent_factory=switch_agent,
                            n_traj=3, seeds=(0, 1), switching=False)
         assert reports[0].eta_s == 0.0
 
     def test_marked_pairs_were_attempted_full_window(self):
-        config = self.zone_config()
+        config = gen.SWITCH_ENV
         spec = "(!yellow) U ((blue & green) | magenta)"
         env = make_env(config)
         aut = compile_formula(parse(spec), alphabet_for(config))
-        agent = ScriptedZoneAgent(env)
+        agent = switch_agent(env)
         outcome, trace = run_episode(
             env, aut, agent, rng=stream_rng(0, 3), timeout=60)
         assert outcome.status == SUCCESS
@@ -589,7 +574,7 @@ class TestPolicyAgent:
         # subgoal) that score or act asks for, so act reuses the row the
         # pick scored
         agent = PolicyAgent.from_checkpoint(
-            json.loads(PINNED_DESK.read_text()))
+            json.loads(gen.PINNED_DESK.read_text()))
         env = make_env(agent.env_config)
         aut = compile_formula(parse(NESTED_SPEC), agent.alphabet)
         reduced, asked, kept = [], [], []
@@ -626,7 +611,7 @@ class TestPolicyAgent:
         # each candidate's row run alone through each value head, on the
         # pinned desk checkpoint: rows reduced from random grid views, and
         # random real rows in place of the reduced ones
-        ckpt = json.loads(PINNED_DESK.read_text())
+        ckpt = json.loads(gen.PINNED_DESK.read_text())
         agent = PolicyAgent.from_checkpoint(ckpt)
         heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()
                  if name != "policy"}
@@ -658,7 +643,7 @@ class TestPolicyAgent:
         assert checked > 2000
 
     def test_new_observation_never_gets_a_stale_row(self):
-        ckpt = json.loads(PINNED_DESK.read_text())
+        ckpt = json.loads(gen.PINNED_DESK.read_text())
         agent = PolicyAgent.from_checkpoint(ckpt)
         heads = {name: head_from_json(d) for name, d in ckpt["heads"].items()}
         rng = np.random.default_rng(23)
@@ -683,7 +668,7 @@ class TestPolicyAgent:
 
     def test_one_score_call_per_contested_pick_in_a_desk_episode(self):
         agent = PolicyAgent.from_checkpoint(
-            json.loads(PINNED_DESK.read_text()))
+            json.loads(gen.PINNED_DESK.read_text()))
         env = make_env(agent.env_config)
         asked, picks = [], []
         score = agent.score
@@ -741,7 +726,7 @@ def eval_digest(traces) -> str:
 
 
 def test_pinned_desk_eval_is_byte_identical():
-    ckpt = json.loads(PINNED_DESK.read_text())
+    ckpt = json.loads(gen.PINNED_DESK.read_text())
     _, traces = evaluate(SEQ2_SPECS + [NESTED_SPEC], ckpt, n_traj=100,
                          seeds=(0, 1), record_traces=True)
     assert eval_digest(traces) == EVAL_DIGEST
