@@ -315,6 +315,7 @@ class TestTrain:
     @pytest.mark.parametrize("env", [
         {"env": "letterworld", "grid_size": -7},
         {"env": "zonesim", "arena_half_extent": 0.3},   # no room for a zone
+        {"env": "letterworld", "agent_start": [1.7, -0.5]},  # a removed pin
     ])
     def test_bad_env_config_exit_4(self, tmp_path, capsys, env):
         cfg = json.loads(write_train_config(tmp_path).read_text())
@@ -353,17 +354,19 @@ class TestTrain:
             self, tmp_path, capsys, monkeypatch, section, key, value):
         cfg = json.loads(write_train_config(tmp_path).read_text())
         cfg[section][key] = value
-        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                      f"{key} must be")
 
     def test_no_room_for_zones_exit_4_before_any_reset(
             self, tmp_path, capsys, monkeypatch):
         cfg = json.loads(write_train_config(tmp_path).read_text())
         cfg["env"] = {"env": "zonesim", "arena_half_extent": 0.3}
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
-                                      "zone_radius")
+                                      "zone_radius must be")
 
     @staticmethod
-    def exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key):
+    def exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                 message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
 
@@ -376,8 +379,30 @@ class TestTrain:
         ckpt = tmp_path / "ckpt.json"
         assert main(["train", "--config", str(path),
                      "--checkpoint", str(ckpt)]) == 4
-        assert f"{key} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("agent_start", [math.nan, 0.0]),
+        ("agent_start", [0.0, math.inf]),
+        ("agent_start", [1.0]),
+        ("agent_start", [1.0, 2.0, 3.0]),
+        ("agent_start", [2.6, 0.0]),         # outside the 2.5 arena
+        ("fixed_zones", [["blue", [0.0, 1.0], math.nan]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], -1.0]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], 0.0]]),
+        ("fixed_zones", [["blue", [0.0, 1.0], math.inf]]),
+        ("fixed_zones", [["blue", [math.nan, 1.0], 0.4]]),
+        ("fixed_zones", [["purple", [0.0, 1.0], 0.4]]),
+    ])
+    def test_bad_zone_layout_exit_4_before_any_reset(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # configs written while EnvConfig had the layout pins: a non-empty
+        # pin, well formed or not, is an unknown key
+        cfg = json.loads(write_train_config(tmp_path).read_text())
+        cfg["env"] = {"env": "zonesim", key: value}
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                      f"unknown EnvConfig keys ['{key}']")
 
     @pytest.mark.parametrize("section,key,value", [
         ("env", "arena_half_extent", 1e308),    # the arena's width overflows
@@ -388,7 +413,8 @@ class TestTrain:
         cfg = json.loads(write_train_config(tmp_path).read_text())
         cfg["env"] = {"env": "zonesim"}
         cfg[section][key] = value
-        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg, key)
+        self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
+                                      f"{key} must be")
 
     @pytest.mark.parametrize("env", [
         {"env": "letterworld", "letters": ["a"]},
@@ -400,7 +426,7 @@ class TestTrain:
         cfg = json.loads(write_train_config(tmp_path).read_text())
         cfg["env"] = env
         self.exits_4_before_any_reset(tmp_path, capsys, monkeypatch, cfg,
-                                      "letters")
+                                      "letters must be")
 
     @pytest.mark.parametrize("flags,seed_env,message", [
         (["--seed", "-2"], None, "seed must be at least 0, got -2"),
